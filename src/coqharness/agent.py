@@ -16,11 +16,12 @@ a fixed seed.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import random
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 from .client import DecodingParams, Provider, complete
@@ -130,67 +131,21 @@ class AttemptRecord:
     lexical_error: bool = False
     dropped_examples: int = 0
     missed_simple: bool = False
-    timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def error_message(self) -> str:
         return self.failing_step[2] if self.failing_step else ""
 
 
-def attempt_to_json(record: AttemptRecord, with_timings: bool = True) -> dict:
-    row = {
-        "theorem_id": record.theorem_id,
-        "config_tag": record.config_tag,
-        "variant_id": record.variant_id,
-        "candidate_index": record.candidate_index,
-        "proof_script": record.proof_script,
-        "accepted": record.accepted,
-        "failing_step": list(record.failing_step) if record.failing_step else None,
-        "turns": [
-            {"prompt_delta": t.prompt_delta, "completion": t.completion,
-             "tool_calls": [list(c) for c in t.tool_calls]}
-            for t in record.turns
-        ],
-        "completion_kind": record.completion_kind,
-        "refusal_text": record.refusal_text,
-        "category": record.category,
-        "round": record.round,
-        "budget_exhausted": record.budget_exhausted,
-        "appended_qed": record.appended_qed,
-        "lexical_error": record.lexical_error,
-        "dropped_examples": record.dropped_examples,
-        "missed_simple": record.missed_simple,
-    }
-    if with_timings:
-        row["timings"] = record.timings
-    return row
-
-
 def attempt_from_json(row: dict) -> AttemptRecord:
-    return AttemptRecord(
-        theorem_id=row["theorem_id"],
-        config_tag=row["config_tag"],
-        variant_id=row["variant_id"],
-        candidate_index=row["candidate_index"],
-        proof_script=row["proof_script"],
-        accepted=row["accepted"],
-        failing_step=tuple(row["failing_step"]) if row.get("failing_step") else None,
-        turns=[
-            Turn(t["prompt_delta"], t["completion"],
-                 tuple(tuple(c) for c in t.get("tool_calls", [])))
-            for t in row.get("turns", [])
-        ],
-        completion_kind=row["completion_kind"],
-        refusal_text=row.get("refusal_text"),
-        category=row.get("category"),
-        round=row.get("round", 0),
-        budget_exhausted=row.get("budget_exhausted", False),
-        appended_qed=row.get("appended_qed", False),
-        lexical_error=row.get("lexical_error", False),
-        dropped_examples=row.get("dropped_examples", 0),
-        missed_simple=row.get("missed_simple", False),
-        timings=row.get("timings", {}),
-    )
+    """Inverse of json.dumps(record, default=vars); unknown keys are ignored."""
+    values = {f.name: row[f.name] for f in fields(AttemptRecord) if f.name in row}
+    values["failing_step"] = tuple(row["failing_step"]) if row.get("failing_step") else None
+    values["turns"] = [
+        Turn(t["prompt_delta"], t["completion"], tuple(map(tuple, t.get("tool_calls", ()))))
+        for t in row.get("turns", ())
+    ]
+    return AttemptRecord(**values)
 
 
 @dataclass
@@ -284,71 +239,58 @@ def _check_candidates(
     target: TheoremRecord,
     config: RunConfig,
     deps: AgentDeps,
+    session: SessionHandle,
     n: int,
     first_index: int = 0,
     round_no: int = 0,
-    session: SessionHandle | None = None,
 ) -> list[AttemptRecord]:
     """Sample n completions for the prompt, parse, and check the proofs."""
     decoding = replace(config.decoding, n=n)
-    started = time.monotonic()
     completions = complete(prompt, decoding, deps.provider)
-    sample_time = time.monotonic() - started
-
-    own_session = session is None
-    if own_session:
-        session = deps.session_factory(target)
     check_cache: dict[str, object] = {}
     records: list[AttemptRecord] = []
-    try:
-        for i, raw in enumerate(completions):
-            parsed = parse_completion(raw, target.statement_text)
-            turn = Turn(prompt.messages[-1].content, raw)
-            record = AttemptRecord(
-                theorem_id=target.id,
-                config_tag=config.tag,
-                variant_id=prompt.variant_id,
-                candidate_index=first_index + i,
-                proof_script=parsed.proof_script or "",
-                accepted=False,
-                failing_step=None,
-                turns=[turn],
-                completion_kind=parsed.kind,
-                refusal_text=parsed.refusal_text,
-                round=round_no,
-                appended_qed=parsed.appended_qed,
-                lexical_error=parsed.lexical,
-                dropped_examples=prompt.dropped_examples,
-                timings={"sample_s": sample_time},
-            )
-            if parsed.kind == PROOF:
-                script = parsed.proof_script or ""
-                if script in check_cache:
-                    result = check_cache[script]
-                else:
-                    check_started = time.monotonic()
-                    try:
-                        result = session.check_proof(target.statement.text, script)
-                    except LexicalError as exc:
-                        result = exc
-                    check_cache[script] = result
-                    record.timings["check_s"] = time.monotonic() - check_started
-                if isinstance(result, LexicalError):
-                    record.completion_kind = MALFORMED
-                    record.lexical_error = True
-                    record.failing_step = (-1, "", str(result))
-                else:
-                    record.accepted = result.accepted
-                    if not result.accepted:
-                        if result.failing_step is not None:
-                            idx, sentence = result.failing_step
-                            record.failing_step = (idx, sentence.text, result.message)
-                        else:
-                            record.failing_step = (-1, "", result.message)
-            records.append(record)
-    finally:
-        if own_session:
-            session.close()
+    for i, raw in enumerate(completions):
+        parsed = parse_completion(raw, target.statement_text)
+        turn = Turn(prompt.messages[-1].content, raw)
+        record = AttemptRecord(
+            theorem_id=target.id,
+            config_tag=config.tag,
+            variant_id=prompt.variant_id,
+            candidate_index=first_index + i,
+            proof_script=parsed.proof_script or "",
+            accepted=False,
+            failing_step=None,
+            turns=[turn],
+            completion_kind=parsed.kind,
+            refusal_text=parsed.refusal_text,
+            round=round_no,
+            appended_qed=parsed.appended_qed,
+            lexical_error=parsed.lexical,
+            dropped_examples=prompt.dropped_examples,
+        )
+        if parsed.kind == PROOF:
+            script = parsed.proof_script or ""
+            if script in check_cache:
+                result = check_cache[script]
+            else:
+                try:
+                    result = session.check_proof(target.statement.text, script)
+                except LexicalError as exc:
+                    result = exc
+                check_cache[script] = result
+            if isinstance(result, LexicalError):
+                record.completion_kind = MALFORMED
+                record.lexical_error = True
+                record.failing_step = (-1, "", str(result))
+            else:
+                record.accepted = result.accepted
+                if not result.accepted:
+                    if result.failing_step is not None:
+                        idx, sentence = result.failing_step
+                        record.failing_step = (idx, sentence.text, result.message)
+                    else:
+                        record.failing_step = (-1, "", result.message)
+        records.append(record)
     return records
 
 
@@ -357,7 +299,8 @@ def prove_one_shot(
 ) -> list[AttemptRecord]:
     """The baseline pipeline: one prompt, n samples, machine-check each."""
     prompt = _build_target_prompt(target, config, deps)
-    return _check_candidates(prompt, target, config, deps, config.decoding.n)
+    with contextlib.closing(deps.session_factory(target)) as session:
+        return _check_candidates(prompt, target, config, deps, session, config.decoding.n)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +345,6 @@ def prove_interactive(
     templates = deps.templates or TemplateSet.load()
     prompt = _build_target_prompt(target, config, deps, interactive=True)
     decoding = replace(config.decoding, n=1)
-    session = deps.session_factory(target)
     turns: list[Turn] = []
     executed: list[str] = []
     queries_used = 0
@@ -413,9 +355,9 @@ def prove_interactive(
     last_failing: tuple[int, str, str] | None = None
     step_counter = 0
     stall_streak = 0
-    started = time.monotonic()
 
-    try:
+    with contextlib.closing(deps.session_factory(target)) as session:
+        started = time.monotonic()
         opening = session.execute(target.statement.text)
         if not opening.ok:
             return AttemptRecord(
@@ -423,7 +365,6 @@ def prove_interactive(
                 candidate_index=0, proof_script="", accepted=False,
                 failing_step=(-1, target.statement.text, opening.message),
                 turns=[], completion_kind=MALFORMED,
-                timings={"wall_s": time.monotonic() - started},
             )
         history = list(prompt.messages)
         delta = (
@@ -479,7 +420,6 @@ def prove_interactive(
             turns.append(Turn(delta, completion))
             error_message = None
             state_after = None
-            no_goals = False
             for text in payload[:MAX_TACTICS_PER_TURN]:
                 result = session.execute(text)
                 if not result.ok:
@@ -489,7 +429,6 @@ def prove_interactive(
                 executed.append(text)
                 step_counter += 1
                 state_after = result.state
-                no_goals = result.state is None and not result.proof_complete
                 if result.proof_complete:
                     accepted = True
                     break
@@ -505,18 +444,14 @@ def prove_interactive(
                 delta = error_block
             elif state_after is not None:
                 delta = templates.render("interactive.state", state=render_proof_state(state_after))
-            elif no_goals:
-                delta = templates.render("interactive.no_goals")
             else:
                 delta = templates.render("interactive.no_goals")
         else:
             budget_exhausted = True
-    finally:
-        session.close()
 
     if kind == PROOF and not accepted and stall_streak >= 2:
         kind = MALFORMED  # stalled: no tactics, no queries
-    record = AttemptRecord(
+    return AttemptRecord(
         theorem_id=target.id,
         config_tag=config.tag,
         variant_id=prompt.variant_id,
@@ -529,9 +464,7 @@ def prove_interactive(
         refusal_text=refusal_text,
         budget_exhausted=budget_exhausted,
         dropped_examples=prompt.dropped_examples,
-        timings={"wall_s": time.monotonic() - started},
     )
-    return record
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +486,8 @@ def repair_loop(target: TheoremRecord, config: RunConfig, deps: AgentDeps) -> li
     templates = deps.templates or TemplateSet.load()
     started = time.monotonic()
     prompt = _build_target_prompt(target, config, deps)
-    session = deps.session_factory(target)
-    try:
-        records = _check_candidates(
-            prompt, target, config, deps, config.decoding.n, session=session
-        )
+    with contextlib.closing(deps.session_factory(target)) as session:
+        records = _check_candidates(prompt, target, config, deps, session, config.decoding.n)
         if any(r.accepted for r in records):
             return records
 
@@ -590,8 +520,8 @@ def repair_loop(target: TheoremRecord, config: RunConfig, deps: AgentDeps) -> li
                 )
                 chain["conversation"] = conversation
                 repaired = _check_candidates(
-                    conversation, target, config, deps, 1,
-                    first_index=candidate_index, round_no=round_no, session=session,
+                    conversation, target, config, deps, session, 1,
+                    first_index=candidate_index, round_no=round_no,
                 )[0]
                 candidate_index += 1
                 records.append(repaired)
@@ -603,8 +533,6 @@ def repair_loop(target: TheoremRecord, config: RunConfig, deps: AgentDeps) -> li
             if any_accepted:
                 break
         return records
-    finally:
-        session.close()
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +551,8 @@ def run_ensemble(target: TheoremRecord, config: RunConfig, deps: AgentDeps) -> l
     per = config.decoding.n // len(groups)
     remainder = config.decoding.n - per * len(groups)
 
-    session = deps.session_factory(target)
     records: list[AttemptRecord] = []
-    try:
+    with contextlib.closing(deps.session_factory(target)) as session:
         index = 0
         for position, variant_prompt in enumerate(groups):
             budget = per + (remainder if position == 0 else 0)
@@ -633,13 +560,10 @@ def run_ensemble(target: TheoremRecord, config: RunConfig, deps: AgentDeps) -> l
                 continue
             records.extend(
                 _check_candidates(
-                    variant_prompt, target, config, deps, budget,
-                    first_index=index, session=session,
+                    variant_prompt, target, config, deps, session, budget, first_index=index
                 )
             )
             index += budget
-    finally:
-        session.close()
     return records
 
 

@@ -266,7 +266,7 @@ def cmd_prove(args, config) -> int:
     for record in records:
         record.category = evaluate.classify_failure(record, rules)
     for record in records:
-        print(json.dumps(agent.attempt_to_json(record), ensure_ascii=False, indent=2))
+        print(json.dumps(record, ensure_ascii=False, indent=2, default=vars))
     verdict = "ACCEPTED" if any(r.accepted for r in records) else "REJECTED"
     print(verdict)
     return EXIT_OK

@@ -77,16 +77,6 @@ class Transcript:
     token_usage: tuple[int, int] = (0, 0)
     retries: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "prompt_hash": self.prompt_hash,
-            "completions": self.completions,
-            "provider": self.provider,
-            "timestamp": self.timestamp,
-            "token_usage": list(self.token_usage),
-            "retries": self.retries,
-        }
-
 
 def prompt_hash(prompt: ChatPrompt, params: DecodingParams) -> str:
     """Stable content hash over messages and decoding parameters."""
@@ -210,10 +200,6 @@ class ScriptedProvider(Provider):
         return [self.default] * params.n
 
 
-def scripted_provider(script_file: str | Path, default: str | None = None) -> ScriptedProvider:
-    return ScriptedProvider(script_file, default)
-
-
 # ---------------------------------------------------------------------------
 # Live HTTP provider
 # ---------------------------------------------------------------------------
@@ -231,7 +217,6 @@ class HttpChatProvider(Provider):
         api_key_env: str = "COQHARNESS_API_KEY",
         rpm_limit: float = 60.0,
         token_budget: int | None = None,
-        call_budget: int | None = None,
         timeout: float = 120.0,
         session=None,
     ):
@@ -240,7 +225,6 @@ class HttpChatProvider(Provider):
         self.api_key = os.environ.get(api_key_env, "")
         self.rpm_limit = rpm_limit
         self.token_budget = token_budget
-        self.call_budget = call_budget
         self.timeout = timeout
         self.tokens_used = 0
         self.calls_made = 0
@@ -264,8 +248,6 @@ class HttpChatProvider(Provider):
             self._last_request = time.monotonic()
 
     def _check_budgets(self) -> None:
-        if self.call_budget is not None and self.calls_made >= self.call_budget:
-            raise BudgetExceeded(f"call budget of {self.call_budget} reached")
         if self.token_budget is not None and self.tokens_used >= self.token_budget:
             raise BudgetExceeded(f"token budget of {self.token_budget} reached")
 
@@ -357,7 +339,7 @@ class TranscriptCache:
         return None
 
     def append(self, transcript: Transcript) -> None:
-        line = json.dumps(transcript.to_json(), ensure_ascii=False) + "\n"
+        line = json.dumps(transcript, ensure_ascii=False, default=vars) + "\n"
         with self._lock:
             with open(self._shard(transcript.prompt_hash), "a", encoding="utf-8") as fh:
                 fh.write(line)

@@ -11,7 +11,7 @@ import json
 import logging
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .sentences import (
@@ -281,10 +281,6 @@ def preceding_lemmas(
 _FORMAT = "coqharness-corpus/1"
 
 
-def _sentence_to_json(sentence: Sentence) -> dict:
-    return {"text": sentence.text, "span": list(sentence.span)}
-
-
 def _sentence_from_json(raw: dict) -> Sentence:
     return Sentence(raw["text"], tuple(raw["span"]))
 
@@ -294,29 +290,11 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         header = {"format": _FORMAT, "root": corpus.root}
         fh.write(json.dumps(header, ensure_ascii=False) + "\n")
         for record in corpus.records:
-            row = {
-                "id": record.id,
-                "name": record.name,
-                "statement": _sentence_to_json(record.statement),
-                "proof": [_sentence_to_json(s) for s in record.proof],
-                "file": record.file,
-                "preceding_source": record.preceding_source,
-                "index_in_file": record.index_in_file,
-                "split": corpus.split_labels[record.id],
-            }
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            row = {**vars(record), "split": corpus.split_labels[record.id]}
+            fh.write(json.dumps(row, ensure_ascii=False, default=vars) + "\n")
 
 
-_RECORD_FIELDS = {
-    "id",
-    "name",
-    "statement",
-    "proof",
-    "file",
-    "preceding_source",
-    "index_in_file",
-    "split",
-}
+_RECORD_FIELDS = {f.name for f in fields(TheoremRecord)} | {"split"}
 
 
 def load_corpus(path: str | Path) -> Corpus:

@@ -119,6 +119,12 @@ class SessionHandle:
     def close(self) -> None:
         pass
 
+    def set_prelude_mode(self, enabled: bool) -> None:
+        """While enabled, a backend may accept prelude sentences unchecked."""
+
+    def mark_checkpoint(self) -> None:
+        """Everything executed so far is replayed verbatim after a restart."""
+
     # Backend-specific checkpointing used by check_proof.
     def _snapshot(self):
         raise NotImplementedError
@@ -180,8 +186,7 @@ def start_session(config: SessionConfig) -> SessionHandle:
     else:
         raise ValueError(f"unknown backend {config.backend!r}")
 
-    set_prelude_mode = getattr(session, "set_prelude_mode", lambda enabled: None)
-    set_prelude_mode(True)
+    session.set_prelude_mode(True)
     try:
         for index, sentence in enumerate(config.prelude):
             result = session.execute(sentence)
@@ -189,9 +194,8 @@ def start_session(config: SessionConfig) -> SessionHandle:
                 session.close()
                 raise PreludeError(index, result.message)
     finally:
-        set_prelude_mode(False)
-    if isinstance(session, RealCoqSession):
-        session.mark_checkpoint()
+        session.set_prelude_mode(False)
+    session.mark_checkpoint()
     return session
 
 

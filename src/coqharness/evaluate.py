@@ -20,8 +20,10 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .agent import AgentDeps, AttemptRecord, RunConfig, attempt_from_json, attempt_to_json, prove
+from .agent import AgentDeps, AttemptRecord, RunConfig, attempt_from_json, prove
+from .client import BudgetExceeded, CacheMiss, ProviderError
 from .corpus import Corpus
+from .driver import PreludeError, SessionDead, SpawnFailure
 from .prompting import REFUSAL as REFUSAL_KIND
 from .sentences import is_closing
 
@@ -235,8 +237,9 @@ def run_eval(
 ) -> EvalReport:
     """Run every manifest config over the corpus test split and aggregate.
 
-    Per-attempt failures are data; only manifest/corpus schema problems
-    abort. Deterministic under the scripted provider with workers=1.
+    Per-attempt failures are data. Manifest/corpus schema problems abort,
+    and so do harness failures (cache miss, provider or prover unavailable),
+    which are not the model's. Deterministic under the scripted provider.
     """
     if not manifest:
         raise EvalError("empty manifest")
@@ -253,6 +256,9 @@ def run_eval(
         def prove_one(target):
             try:
                 return prove(target, config, deps)
+            except (CacheMiss, ProviderError, BudgetExceeded, SpawnFailure, SessionDead,
+                    PreludeError):
+                raise
             except Exception as exc:
                 log.error("config %s theorem %s failed: %s", config.tag, target.id, exc)
                 return [
@@ -310,25 +316,37 @@ def coincidence_matrix(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
+_COUNT_LABELS = (
+    ("n_correct_proofs", "#Correct Proof"),
+    ("n_proven_theorems", "#Proven Theorems"),
+    ("n_accepted_raw", "accepted samples (raw)"),
+    ("n_attempts", "attempts"),
+)
+
+
+def config_rows(report: EvalReport) -> dict[str, dict]:
+    """Per config: the counts, then the taxonomy over CATEGORIES."""
+    return {
+        tag: {
+            "n_attempts": m.n_attempts,
+            "n_correct_proofs": m.n_correct_proofs,
+            "n_proven_theorems": m.n_proven_theorems,
+            "n_accepted_raw": m.n_accepted_raw,
+            "taxonomy": {c: m.taxonomy.get(c, 0) for c in CATEGORIES},
+        }
+        for tag, m in report.per_config.items()
+    }
+
+
 def render_markdown(report: EvalReport) -> str:
-    tags = list(report.per_config)
+    rows = config_rows(report)
+    tags = list(rows)
     out = ["# Proof synthesis results", ""]
-    header = "| | " + " | ".join(tags) + " |"
-    rule = "|---" * (len(tags) + 1) + "|"
-    correct = "| #Correct Proof | " + " | ".join(
-        str(report.per_config[t].n_correct_proofs) for t in tags
-    ) + " |"
-    proven = "| #Proven Theorems | " + " | ".join(
-        str(report.per_config[t].n_proven_theorems) for t in tags
-    ) + " |"
-    raw = "| accepted samples (raw) | " + " | ".join(
-        str(report.per_config[t].n_accepted_raw) for t in tags
-    ) + " |"
-    attempts = "| attempts | " + " | ".join(
-        str(report.per_config[t].n_attempts) for t in tags
-    ) + " |"
-    out += [header, rule, correct, proven, raw, attempts, ""]
+    out += ["| | " + " | ".join(tags) + " |", "|---" * (len(tags) + 1) + "|"]
+    for key, label in _COUNT_LABELS:
+        out.append(f"| {label} | " + " | ".join(str(rows[t][key]) for t in tags) + " |")
     out += [
+        "",
         "#Correct Proof counts distinct accepted scripts per theorem; the raw",
         "row counts accepted samples before dedup.",
         "",
@@ -338,7 +356,7 @@ def render_markdown(report: EvalReport) -> str:
         "|---" * (len(tags) + 2) + "|",
     ]
     for category in CATEGORIES:
-        counts = [report.per_config[t].taxonomy.get(category, 0) for t in tags]
+        counts = [rows[t]["taxonomy"][category] for t in tags]
         out.append(
             f"| {category} | " + " | ".join(str(c) for c in counts) + f" | {sum(counts)} |"
         )
@@ -356,12 +374,9 @@ def render_csv(report: EvalReport) -> str:
         ["config", "n_attempts", "n_correct_proofs", "n_proven_theorems", "n_accepted_raw"]
         + [f"taxonomy_{c}" for c in CATEGORIES]
     )
-    for tag, metrics in report.per_config.items():
-        writer.writerow(
-            [tag, metrics.n_attempts, metrics.n_correct_proofs, metrics.n_proven_theorems,
-             metrics.n_accepted_raw]
-            + [metrics.taxonomy.get(c, 0) for c in CATEGORIES]
-        )
+    for tag, row in config_rows(report).items():
+        taxonomy = row.pop("taxonomy")
+        writer.writerow([tag, *row.values(), *taxonomy.values()])
     writer.writerow([])
     writer.writerow(["coincidence_a", "coincidence_b", "count"])
     tags = list(report.per_config)
@@ -373,16 +388,7 @@ def render_csv(report: EvalReport) -> str:
 
 def report_to_json(report: EvalReport) -> dict:
     return {
-        "per_config": {
-            tag: {
-                "n_attempts": m.n_attempts,
-                "n_correct_proofs": m.n_correct_proofs,
-                "n_proven_theorems": m.n_proven_theorems,
-                "n_accepted_raw": m.n_accepted_raw,
-                "taxonomy": {c: m.taxonomy.get(c, 0) for c in CATEGORIES},
-            }
-            for tag, m in report.per_config.items()
-        },
+        "per_config": config_rows(report),
         "proven": report.proven,
         "coincidence": [
             [a, b, count] for (a, b), count in sorted(report.coincidence.items())
@@ -428,7 +434,7 @@ def emit_report(
             path = attempts_dir / f"{tag}.jsonl"
             with open(path, "w", encoding="utf-8") as fh:
                 for record in records:
-                    fh.write(json.dumps(attempt_to_json(record), ensure_ascii=False) + "\n")
+                    fh.write(json.dumps(record, ensure_ascii=False, default=vars) + "\n")
             written.append(path)
     return written
 

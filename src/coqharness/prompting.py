@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .sentences import LexicalError, is_closing, is_statement, segment_sentences
+from .sentences import LexicalError, _skip_comment, is_closing, is_statement, segment_sentences
 
 ROLES = ("system", "user", "assistant")
 
@@ -278,32 +278,15 @@ def _strip_fences(raw: str) -> str:
     return raw
 
 
-def _comment_spans(text: str) -> list[tuple[int, int]]:
-    spans = []
-    i, n = 0, len(text)
-    while i < n:
-        if text.startswith("(*", i):
-            start = i
-            depth = 0
-            while i < n:
-                if text.startswith("(*", i):
-                    depth += 1
-                    i += 2
-                elif text.startswith("*)", i):
-                    depth -= 1
-                    i += 2
-                    if depth == 0:
-                        break
-                else:
-                    i += 1
-            spans.append((start, i))
-        else:
-            i += 1
-    return spans
-
-
 def _comment_text(text: str) -> str:
-    return " ".join(text[a + 2 : b - 2].strip() for a, b in _comment_spans(text))
+    """Comment bodies of text that segmented into no sentences, so every
+    comment in it is terminated and only whitespace lies between them."""
+    bodies, i = [], text.find("(*")
+    while i >= 0:
+        end = _skip_comment(text, i)
+        bodies.append(text[i + 2 : end - 2].strip())
+        i = text.find("(*", end)
+    return " ".join(bodies)
 
 
 def _matches_refusal(text: str) -> bool:

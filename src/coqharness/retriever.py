@@ -15,7 +15,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +91,7 @@ class Featurizer:
     def fit(documents: list[str], feature_dim: int = DEFAULT_FEATURE_DIM) -> "Featurizer":
         df: dict[str, int] = {}
         for doc in documents:
-            for token in set(tokenize(doc)):
+            for token in dict.fromkeys(tokenize(doc)):
                 df[token] = df.get(token, 0) + 1
         return Featurizer(feature_dim, df, len(documents))
 
@@ -232,18 +232,11 @@ def retrieve(
     elif mode == "embedded":
         if model is None:
             raise ValueError("embedded mode needs an embedding model")
-        if hasattr(model, "embed_texts"):
-            ids = [rid for rid in index.vectors if rid != query.id]
-            embedded = model.embed_texts([query.statement_text] + [index.texts[r] for r in ids])
-            qe, rest = np.asarray(embedded[0]), embedded[1:]
-            for rid, vec in zip(ids, rest):
-                scores.append((rid, min(1.0, max(0.0, _dense_cosine(qe, np.asarray(vec))))))
-        else:
-            qe = model.embed(query_vector)
-            for rid, vector in index.vectors.items():
-                if rid == query.id:
-                    continue
-                scores.append((rid, min(1.0, max(0.0, _dense_cosine(qe, model.embed(vector))))))
+        qe = model.embed(query_vector)
+        for rid, vector in index.vectors.items():
+            if rid == query.id:
+                continue
+            scores.append((rid, min(1.0, max(0.0, _dense_cosine(qe, model.embed(vector))))))
     else:
         raise ValueError(f"unknown retrieval mode {mode!r}")
     scores.sort(key=lambda item: (-item[1], item[0]))
@@ -454,16 +447,7 @@ def save_embedding(model: EmbeddingModel, path: str | Path) -> None:
         "format": _MODEL_FORMAT,
         "feature_dim": model.feature_dim,
         "embed_dim": model.embed_dim,
-        "hyper": {
-            "learning_rate": model.hyper.learning_rate,
-            "epochs": model.hyper.epochs,
-            "margin": model.hyper.margin,
-            "seed": model.hyper.seed,
-            "feature_dim": model.hyper.feature_dim,
-            "embed_dim": model.hyper.embed_dim,
-            "batch_size": model.hyper.batch_size,
-            "holdout_fraction": model.hyper.holdout_fraction,
-        },
+        "hyper": asdict(model.hyper),
         "weights": model.weights.tolist(),
         "history": model.history,
         "initial_objective": model.initial_objective,
@@ -487,22 +471,3 @@ def load_embedding(path: str | Path) -> EmbeddingModel:
         raise RetrieverError("embedding weights contain non-finite values")
     return model
 
-
-class RemoteEmbeddingClient:
-    """Optional HTTP embedder: POST {"texts": [...]} -> {"vectors": [[...]]}."""
-
-    def __init__(self, base_url: str, session=None, timeout: float = 30.0):
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self._session = session
-
-    def embed_texts(self, texts: list[str]) -> list[list[float]]:
-        response = self._session.post(
-            self.base_url, json={"texts": texts}, timeout=self.timeout
-        )
-        response.raise_for_status()
-        return response.json()["vectors"]

@@ -53,10 +53,6 @@ class Sentence:
     def is_bullet(self) -> bool:
         return bool(re.fullmatch(r"[-+*]+|[{}]", self.text))
 
-    def first_token(self) -> str:
-        m = re.match(r"\s*([^\W\d][\w']*)", self.text)
-        return m.group(1) if m else self.text[:1]
-
 
 STATEMENT_KEYWORDS = ("Lemma", "Theorem", "Fact", "Remark", "Corollary", "Proposition")
 

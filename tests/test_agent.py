@@ -10,7 +10,6 @@ from coqharness.agent import (
     AgentDeps,
     RunConfig,
     attempt_from_json,
-    attempt_to_json,
     prove,
     prove_interactive,
     prove_one_shot,
@@ -18,7 +17,7 @@ from coqharness.agent import (
     run_ensemble,
     session_factory_from_config,
 )
-from coqharness.client import DecodingParams, ScriptedProvider
+from coqharness.client import DecodingParams, Provider, ProviderError, ScriptedProvider
 from coqharness.corpus import TheoremRecord
 from coqharness.driver import SessionConfig
 from coqharness.prompting import ConfigMismatch
@@ -78,8 +77,10 @@ def test_attempt_record_json_roundtrip(toy_deps):
     config = RunConfig(tag="zs", mode="zs", decoding=DecodingParams(n=2), seed=11)
     records = prove_one_shot(get(deps.corpus, "weak_refl"), config, deps)
     for record in records:
-        clone = attempt_from_json(attempt_to_json(record))
-        assert attempt_to_json(clone) == attempt_to_json(record)
+        line = json.dumps(record, default=vars)
+        clone = attempt_from_json(json.loads(line))
+        assert clone == record
+        assert json.dumps(clone, default=vars) == line
 
 
 # -- one-shot -----------------------------------------------------------------
@@ -154,9 +155,7 @@ def test_determinism_byte_identical(toy_deps):
         out = []
         for name in ("union_incl", "trans_incl", "weak_refl", "G_wmon"):
             out.extend(prove_one_shot(get(deps.corpus, name), config, deps))
-        return json.dumps(
-            [attempt_to_json(r, with_timings=False) for r in out], sort_keys=True
-        )
+        return json.dumps(out, sort_keys=True, default=vars)
 
     assert run() == run()
 
@@ -414,3 +413,65 @@ def test_ensemble_empty_strategies_rejected(toy_deps):
     config = RunConfig(tag="ens", mode="zs", decoding=DecodingParams(n=2))
     with pytest.raises(ConfigMismatch):
         run_ensemble(get(deps.corpus, "trans_incl"), config, deps)
+
+
+# -- session lifecycle --------------------------------------------------------
+
+LIFECYCLE_CONFIGS = {
+    "one_shot": RunConfig(tag="zs", mode="zs", decoding=DecodingParams(n=2)),
+    "interactive": RunConfig(tag="inter", mode="zs", loop="interactive", max_turns=3),
+    "repair": RunConfig(
+        tag="rep", mode="zs", loop="repair", repair_rounds=1, decoding=DecodingParams(n=2)
+    ),
+    "ensemble": RunConfig(
+        tag="ens", mode="zs", loop="ensemble", strategies=("simple-tactics-first",),
+        decoding=DecodingParams(n=2),
+    ),
+}
+
+
+class FailingProvider(Provider):
+    """Delegates to `inner`, except that call number `fail_on` raises."""
+
+    def __init__(self, inner: Provider, fail_on: int | None):
+        self.inner = inner
+        self.fail_on = fail_on
+        self.calls = 0
+
+    def complete(self, prompt, params):
+        self.calls += 1
+        if self.calls == self.fail_on:
+            raise ProviderError(503, "service unavailable")
+        return self.inner.complete(prompt, params)
+
+
+@pytest.mark.parametrize("fail_on", [None, 2])
+@pytest.mark.parametrize("loop", sorted(LIFECYCLE_CONFIGS))
+def test_every_opened_session_is_closed_once(toy_deps, loop, fail_on):
+    deps = toy_deps()
+    deps.provider = FailingProvider(deps.provider, fail_on)
+    base_factory = deps.session_factory
+    opened, closed = [], []
+
+    def counting_factory(target):
+        session = base_factory(target)
+        opened.append(session)
+        close = session.close
+
+        def counted_close():
+            closed.append(session)
+            close()
+
+        session.close = counted_close  # type: ignore[method-assign]
+        return session
+
+    deps.session_factory = counting_factory
+    try:
+        for target in deps.corpus.test:
+            prove(target, LIFECYCLE_CONFIGS[loop], deps)
+    except ProviderError:
+        assert fail_on is not None
+    else:
+        assert fail_on is None
+    assert opened
+    assert sorted(map(id, closed)) == sorted(map(id, opened))

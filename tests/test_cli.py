@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from coqharness.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROVIDER, main
+import coqharness
+from coqharness.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROVER, EXIT_PROVIDER, main
 from coqharness.corpus import load_corpus
 
 
@@ -109,6 +113,22 @@ def test_index_and_embedding(config_file, ingested, tmp_path, capsys):
     assert code == EXIT_OK
 
 
+def test_index_bytes_independent_of_hash_seed(config_file, ingested, tmp_path):
+    src = str(Path(coqharness.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"index-{seed}.json"
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run(
+            [sys.executable, "-m", "coqharness.cli", "--config", str(config_file),
+             "index", "--corpus", str(ingested), "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_prove_scripted_weak_refl_prints_accepted(config_file, ingested, capsys):
     code = main(
         [
@@ -192,7 +212,11 @@ def test_eval_writes_reports_and_is_deterministic(
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     payload = json.loads((out1 / "report.json").read_text())
     assert payload["config_echo"]["zs"]["mode"] == "zs"
-    assert (out1 / "attempts" / "zs.jsonl").exists()
+    attempt_files = sorted(p.name for p in (out1 / "attempts").glob("*.jsonl"))
+    assert "zs.jsonl" in attempt_files
+    assert attempt_files == sorted(p.name for p in (out2 / "attempts").glob("*.jsonl"))
+    for name in attempt_files:
+        assert (out1 / "attempts" / name).read_bytes() == (out2 / "attempts" / name).read_bytes()
 
 
 def test_eval_replay_without_cache_dir_fails(ingested, manifest_path, tmp_path):
@@ -230,6 +254,44 @@ def test_eval_replay_serves_from_cache(config_file, ingested, manifest_path, tmp
     )
     assert code == EXIT_OK
     assert (live_out / "report.json").read_bytes() == (replay_out / "report.json").read_bytes()
+
+
+def test_eval_replay_empty_cache_exit_3(config_file, ingested, manifest_path, tmp_path):
+    out = tmp_path / "o"
+    code = main(
+        [
+            "--config", str(config_file),
+            "eval", "--corpus", str(ingested),
+            "--manifest", str(manifest_path), "--out", str(out), "--replay",
+        ]
+    )
+    assert code == EXIT_PROVIDER
+    assert not (out / "report.json").exists()
+
+
+def test_eval_unspawnable_prover_exit_4(ingested, manifest_path, tmp_path, fixtures_dir):
+    config = tmp_path / "real.ini"
+    config.write_text(
+        f"""
+[provider]
+kind = scripted
+script_file = {fixtures_dir}/provider_script.json
+
+[prover]
+backend = real
+prover_command = {tmp_path}/no-such-coqtop -emacs
+"""
+    )
+    out = tmp_path / "o"
+    code = main(
+        [
+            "--config", str(config),
+            "eval", "--corpus", str(ingested),
+            "--manifest", str(manifest_path), "--out", str(out),
+        ]
+    )
+    assert code == EXIT_PROVER
+    assert not (out / "report.json").exists()
 
 
 def test_report_recompute_matches(config_file, ingested, manifest_path, tmp_path, capsys):

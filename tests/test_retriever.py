@@ -399,10 +399,3 @@ def test_retrieve_embedded_mode_and_remote_stub():
     ranked = retrieve(index, query, 3, mode="embedded", model=model)
     assert len(ranked) == 3
     assert all(0.0 <= score <= 1.0 for _, score in ranked)
-
-    class StubRemote:
-        def embed_texts(self, texts):
-            return [[float(len(t)), 1.0] for t in texts]
-
-    remote = retrieve(index, query, 2, mode="embedded", model=StubRemote())
-    assert len(remote) == 2
