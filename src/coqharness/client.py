@@ -16,7 +16,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .prompting import ChatPrompt
@@ -227,15 +227,18 @@ class HttpChatProvider(Provider):
         self.token_budget = token_budget
         self.timeout = timeout
         self.tokens_used = 0
-        self.calls_made = 0
-        self.last_retries = 0
         self._lock = threading.Lock()
+        self._local = threading.local()
         self._last_request = 0.0
         if session is None:
             import requests
 
             session = requests.Session()
         self._session = session
+
+    @property
+    def last_retries(self) -> int:  # of this thread's last successful call
+        return getattr(self._local, "retries", 0)
 
     def _throttle(self) -> None:
         if self.rpm_limit <= 0:
@@ -283,15 +286,14 @@ class HttpChatProvider(Provider):
             except Exception as exc:  # connection-level failure: retryable
                 status, body = -1, repr(exc)
             if status == 200:
-                self.last_retries = attempt
-                self.calls_made += 1
+                self._local.retries = attempt
                 data = json.loads(body)
                 usage = data.get("usage", {})
-                self.tokens_used += usage.get("prompt_tokens", 0) + usage.get(
-                    "completion_tokens", 0
-                )
-                if self.token_budget is not None and self.tokens_used > self.token_budget:
-                    log.warning("token budget exceeded after call; aborting run")
+                spent = usage.get("prompt_tokens", 0) + usage.get("completion_tokens", 0)
+                with self._lock:
+                    self.tokens_used += spent
+                    if self.token_budget is not None and self.tokens_used > self.token_budget:
+                        log.warning("token budget exceeded after call; aborting run")
                 return [choice["message"]["content"] for choice in data["choices"]]
             last_status, last_body = status, body
             if status not in (-1, 408, 409, 429) and not 500 <= status < 600:
@@ -328,14 +330,9 @@ class TranscriptCache:
                     continue
                 row = json.loads(line)
                 if row["prompt_hash"] == key:
-                    return Transcript(
-                        prompt_hash=row["prompt_hash"],
-                        completions=list(row["completions"]),
-                        provider=row.get("provider", ""),
-                        timestamp=row.get("timestamp", 0.0),
-                        token_usage=tuple(row.get("token_usage", (0, 0))),
-                        retries=row.get("retries", 0),
-                    )
+                    values = {f.name: row[f.name] for f in fields(Transcript) if f.name in row}
+                    values["token_usage"] = tuple(values.get("token_usage", (0, 0)))
+                    return Transcript(**values)
         return None
 
     def append(self, transcript: Transcript) -> None:
@@ -357,6 +354,7 @@ class CachingProvider(Provider):
         self.replay_only = replay_only
         self.hits = 0
         self.misses = 0
+        self._lock = threading.Lock()
 
     @property
     def name(self) -> str:
@@ -366,11 +364,13 @@ class CachingProvider(Provider):
         key = prompt_hash(prompt, params)
         cached = self.cache.lookup(key)
         if cached is not None:
-            self.hits += 1
+            with self._lock:
+                self.hits += 1
             return list(cached.completions)
         if self.replay_only:
             raise CacheMiss(f"no cached transcript for {key}")
-        self.misses += 1
+        with self._lock:
+            self.misses += 1
         assert self.inner is not None
         completions = self.inner.complete(prompt, params)
         retries = getattr(self.inner, "last_retries", 0)

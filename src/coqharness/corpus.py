@@ -78,16 +78,19 @@ class Corpus:
     root: str
     split_labels: dict[str, str] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
+    _by_id: dict[str, TheoremRecord] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        self._by_id = {}
         for record in self.records:
             self.split_labels.setdefault(record.id, EXCLUDED)
+            self._by_id.setdefault(record.id, record)
 
     def by_id(self, record_id: str) -> TheoremRecord:
-        for record in self.records:
-            if record.id == record_id:
-                return record
-        raise UnknownId(record_id)
+        try:
+            return self._by_id[record_id]
+        except KeyError:
+            raise UnknownId(record_id) from None
 
     def with_label(self, label: str) -> list[TheoremRecord]:
         return [r for r in self.records if self.split_labels[r.id] == label]
@@ -318,15 +321,10 @@ def load_corpus(path: str | Path) -> Corpus:
             if missing:
                 raise SchemaViolation(line_number, f"missing fields: {sorted(missing)}")
             try:
-                record = TheoremRecord(
-                    id=row["id"],
-                    name=row["name"],
-                    statement=_sentence_from_json(row["statement"]),
-                    proof=tuple(_sentence_from_json(s) for s in row["proof"]),
-                    file=row["file"],
-                    preceding_source=row["preceding_source"],
-                    index_in_file=row["index_in_file"],
-                )
+                values = {f.name: row[f.name] for f in fields(TheoremRecord)}
+                values["statement"] = _sentence_from_json(row["statement"])
+                values["proof"] = tuple(map(_sentence_from_json, row["proof"]))
+                record = TheoremRecord(**values)
             except (KeyError, TypeError) as exc:
                 raise SchemaViolation(line_number, f"malformed record: {exc}") from None
             records.append(record)

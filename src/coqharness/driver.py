@@ -12,12 +12,14 @@ behavior table. Both satisfy the same contract:
 
 from __future__ import annotations
 
+import codecs
+import io
 import logging
-import queue
+import os
 import re
+import select
 import shlex
 import subprocess
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -122,9 +124,6 @@ class SessionHandle:
     def set_prelude_mode(self, enabled: bool) -> None:
         """While enabled, a backend may accept prelude sentences unchecked."""
 
-    def mark_checkpoint(self) -> None:
-        """Everything executed so far is replayed verbatim after a restart."""
-
     # Backend-specific checkpointing used by check_proof.
     def _snapshot(self):
         raise NotImplementedError
@@ -195,7 +194,6 @@ def start_session(config: SessionConfig) -> SessionHandle:
                 raise PreludeError(index, result.message)
     finally:
         session.set_prelude_mode(False)
-    session.mark_checkpoint()
     return session
 
 
@@ -210,6 +208,8 @@ PROMPT_RE = re.compile(r"<prompt>(.*?)</prompt>", re.DOTALL)
 PROMPT_FIELDS_RE = re.compile(r"<\s*(\d+)\s*\|([^|]*)\|")
 ERROR_RE = re.compile(r"^\s*(?:Error\b|Anomaly\b|Toplevel input, characters)", re.MULTILINE)
 NO_MORE_GOALS_RE = re.compile(r"No more (?:sub)?goals", re.IGNORECASE)
+PROMPT_OPEN = "<prompt>"
+READ_CHUNK = 64 * 1024
 
 
 class RealCoqSession(SessionHandle):
@@ -218,11 +218,9 @@ class RealCoqSession(SessionHandle):
     def __init__(self, config: SessionConfig):
         self.config = config
         self._history: list[Sentence] = []
-        self._checkpoint_len = 0
         self._state_id = 0
         self._open_proofs = ""
         self._proc: subprocess.Popen | None = None
-        self._out: queue.Queue[str | None] = queue.Queue()
         self._replaying = False
         self._spawn()
 
@@ -238,27 +236,19 @@ class RealCoqSession(SessionHandle):
                 stdout=subprocess.PIPE,
                 stderr=subprocess.STDOUT,
                 cwd=str(self.config.workdir),
-                text=True,
                 bufsize=0,
             )
         except OSError as exc:
             raise SpawnFailure(f"cannot spawn {self.config.prover_command!r}: {exc}") from exc
-        self._out = queue.Queue()
-        thread = threading.Thread(target=self._pump, args=(self._proc.stdout,), daemon=True)
-        thread.start()
+        self._pending = ""  # output after the last prompt, not yet returned
+        self._decoder = io.IncrementalNewlineDecoder(
+            codecs.getincrementaldecoder("utf-8")(), translate=True
+        )
         try:
-            self._read_until_prompt(self.config.timeout_per_step)
+            self._read_until_prompt()
         except TimeoutError as exc:
             self._kill()
             raise SpawnFailure(f"no initial prompt from prover: {exc}") from exc
-
-    def _pump(self, stream) -> None:
-        while True:
-            chunk = stream.read(1)
-            if not chunk:
-                self._out.put(None)
-                return
-            self._out.put(chunk)
 
     def _kill(self) -> None:
         if self._proc is not None:
@@ -267,49 +257,47 @@ class RealCoqSession(SessionHandle):
                 self._proc.wait(timeout=5)
             except OSError:
                 pass
+            self._proc.stdin.close()
+            self._proc.stdout.close()
             self._proc = None
 
     def close(self) -> None:
         self._kill()
 
-    def _read_until_prompt(self, timeout: float) -> str:
-        buffer = ""
-        deadline = time.monotonic() + timeout
+    def _read_until_prompt(self) -> str:
+        """Return the output before the next prompt; keep what follows it."""
+        stdout = self._proc.stdout.fileno()
+        buffer, self._pending = self._pending, ""
+        start = 0  # no prompt can begin before this offset
+        deadline = time.monotonic() + self.config.timeout_per_step
         while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(buffer)
-            try:
-                chunk = self._out.get(timeout=remaining)
-            except queue.Empty:
-                raise TimeoutError(buffer) from None
-            if chunk is None:
-                raise SessionDead(f"prover exited; output so far: {buffer[-500:]!r}")
-            buffer += chunk
-            match = None
-            for match in PROMPT_RE.finditer(buffer):
-                pass
-            if match and match.end() == len(buffer):
+            match = PROMPT_RE.search(buffer, start)
+            if match:
                 fields = PROMPT_FIELDS_RE.search(match.group(1))
                 if fields:
                     self._state_id = int(fields.group(1))
                     self._open_proofs = fields.group(2).strip()
+                self._pending = buffer[match.end() :]
                 return buffer[: match.start()]
+            opened = buffer.find(PROMPT_OPEN, start)
+            start = opened if opened >= 0 else max(start, len(buffer) - len(PROMPT_OPEN) + 1)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([stdout], [], [], remaining)[0]:
+                raise TimeoutError(buffer)
+            chunk = os.read(stdout, READ_CHUNK)
+            if not chunk:
+                self._kill()
+                raise SessionDead(f"prover exited; output so far: {buffer[-500:]!r}")
+            buffer += self._decoder.decode(chunk)
 
-    def _send(self, text: str, timeout: float | None = None) -> str:
+    def _send(self, text: str) -> str:
         if self._proc is None or self._proc.poll() is not None:
             raise SessionDead("prover process is not running")
         flat = re.sub(r"[\r\n]+", " ", text).strip()
-        assert self._proc.stdin is not None
-        self._proc.stdin.write(flat + "\n")
-        self._proc.stdin.flush()
-        return self._read_until_prompt(timeout or self.config.timeout_per_step)
+        self._proc.stdin.write((flat + "\n").encode("utf-8"))
+        return self._read_until_prompt()
 
     # -- session operations --
-
-    def mark_checkpoint(self) -> None:
-        """Everything executed so far is replayed verbatim after a restart."""
-        self._checkpoint_len = len(self._history)
 
     @property
     def in_proof(self) -> bool:
@@ -357,12 +345,10 @@ class RealCoqSession(SessionHandle):
         except TimeoutError:
             self._restart_from_checkpoint()
             raise QueryRejected(TIMEOUT_MESSAGE) from None
-        if ERROR_RE.search(response):
-            if self._state_id != pre_state_id:
-                self._send(f"BackTo {pre_state_id}.")
-            raise QueryRejected(response.strip())
         if self._state_id != pre_state_id:
             self._send(f"BackTo {pre_state_id}.")
+        if ERROR_RE.search(response):
+            raise QueryRejected(response.strip())
         return response.strip()
 
     def current_state(self) -> ProofState | None:
@@ -389,9 +375,11 @@ class RealCoqSession(SessionHandle):
         del self._history[history_len:]
 
     def _restart_from_checkpoint(self, keep: int | None = None) -> None:
-        """Kill and respawn, replaying the prelude checkpoint and history."""
+        """Kill and respawn, replaying the accepted history (prelude included)."""
+        cause = "step timeout" if self._proc and self._proc.poll() is None else "prover exit"
         self._kill()
         replay = self._history[: keep if keep is not None else len(self._history)]
+        log.warning("restarting the prover after a %s; replaying %d sentences", cause, len(replay))
         self._history = []
         self._open_proofs = ""
         self._spawn()

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .agent import AgentDeps, AttemptRecord, RunConfig, attempt_from_json, prove
 from .client import BudgetExceeded, CacheMiss, ProviderError
-from .corpus import Corpus
+from .corpus import Corpus, UnknownId
 from .driver import PreludeError, SessionDead, SpawnFailure
 from .prompting import REFUSAL as REFUSAL_KIND
 from .sentences import is_closing
@@ -119,7 +119,7 @@ def classify_failure(attempt: AttemptRecord, rules: ClassifierRules | None = Non
 def _reference_tactic_count(corpus: Corpus, theorem_id: str) -> int | None:
     try:
         record = corpus.by_id(theorem_id)
-    except Exception:
+    except UnknownId:
         return None
     count = 0
     for sentence in record.proof:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import sys
+import threading
 
 import pytest
 
@@ -215,3 +218,52 @@ def test_complete_checks_count():
     assert len(complete(make_prompt(), DecodingParams(n=4), provider)) == 4
     with pytest.raises(ProviderError):
         complete(make_prompt(), DecodingParams(n=2), Short())
+
+
+class RetryScriptedSession:
+    """Fails each prompt with 503 a scripted number of times, then answers it;
+    the usage it reports is the prompt's length in prompt tokens plus one."""
+
+    def __init__(self, retries: dict[str, int]):
+        self.remaining = dict(retries)
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        key = json["messages"][-1]["content"]
+        if self.remaining[key] > 0:
+            self.remaining[key] -= 1
+            return FakeResponse(503)
+        return FakeResponse(200, _ok_payload([key], usage=(len(key), 1)))
+
+
+def test_http_provider_under_threads_counts_tokens_and_caches_own_retries(tmp_path, monkeypatch):
+    monkeypatch.setattr("time.sleep", lambda s: None)
+    texts = [f"Prove Lemma t{i}: True." for i in range(240)]
+    retries = {text: i % 3 for i, text in enumerate(texts)}
+    provider = HttpChatProvider("http://fake", "model-x", rpm_limit=0,
+                                session=RetryScriptedSession(retries))
+    caching = CachingProvider(provider, TranscriptCache(tmp_path))
+    params = DecodingParams(n=1)
+    n_threads = 4 * (os.cpu_count() or 1)
+    start = threading.Barrier(n_threads)
+
+    def work(shard: list[str]) -> None:
+        start.wait(timeout=10)
+        for text in shard:
+            caching.complete(make_prompt(text=text), params)
+
+    threads = [threading.Thread(target=work, args=(texts[k::n_threads],)) for k in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert provider.tokens_used == sum(len(text) + 1 for text in texts)
+    assert (caching.hits, caching.misses) == (0, len(texts))
+    for text in texts:
+        cached = caching.cache.lookup(prompt_hash(make_prompt(text=text), params))
+        assert cached.retries == retries[text], text

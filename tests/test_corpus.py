@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from dataclasses import replace
+
 from coqharness.corpus import (
     EXCLUDED,
     TRAIN,
+    Corpus,
     NoSourcesFound,
     SchemaViolation,
     TooFewRecords,
@@ -38,6 +41,16 @@ def test_ingest_toy_project(toy_corpus):
     assert "Section Relations." in union_incl.preceding_source
     assert "Lemma comp_eeq" in union_incl.preceding_source
     assert "union_incl" not in union_incl.preceding_source.split("Lemma union_incl")[0] or True
+
+
+def test_by_id_first_record_wins_on_duplicate_ids(toy_corpus):
+    first, second = toy_corpus.records[:2]
+    twin = replace(second, id=first.id)
+    corpus = Corpus([first, twin], toy_corpus.root)
+    assert corpus.by_id(first.id) is first
+    assert replace(corpus, records=[twin, first]).by_id(first.id) is twin
+    with pytest.raises(UnknownId):
+        corpus.by_id(second.id)
 
 
 def test_ingest_is_deterministic(fixtures_dir):

@@ -1,8 +1,14 @@
 """Mock-backed session contract: stepwise execution, rollback, queries,
 whole-proof checks. The same properties gate the real backend in the
-integration tier."""
+integration tier. The real backend's protocol code (prompt reading, undo,
+restart and replay) runs here against tests/fixtures/stub_toplevel.py."""
 
 from __future__ import annotations
+
+import logging
+import shlex
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +16,11 @@ from hypothesis import strategies as st
 
 from coqharness.driver import (
     ERROR,
+    TIMEOUT_MESSAGE,
     PreludeError,
     QueryRejected,
     SessionConfig,
+    SessionDead,
     start_session,
 )
 from coqharness.mockprover import (
@@ -21,7 +29,7 @@ from coqharness.mockprover import (
     NO_FOCUSED_PROOF_MESSAGE,
     NO_MORE_GOALS_MESSAGE,
 )
-from coqharness.sentences import LexicalError
+from coqharness.sentences import LexicalError, segment_sentences
 
 
 def test_session_config_validation():
@@ -236,3 +244,80 @@ def test_property_check_proof_is_side_effect_free(mock_table, script):
     assert first.failing_step == second.failing_step
     assert first.message == second.message
     session.close()
+
+
+# ---------------------------------------------------------------------------
+# Real backend against the stub toplevel
+# ---------------------------------------------------------------------------
+
+STUB = Path(__file__).parent / "fixtures" / "stub_toplevel.py"
+STUB_COMMAND = f"{shlex.quote(sys.executable)} {shlex.quote(str(STUB))}"
+
+
+@pytest.fixture()
+def stub_session():
+    sessions = []
+
+    def make(timeout_per_step: float = 20.0):
+        session = start_session(SessionConfig(
+            backend="real", prover_command=STUB_COMMAND, timeout_per_step=timeout_per_step,
+            prelude=segment_sentences("Require A. Require B.")))
+        sessions.append(session)
+        return session
+
+    yield make
+    for session in sessions:
+        session.close()
+
+
+def test_real_restart_after_timeout_mid_reply(stub_session, caplog):
+    session = stub_session(timeout_per_step=1.0)
+    before = session._state_id
+    with caplog.at_level(logging.WARNING, logger="coqharness.driver"):
+        timed_out = session.execute("Emit 400000 3.")
+    assert (timed_out.outcome, timed_out.message) == (ERROR, TIMEOUT_MESSAGE)
+    assert session._state_id == before
+    assert [r.getMessage() for r in caplog.records] == [
+        "restarting the prover after a step timeout; replaying 2 sentences"
+    ]
+    # the killed prover's unread output never reaches the new one's replies
+    after = session.execute("Check after.")
+    assert after.ok and after.message == "Check after."
+    assert session._state_id == before + 1
+
+
+def test_real_error_that_moved_the_state_is_undone(stub_session):
+    session = stub_session()
+    before = session._state_id
+    slipped = session.execute("Slip.")
+    assert slipped.outcome == ERROR and slipped.message.startswith("Error: slipped")
+    assert session._state_id == before
+    assert session.query("Check", "nat") == "Check nat."
+    assert session._state_id == before
+
+
+def test_real_death_inside_check_proof_replays_history(stub_session, caplog):
+    session = stub_session()
+    before = session._state_id
+    with caplog.at_level(logging.WARNING, logger="coqharness.driver"):
+        with pytest.raises(SessionDead):
+            session.check_proof("Lemma l: True.", "Proof. Quit.")
+    assert [r.getMessage() for r in caplog.records] == [
+        "restarting the prover after a prover exit; replaying 2 sentences"
+    ]
+    assert session._state_id == before
+    again = session.execute("Check again.")
+    assert again.ok and again.message == "Check again."
+
+
+def test_real_large_reply_and_utf8(stub_session):
+    session = stub_session()
+    assert session.execute("Emit 131072 0.").message == "x" * 131072
+    assert session.execute("Check α → β.").message == "Check α → β."
+
+
+def test_real_close_closes_both_pipes(stub_session):
+    session = stub_session()
+    proc = session._proc
+    session.close()
+    assert proc.stdin.closed and proc.stdout.closed and proc.returncode is not None
