@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from coqharness import corpus as corpus_mod  # noqa: E402
-from coqharness.agent import AgentDeps, session_factory_from_config  # noqa: E402
+from coqharness.agent import AgentDeps, SessionFactory  # noqa: E402
 from coqharness.cli import load_manifest  # noqa: E402
 from coqharness.client import DecodingParams, ScriptedProvider  # noqa: E402
 from coqharness.driver import SessionConfig  # noqa: E402
@@ -45,7 +45,7 @@ def main() -> int:
     deps = AgentDeps(
         corpus=corpus,
         provider=ScriptedProvider(FIXTURES / "provider_script.json"),
-        session_factory=session_factory_from_config(
+        session_factory=SessionFactory(
             SessionConfig(backend="mock", mock_table=table)
         ),
         index=build_index(corpus.train),

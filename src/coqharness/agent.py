@@ -16,6 +16,7 @@ a fixed seed.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import logging
 import random
@@ -26,7 +27,13 @@ from typing import Callable
 
 from .client import DecodingParams, Provider, complete
 from .corpus import Corpus, TheoremRecord, preceding_lemmas
-from .driver import SessionConfig, SessionHandle, start_session
+from .driver import (
+    BorrowedSession,
+    SessionConfig,
+    SessionHandle,
+    execute_prelude,
+    start_session,
+)
 from .prompting import (
     EMPTY,
     MALFORMED,
@@ -36,18 +43,21 @@ from .prompting import (
     ChatPrompt,
     ConfigMismatch,
     TemplateSet,
+    UnknownStrategy,
     build_prompt,
     diversify,
+    known_strategy,
     parse_completion,
 )
 from .proofstate import render_proof_state
 from .retriever import EmbeddingModel, Index, retrieve
-from .sentences import LexicalError, segment_sentences
+from .sentences import LexicalError, Sentence, segment_sentences
 
 log = logging.getLogger(__name__)
 
 MODES = ("zs", "fs-rand", "fs-sim", "zs+lem", "fs+lem")
 LOOPS = ("one_shot", "interactive", "repair", "ensemble")
+RETRIEVAL_MODES = ("lexical", "embedded")
 
 DEFAULT_K_SHOTS = 6
 DEFAULT_N_LEMMAS = 6
@@ -93,6 +103,11 @@ class RunConfig:
             raise ValueError("repair needs at least one round")
         if self.loop == "ensemble" and not self.strategies:
             raise ConfigMismatch("ensemble needs a non-empty strategy list")
+        for strategy in self.strategies:
+            if not known_strategy(strategy):
+                raise UnknownStrategy(f"unknown ensemble strategy {strategy!r}")
+        if self.retrieval_mode not in RETRIEVAL_MODES:
+            raise ValueError(f"unknown retrieval mode {self.retrieval_mode!r}")
         if self.max_turns < 1:
             raise ValueError("max_turns must be >= 1")
 
@@ -158,14 +173,83 @@ class AgentDeps:
     embedding: EmbeddingModel | None = None
 
 
-def session_factory_from_config(base: SessionConfig) -> Callable[[TheoremRecord], SessionHandle]:
-    """Sessions whose prelude is everything before the target in its file."""
+class SessionFactory:
+    """Starts sessions whose prelude is everything before the target in its file.
 
-    def factory(target: TheoremRecord) -> SessionHandle:
-        prelude = segment_sentences(target.preceding_source)
-        return start_session(replace(base, prelude=list(prelude)))
+    Per file it keeps the segmentation of the longest preceding source seen
+    so far; a target whose preceding source is a prefix of it gets its
+    prelude sliced from it by span. Calling the factory starts a fresh
+    session; `walk` gives one session that steps forward through a file.
+    """
 
-    return factory
+    def __init__(self, base: SessionConfig):
+        self.base = base
+        # file -> (source, its sentences, their byte starts); entries are only
+        # ever replaced whole, so walks of different files may run in threads
+        self._files: dict[str, tuple[str, list[Sentence], list[int]]] = {}
+
+    def prelude(self, target: TheoremRecord) -> list[Sentence]:
+        """segment_sentences(target.preceding_source), from the file's cache when it covers it."""
+        source = target.preceding_source
+        cached = self._files.get(target.file)
+        if cached is not None and cached[0].startswith(source):
+            longest, sentences, starts = cached
+            end = len(source.encode("utf-8"))
+            k = bisect.bisect_left(starts, end)
+            # A prefix cut where a sentence begins segments to the sentences before the cut.
+            if len(source) == len(longest) or (k < len(starts) and starts[k] == end):
+                return sentences[:k]
+        sentences = segment_sentences(source)
+        if cached is None or len(source) > len(cached[0]):
+            self._files[target.file] = (source, sentences, [s.span[0] for s in sentences])
+        return sentences
+
+    def __call__(self, target: TheoremRecord) -> SessionHandle:
+        return start_session(replace(self.base, prelude=self.prelude(target)))
+
+    def walk(self, targets: list[TheoremRecord]) -> FileWalk:
+        """A FileWalk for `targets`, which share one file; the file is
+        segmented once, up to the target that comes last in it."""
+        longest = max(targets, key=lambda t: len(t.preceding_source))
+        with contextlib.suppress(LexicalError):  # that target's attempt reports it
+            self.prelude(longest)
+        return FileWalk(self)
+
+
+class FileWalk:
+    """One prover session stepped forward through a file, lent out per target.
+
+    Calling it with a target executes, in prelude mode, the sentences between
+    the last target's prelude and this one's, then lends the session: closing
+    the loan restores the state at the target. A target whose prelude does
+    not extend what was executed gets a fresh session from the factory, and
+    so does the target after a walk that failed. `close()` closes the session.
+    """
+
+    def __init__(self, factory: SessionFactory):
+        self._factory = factory
+        self._session: SessionHandle | None = None
+        self._executed: list[Sentence] = []
+
+    def __call__(self, target: TheoremRecord) -> SessionHandle:
+        prelude = self._factory.prelude(target)
+        done = len(self._executed)
+        if self._session is not None and prelude[:done] == self._executed:
+            try:
+                execute_prelude(self._session, prelude[done:], first_index=done)
+            except BaseException:
+                self.close()  # stopped mid-walk: the next target starts afresh
+                raise
+        else:
+            self.close()
+            self._session = self._factory(target)
+        self._executed = prelude
+        return BorrowedSession(self._session)
+
+    def close(self) -> None:
+        session, self._session = self._session, None
+        if session is not None:
+            session.close()
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +358,7 @@ def _check_candidates(
                 result = check_cache[script]
             else:
                 try:
-                    result = session.check_proof(target.statement.text, script)
+                    result = session.check_proof(target.statement, script)
                 except LexicalError as exc:
                     result = exc
                 check_cache[script] = result
@@ -358,7 +442,7 @@ def prove_interactive(
 
     with contextlib.closing(deps.session_factory(target)) as session:
         started = time.monotonic()
-        opening = session.execute(target.statement.text)
+        opening = session.execute(target.statement)
         if not opening.ok:
             return AttemptRecord(
                 theorem_id=target.id, config_tag=config.tag, variant_id=prompt.variant_id,

@@ -20,7 +20,9 @@ from pathlib import Path
 
 from . import agent, client, corpus as corpus_mod, evaluate, retriever
 from .driver import PreludeError, SessionConfig, SessionDead, SpawnFailure
-from .prompting import TemplateSet
+from .mockprover import compile_behavior_table
+from .proofstate import MalformedState
+from .prompting import PromptError, TemplateSet
 
 log = logging.getLogger("coqharness")
 
@@ -99,8 +101,15 @@ def build_provider(config: configparser.ConfigParser, replay: bool, cache_dir: s
 
 
 def build_session_config(config: configparser.ConfigParser) -> SessionConfig:
+    """The prover settings; a mock table is compiled here, once per command."""
     backend = _get(config, "prover", "backend", "mock")
     mock_table = _get(config, "prover", "mock_table")
+    if backend == "mock":
+        try:
+            mock_table = compile_behavior_table(mock_table)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError, re.error,
+                MalformedState) as exc:
+            raise CliError(f"bad mock table {mock_table}: {exc}") from exc
     return SessionConfig(
         backend=backend,
         prover_command=_get(config, "prover", "prover_command", "coqtop -emacs -q"),
@@ -151,8 +160,15 @@ def load_manifest(path: str, defaults: client.DecodingParams) -> list[agent.RunC
         raise CliError("manifest has no configs")
     try:
         return [run_config_from_dict(entry, defaults) for entry in entries]
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, PromptError) as exc:
         raise CliError(f"bad manifest entry: {exc}") from exc
+
+
+def check_embedding(configs: list[agent.RunConfig], deps: agent.AgentDeps) -> None:
+    """Embedded retrieval needs a loaded embedding model."""
+    for config in configs:
+        if config.retrieval_mode == "embedded" and deps.embedding is None:
+            raise CliError(f"config {config.tag!r}: embedded retrieval needs an embedding model")
 
 
 def build_deps(
@@ -175,7 +191,7 @@ def build_deps(
     return agent.AgentDeps(
         corpus=corpus,
         provider=provider,
-        session_factory=agent.session_factory_from_config(session_config),
+        session_factory=agent.SessionFactory(session_config),
         index=index,
         templates=templates,
     )
@@ -261,6 +277,7 @@ def cmd_prove(args, config) -> int:
     if args.interactive:
         run_config = replace(run_config, loop="interactive")
     deps = build_deps(config, cps, replay=args.replay, cache_dir=args.cache_dir)
+    check_embedding([run_config], deps)
     records = agent.prove(target, run_config, deps)
     rules = evaluate.ClassifierRules.load(_get(config, "paths", "classifier_patterns"))
     for record in records:
@@ -279,6 +296,7 @@ def cmd_eval(args, config) -> int:
     deps = build_deps(
         config, cps, replay=args.replay, cache_dir=args.cache_dir, index_file=args.index
     )
+    check_embedding(manifest, deps)
     rules = evaluate.ClassifierRules.load(_get(config, "paths", "classifier_patterns"))
     report = evaluate.run_eval(cps, manifest, deps, workers=args.workers, rules=rules)
     out_dir = args.out or _get(config, "paths", "output_dir", "out")

@@ -326,7 +326,7 @@ class TranscriptCache:
             return None
         with open(shard, encoding="utf-8") as fh:
             for line in fh:
-                if not line.strip():
+                if key not in line:  # cannot be this key's row; skip parsing it
                     continue
                 row = json.loads(line)
                 if row["prompt_hash"] == key:

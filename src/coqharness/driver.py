@@ -23,9 +23,13 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .proofstate import MalformedState, ProofState, parse_proof_state
 from .sentences import Sentence, is_closing, segment_sentences
+
+if TYPE_CHECKING:
+    from .mockprover import BehaviorTable
 
 log = logging.getLogger(__name__)
 
@@ -70,8 +74,9 @@ class SessionConfig:
     prelude: list[Sentence] = field(default_factory=list)
     timeout_per_step: float = DEFAULT_TIMEOUT
     workdir: str | Path = "."
-    # mock backend: behavior table (dict) or path to its JSON file
-    mock_table: dict | str | Path | None = None
+    # mock backend: behavior table (dict), path to its JSON file, or the
+    # BehaviorTable compiled from either
+    mock_table: dict | str | Path | BehaviorTable | None = None
 
     def __post_init__(self):
         if self.timeout_per_step <= 0:
@@ -140,14 +145,18 @@ class SessionHandle:
         if not argument.strip():
             raise QueryRejected("empty query argument")
 
-    def check_proof(self, theorem_statement: str, proof_script: str) -> ProofCheckResult:
+    def check_proof(self, theorem_statement: Sentence | str, proof_script: str) -> ProofCheckResult:
         """Run statement + script, restore the session, report acceptance.
 
+        The statement is source text or one already segmented Sentence.
         failing_step indexes into the script's sentences; -1 marks a
         rejected statement. Lexical errors in the script propagate as
         LexicalError, distinct from prover rejection.
         """
-        statement_sentences = segment_sentences(theorem_statement)
+        if isinstance(theorem_statement, Sentence):
+            statement_sentences = [theorem_statement]
+        else:
+            statement_sentences = segment_sentences(theorem_statement)
         script_sentences = segment_sentences(proof_script)
         token = self._snapshot()
         states: list[ProofState] = []
@@ -174,6 +183,22 @@ class SessionHandle:
             self._restore(token)
 
 
+def execute_prelude(session: SessionHandle, prelude: list[Sentence], first_index: int = 0) -> None:
+    """Execute prelude sentences in prelude mode; PreludeError on a rejected one.
+
+    `first_index` is the prelude index of prelude[0], so a session walked
+    forward reports the step a fresh start would.
+    """
+    session.set_prelude_mode(True)
+    try:
+        for index, sentence in enumerate(prelude, first_index):
+            result = session.execute(sentence)
+            if not result.ok:
+                raise PreludeError(index, result.message)
+    finally:
+        session.set_prelude_mode(False)
+
+
 def start_session(config: SessionConfig) -> SessionHandle:
     """Spawn (or mock) a prover with the prelude already executed."""
     if config.backend == "mock":
@@ -184,17 +209,38 @@ def start_session(config: SessionConfig) -> SessionHandle:
         session = RealCoqSession(config)
     else:
         raise ValueError(f"unknown backend {config.backend!r}")
-
-    session.set_prelude_mode(True)
     try:
-        for index, sentence in enumerate(config.prelude):
-            result = session.execute(sentence)
-            if not result.ok:
-                session.close()
-                raise PreludeError(index, result.message)
-    finally:
-        session.set_prelude_mode(False)
+        execute_prelude(session, config.prelude)
+    except PreludeError:
+        session.close()
+        raise
     return session
+
+
+class BorrowedSession(SessionHandle):
+    """A session lent to one caller: close() restores the state it was lent in."""
+
+    def __init__(self, session: SessionHandle):
+        self._session = session
+        self._token = session._snapshot()
+
+    def execute(self, sentence: Sentence | str) -> StepResult:
+        return self._session.execute(sentence)
+
+    def query(self, command: str, argument: str) -> str:
+        return self._session.query(command, argument)
+
+    def current_state(self) -> ProofState | None:
+        return self._session.current_state()
+
+    def _snapshot(self):
+        return self._session._snapshot()
+
+    def _restore(self, token) -> None:
+        self._session._restore(token)
+
+    def close(self) -> None:
+        self._session._restore(self._token)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ toplevel phrasings need no code change.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -16,7 +17,7 @@ import json
 import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -240,6 +241,9 @@ def run_eval(
     Per-attempt failures are data. Manifest/corpus schema problems abort,
     and so do harness failures (cache miss, provider or prover unavailable),
     which are not the model's. Deterministic under the scripted provider.
+    Each config keeps one prover session per test file, walked forward from
+    target to target by `deps.session_factory.walk` (a SessionFactory);
+    `workers` threads share out the files.
     """
     if not manifest:
         raise EvalError("empty manifest")
@@ -251,11 +255,17 @@ def run_eval(
         raise EvalError("corpus has no test split")
     rules = rules or ClassifierRules.load()
 
+    # One walked-forward session per (config, file); records keep test order.
+    files: dict[str, list[int]] = {}
+    for position, target in enumerate(tests):
+        files.setdefault(target.file, []).append(position)
+    groups = list(files.values())
+
     attempts_by_config: dict[str, list[AttemptRecord]] = {}
     for config in manifest:
-        def prove_one(target):
+        def prove_one(target, file_deps):
             try:
-                return prove(target, config, deps)
+                return prove(target, config, file_deps)
             except (CacheMiss, ProviderError, BudgetExceeded, SpawnFailure, SessionDead,
                     PreludeError):
                 raise
@@ -270,11 +280,21 @@ def run_eval(
                     )
                 ]
 
+        def prove_file(positions):
+            targets = [tests[p] for p in positions]
+            with contextlib.closing(deps.session_factory.walk(targets)) as walk:
+                file_deps = replace(deps, session_factory=walk)
+                return [prove_one(target, file_deps) for target in targets]
+
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                batches = list(pool.map(prove_one, tests))
+                per_file = list(pool.map(prove_file, groups))
         else:
-            batches = [prove_one(t) for t in tests]
+            per_file = [prove_file(positions) for positions in groups]
+        batches: list[list[AttemptRecord]] = [[] for _ in tests]
+        for positions, file_batches in zip(groups, per_file):
+            for position, batch in zip(positions, file_batches):
+                batches[position] = batch
         records = [record for batch in batches for record in batch]
         for record in records:
             record.category = classify_failure(record, rules)

@@ -25,15 +25,19 @@ installed. File format (JSON)::
 
 Script steps are matched on whitespace-normalized text; a bare "Proof."
 is a no-op and never part of the match. A script's last step must be a
-closing command (one is appended when missing).
+closing command (one is appended when missing). `compile_behavior_table`
+turns a table into an immutable BehaviorTable that any number of sessions
+can share, so a command compiles its table once.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 from .driver import (
     ERROR,
@@ -61,22 +65,22 @@ def _norm(text: str) -> str:
     return " ".join(text.split())
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Script:
-    steps: list[str]
-    states: list[str | None]
+    steps: tuple[str, ...]
+    states: tuple[str | None, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class _TheoremEntry:
     name: str
     goal: str | None = None
     initial_state: ProofState | None = None
-    scripts: list[_Script] = field(default_factory=list)
-    errors: list[tuple[re.Pattern, str]] = field(default_factory=list)
+    scripts: tuple[_Script, ...] = ()
+    errors: tuple[tuple[re.Pattern, str], ...] = ()
 
 
-def _compile_error_rules(raw: list[dict]) -> list[tuple[re.Pattern, str]]:
+def _compile_error_rules(raw: list[dict]) -> tuple[tuple[re.Pattern, str], ...]:
     rules = []
     for item in raw:
         if "contains" in item:
@@ -84,7 +88,7 @@ def _compile_error_rules(raw: list[dict]) -> list[tuple[re.Pattern, str]]:
         else:
             pattern = re.compile(item["regex"])
         rules.append((pattern, item["message"]))
-    return rules
+    return tuple(rules)
 
 
 def _parse_script(raw) -> _Script:
@@ -98,16 +102,48 @@ def _parse_script(raw) -> _Script:
     if not steps or not is_closing(steps[-1]):
         steps.append("Qed.")
     states += [None] * (len(steps) - 1 - len(states))
-    return _Script(steps, states[: len(steps) - 1])
+    return _Script(tuple(steps), tuple(states[: len(steps) - 1]))
 
 
-def load_behavior_table(source: dict | str | Path | None) -> dict:
-    if source is None:
-        return {}
+@dataclass(frozen=True)
+class BehaviorTable:
+    """A behavior table compiled once; every session reads it, none writes it."""
+
+    theorems: Mapping[str, _TheoremEntry]
+    queries: Mapping[tuple[str, str], str]
+    query_default: str
+    errors: tuple[tuple[re.Pattern, str], ...]
+
+
+def compile_behavior_table(source: BehaviorTable | dict | str | Path | None) -> BehaviorTable:
+    """Compile a table given as a dict or a JSON file path; None is the empty table."""
+    if isinstance(source, BehaviorTable):
+        return source
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
-            return json.load(fh)
-    return source
+            source = json.load(fh)
+    table = source or {}
+    theorems = {}
+    for name, raw in table.get("theorems", {}).items():
+        initial = raw.get("initial_state")
+        theorems[name] = _TheoremEntry(
+            name,
+            goal=raw.get("statement_goal"),
+            initial_state=parse_proof_state(initial) if initial else None,
+            scripts=tuple(_parse_script(s) for s in raw.get("scripts", [])),
+            errors=_compile_error_rules(raw.get("errors", [])),
+        )
+    queries = {
+        (command, argument): response
+        for command, answers in table.get("queries", {}).items()
+        for argument, response in answers.items()
+    }
+    return BehaviorTable(
+        MappingProxyType(theorems),
+        MappingProxyType(queries),
+        table.get("query_default_error", DEFAULT_QUERY_ERROR),
+        _compile_error_rules(table.get("errors", [])),
+    )
 
 
 class MockSession(SessionHandle):
@@ -115,19 +151,7 @@ class MockSession(SessionHandle):
 
     def __init__(self, config: SessionConfig):
         self.config = config
-        table = load_behavior_table(config.mock_table)
-        self._theorems: dict[str, _TheoremEntry] = {}
-        for name, raw in table.get("theorems", {}).items():
-            entry = _TheoremEntry(name)
-            entry.goal = raw.get("statement_goal")
-            if raw.get("initial_state"):
-                entry.initial_state = parse_proof_state(raw["initial_state"])
-            entry.scripts = [_parse_script(s) for s in raw.get("scripts", [])]
-            entry.errors = _compile_error_rules(raw.get("errors", []))
-            self._theorems[name] = entry
-        self._queries: dict[str, dict[str, str]] = table.get("queries", {})
-        self._query_default = table.get("query_default_error", DEFAULT_QUERY_ERROR)
-        self._global_errors = _compile_error_rules(table.get("errors", []))
+        self._table = compile_behavior_table(config.mock_table)
 
         # Mutable session state: the open proof (if any) and its executed steps.
         self._entry: _TheoremEntry | None = None
@@ -143,11 +167,10 @@ class MockSession(SessionHandle):
 
     def _open_proof(self, statement: Sentence) -> StepResult:
         name = statement_name(statement) or "_unnamed"
-        entry = self._theorems.get(name)
+        entry = self._table.theorems.get(name)
         if entry is None:
-            entry = _TheoremEntry(name)
             m = re.match(r"[^:]*:\s*(.*)\.\s*$", statement.text, re.DOTALL)
-            entry.goal = _norm(m.group(1)) if m else "True"
+            entry = _TheoremEntry(name, goal=_norm(m.group(1)) if m else "True")
         self._entry = entry
         self._steps = []
         return StepResult(OK, "", self._synthesized_state())
@@ -181,7 +204,8 @@ class MockSession(SessionHandle):
     def _matching_scripts(self, steps: list[str]) -> list[_Script]:
         entry = self._entry
         assert entry is not None
-        return [s for s in entry.scripts if s.steps[: len(steps)] == steps]
+        prefix = tuple(steps)
+        return [s for s in entry.scripts if s.steps[: len(prefix)] == prefix]
 
     def _state_after(self, script: _Script, k: int) -> tuple[ProofState | None, str]:
         """State and message after executing steps[:k] of an accepted prefix."""
@@ -208,7 +232,7 @@ class MockSession(SessionHandle):
             for pattern, message in entry.errors:
                 if pattern.search(text):
                     return StepResult(ERROR, message)
-        for pattern, message in self._global_errors:
+        for pattern, message in self._table.errors:
             if pattern.search(text):
                 return StepResult(ERROR, message)
         return StepResult(ERROR, DEFAULT_TACTIC_FAILURE)
@@ -224,7 +248,7 @@ class MockSession(SessionHandle):
                 return self._open_proof(sentence)
             if is_closing(sentence):
                 return StepResult(ERROR, NO_FOCUSED_PROOF_MESSAGE)
-            for pattern, message in self._global_errors:
+            for pattern, message in self._table.errors:
                 if pattern.search(text):
                     return StepResult(ERROR, message)
             return StepResult(OK, "")
@@ -269,9 +293,9 @@ class MockSession(SessionHandle):
     def query(self, command: str, argument: str) -> str:
         self._validate_query(command, argument)
         argument = argument.strip()
-        response = self._queries.get(command, {}).get(argument)
+        response = self._table.queries.get((command, argument))
         if response is None:
-            raise QueryRejected(self._query_default.format(arg=argument))
+            raise QueryRejected(self._table.query_default.format(arg=argument))
         return response
 
     def current_state(self) -> ProofState | None:

@@ -227,6 +227,13 @@ def build_prompt(
     )
 
 
+def known_strategy(strategy: str) -> bool:
+    """Whether diversify accepts `strategy`: a STRATEGIES name or example-reorder:N."""
+    if _REORDER_RE.match(strategy):
+        return True
+    return strategy in STRATEGIES and strategy != "example-reorder"
+
+
 def diversify(prompt: ChatPrompt, strategies: list[str], templates: TemplateSet | None = None) -> list[ChatPrompt]:
     """One variant per strategy, differing from the base only in system
     message text and/or example order."""
@@ -242,7 +249,7 @@ def diversify(prompt: ChatPrompt, strategies: list[str], templates: TemplateSet 
             messages = (prompt.messages[0], *flat, prompt.messages[-1])
             variants.append(replace(prompt, messages=messages, variant_id=strategy))
             continue
-        if strategy not in STRATEGIES or strategy == "example-reorder":
+        if not known_strategy(strategy):
             raise UnknownStrategy(strategy)
         addendum = templates.render(f"variant.{strategy}")
         system = ChatMessage("system", prompt.messages[0].content + "\n\n" + addendum)

@@ -4,11 +4,12 @@ from pathlib import Path
 import pytest
 
 from coqharness import corpus as corpus_mod
-from coqharness.agent import AgentDeps, session_factory_from_config
+from coqharness.agent import AgentDeps, SessionFactory
 from coqharness.client import ScriptedProvider
 from coqharness.driver import SessionConfig, start_session
 from coqharness.prompting import TemplateSet
 from coqharness.retriever import build_index
+from walk_project import build_walk_project
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -59,7 +60,7 @@ def toy_deps(toy_corpus, mock_table, scripted_provider_fresh):
         return AgentDeps(
             corpus=toy_corpus,
             provider=provider or scripted_provider_fresh(),
-            session_factory=session_factory_from_config(
+            session_factory=SessionFactory(
                 SessionConfig(backend="mock", mock_table=mock_table)
             ),
             index=build_index(toy_corpus.train),
@@ -72,3 +73,8 @@ def toy_deps(toy_corpus, mock_table, scripted_provider_fresh):
 @pytest.fixture(scope="session")
 def manifest_path() -> Path:
     return FIXTURES / "manifest.json"
+
+
+@pytest.fixture()
+def walk_project(tmp_path) -> dict:
+    return build_walk_project(tmp_path / "walk")

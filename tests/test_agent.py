@@ -2,26 +2,30 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from coqharness.agent import (
     AgentDeps,
     RunConfig,
+    SessionFactory,
     attempt_from_json,
     prove,
     prove_interactive,
     prove_one_shot,
     repair_loop,
     run_ensemble,
-    session_factory_from_config,
 )
 from coqharness.client import DecodingParams, Provider, ProviderError, ScriptedProvider
 from coqharness.corpus import TheoremRecord
-from coqharness.driver import SessionConfig
+from coqharness.driver import PreludeError, SessionConfig, start_session
+from coqharness.evaluate import run_eval
 from coqharness.prompting import ConfigMismatch
-from coqharness.sentences import segment_sentences
+from coqharness.sentences import LexicalError, segment_sentences
+from walk_project import WALK_WRONG, build_walk_project
 
 C3_PROOF = "Proof.\nintros x.\nconstructor.\nreflexivity.\nQed."
 REFUSAL_TEXT = (
@@ -99,7 +103,7 @@ def test_one_shot_weak_refl_accepted(toy_deps):
 def test_one_shot_refusal_never_reaches_prover(toy_corpus, mock_table):
     calls = {"execute": 0}
 
-    base_factory = session_factory_from_config(
+    base_factory = SessionFactory(
         SessionConfig(backend="mock", mock_table=mock_table)
     )
 
@@ -475,3 +479,138 @@ def test_every_opened_session_is_closed_once(toy_deps, loop, fail_on):
         assert fail_on is None
     assert opened
     assert sorted(map(id, closed)) == sorted(map(id, opened))
+
+
+# -- one walked-forward session per file ---------------------------------------
+
+
+def walk_factory(project) -> SessionFactory:
+    return SessionFactory(SessionConfig(backend="mock", mock_table=project["table"]))
+
+
+def by_file(records):
+    files = {}
+    for record in records:
+        files.setdefault(record.file, []).append(record)
+    return list(files.values())
+
+
+@pytest.mark.parametrize("project_name", ["walk", "fixtures"])
+def test_sliced_prelude_equals_segmentation(project_name, walk_project, toy_corpus):
+    corpus = walk_project["corpus"] if project_name == "walk" else toy_corpus
+    factory = walk_factory(walk_project)
+    for targets in by_file(corpus.test):
+        factory.walk(targets).close()
+    for record in corpus.records:  # test and train, before and after the last test
+        assert factory.prelude(record) == segment_sentences(record.preceding_source)
+
+
+
+def test_prelude_not_cut_at_a_sentence_start_is_segmented_afresh(mock_table):
+    factory = SessionFactory(SessionConfig(backend="mock", mock_table=mock_table))
+    base = synthetic_record("t", "Lemma t: True.")
+    longest = "Require A. Check Foo.bar. (* x. *) Check B.\n"
+    factory.walk([replace(base, file="x.v", preceding_source=longest)]).close()
+    cuts = ["Require A. ", "Require A. Check Foo.", "Require A. Check Foo.bar. (* x.", longest, "Other. "]
+    for source in cuts:
+        record = replace(base, file="x.v", preceding_source=source)
+        try:
+            expected = segment_sentences(source)
+        except LexicalError as exc:
+            with pytest.raises(type(exc)):
+                factory.prelude(record)
+        else:
+            assert factory.prelude(record) == expected
+
+@pytest.mark.parametrize("project_name", ["walk", "fixtures"])
+def test_walked_session_matches_a_fresh_one_at_every_target(
+    project_name, walk_project, toy_corpus, mock_table
+):
+    if project_name == "walk":
+        corpus, table = walk_project["corpus"], walk_project["table"]
+    else:
+        corpus, table = toy_corpus, mock_table
+    factory = SessionFactory(SessionConfig(backend="mock", mock_table=table))
+    for targets in by_file(corpus.test):
+        with contextlib.closing(factory.walk(targets)) as walk:
+            for position, target in enumerate(targets):
+                fresh_config = SessionConfig(
+                    backend="mock", mock_table=table,
+                    prelude=segment_sentences(target.preceding_source),
+                )
+                with contextlib.closing(walk(target)) as walked, \
+                        contextlib.closing(start_session(fresh_config)) as fresh:
+                    assert walked.current_state() == fresh.current_state()
+                    for script in (target.proof_text, WALK_WRONG):
+                        assert walked.check_proof(target.statement, script) == fresh.check_proof(
+                            target.statement, script
+                        )
+                    assert walked.check_proof(target.statement, target.proof_text).accepted
+                    if position % 2 == 0:  # leave an open proof, as an interactive loop would
+                        opened = walked.execute(target.statement)
+                        assert opened == fresh.execute(target.statement)
+                        assert walked.execute("intros x.") == fresh.execute("intros x.")
+                        assert fresh.current_state() is not None
+                        assert walked.current_state() == fresh.current_state()
+
+
+def test_walk_meets_a_rejected_prelude_sentence_like_a_fresh_start(tmp_path):
+    project = build_walk_project(tmp_path, broken_after="a2")
+    table = project["table"]
+    targets = by_file(project["corpus"].test)[0]
+    assert [t.name for t in targets] == ["a1", "a3", "a4", "a5"]
+    with contextlib.closing(walk_factory(project).walk(targets)) as walk:
+        walk(targets[0]).close()
+        for target in targets[1:]:
+            with pytest.raises(PreludeError) as walked:
+                walk(target)
+            with pytest.raises(PreludeError) as fresh:
+                start_session(SessionConfig(
+                    backend="mock", mock_table=table,
+                    prelude=segment_sentences(target.preceding_source),
+                ))
+            assert walked.value.step_index == fresh.value.step_index
+            assert walked.value.message == fresh.value.message
+
+
+class CountingFactory(SessionFactory):
+    """Records every session it starts and every close of one."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.opened, self.closed = [], []
+
+    def __call__(self, target):
+        session = super().__call__(target)
+        self.opened.append(session)
+        close = session.close
+
+        def counted_close():
+            self.closed.append(session)
+            close()
+
+        session.close = counted_close  # type: ignore[method-assign]
+        return session
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("fail_on", [None, 2])
+def test_run_eval_closes_every_file_session_once(walk_project, workers, fail_on):
+    corpus = walk_project["corpus"]
+    factory = CountingFactory(SessionConfig(backend="mock", mock_table=walk_project["table"]))
+    deps = AgentDeps(
+        corpus=corpus,
+        provider=FailingProvider(ScriptedProvider(walk_project["script"]), fail_on),
+        session_factory=factory,
+    )
+    manifest = [LIFECYCLE_CONFIGS["one_shot"], LIFECYCLE_CONFIGS["interactive"]]
+    try:
+        run_eval(corpus, manifest, deps, workers=workers)
+    except ProviderError:
+        assert fail_on is not None
+    else:
+        assert fail_on is None
+        assert len(factory.opened) == len(manifest) * 2  # one per (config, file)
+    assert factory.opened
+    assert len(set(map(id, factory.closed))) == len(factory.closed)
+    assert sorted(map(id, factory.closed)) == sorted(map(id, factory.opened))

@@ -348,3 +348,110 @@ def test_help_on_every_subcommand(capsys):
             main([command, "--help"])
         assert exit_info.value.code == 0
         assert "--" in capsys.readouterr().out
+
+
+def _manifest(tmp_path, configs) -> Path:
+    path = tmp_path / "manifest-extra.json"
+    path.write_text(json.dumps({"configs": configs}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "strategies, logged",
+    [(["verbose-stepwise", bad], repr(bad))
+     for bad in ("zs", "example-reorder", "example-reorder:x", "simple-tactics-first ")]
+    + [([], "non-empty strategy list")],
+)
+def test_eval_unknown_ensemble_strategy_exit_2(
+    config_file, ingested, tmp_path, caplog, strategies, logged
+):
+    manifest = _manifest(tmp_path, [
+        {"tag": "ens", "mode": "zs", "loop": "ensemble", "strategies": strategies},
+    ])
+    out = tmp_path / "o"
+    code = main(["--config", str(config_file), "eval", "--corpus", str(ingested),
+                 "--manifest", str(manifest), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert logged in caplog.text
+    assert not (out / "report.json").exists()
+
+
+def test_eval_embedded_retrieval_without_a_model_exit_2(config_file, ingested, tmp_path, caplog):
+    manifest = _manifest(tmp_path, [
+        {"tag": "zs", "mode": "zs"},
+        {"tag": "emb", "mode": "fs-sim", "k_shots": 2, "retrieval_mode": "embedded"},
+    ])
+    out = tmp_path / "o"
+    code = main(["--config", str(config_file), "eval", "--corpus", str(ingested),
+                 "--manifest", str(manifest), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "embedded retrieval needs an embedding model" in caplog.text
+    assert not (out / "report.json").exists()
+    code = main(["--config", str(config_file), "prove", "--corpus", str(ingested),
+                 "--theorem", "weak.v::weak_refl", "--manifest", str(manifest),
+                 "--config-tag", "emb"])
+    assert code == EXIT_CONFIG
+
+
+def test_eval_unreadable_mock_table_exit_2(ingested, manifest_path, tmp_path, fixtures_dir):
+    config = tmp_path / "bad-table.ini"
+    config.write_text(
+        f"""
+[provider]
+kind = scripted
+script_file = {fixtures_dir}/provider_script.json
+
+[prover]
+backend = mock
+mock_table = {tmp_path}/no-such-table.json
+"""
+    )
+    code = main(["--config", str(config), "eval", "--corpus", str(ingested),
+                 "--manifest", str(manifest_path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+
+
+def test_eval_workers_1_and_4_write_identical_bytes(walk_project, tmp_path):
+    root = walk_project["root"]
+    config = root / "walk.ini"
+    config.write_text(
+        f"""
+[paths]
+corpus_file = {root}/corpus.jsonl
+
+[provider]
+kind = scripted
+script_file = {walk_project["script"]}
+
+[prover]
+backend = mock
+mock_table = {walk_project["mock_table"]}
+"""
+    )
+    test_ids = [r.id for r in walk_project["corpus"].test]
+    code = main(["--config", str(config), "ingest", "--root", str(walk_project["project"]),
+                 "--out", str(root / "corpus.jsonl"), "--split", "explicit",
+                 "--explicit-test", *test_ids])
+    assert code == EXIT_OK
+    manifest = _manifest(tmp_path, [
+        {"tag": "zs", "mode": "zs", "decoding": {"n": 2}},
+        {"tag": "fs", "mode": "fs-sim", "k_shots": 2, "decoding": {"n": 2}},
+        {"tag": "inter", "mode": "zs", "loop": "interactive", "max_turns": 3},
+        {"tag": "rep", "mode": "zs", "loop": "repair", "repair_rounds": 1, "decoding": {"n": 2}},
+        {"tag": "ens", "mode": "zs", "loop": "ensemble", "decoding": {"n": 2},
+         "strategies": ["example-reorder:1"]},
+    ])
+    outs = [tmp_path / f"w{workers}" for workers in (1, 4)]
+    for workers, out in zip((1, 4), outs):
+        code = main(["--config", str(config), "eval", "--manifest", str(manifest),
+                     "--out", str(out), "--workers", str(workers)])
+        assert code == EXIT_OK
+    payload = json.loads((outs[0] / "report.json").read_text())
+    assert payload["per_config"]["zs"]["n_proven_theorems"] == len(test_ids)
+    assert payload["per_config"]["zs"]["n_attempts"] == 2 * len(test_ids)
+    names = ["report.json", "report.md", "report.csv"] + [
+        f"attempts/{p.name}" for p in sorted((outs[0] / "attempts").glob("*.jsonl"))
+    ]
+    assert len(names) == 3 + 5
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -140,6 +140,17 @@ def test_cache_survives_reserialization(tmp_path):
     assert reread.retries == 2
 
 
+
+def test_cache_lookup_ignores_a_key_inside_another_row(tmp_path):
+    cache = TranscriptCache(tmp_path)
+    key = prompt_hash(make_prompt(), DecodingParams())
+    decoy = key[:2] + "0" * 62  # same shard; its completion quotes `key`
+    cache.append(Transcript(decoy, [f"(* see {key} *)"], "x", 1.0))
+    assert cache.lookup(key) is None
+    cache.append(Transcript(key, ["mine"], "x", 2.0))
+    assert cache.lookup(key).completions == ["mine"]
+    assert cache.lookup(decoy).completions == [f"(* see {key} *)"]
+
 class FakeResponse:
     def __init__(self, status_code: int, payload=None):
         self.status_code = status_code

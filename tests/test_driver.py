@@ -8,12 +8,14 @@ from __future__ import annotations
 import logging
 import shlex
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coqharness.agent import SessionFactory
 from coqharness.driver import (
     ERROR,
     TIMEOUT_MESSAGE,
@@ -321,3 +323,18 @@ def test_real_close_closes_both_pipes(stub_session):
     proc = session._proc
     session.close()
     assert proc.stdin.closed and proc.stdout.closed and proc.returncode is not None
+
+
+def test_real_session_walks_a_file_like_fresh_starts(walk_project):
+    factory = SessionFactory(SessionConfig(backend="real", prover_command=STUB_COMMAND))
+    for file in ("a.v", "b.v"):
+        targets = [t for t in walk_project["corpus"].test if t.file == file]
+        with closing(factory.walk(targets)) as walk:
+            for target in targets:
+                with closing(walk(target)) as walked, closing(factory(target)) as fresh:
+                    # state id and accepted history: the stub's id counts sentences
+                    assert walked._snapshot() == fresh._snapshot()
+                    assert walked.check_proof(target.statement, target.proof_text) == \
+                        fresh.check_proof(target.statement, target.proof_text)
+                    assert walked.execute(target.statement) == fresh.execute(target.statement)
+                    assert walked._snapshot() == fresh._snapshot()
