@@ -21,7 +21,8 @@ from coqharness.agent import AgentDeps, SessionFactory  # noqa: E402
 from coqharness.cli import load_manifest  # noqa: E402
 from coqharness.client import DecodingParams, ScriptedProvider  # noqa: E402
 from coqharness.driver import SessionConfig  # noqa: E402
-from coqharness.evaluate import emit_report, run_eval  # noqa: E402
+from coqharness.evaluate import ClassifierRules, emit_report, run_eval  # noqa: E402
+from coqharness.prompting import TemplateSet  # noqa: E402
 from coqharness.retriever import build_index  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -48,10 +49,11 @@ def main() -> int:
         session_factory=SessionFactory(
             SessionConfig(backend="mock", mock_table=table)
         ),
+        templates=TemplateSet.load(),
         index=build_index(corpus.train),
     )
     manifest = load_manifest(str(FIXTURES / "manifest.json"), DecodingParams())
-    report = run_eval(corpus, manifest, deps, workers=args.workers)
+    report = run_eval(corpus, manifest, deps, ClassifierRules.load(), workers=args.workers)
     files = emit_report(report, args.out)
     print(f"wrote {len(files)} files under {args.out}/")
     for tag, metrics in report.per_config.items():

@@ -50,14 +50,14 @@ from .prompting import (
     parse_completion,
 )
 from .proofstate import render_proof_state
-from .retriever import EmbeddingModel, Index, retrieve
+from .retriever import Index, retrieve
 from .sentences import LexicalError, Sentence, segment_sentences
 
 log = logging.getLogger(__name__)
 
 MODES = ("zs", "fs-rand", "fs-sim", "zs+lem", "fs+lem")
 LOOPS = ("one_shot", "interactive", "repair", "ensemble")
-RETRIEVAL_MODES = ("lexical", "embedded")
+RETRIEVAL_MODES = ("lexical",)
 
 DEFAULT_K_SHOTS = 6
 DEFAULT_N_LEMMAS = 6
@@ -168,9 +168,8 @@ class AgentDeps:
     corpus: Corpus
     provider: Provider
     session_factory: Callable[[TheoremRecord], SessionHandle]
+    templates: TemplateSet
     index: Index | None = None
-    templates: TemplateSet | None = None
-    embedding: EmbeddingModel | None = None
 
 
 class SessionFactory:
@@ -275,9 +274,7 @@ def _select_examples(
     if config.mode in ("fs-sim", "fs+lem"):
         if deps.index is None:
             raise AgentError("similarity modes need a retrieval index")
-        ranked = retrieve(
-            deps.index, target, k, mode=config.retrieval_mode, model=deps.embedding
-        )
+        ranked = retrieve(deps.index, target, k)
         by_id = {r.id: r for r in train}
         # least similar first, so the budget trimmer sheds the farthest one
         return [by_id[rid] for rid, _ in reversed(ranked) if rid in by_id]
@@ -300,9 +297,9 @@ def _build_target_prompt(
     prompt = build_prompt(
         config,
         target,
+        deps.templates,
         examples=examples,
         lemmas=lemmas,
-        templates=deps.templates,
         example_lemmas=example_lemmas,
         interactive=interactive,
         max_prompt_chars=config.max_prompt_chars,
@@ -426,7 +423,7 @@ def prove_interactive(
     verbatim message is fed back. Terminates on proof completion, budget
     exhaustion, refusal, or two consecutive contentless replies.
     """
-    templates = deps.templates or TemplateSet.load()
+    templates = deps.templates
     prompt = _build_target_prompt(target, config, deps, interactive=True)
     decoding = replace(config.decoding, n=1)
     turns: list[Turn] = []
@@ -567,7 +564,6 @@ def repair_loop(target: TheoremRecord, config: RunConfig, deps: AgentDeps) -> li
     """Round 0 is one-shot; each later round feeds every unique still-failing
     script its prover error and samples one repair, stopping early on any
     acceptance."""
-    templates = deps.templates or TemplateSet.load()
     started = time.monotonic()
     prompt = _build_target_prompt(target, config, deps)
     with contextlib.closing(deps.session_factory(target)) as session:
@@ -597,7 +593,7 @@ def repair_loop(target: TheoremRecord, config: RunConfig, deps: AgentDeps) -> li
                 if chain["done"]:
                     continue
                 latest: AttemptRecord = chain["latest"]
-                feedback = templates.render("repair.feedback", error=_repair_feedback(latest))
+                feedback = deps.templates.render("repair.feedback", error=_repair_feedback(latest))
                 conversation = chain["conversation"].appended(
                     ChatMessage("assistant", latest.proof_script or latest.turns[-1].completion),
                     ChatMessage("user", feedback),

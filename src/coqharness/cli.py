@@ -164,13 +164,6 @@ def load_manifest(path: str, defaults: client.DecodingParams) -> list[agent.RunC
         raise CliError(f"bad manifest entry: {exc}") from exc
 
 
-def check_embedding(configs: list[agent.RunConfig], deps: agent.AgentDeps) -> None:
-    """Embedded retrieval needs a loaded embedding model."""
-    for config in configs:
-        if config.retrieval_mode == "embedded" and deps.embedding is None:
-            raise CliError(f"config {config.tag!r}: embedded retrieval needs an embedding model")
-
-
 def build_deps(
     config: configparser.ConfigParser,
     corpus: corpus_mod.Corpus,
@@ -180,11 +173,12 @@ def build_deps(
 ) -> agent.AgentDeps:
     provider = build_provider(config, replay, cache_dir)
     session_config = build_session_config(config)
-    template_file = _get(config, "paths", "template_file")
-    templates = TemplateSet.load(template_file) if template_file else TemplateSet.load()
+    templates = TemplateSet.load(_get(config, "paths", "template_file"))
     index = None
     index_path = index_file or _get(config, "paths", "index_file")
-    if index_path and Path(index_path).exists():
+    if index_path:
+        if not Path(index_path).exists():
+            raise CliError(f"index file not found: {index_path}")
         index = retriever.load_index(index_path)
     elif corpus.train:
         index = retriever.build_index(corpus.train)
@@ -237,20 +231,7 @@ def cmd_index(args, config) -> int:
         raise CliError("corpus has no train records; run ingest/split first")
     index = retriever.build_index(train, space=args.space)
     retriever.save_index(index, args.out)
-    summary = {"index": str(args.out), "size": len(index.vectors), "space": args.space}
-    if args.train_embedding:
-        hyper = retriever.TrainHyper(
-            epochs=args.epochs, seed=args.seed, learning_rate=args.learning_rate
-        )
-        model = retriever.train_embedding(train, hyper)
-        out = args.embedding_out or str(Path(args.out).with_suffix(".embedding.json"))
-        retriever.save_embedding(model, out)
-        summary.update(
-            embedding=out,
-            initial_objective=round(model.initial_objective, 6),
-            final_objective=round(model.final_objective, 6),
-        )
-    print(json.dumps(summary))
+    print(json.dumps({"index": str(args.out), "size": len(index.vectors), "space": args.space}))
     return EXIT_OK
 
 
@@ -277,7 +258,6 @@ def cmd_prove(args, config) -> int:
     if args.interactive:
         run_config = replace(run_config, loop="interactive")
     deps = build_deps(config, cps, replay=args.replay, cache_dir=args.cache_dir)
-    check_embedding([run_config], deps)
     records = agent.prove(target, run_config, deps)
     rules = evaluate.ClassifierRules.load(_get(config, "paths", "classifier_patterns"))
     for record in records:
@@ -296,9 +276,8 @@ def cmd_eval(args, config) -> int:
     deps = build_deps(
         config, cps, replay=args.replay, cache_dir=args.cache_dir, index_file=args.index
     )
-    check_embedding(manifest, deps)
     rules = evaluate.ClassifierRules.load(_get(config, "paths", "classifier_patterns"))
-    report = evaluate.run_eval(cps, manifest, deps, workers=args.workers, rules=rules)
+    report = evaluate.run_eval(cps, manifest, deps, rules, workers=args.workers)
     out_dir = args.out or _get(config, "paths", "output_dir", "out")
     written = evaluate.emit_report(report, out_dir)
     print(json.dumps({"out": str(out_dir), "files": [str(p) for p in written]}))
@@ -309,7 +288,8 @@ def cmd_report(args, config) -> int:
     attempts = evaluate.load_attempts_dir(args.attempts)
     if not attempts:
         raise CliError(f"no attempt files under {args.attempts}")
-    report = evaluate.build_report(attempts)
+    rules = evaluate.ClassifierRules.load(_get(config, "paths", "classifier_patterns"))
+    report = evaluate.build_report(attempts, rules)
     if args.taxonomy_only:
         histogram = {
             tag: metrics.taxonomy for tag, metrics in report.per_config.items()
@@ -347,16 +327,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-subdirs", action="store_true")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("index", help="build the retrieval index (optionally train the embedding)")
+    p = sub.add_parser("index", help="build the retrieval index")
     p.add_argument("--corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--space", default=retriever.PROOF_SPACE,
                    choices=[retriever.PROOF_SPACE, retriever.STATEMENT_SPACE])
-    p.add_argument("--train-embedding", action="store_true")
-    p.add_argument("--embedding-out")
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("prove", help="run one theorem under one config, dumping the transcript")

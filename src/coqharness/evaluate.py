@@ -95,9 +95,8 @@ class ClassifierRules:
         return ClassifierRules(ordered)
 
 
-def classify_failure(attempt: AttemptRecord, rules: ClassifierRules | None = None) -> str:
+def classify_failure(attempt: AttemptRecord, rules: ClassifierRules) -> str:
     """First-match rule cascade approximating the expert annotation."""
-    rules = rules or ClassifierRules.load()
     if attempt.accepted:
         return CORRECT
     if attempt.completion_kind == REFUSAL_KIND:
@@ -171,11 +170,12 @@ class EvalReport:
 
 def build_report(
     attempts_by_config: dict[str, list[AttemptRecord]],
+    rules: ClassifierRules,
     manifest_hash: str = "",
     corpus_hash: str = "",
     config_echo: dict | None = None,
 ) -> EvalReport:
-    """Pure aggregation over classified attempt records."""
+    """Pure aggregation over attempt records; `rules` classify those with no category."""
     per_config: dict[str, ConfigMetrics] = {}
     proven: dict[str, list[str]] = {}
     for tag, records in attempts_by_config.items():
@@ -186,7 +186,7 @@ def build_report(
             metrics.n_attempts += 1
             category = record.category
             if category is None:
-                category = classify_failure(record)
+                category = classify_failure(record, rules)
             metrics.taxonomy[category] = metrics.taxonomy.get(category, 0) + 1
             if record.accepted:
                 metrics.n_accepted_raw += 1
@@ -233,8 +233,8 @@ def run_eval(
     corpus: Corpus,
     manifest: list[RunConfig],
     deps: AgentDeps,
+    rules: ClassifierRules,
     workers: int = 1,
-    rules: ClassifierRules | None = None,
 ) -> EvalReport:
     """Run every manifest config over the corpus test split and aggregate.
 
@@ -253,7 +253,6 @@ def run_eval(
     tests = corpus.test
     if not tests:
         raise EvalError("corpus has no test split")
-    rules = rules or ClassifierRules.load()
 
     # One walked-forward session per (config, file); records keep test order.
     files: dict[str, list[int]] = {}
@@ -307,6 +306,7 @@ def run_eval(
     echo = {config.tag: asdict(config) for config in manifest}
     return build_report(
         attempts_by_config,
+        rules,
         manifest_hash=manifest_hash(manifest),
         corpus_hash=corpus_hash(corpus),
         config_echo=echo,

@@ -147,9 +147,9 @@ def _render_lemmas(lemmas: list[tuple[str, str]]) -> str:
 def build_prompt(
     config,
     target,
+    templates: TemplateSet,
     examples: list = (),
     lemmas: list[tuple[str, str]] = (),
-    templates: TemplateSet | None = None,
     example_lemmas: list[list[tuple[str, str]]] | None = None,
     interactive: bool = False,
     max_prompt_chars: int | None = None,
@@ -162,7 +162,6 @@ def build_prompt(
     optionally carries, per example, the (name, statement) list shown with
     it in the +lemma formats.
     """
-    templates = templates or TemplateSet.load()
     mode = config.mode
     zero_shot = mode.startswith("zs")
     with_lemmas = mode.endswith("+lem")
@@ -234,10 +233,9 @@ def known_strategy(strategy: str) -> bool:
     return strategy in STRATEGIES and strategy != "example-reorder"
 
 
-def diversify(prompt: ChatPrompt, strategies: list[str], templates: TemplateSet | None = None) -> list[ChatPrompt]:
+def diversify(prompt: ChatPrompt, strategies: list[str], templates: TemplateSet) -> list[ChatPrompt]:
     """One variant per strategy, differing from the base only in system
     message text and/or example order."""
-    templates = templates or TemplateSet.load()
     variants: list[ChatPrompt] = []
     for strategy in strategies:
         reorder = _REORDER_RE.match(strategy)

@@ -1,8 +1,8 @@
 """Independent reference implementations used only by tests.
 
 These deliberately share no code with the package: the segmentation oracle
-is a flat character automaton with explicit state labels, and the triplet
-oracle is a straight-line transcription of the loss formula.
+is a flat character automaton with explicit state labels, and the cosine
+oracle is a straight-line transcription of the formula.
 """
 
 from __future__ import annotations
@@ -109,23 +109,6 @@ def oracle_segment(source: str) -> list[tuple[str, int, int]]:
     if state == "sent":
         raise OracleLexicalError("sentence", start)
     return out
-
-
-def oracle_triplet_loss(anchor, positive, negative, margin: float) -> float:
-    """Straight-line evaluation of max(0, (1-cos(a,p)) - (1-cos(a,n)) + m)."""
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    def cosine(u, v):
-        nu = math.sqrt(dot(u, u))
-        nv = math.sqrt(dot(v, v))
-        if nu == 0.0 or nv == 0.0:
-            return 0.0
-        return dot(u, v) / (nu * nv)
-
-    value = (1.0 - cosine(anchor, positive)) - (1.0 - cosine(anchor, negative)) + margin
-    return value if value > 0.0 else 0.0
 
 
 def oracle_cosine(u, v) -> float:

@@ -22,8 +22,8 @@ from coqharness.agent import (
 from coqharness.client import DecodingParams, Provider, ProviderError, ScriptedProvider
 from coqharness.corpus import TheoremRecord
 from coqharness.driver import PreludeError, SessionConfig, start_session
-from coqharness.evaluate import run_eval
-from coqharness.prompting import ConfigMismatch
+from coqharness.evaluate import ClassifierRules, run_eval
+from coqharness.prompting import ConfigMismatch, TemplateSet
 from coqharness.sentences import LexicalError, segment_sentences
 from walk_project import WALK_WRONG, build_walk_project
 
@@ -122,7 +122,8 @@ def test_one_shot_refusal_never_reaches_prover(toy_corpus, mock_table):
         [{"theorem": "G_wmon", "completions": [REFUSAL_TEXT]}]
     )
     deps = AgentDeps(
-        corpus=toy_corpus, provider=provider, session_factory=counting_factory
+        corpus=toy_corpus, provider=provider, session_factory=counting_factory,
+        templates=TemplateSet.load(),
     )
     config = RunConfig(tag="zs", mode="zs", decoding=DecodingParams(n=2), seed=0)
     records = prove_one_shot(get(toy_corpus, "G_wmon"), config, deps)
@@ -602,10 +603,11 @@ def test_run_eval_closes_every_file_session_once(walk_project, workers, fail_on)
         corpus=corpus,
         provider=FailingProvider(ScriptedProvider(walk_project["script"]), fail_on),
         session_factory=factory,
+        templates=TemplateSet.load(),
     )
     manifest = [LIFECYCLE_CONFIGS["one_shot"], LIFECYCLE_CONFIGS["interactive"]]
     try:
-        run_eval(corpus, manifest, deps, workers=workers)
+        run_eval(corpus, manifest, deps, ClassifierRules.load(), workers=workers)
     except ProviderError:
         assert fail_on is not None
     else:

@@ -87,21 +87,22 @@ def test_ingest_by_file_split(config_file, fixtures_dir, tmp_path):
     assert test_files and train_files and not (test_files & train_files)
 
 
-def test_index_and_embedding(config_file, ingested, tmp_path, capsys):
+def test_index(config_file, ingested, tmp_path, capsys):
     out = tmp_path / "index.json"
     code = main(
         [
             "--config", str(config_file),
             "index", "--corpus", str(ingested), "--out", str(out),
-            "--train-embedding", "--epochs", "8",
         ]
     )
     assert code == EXIT_OK
     assert out.exists()
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["size"] == 4  # train records only
-    assert summary["final_objective"] <= summary["initial_objective"]
-    assert Path(summary["embedding"]).exists()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--config", str(config_file), "index", "--corpus", str(ingested),
+              "--out", str(out), "--train-embedding"])
+    assert exit_info.value.code == EXIT_CONFIG
 
     code = main(
         [
@@ -376,7 +377,7 @@ def test_eval_unknown_ensemble_strategy_exit_2(
     assert not (out / "report.json").exists()
 
 
-def test_eval_embedded_retrieval_without_a_model_exit_2(config_file, ingested, tmp_path, caplog):
+def test_eval_embedded_retrieval_mode_exit_2(config_file, ingested, tmp_path, caplog):
     manifest = _manifest(tmp_path, [
         {"tag": "zs", "mode": "zs"},
         {"tag": "emb", "mode": "fs-sim", "k_shots": 2, "retrieval_mode": "embedded"},
@@ -385,12 +386,61 @@ def test_eval_embedded_retrieval_without_a_model_exit_2(config_file, ingested, t
     code = main(["--config", str(config_file), "eval", "--corpus", str(ingested),
                  "--manifest", str(manifest), "--out", str(out)])
     assert code == EXIT_CONFIG
-    assert "embedded retrieval needs an embedding model" in caplog.text
+    assert "unknown retrieval mode 'embedded'" in caplog.text
     assert not (out / "report.json").exists()
     code = main(["--config", str(config_file), "prove", "--corpus", str(ingested),
                  "--theorem", "weak.v::weak_refl", "--manifest", str(manifest),
                  "--config-tag", "emb"])
     assert code == EXIT_CONFIG
+    assert caplog.text.count("unknown retrieval mode 'embedded'") == 2
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_missing_index_file_exit_2(
+    config_file, ingested, manifest_path, tmp_path, caplog, source
+):
+    missing = tmp_path / "does-not-exist.json"
+    config, index_flag = config_file, ["--index", str(missing)]
+    if source == "config":
+        config = tmp_path / "with-index.ini"
+        config.write_text(config_file.read_text().replace(
+            "[paths]\n", f"[paths]\nindex_file = {missing}\n"))
+        index_flag = []
+    out = tmp_path / "o"
+    code = main(["--config", str(config), "eval", "--corpus", str(ingested),
+                 "--manifest", str(manifest_path), "--out", str(out), *index_flag])
+    assert code == EXIT_CONFIG
+    assert f"index file not found: {missing}" in caplog.text
+    assert not (out / "report.json").exists()
+    if source == "config":
+        caplog.clear()
+        code = main(["--config", str(config), "prove", "--corpus", str(ingested),
+                     "--theorem", "weak.v::weak_refl"])
+        assert code == EXIT_CONFIG
+        assert f"index file not found: {missing}" in caplog.text
+
+
+def test_report_classifies_uncategorized_rows_with_configured_patterns(tmp_path, capsys):
+    attempts = tmp_path / "attempts"
+    attempts.mkdir()
+    row = {
+        "theorem_id": "f.v::t", "config_tag": "zs", "variant_id": "base",
+        "candidate_index": 0, "proof_script": "Proof. auto. Qed.", "accepted": False,
+        "failing_step": [1, "auto.", "glacial slowness"], "turns": [],
+        "completion_kind": "proof",
+    }
+    (attempts / "zs.jsonl").write_text(json.dumps(row) + "\n")
+    patterns = tmp_path / "patterns.json"
+    patterns.write_text(
+        json.dumps({"rules": [{"category": "resource", "patterns": ["glacial"]}]}))
+    config = tmp_path / "report.ini"
+    config.write_text(f"[paths]\nclassifier_patterns = {patterns}\n")
+    code = main(["--config", str(config), "report", "--attempts", str(attempts),
+                 "--taxonomy-only"])
+    assert code == EXIT_OK
+    histogram = json.loads(capsys.readouterr().out)
+    assert histogram["zs"]["resource"] == 1
+    assert histogram["zs"]["wrong_tactic"] == 0
 
 
 def test_eval_unreadable_mock_table_exit_2(ingested, manifest_path, tmp_path, fixtures_dir):

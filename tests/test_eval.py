@@ -24,6 +24,8 @@ from coqharness.evaluate import (
     run_eval,
 )
 
+RULES = ClassifierRules.load()
+
 REFUSAL_TEXT = (
     "Without further information on what TX and G are, I cannot generate a "
     "valid proof. Please provide more information or define the related "
@@ -62,32 +64,44 @@ def make_attempt(
 
 
 def test_classifier_paper_fixtures():
-    assert classify_failure(make_attempt(accepted=True)) == "correct"
-    assert classify_failure(make_attempt(kind="refusal")) == "refusal"
+    assert classify_failure(make_attempt(accepted=True), RULES) == "correct"
+    assert classify_failure(make_attempt(kind="refusal"), RULES) == "refusal"
     assert (
-        classify_failure(make_attempt(message="The reference stutter_bisim was not found."))
+        classify_failure(make_attempt(message="The reference stutter_bisim was not found."), RULES)
         == "hallucinated_reference"
     )
-    assert classify_failure(make_attempt(message="R is already used.")) == "proof_state_mismatch"
+    assert (
+        classify_failure(make_attempt(message="R is already used."), RULES)
+        == "proof_state_mismatch"
+    )
 
 
 def test_classifier_remaining_rules():
-    assert classify_failure(make_attempt(message="Unknown identifier foo")) == "hallucinated_reference"
-    assert classify_failure(make_attempt(message="No such hypothesis: H0")) == "proof_state_mismatch"
     assert (
-        classify_failure(make_attempt(message="No product even after head-reduction."))
+        classify_failure(make_attempt(message="Unknown identifier foo"), RULES)
+        == "hallucinated_reference"
+    )
+    assert (
+        classify_failure(make_attempt(message="No such hypothesis: H0"), RULES)
         == "proof_state_mismatch"
     )
-    assert classify_failure(make_attempt(message="There are not enough products"))\
+    assert (
+        classify_failure(make_attempt(message="No product even after head-reduction."), RULES)
         == "proof_state_mismatch"
-    assert classify_failure(make_attempt(message="Syntax error: '.' expected")) == "syntax_error"
-    assert classify_failure(make_attempt(message="TIMEOUT")) == "resource"
-    assert classify_failure(make_attempt(budget=True)) == "resource"
-    assert classify_failure(make_attempt(kind="malformed", lexical=True)) == "syntax_error"
-    assert classify_failure(make_attempt(message="No applicable tactic.")) == "wrong_tactic"
-    assert classify_failure(make_attempt()) == "wrong_tactic"  # prover saw it, no rule hit
-    assert classify_failure(make_attempt(kind="malformed")) == "other"
-    assert classify_failure(make_attempt(kind="empty")) == "other"
+    )
+    assert classify_failure(make_attempt(message="There are not enough products"), RULES)\
+        == "proof_state_mismatch"
+    assert (
+        classify_failure(make_attempt(message="Syntax error: '.' expected"), RULES)
+        == "syntax_error"
+    )
+    assert classify_failure(make_attempt(message="TIMEOUT"), RULES) == "resource"
+    assert classify_failure(make_attempt(budget=True), RULES) == "resource"
+    assert classify_failure(make_attempt(kind="malformed", lexical=True), RULES) == "syntax_error"
+    assert classify_failure(make_attempt(message="No applicable tactic."), RULES) == "wrong_tactic"
+    assert classify_failure(make_attempt(), RULES) == "wrong_tactic"  # prover saw it, no rule hit
+    assert classify_failure(make_attempt(kind="malformed"), RULES) == "other"
+    assert classify_failure(make_attempt(kind="empty"), RULES) == "other"
 
 
 def test_classifier_rules_from_custom_file(tmp_path):
@@ -124,7 +138,7 @@ def two_config_attempts():
 
 
 def test_build_report_counts_and_dedup():
-    report = build_report(two_config_attempts())
+    report = build_report(two_config_attempts(), RULES)
     metrics = report.per_config["A"]
     assert metrics.n_attempts == 6
     assert metrics.n_accepted_raw == 4
@@ -143,11 +157,13 @@ def test_build_report_counts_and_dedup():
 def test_report_invariant_under_reordering():
     attempts = two_config_attempts()
     reordered = {tag: list(reversed(records)) for tag, records in attempts.items()}
-    assert report_to_json(build_report(attempts)) == report_to_json(build_report(reordered))
+    assert report_to_json(build_report(attempts, RULES)) == report_to_json(
+        build_report(reordered, RULES)
+    )
 
 
 def test_coincidence_bounds_and_rendering():
-    report = build_report(two_config_attempts())
+    report = build_report(two_config_attempts(), RULES)
     for (a, b), count in report.coincidence.items():
         assert count <= min(
             report.per_config[a].n_proven_theorems, report.per_config[b].n_proven_theorems
@@ -164,7 +180,8 @@ def test_coincidence_disjoint_identical_and_shape():
         {
             "A": [make_attempt("f.v::t1", "A", accepted=True)],
             "B": [make_attempt("f.v::t2", "B", accepted=True)],
-        }
+        },
+        RULES,
     )
     assert disjoint.coincidence[("A", "B")] == 0
 
@@ -175,14 +192,16 @@ def test_coincidence_disjoint_identical_and_shape():
                 for i in range(3)
             ]
             for tag in ("A", "B")
-        }
+        },
+        RULES,
     )
     assert identical.coincidence[("A", "B")] == 3
 
     six = build_report(
         {
             f"c{k}": [make_attempt("f.v::t", f"c{k}", accepted=True)] for k in range(6)
-        }
+        },
+        RULES,
     )
     rendered = coincidence_matrix(six)
     cells = rendered.splitlines()[1:]
@@ -192,7 +211,7 @@ def test_coincidence_disjoint_identical_and_shape():
     assert dashes == 21  # diagonal and above
 
     with pytest.raises(TooFewConfigs):
-        coincidence_matrix(build_report({"A": [make_attempt()]}))
+        coincidence_matrix(build_report({"A": [make_attempt()]}, RULES))
 
 
 # -- end-to-end over the toy corpus ------------------------------------------
@@ -201,23 +220,23 @@ def test_coincidence_disjoint_identical_and_shape():
 def test_run_eval_validation(toy_corpus, toy_deps):
     deps = toy_deps()
     with pytest.raises(EvalError):
-        run_eval(toy_corpus, [], deps)
+        run_eval(toy_corpus, [], deps, RULES)
     config = RunConfig(tag="zs", mode="zs", decoding=DecodingParams(n=1))
     with pytest.raises(EvalError):
-        run_eval(toy_corpus, [config, config], deps)
+        run_eval(toy_corpus, [config, config], deps, RULES)
 
     from coqharness.corpus import Corpus
 
     no_test = Corpus(list(toy_corpus.records), toy_corpus.root,
                      {r.id: "train" for r in toy_corpus.records})
     with pytest.raises(EvalError):
-        run_eval(no_test, [config], deps)
+        run_eval(no_test, [config], deps, RULES)
 
 
 def test_run_eval_annotates_missed_simple(toy_deps):
     deps = toy_deps()
     config = RunConfig(tag="zs", mode="zs", decoding=DecodingParams(n=2), seed=11)
-    report = run_eval(deps.corpus, [config], deps)
+    report = run_eval(deps.corpus, [config], deps, RULES)
     records = report.attempts["zs"]
     trans = [r for r in records if r.theorem_id == "relations.v::trans_incl"]
     assert trans and all(not r.accepted for r in trans)
@@ -227,7 +246,7 @@ def test_run_eval_annotates_missed_simple(toy_deps):
     # weak_refl's reference proof is three tactics: failures stay unflagged
     sim = RunConfig(tag="fs-sim", mode="fs-sim", k_shots=2,
                     decoding=DecodingParams(n=2), seed=11)
-    sim_report = run_eval(deps.corpus, [sim], toy_deps())
+    sim_report = run_eval(deps.corpus, [sim], toy_deps(), RULES)
     weak = [r for r in sim_report.attempts["fs-sim"]
             if r.theorem_id == "weak.v::weak_refl"]
     assert weak and all(not r.accepted for r in weak)
@@ -238,8 +257,8 @@ def test_run_eval_parallel_matches_serial(toy_deps, manifest_path):
     from coqharness.cli import load_manifest
 
     manifest = load_manifest(str(manifest_path), DecodingParams())
-    serial = run_eval(toy_deps().corpus, manifest, toy_deps())
-    parallel = run_eval(toy_deps().corpus, manifest, toy_deps(), workers=3)
+    serial = run_eval(toy_deps().corpus, manifest, toy_deps(), RULES)
+    parallel = run_eval(toy_deps().corpus, manifest, toy_deps(), RULES, workers=3)
     assert report_to_json(serial) == report_to_json(parallel)
 
 
@@ -247,7 +266,7 @@ def test_run_eval_parallel_matches_serial(toy_deps, manifest_path):
 
 
 def test_markdown_row_labels_and_csv_json_agreement(tmp_path):
-    report = build_report(two_config_attempts())
+    report = build_report(two_config_attempts(), RULES)
     markdown = render_markdown(report)
     assert "| #Correct Proof |" in markdown
     assert "| #Proven Theorems |" in markdown
@@ -280,17 +299,17 @@ def test_refusal_share_five_point_four_percent(tmp_path):
     attempts += [make_attempt("f.v::r1", "A", kind="refusal"),
                  make_attempt("f.v::r2", "A", kind="refusal")]
     assert len(attempts) == 37
-    report = build_report({"A": attempts})
+    report = build_report({"A": attempts}, RULES)
     assert f"{report.refusal_share:.1f}" == "5.4"
     markdown = render_markdown(report)
     assert "Refusal share: 5.4% of attempts" in markdown
 
 
 def test_recompute_from_attempts_dir(tmp_path):
-    report = build_report(two_config_attempts())
+    report = build_report(two_config_attempts(), RULES)
     emit_report(report, tmp_path)
     loaded = load_attempts_dir(tmp_path / "attempts")
-    recomputed = build_report(loaded)
+    recomputed = build_report(loaded, RULES)
     original = report_to_json(report)
     clone = report_to_json(recomputed)
     for field in ("per_config", "proven", "coincidence", "refusal_share_percent"):
@@ -298,7 +317,7 @@ def test_recompute_from_attempts_dir(tmp_path):
 
 
 def test_csv_roundtrip_of_coincidence(tmp_path):
-    report = build_report(two_config_attempts())
+    report = build_report(two_config_attempts(), RULES)
     csv_text = render_csv(report)
     assert "coincidence_a,coincidence_b,count" in csv_text
     assert "B,A,1" in csv_text
