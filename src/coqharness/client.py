@@ -240,6 +240,10 @@ class HttpChatProvider(Provider):
     def last_retries(self) -> int:  # of this thread's last successful call
         return getattr(self._local, "retries", 0)
 
+    @property
+    def last_usage(self) -> tuple[int, int]:  # (prompt, completion) tokens, likewise
+        return getattr(self._local, "usage", (0, 0))
+
     def _throttle(self) -> None:
         if self.rpm_limit <= 0:
             return
@@ -289,9 +293,10 @@ class HttpChatProvider(Provider):
                 self._local.retries = attempt
                 data = json.loads(body)
                 usage = data.get("usage", {})
-                spent = usage.get("prompt_tokens", 0) + usage.get("completion_tokens", 0)
+                paid = (usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0))
+                self._local.usage = paid
                 with self._lock:
-                    self.tokens_used += spent
+                    self.tokens_used += sum(paid)
                     if self.token_budget is not None and self.tokens_used > self.token_budget:
                         log.warning("token budget exceeded after call; aborting run")
                 return [choice["message"]["content"] for choice in data["choices"]]
@@ -321,18 +326,29 @@ class TranscriptCache:
         return self.directory / f"{key[:2]}.jsonl"
 
     def lookup(self, key: str) -> Transcript | None:
-        shard = self._shard(key)
-        if not shard.exists():
+        """First row of the key's shard whose prompt_hash is `key`.
+
+        Only rows that contain the key's bytes are decoded: a byte search
+        finds each occurrence and the row around it is parsed, so a key
+        quoted in another row's completion is skipped.
+        """
+        try:
+            with open(self._shard(key), "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
             return None
-        with open(shard, encoding="utf-8") as fh:
-            for line in fh:
-                if key not in line:  # cannot be this key's row; skip parsing it
-                    continue
-                row = json.loads(line)
-                if row["prompt_hash"] == key:
-                    values = {f.name: row[f.name] for f in fields(Transcript) if f.name in row}
-                    values["token_usage"] = tuple(values.get("token_usage", (0, 0)))
-                    return Transcript(**values)
+        needle = key.encode()
+        at = data.find(needle)
+        while at != -1:
+            end = data.find(b"\n", at)
+            if end == -1:
+                end = len(data)
+            row = json.loads(data[data.rfind(b"\n", 0, at) + 1 : end])
+            if row["prompt_hash"] == key:
+                values = {f.name: row[f.name] for f in fields(Transcript) if f.name in row}
+                values["token_usage"] = tuple(values.get("token_usage", (0, 0)))
+                return Transcript(**values)
+            at = data.find(needle, end)
         return None
 
     def append(self, transcript: Transcript) -> None:
@@ -374,7 +390,8 @@ class CachingProvider(Provider):
         assert self.inner is not None
         completions = self.inner.complete(prompt, params)
         retries = getattr(self.inner, "last_retries", 0)
+        usage = getattr(self.inner, "last_usage", (0, 0))
         self.cache.append(
-            Transcript(key, list(completions), self.inner.name, time.time(), retries=retries)
+            Transcript(key, list(completions), self.inner.name, time.time(), usage, retries)
         )
         return completions

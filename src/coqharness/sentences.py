@@ -15,6 +15,7 @@ sentence texts with the skipped regions reproduces the source exactly.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 
@@ -85,7 +86,10 @@ def statement_name(statement: Sentence | str) -> str | None:
     return m.group(1) if m else None
 
 
-def _byte_offsets(source: str) -> list[int]:
+def _byte_offsets(source: str) -> Sequence[int]:
+    """UTF-8 byte offset of each character index of `source`, and of its end."""
+    if source.isascii():
+        return range(len(source) + 1)
     offsets = [0]
     total = 0
     for ch in source:

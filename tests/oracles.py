@@ -1,13 +1,16 @@
 """Independent reference implementations used only by tests.
 
 These deliberately share no code with the package: the segmentation oracle
-is a flat character automaton with explicit state labels, and the cosine
-oracle is a straight-line transcription of the formula.
+is a flat character automaton with explicit state labels, the cosine
+oracle is a straight-line transcription of the formula, and the cache
+oracle scans a shard's decoded lines one by one.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 
 class OracleLexicalError(ValueError):
@@ -117,3 +120,18 @@ def oracle_cosine(u, v) -> float:
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return sum(x * y for x, y in zip(u, v)) / (nu * nv)
+
+
+def oracle_cache_lookup(shard: Path, key: str) -> dict | None:
+    """First row of a transcript-cache shard whose prompt_hash is `key`,
+    found by decoding the shard as text and testing each line."""
+    if not shard.exists():
+        return None
+    with open(shard, encoding="utf-8") as fh:
+        for line in fh:
+            if key not in line:  # cannot be this key's row; skip parsing it
+                continue
+            row = json.loads(line)
+            if row["prompt_hash"] == key:
+                return row
+    return None

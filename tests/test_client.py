@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coqharness.client import (
     BudgetExceeded,
@@ -24,6 +29,8 @@ from coqharness.client import (
     prompt_hash,
 )
 from coqharness.prompting import ChatMessage, ChatPrompt
+
+from oracles import oracle_cache_lookup
 
 
 def make_prompt(text="Prove Lemma t: True.", tag="zs", target="file.v::t"):
@@ -151,6 +158,72 @@ def test_cache_lookup_ignores_a_key_inside_another_row(tmp_path):
     assert cache.lookup(key).completions == ["mine"]
     assert cache.lookup(decoy).completions == [f"(* see {key} *)"]
 
+
+_HEX = "0123456789abcdef"
+_SHARD_KEYS = st.lists(
+    st.text(_HEX, min_size=62, max_size=62).map(lambda tail: "ab" + tail),
+    min_size=1, max_size=4, unique=True,
+)
+
+
+@st.composite
+def _shards(draw):
+    """A shard's keys and its bytes: own rows, duplicate keys, rows that
+    quote another key in a completion or extend it in their own hash,
+    CRLF or LF row ends, and an optional final newline."""
+    keys = draw(_SHARD_KEYS)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        key = draw(st.sampled_from(keys))
+        text = draw(st.text(max_size=12))  # non-ASCII and control characters too
+        kind = draw(st.sampled_from(["own", "quotes", "extends"]))
+        if kind == "quotes":
+            owner, completion = draw(st.sampled_from(keys)), f"{text} (* {key} *)"
+        elif kind == "extends":
+            owner, completion = key + draw(st.sampled_from(_HEX)), text
+        else:
+            owner, completion = key, text
+        row = {"prompt_hash": owner, "completions": [completion], "provider": "x",
+               "timestamp": float(len(rows)), "token_usage": [len(rows), 1], "retries": 0}
+        ending = draw(st.sampled_from([b"\n", b"\r\n"]))
+        rows.append(json.dumps(row, ensure_ascii=False).encode("utf-8") + ending)
+    data = b"".join(rows)
+    if rows and draw(st.booleans()):
+        data = data.rstrip(b"\r\n")
+    absent = "ab" + "f" * 61 + "e"  # absent unless drawn; either way it is checked
+    return keys + [absent], data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shards())
+def test_cache_lookup_agrees_with_line_scan_oracle(shard):
+    keys, data = shard
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "ab.jsonl"
+        path.write_bytes(data)
+        cache = TranscriptCache(directory)
+        for key in keys:
+            expected = oracle_cache_lookup(path, key)
+            found = cache.lookup(key)
+            if expected is None:
+                assert found is None
+            else:
+                expected["token_usage"] = tuple(expected["token_usage"])
+                assert dataclasses.asdict(found) == expected
+
+
+def test_cache_lookup_reads_rows_around_invalid_utf8(tmp_path):
+    first, second = "ab" + "1" * 62, "ab" + "2" * 62
+    cache = TranscriptCache(tmp_path)
+    cache.append(Transcript(first, ["before"], "x", 1.0))
+    with open(tmp_path / "ab.jsonl", "ab") as fh:
+        fh.write(b'{"prompt_hash": "ab' + b"3" * 62 + b'", "completions": ["\xff\xfe"]}\n')
+    cache.append(Transcript(second, ["after"], "x", 2.0))
+    assert cache.lookup(first).completions == ["before"]
+    assert cache.lookup(second).completions == ["after"]
+    assert cache.lookup("ab" + "4" * 62) is None
+
+
 class FakeResponse:
     def __init__(self, status_code: int, payload=None):
         self.status_code = status_code
@@ -185,6 +258,42 @@ def test_http_provider_retries_429_then_succeeds(monkeypatch):
     assert session.calls == 3
     assert provider.last_retries == 2
     assert provider.tokens_used == 12
+
+
+def test_recorded_transcript_keeps_the_tokens_its_call_paid(tmp_path, monkeypatch):
+    monkeypatch.setattr("time.sleep", lambda s: None)
+    session = FakeSession([FakeResponse(200, _ok_payload(["done"], usage=(5, 7))),
+                           FakeResponse(200, _ok_payload(["other"], usage=(11, 13)))])
+    provider = HttpChatProvider("http://fake", "model-x", rpm_limit=0, session=session)
+    caching = CachingProvider(provider, TranscriptCache(tmp_path))
+    params = DecodingParams(n=1)
+    assert caching.complete(make_prompt(), params) == ["done"]
+    assert provider.last_usage == (5, 7)
+    assert caching.cache.lookup(prompt_hash(make_prompt(), params)).token_usage == (5, 7)
+
+    seen = {}
+
+    def other_thread() -> None:
+        seen["before"] = provider.last_usage
+        caching.complete(make_prompt(text="Prove Lemma u: True."), params)
+        seen["after"] = provider.last_usage
+
+    thread = threading.Thread(target=other_thread)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen == {"before": (0, 0), "after": (11, 13)}
+    assert provider.last_usage == (5, 7)
+    other = caching.cache.lookup(prompt_hash(make_prompt(text="Prove Lemma u: True."), params))
+    assert other.token_usage == (11, 13)
+
+    scripted = ScriptedProvider({"entries": [{"theorem": "t", "completions": ["alpha"]}]})
+    CachingProvider(scripted, TranscriptCache(tmp_path / "scripted")).complete(
+        make_prompt(), params
+    )
+    assert TranscriptCache(tmp_path / "scripted").lookup(
+        prompt_hash(make_prompt(), params)
+    ).token_usage == (0, 0)
 
 
 def test_http_provider_gives_up_after_max_tries(monkeypatch):

@@ -12,6 +12,7 @@ from coqharness.sentences import (
     UnterminatedComment,
     UnterminatedSentence,
     UnterminatedString,
+    _byte_offsets,
     is_closing,
     is_statement,
     rejoin,
@@ -239,3 +240,15 @@ def test_property_agrees_with_oracle_on_noise(source):
     got = segment_sentences(source)
     assert [(s.text, *s.span) for s in got] == expected
     assert_segmentation_invariants(source, got)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["", "Lemma t : True. Proof. exact I. Qed.", "Lemma α : β ∧ γ. (* ok *)",
+     "(* 𝔽 *) Lemma 𝔸 : x = \"𝕏\".", "é𝔽a\n"],
+)
+def test_byte_offsets_index_like_per_character_encoding(source):
+    offsets = _byte_offsets(source)
+    expected = [len(source[:i].encode("utf-8")) for i in range(len(source) + 1)]
+    assert len(offsets) == len(expected)
+    assert [offsets[i] for i in range(len(source) + 1)] == expected
