@@ -119,6 +119,10 @@ class RunConfig:
     def with_lemmas(self) -> bool:
         return self.mode.endswith("+lem")
 
+    @property
+    def ranks_by_similarity(self) -> bool:  # the modes that read a retrieval index
+        return self.mode in ("fs-sim", "fs+lem")
+
 
 @dataclass(frozen=True)
 class Turn:
@@ -267,18 +271,16 @@ def _select_examples(
     k = min(config.k_shots, len(train))
     if k < config.k_shots:
         log.warning("only %d train records for k_shots=%d", len(train), config.k_shots)
-    # fs+lem keys on similarity when an index is available, else random.
-    if config.mode == "fs-rand" or (config.mode == "fs+lem" and deps.index is None):
-        rng = random.Random(f"{config.seed}:{target.id}")
-        return rng.sample(train, k)
-    if config.mode in ("fs-sim", "fs+lem"):
-        if deps.index is None:
-            raise AgentError("similarity modes need a retrieval index")
+    if config.ranks_by_similarity and deps.index is not None:
         ranked = retrieve(deps.index, target, k)
         by_id = {r.id: r for r in train}
         # least similar first, so the budget trimmer sheds the farthest one
         return [by_id[rid] for rid, _ in reversed(ranked) if rid in by_id]
-    raise AgentError(f"unhandled mode {config.mode}")
+    # fs+lem falls back to random examples when there is no index; fs-sim cannot.
+    if config.mode == "fs-sim":
+        raise AgentError("similarity modes need a retrieval index")
+    rng = random.Random(f"{config.seed}:{target.id}")
+    return rng.sample(train, k)
 
 
 def _lemma_pairs(target_or_example: TheoremRecord, config: RunConfig, deps: AgentDeps):

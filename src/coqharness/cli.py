@@ -21,7 +21,6 @@ from pathlib import Path
 from . import agent, client, corpus as corpus_mod, evaluate, retriever
 from .driver import PreludeError, SessionConfig, SessionDead, SpawnFailure
 from .mockprover import compile_behavior_table
-from .proofstate import MalformedState
 from .prompting import PromptError, TemplateSet
 
 log = logging.getLogger("coqharness")
@@ -100,16 +99,21 @@ def build_provider(config: configparser.ConfigParser, replay: bool, cache_dir: s
     return inner
 
 
-def build_session_config(config: configparser.ConfigParser) -> SessionConfig:
-    """The prover settings; a mock table is compiled here, once per command."""
+def build_session_config(
+    config: configparser.ConfigParser, whole_table: bool = True
+) -> SessionConfig:
+    """The prover settings. A mock table is read here, once per command; its
+    theorem entries are compiled here too with `whole_table`, else on first use."""
     backend = _get(config, "prover", "backend", "mock")
     mock_table = _get(config, "prover", "mock_table")
     if backend == "mock":
         try:
             mock_table = compile_behavior_table(mock_table)
-        except (OSError, ValueError, KeyError, TypeError, AttributeError, re.error,
-                MalformedState) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError, re.error) as exc:
             raise CliError(f"bad mock table {mock_table}: {exc}") from exc
+        if whole_table:  # a malformed entry raises a ValueError naming the table: exit 2
+            for name in mock_table.raw_theorems:
+                mock_table.entry(name)
     return SessionConfig(
         backend=backend,
         prover_command=_get(config, "prover", "prover_command", "coqtop -emacs -q"),
@@ -167,20 +171,27 @@ def load_manifest(path: str, defaults: client.DecodingParams) -> list[agent.RunC
 def build_deps(
     config: configparser.ConfigParser,
     corpus: corpus_mod.Corpus,
+    run_configs: list[agent.RunConfig],
     replay: bool = False,
     cache_dir: str | None = None,
     index_file: str | None = None,
+    whole_table: bool = True,
 ) -> agent.AgentDeps:
     provider = build_provider(config, replay, cache_dir)
-    session_config = build_session_config(config)
+    session_config = build_session_config(config, whole_table)
     templates = TemplateSet.load(_get(config, "paths", "template_file"))
     index = None
     index_path = index_file or _get(config, "paths", "index_file")
-    if index_path:
-        if not Path(index_path).exists():
-            raise CliError(f"index file not found: {index_path}")
-        index = retriever.load_index(index_path)
-    elif corpus.train:
+    if index_path and not Path(index_path).exists():
+        raise CliError(f"index file not found: {index_path}")
+    similarity = any(c.ranks_by_similarity for c in run_configs)
+    if similarity and index_path:
+        try:
+            index = retriever.load_index(index_path)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError,
+                retriever.RetrieverError) as exc:
+            raise CliError(f"bad index file {index_path}: {exc}") from exc
+    elif similarity and corpus.train:
         index = retriever.build_index(corpus.train)
     return agent.AgentDeps(
         corpus=corpus,
@@ -236,14 +247,6 @@ def cmd_index(args, config) -> int:
 
 
 def cmd_prove(args, config) -> int:
-    cps = corpus_mod.load_corpus(args.corpus or _get(config, "paths", "corpus_file"))
-    try:
-        target = cps.by_id(args.theorem)
-    except corpus_mod.UnknownId:
-        matches = [r for r in cps.records if r.name == args.theorem]
-        if len(matches) != 1:
-            raise CliError(f"unknown theorem id {args.theorem!r}")
-        target = matches[0]
     defaults = decoding_from(config)
     if args.manifest:
         manifest = load_manifest(args.manifest, defaults)
@@ -257,7 +260,19 @@ def cmd_prove(args, config) -> int:
         )
     if args.interactive:
         run_config = replace(run_config, loop="interactive")
-    deps = build_deps(config, cps, replay=args.replay, cache_dir=args.cache_dir)
+    corpus_path = args.corpus or _get(config, "paths", "corpus_file")
+    # zs needs no record but its target; few-shot modes need the train split, +lem the lemmas.
+    cps = corpus_mod.load_record(corpus_path, args.theorem) if run_config.mode == "zs" else None
+    if cps is None:
+        cps = corpus_mod.load_corpus(corpus_path)
+    try:
+        target = cps.by_id(args.theorem)
+    except corpus_mod.UnknownId:
+        matches = [r for r in cps.records if r.name == args.theorem]
+        if len(matches) != 1:
+            raise CliError(f"unknown theorem id {args.theorem!r}")
+        target = matches[0]
+    deps = build_deps(config, cps, [run_config], args.replay, args.cache_dir, whole_table=False)
     records = agent.prove(target, run_config, deps)
     rules = evaluate.ClassifierRules.load(_get(config, "paths", "classifier_patterns"))
     for record in records:
@@ -274,7 +289,7 @@ def cmd_eval(args, config) -> int:
     defaults = decoding_from(config)
     manifest = load_manifest(args.manifest, defaults)
     deps = build_deps(
-        config, cps, replay=args.replay, cache_dir=args.cache_dir, index_file=args.index
+        config, cps, manifest, replay=args.replay, cache_dir=args.cache_dir, index_file=args.index
     )
     rules = evaluate.ClassifierRules.load(_get(config, "paths", "classifier_patterns"))
     report = evaluate.run_eval(cps, manifest, deps, rules, workers=args.workers)

@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .corpus import find_row
 from .prompting import ChatPrompt
 
 log = logging.getLogger(__name__)
@@ -326,30 +327,19 @@ class TranscriptCache:
         return self.directory / f"{key[:2]}.jsonl"
 
     def lookup(self, key: str) -> Transcript | None:
-        """First row of the key's shard whose prompt_hash is `key`.
-
-        Only rows that contain the key's bytes are decoded: a byte search
-        finds each occurrence and the row around it is parsed, so a key
-        quoted in another row's completion is skipped.
-        """
+        """First row of the key's shard whose prompt_hash is `key`, found by
+        byte search (`corpus.find_row`)."""
         try:
-            with open(self._shard(key), "rb") as fh:
-                data = fh.read()
+            data = self._shard(key).read_bytes()
         except FileNotFoundError:
             return None
-        needle = key.encode()
-        at = data.find(needle)
-        while at != -1:
-            end = data.find(b"\n", at)
-            if end == -1:
-                end = len(data)
-            row = json.loads(data[data.rfind(b"\n", 0, at) + 1 : end])
-            if row["prompt_hash"] == key:
-                values = {f.name: row[f.name] for f in fields(Transcript) if f.name in row}
-                values["token_usage"] = tuple(values.get("token_usage", (0, 0)))
-                return Transcript(**values)
-            at = data.find(needle, end)
-        return None
+        found = find_row(data, key.encode(), "prompt_hash", key)
+        if found is None:
+            return None
+        row = found[0]
+        values = {f.name: row[f.name] for f in fields(Transcript) if f.name in row}
+        values["token_usage"] = tuple(values.get("token_usage", (0, 0)))
+        return Transcript(**values)
 
     def append(self, transcript: Transcript) -> None:
         line = json.dumps(transcript, ensure_ascii=False, default=vars) + "\n"

@@ -300,6 +300,20 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 _RECORD_FIELDS = {f.name for f in fields(TheoremRecord)} | {"split"}
 
 
+def _record_from_row(row: dict, line_number: int) -> tuple[TheoremRecord, str]:
+    """A corpus row as (record, split label); SchemaViolation when malformed."""
+    missing = _RECORD_FIELDS - set(row)
+    if missing:
+        raise SchemaViolation(line_number, f"missing fields: {sorted(missing)}")
+    try:
+        values = {f.name: row[f.name] for f in fields(TheoremRecord)}
+        values["statement"] = _sentence_from_json(row["statement"])
+        values["proof"] = tuple(map(_sentence_from_json, row["proof"]))
+        return TheoremRecord(**values), row["split"]
+    except (KeyError, TypeError) as exc:
+        raise SchemaViolation(line_number, f"malformed record: {exc}") from None
+
+
 def load_corpus(path: str | Path) -> Corpus:
     records: list[TheoremRecord] = []
     labels: dict[str, str] = {}
@@ -317,16 +331,39 @@ def load_corpus(path: str | Path) -> Corpus:
                     raise SchemaViolation(line_number, "missing or unsupported header")
                 root = row.get("root", "")
                 continue
-            missing = _RECORD_FIELDS - set(row)
-            if missing:
-                raise SchemaViolation(line_number, f"missing fields: {sorted(missing)}")
-            try:
-                values = {f.name: row[f.name] for f in fields(TheoremRecord)}
-                values["statement"] = _sentence_from_json(row["statement"])
-                values["proof"] = tuple(map(_sentence_from_json, row["proof"]))
-                record = TheoremRecord(**values)
-            except (KeyError, TypeError) as exc:
-                raise SchemaViolation(line_number, f"malformed record: {exc}") from None
+            record, split = _record_from_row(row, line_number)
             records.append(record)
-            labels[record.id] = row["split"]
+            labels[record.id] = split
     return Corpus(records, root, labels)
+
+
+def find_row(data: bytes, needle: bytes, key: str, value: str) -> tuple[dict, int] | None:
+    """The first JSON Lines row of `data` whose `key` is `value`, and its offset. Only
+    rows holding `needle` are decoded, so a needle quoted in another row is skipped."""
+    at = data.find(needle)
+    while at != -1:
+        start = data.rfind(b"\n", 0, at) + 1
+        end = data.find(b"\n", at)
+        if end == -1:
+            end = len(data)
+        row = json.loads(data[start:end])
+        if isinstance(row, dict) and row.get(key) == value:
+            return row, start
+        at = data.find(needle, end)
+    return None
+
+
+def load_record(path: str | Path, record_id: str) -> Corpus | None:
+    """A Corpus of the record with id `record_id`, found by byte search; None when no
+    row has that id or the header is bad, for load_corpus to look the name up or report."""
+    data = Path(path).read_bytes()
+    try:
+        header = json.loads(data[: data.find(b"\n")].decode("utf-8"))
+        found = find_row(data, json.dumps(record_id, ensure_ascii=False).encode(), "id", record_id)
+    except ValueError:  # invalid JSON or UTF-8
+        return None
+    if found is None or not isinstance(header, dict) or header.get("format") != _FORMAT:
+        return None
+    row, start = found
+    record, split = _record_from_row(row, data.count(b"\n", 0, start) + 1)
+    return Corpus([record], header.get("root", ""), {record.id: split})

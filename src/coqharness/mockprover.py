@@ -26,8 +26,9 @@ installed. File format (JSON)::
 Script steps are matched on whitespace-normalized text; a bare "Proof."
 is a no-op and never part of the match. A script's last step must be a
 closing command (one is appended when missing). `compile_behavior_table`
-turns a table into an immutable BehaviorTable that any number of sessions
-can share, so a command compiles its table once.
+reads a table into a BehaviorTable that any number of sessions can share,
+so a command reads its table once; each theorem entry is compiled when a
+session first opens it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 
@@ -48,7 +49,7 @@ from .driver import (
     StepResult,
     _coerce_sentence,
 )
-from .proofstate import ProofState, parse_proof_state
+from .proofstate import MalformedState, ProofState, parse_proof_state
 from .sentences import Sentence, is_closing, is_statement, statement_name
 
 INCOMPLETE_PROOF_MESSAGE = "Attempt to save an incomplete proof."
@@ -107,39 +108,54 @@ def _parse_script(raw) -> _Script:
 
 @dataclass(frozen=True)
 class BehaviorTable:
-    """A behavior table compiled once; every session reads it, none writes it."""
+    """A behavior table read once and shared by every session. Compiling an
+    entry is pure, so threads that race to compile one keep the first stored."""
 
-    theorems: Mapping[str, _TheoremEntry]
+    source: str
+    raw_theorems: Mapping[str, dict]
     queries: Mapping[tuple[str, str], str]
     query_default: str
     errors: tuple[tuple[re.Pattern, str], ...]
+    _compiled: dict[str, _TheoremEntry] = field(default_factory=dict, compare=False, repr=False)
+
+    def entry(self, name: str) -> _TheoremEntry | None:
+        """`name`'s entry, compiled on first use; a ValueError names the table if it fails."""
+        entry = self._compiled.get(name)
+        if entry is None and name in self.raw_theorems:
+            raw = self.raw_theorems[name]
+            try:
+                initial = raw.get("initial_state")
+                entry = _TheoremEntry(
+                    name,
+                    goal=raw.get("statement_goal"),
+                    initial_state=parse_proof_state(initial) if initial else None,
+                    scripts=tuple(_parse_script(s) for s in raw.get("scripts", [])),
+                    errors=_compile_error_rules(raw.get("errors", [])),
+                )
+            except (ValueError, KeyError, TypeError, AttributeError, re.error, MalformedState) as exc:
+                raise ValueError(f"bad mock table {self.source}: {exc}") from exc
+            entry = self._compiled.setdefault(name, entry)
+        return entry
 
 
 def compile_behavior_table(source: BehaviorTable | dict | str | Path | None) -> BehaviorTable:
-    """Compile a table given as a dict or a JSON file path; None is the empty table."""
+    """Read a table given as a dict or a JSON file path; None is the empty table."""
     if isinstance(source, BehaviorTable):
         return source
+    path = "<dict>"
     if isinstance(source, (str, Path)):
+        path = str(source)
         with open(source, encoding="utf-8") as fh:
             source = json.load(fh)
     table = source or {}
-    theorems = {}
-    for name, raw in table.get("theorems", {}).items():
-        initial = raw.get("initial_state")
-        theorems[name] = _TheoremEntry(
-            name,
-            goal=raw.get("statement_goal"),
-            initial_state=parse_proof_state(initial) if initial else None,
-            scripts=tuple(_parse_script(s) for s in raw.get("scripts", [])),
-            errors=_compile_error_rules(raw.get("errors", [])),
-        )
     queries = {
         (command, argument): response
         for command, answers in table.get("queries", {}).items()
         for argument, response in answers.items()
     }
     return BehaviorTable(
-        MappingProxyType(theorems),
+        path,
+        MappingProxyType(dict(table.get("theorems", {}))),
         MappingProxyType(queries),
         table.get("query_default_error", DEFAULT_QUERY_ERROR),
         _compile_error_rules(table.get("errors", [])),
@@ -167,7 +183,7 @@ class MockSession(SessionHandle):
 
     def _open_proof(self, statement: Sentence) -> StepResult:
         name = statement_name(statement) or "_unnamed"
-        entry = self._table.theorems.get(name)
+        entry = self._table.entry(name)
         if entry is None:
             m = re.match(r"[^:]*:\s*(.*)\.\s*$", statement.text, re.DOTALL)
             entry = _TheoremEntry(name, goal=_norm(m.group(1)) if m else "True")

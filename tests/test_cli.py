@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import coqharness
+from coqharness import corpus as corpus_mod, mockprover, retriever
 from coqharness.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROVER, EXIT_PROVIDER, main
 from coqharness.corpus import load_corpus
 
@@ -461,8 +462,14 @@ mock_table = {tmp_path}/no-such-table.json
     assert code == EXIT_CONFIG
 
 
-def test_eval_workers_1_and_4_write_identical_bytes(walk_project, tmp_path):
+def _walk_config(walk_project, table: dict | None = None, index: bool = False) -> Path:
+    """Ingest the walk project; returns a config naming its corpus, and its
+    index when `index`. `table` replaces the project's mock table."""
     root = walk_project["root"]
+    mock_table = walk_project["mock_table"]
+    if table is not None:
+        mock_table = root / "edited_table.json"
+        mock_table.write_text(json.dumps(table), encoding="utf-8")
     config = root / "walk.ini"
     config.write_text(
         f"""
@@ -475,7 +482,7 @@ script_file = {walk_project["script"]}
 
 [prover]
 backend = mock
-mock_table = {walk_project["mock_table"]}
+mock_table = {mock_table}
 """
     )
     test_ids = [r.id for r in walk_project["corpus"].test]
@@ -483,6 +490,17 @@ mock_table = {walk_project["mock_table"]}
                  "--out", str(root / "corpus.jsonl"), "--split", "explicit",
                  "--explicit-test", *test_ids])
     assert code == EXIT_OK
+    if index:
+        code = main(["--config", str(config), "index", "--out", str(root / "index.json")])
+        assert code == EXIT_OK
+        config.write_text(config.read_text().replace(
+            "[paths]\n", f"[paths]\nindex_file = {root}/index.json\n"))
+    return config
+
+
+def test_eval_workers_1_and_4_write_identical_bytes(walk_project, tmp_path):
+    config = _walk_config(walk_project)
+    test_ids = [r.id for r in walk_project["corpus"].test]
     manifest = _manifest(tmp_path, [
         {"tag": "zs", "mode": "zs", "decoding": {"n": 2}},
         {"tag": "fs", "mode": "fs-sim", "k_shots": 2, "decoding": {"n": 2}},
@@ -505,3 +523,134 @@ mock_table = {walk_project["mock_table"]}
     assert len(names) == 3 + 5
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "content, detail",
+    [('{"format": "nope"}', "unsupported index file format"),
+     (None, "'vectors'"),
+     ('{"format": "coqharness-index/1", "space"', "Expecting")],
+    ids=["wrong-format", "no-vectors", "truncated"],
+)
+def test_unreadable_index_file_exit_2(
+    config_file, ingested, manifest_path, tmp_path, caplog, content, detail
+):
+    bad = tmp_path / "bad-index.json"
+    if content is None:  # a real index without its vectors
+        assert main(["--config", str(config_file), "index", "--out", str(bad)]) == EXIT_OK
+        payload = json.loads(bad.read_text())
+        del payload["vectors"]
+        content = json.dumps(payload)
+    bad.write_text(content)
+    out = tmp_path / "o"
+    code = main(["--config", str(config_file), "eval", "--manifest", str(manifest_path),
+                 "--out", str(out), "--index", str(bad)])
+    assert code == EXIT_CONFIG
+    assert f"bad index file {bad}: " in caplog.text and detail in caplog.text
+    assert not (out / "report.json").exists()
+
+    config = tmp_path / "with-index.ini"
+    config.write_text(config_file.read_text().replace("[paths]\n", f"[paths]\nindex_file = {bad}\n"))
+    caplog.clear()
+    code = main(["--config", str(config), "prove", "--theorem", "weak.v::weak_refl",
+                 "--mode", "fs-sim"])
+    assert code == EXIT_CONFIG
+    assert f"bad index file {bad}: " in caplog.text and detail in caplog.text
+    # a config that never ranks by similarity does not read the index
+    assert main(["--config", str(config), "prove", "--theorem", "weak.v::weak_refl"]) == EXIT_OK
+
+
+@pytest.fixture()
+def broken_table(walk_project) -> dict:
+    """The walk project's table with a3's initial state missing its goal separator."""
+    table = json.loads(json.dumps(walk_project["table"]))
+    table["theorems"]["a3"]["initial_state"] = "n : nat\nforall x : nat, x + 3 = x + 3"
+    return table
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_eval_malformed_mock_table_entry_exit_2(
+    walk_project, broken_table, manifest_path, tmp_path, caplog, workers
+):
+    config = _walk_config(walk_project, broken_table)
+    out = tmp_path / "o"
+    code = main(["--config", str(config), "eval", "--manifest", str(manifest_path),
+                 "--out", str(out), "--workers", str(workers)])
+    assert code == EXIT_CONFIG
+    assert "bad mock table" in caplog.text and "separator" in caplog.text
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "theorem, expected",
+    [("a.v::a3", EXIT_CONFIG),   # the broken entry is the target
+     ("a.v::a5", EXIT_CONFIG),   # ... or a lemma of the prelude
+     ("a.v::a1", EXIT_OK),       # ... or comes after the target
+     ("b.v::b2", EXIT_OK)],      # ... or is in another file
+)
+def test_prove_opens_only_the_entries_it_needs(
+    walk_project, broken_table, caplog, capsys, theorem, expected
+):
+    config = _walk_config(walk_project, broken_table)
+    code = main(["--config", str(config), "prove", "--theorem", theorem])
+    assert code == expected
+    if expected == EXIT_CONFIG:
+        assert f"bad mock table {walk_project['root'] / 'edited_table.json'}: " in caplog.text
+        assert "Traceback" not in caplog.text
+    else:
+        assert capsys.readouterr().out.strip().endswith("ACCEPTED")
+
+
+def test_prove_set_up_reads_only_what_its_config_uses(walk_project, monkeypatch, capsys):
+    config = _walk_config(walk_project, index=True)
+    calls = {}
+    for module, name in [(corpus_mod, "load_corpus"), (retriever, "load_index"),
+                         (mockprover, "parse_proof_state")]:
+        def counted(*args, _original=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    opened = set()
+    entry = mockprover.BehaviorTable.entry
+
+    def counted_entry(table, name):
+        if name in table.raw_theorems:
+            opened.add(name)
+        return entry(table, name)
+
+    monkeypatch.setattr(mockprover.BehaviorTable, "entry", counted_entry)
+    for mode, loads in [("zs", 0), ("fs-sim", 1)]:
+        calls.update(load_corpus=0, load_index=0, parse_proof_state=0)
+        opened.clear()
+        code = main(["--config", str(config), "prove", "--theorem", "a.v::a3", "--mode", mode])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.strip().endswith("ACCEPTED")
+        assert (calls["load_corpus"], calls["load_index"]) == (loads, loads), mode
+        # a.v's entries carry initial states: a prove parses those of a0..a3 only
+        assert opened == {"a0", "a1", "a2", "a3"}
+        assert 0 < calls["parse_proof_state"] <= len(opened)
+
+
+def test_prove_finds_a_name_and_reports_a_bad_row_from_the_full_corpus(
+    config_file, ingested, tmp_path, caplog, capsys, monkeypatch
+):
+    code = main(["--config", str(config_file), "prove", "--theorem", "weak.v::weak_refl"])
+    assert code == EXIT_OK
+    by_id = capsys.readouterr().out
+    loads = []
+    monkeypatch.setattr(corpus_mod, "load_corpus",
+                        lambda path, _load=corpus_mod.load_corpus: loads.append(path) or _load(path))
+    code = main(["--config", str(config_file), "prove", "--theorem", "weak_refl"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == by_id
+    assert len(loads) == 1  # a name is not an id: the whole corpus is read
+
+    lines = ingested.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if '"id": "weak.v::weak_refl"' in line)
+    broken = json.loads(lines[row])
+    del broken["proof"]
+    lines[row] = json.dumps(broken, ensure_ascii=False) + "\n"
+    ingested.write_text("".join(lines), encoding="utf-8")
+    code = main(["--config", str(config_file), "prove", "--theorem", "weak.v::weak_refl"])
+    assert code == EXIT_CONFIG
+    assert f"line {row + 1}: missing fields: ['proof']" in caplog.text

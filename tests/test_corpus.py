@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
-
+import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coqharness.corpus import (
     EXCLUDED,
@@ -16,6 +21,7 @@ from coqharness.corpus import (
     UnknownId,
     ingest_project,
     load_corpus,
+    load_record,
     preceding_lemmas,
     save_corpus,
     split_corpus,
@@ -207,3 +213,65 @@ def test_schema_violation_line_number(toy_corpus, tmp_path):
     with pytest.raises(SchemaViolation) as err:
         load_corpus(path)
     assert err.value.line_number == 1
+
+
+# Ids that are prefixes of one another, non-ASCII, escaped in JSON, or equal
+# to a field name or a value that other rows hold (a decoy for the byte search).
+_IDS = ["a.v::t", "a.v::t2", "a.v::t#1", "é.v::ü", 'q"uote', "back\\slash", "id", "train", "a.v"]
+
+
+@st.composite
+def _corpus_files(draw):
+    """A corpus file's bytes: duplicate ids, rows quoting other ids in their
+    source or statement, CRLF or LF row ends, and an optional final newline."""
+    rows = [{"format": "coqharness-corpus/1", "root": draw(st.sampled_from(["r", "ü"]))}]
+    for index in range(draw(st.integers(0, 8))):
+        record_id, other = draw(st.sampled_from(_IDS)), draw(st.sampled_from(_IDS))
+        statement = draw(st.sampled_from([other, f'Lemma x : "{other}".', "Lemma y : True."]))
+        rows.append({
+            "id": record_id, "name": draw(st.sampled_from([other, "x"])),
+            "statement": {"text": statement, "span": [0, len(statement)]},
+            "proof": [{"text": "Qed.", "span": [1, 5]}], "file": draw(st.sampled_from(_IDS)),
+            "preceding_source": draw(st.text(max_size=8)) + json.dumps(other),
+            "index_in_file": index, "split": draw(st.sampled_from(["train", "test"])),
+        })
+    lines = [json.dumps(row, ensure_ascii=False).encode("utf-8") for row in rows]
+    data = b"".join(line + draw(st.sampled_from([b"\n", b"\r\n"])) for line in lines)
+    if draw(st.booleans()):
+        data = data.rstrip(b"\r\n")
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corpus_files())
+def test_load_record_agrees_with_load_corpus(data):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "corpus.jsonl"
+        path.write_bytes(data)
+        oracle = load_corpus(path)
+        for record_id in _IDS + ["absent"]:
+            found = load_record(path, record_id)
+            try:
+                expected = oracle.by_id(record_id)
+            except UnknownId:
+                assert found is None  # the caller falls back to load_corpus
+                continue
+            assert found.records == [expected] and found.root == oracle.root
+            if sum(r.id == record_id for r in oracle.records) == 1:
+                assert found.split_labels == {record_id: oracle.split_labels[record_id]}
+
+
+def test_load_record_reports_its_malformed_row_and_defers_a_bad_header(toy_corpus, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(toy_corpus, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[3])
+    del row["file"]
+    lines[3] = json.dumps(row, ensure_ascii=False) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(SchemaViolation) as err:
+        load_record(path, row["id"])
+    assert err.value.line_number == 4 and "missing fields: ['file']" in str(err.value)
+
+    path.write_text('{"format": "other"}\n' + "".join(lines[1:]), encoding="utf-8")
+    assert load_record(path, toy_corpus.records[0].id) is None
