@@ -222,19 +222,29 @@ class SessionFactory:
 class FileWalk:
     """One prover session stepped forward through a file, lent out per target.
 
-    Calling it with a target executes, in prelude mode, the sentences between
-    the last target's prelude and this one's, then lends the session: closing
-    the loan restores the state at the target. A target whose prelude does
-    not extend what was executed gets a fresh session from the factory, and
-    so does the target after a walk that failed. `close()` closes the session.
+    Calling it with a target other than the last executes, in prelude mode,
+    the sentences between the last target's prelude and this one's; every
+    call then lends the session: closing the loan restores the state at the
+    target. The loans of one target share a check memo (BorrowedSession),
+    dropped when the walk moves on. A target whose prelude does not extend
+    what was executed gets a fresh session from the factory, and so does the
+    target after a walk that failed. `close()` closes the session.
     """
 
     def __init__(self, factory: SessionFactory):
         self._factory = factory
         self._session: SessionHandle | None = None
         self._executed: list[Sentence] = []
+        self._target: TheoremRecord | None = None  # the target the session stands at
+        self._memo: dict = {}
 
     def __call__(self, target: TheoremRecord) -> SessionHandle:
+        if target is not self._target:
+            self._advance(target)
+        return BorrowedSession(self._session, self._memo)
+
+    def _advance(self, target: TheoremRecord) -> None:
+        self._target, self._memo = None, {}
         prelude = self._factory.prelude(target)
         done = len(self._executed)
         if self._session is not None and prelude[:done] == self._executed:
@@ -247,9 +257,10 @@ class FileWalk:
             self.close()
             self._session = self._factory(target)
         self._executed = prelude
-        return BorrowedSession(self._session)
+        self._target = target
 
     def close(self) -> None:
+        self._target = None
         session, self._session = self._session, None
         if session is not None:
             session.close()

@@ -202,6 +202,13 @@ def build_deps(
     )
 
 
+def _corpus_file(args, config: configparser.ConfigParser) -> str:
+    path = args.corpus or _get(config, "paths", "corpus_file")
+    if not path:
+        raise CliError("no corpus file: pass --corpus or set paths.corpus_file")
+    return path
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -236,7 +243,7 @@ def cmd_ingest(args, config) -> int:
 
 
 def cmd_index(args, config) -> int:
-    cps = corpus_mod.load_corpus(args.corpus or _get(config, "paths", "corpus_file"))
+    cps = corpus_mod.load_corpus(_corpus_file(args, config))
     train = cps.train
     if not train:
         raise CliError("corpus has no train records; run ingest/split first")
@@ -260,7 +267,7 @@ def cmd_prove(args, config) -> int:
         )
     if args.interactive:
         run_config = replace(run_config, loop="interactive")
-    corpus_path = args.corpus or _get(config, "paths", "corpus_file")
+    corpus_path = _corpus_file(args, config)
     # zs needs no record but its target; few-shot modes need the train split, +lem the lemmas.
     cps = corpus_mod.load_record(corpus_path, args.theorem) if run_config.mode == "zs" else None
     if cps is None:
@@ -285,7 +292,7 @@ def cmd_prove(args, config) -> int:
 
 
 def cmd_eval(args, config) -> int:
-    cps = corpus_mod.load_corpus(args.corpus or _get(config, "paths", "corpus_file"))
+    cps = corpus_mod.load_corpus(_corpus_file(args, config))
     defaults = decoding_from(config)
     manifest = load_manifest(args.manifest, defaults)
     deps = build_deps(

@@ -314,11 +314,22 @@ def _record_from_row(row: dict, line_number: int) -> tuple[TheoremRecord, str]:
         raise SchemaViolation(line_number, f"malformed record: {exc}") from None
 
 
+def _unreadable(path: str | Path, exc: OSError) -> CorpusError:
+    return CorpusError(f"cannot read corpus {path}: {exc.strerror or exc}")
+
+
 def load_corpus(path: str | Path) -> Corpus:
+    """The corpus in a JSON Lines file. Of rows sharing an id the first is kept,
+    record and split; each later one is dropped with a warning."""
     records: list[TheoremRecord] = []
     labels: dict[str, str] = {}
+    warnings: list[str] = []
     root = ""
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
+    with fh:
         for line_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -332,9 +343,13 @@ def load_corpus(path: str | Path) -> Corpus:
                 root = row.get("root", "")
                 continue
             record, split = _record_from_row(row, line_number)
+            if record.id in labels:
+                warnings.append(f"line {line_number}: dropped a second row with id {record.id!r}")
+                log.warning("%s: %s", path, warnings[-1])
+                continue
             records.append(record)
             labels[record.id] = split
-    return Corpus(records, root, labels)
+    return Corpus(records, root, labels, warnings)
 
 
 def find_row(data: bytes, needle: bytes, key: str, value: str) -> tuple[dict, int] | None:
@@ -356,7 +371,10 @@ def find_row(data: bytes, needle: bytes, key: str, value: str) -> tuple[dict, in
 def load_record(path: str | Path, record_id: str) -> Corpus | None:
     """A Corpus of the record with id `record_id`, found by byte search; None when no
     row has that id or the header is bad, for load_corpus to look the name up or report."""
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
     try:
         header = json.loads(data[: data.find(b"\n")].decode("utf-8"))
         found = find_row(data, json.dumps(record_id, ensure_ascii=False).encode(), "id", record_id)

@@ -218,14 +218,38 @@ def start_session(config: SessionConfig) -> SessionHandle:
 
 
 class BorrowedSession(SessionHandle):
-    """A session lent to one caller: close() restores the state it was lent in."""
+    """A session lent to one caller: close() restores the state it was lent in.
 
-    def __init__(self, session: SessionHandle):
+    Loans lent in one state may share a check memo, keyed by (statement
+    text, script): a check whose pair is in it is not run again. A loan
+    uses the memo only until it executes a step, since the session may then
+    have left the state the memo's results hold for. A TIMEOUT result is
+    never stored; exceptions propagate and are not stored either.
+    """
+
+    def __init__(self, session: SessionHandle, memo: dict | None = None):
         self._session = session
         self._token = session._snapshot()
+        self._memo = memo
 
     def execute(self, sentence: Sentence | str) -> StepResult:
+        self._memo = None
         return self._session.execute(sentence)
+
+    def check_proof(self, theorem_statement: Sentence | str, proof_script: str) -> ProofCheckResult:
+        if self._memo is None:
+            return SessionHandle.check_proof(self, theorem_statement, proof_script)
+        if isinstance(theorem_statement, Sentence):
+            key = (theorem_statement.text, proof_script)
+        else:
+            key = (theorem_statement, proof_script)
+        result = self._memo.get(key)
+        if result is None:
+            # on the lent session itself, so that its steps leave the memo in use
+            result = SessionHandle.check_proof(self._session, theorem_statement, proof_script)
+            if result.message != TIMEOUT_MESSAGE:
+                self._memo[key] = result
+        return result
 
     def query(self, command: str, argument: str) -> str:
         return self._session.query(command, argument)

@@ -241,9 +241,10 @@ def run_eval(
     Per-attempt failures are data. Manifest/corpus schema problems abort,
     and so do harness failures (cache miss, provider or prover unavailable),
     which are not the model's. Deterministic under the scripted provider.
-    Each config keeps one prover session per test file, walked forward from
-    target to target by `deps.session_factory.walk` (a SessionFactory);
-    `workers` threads share out the files.
+    Each test file gets one prover session, walked forward from target to
+    target by `deps.session_factory.walk` (a SessionFactory); at each target
+    every config borrows it in manifest order. `workers` threads share out
+    the files.
     """
     if not manifest:
         raise EvalError("empty manifest")
@@ -254,47 +255,50 @@ def run_eval(
     if not tests:
         raise EvalError("corpus has no test split")
 
-    # One walked-forward session per (config, file); records keep test order.
     files: dict[str, list[int]] = {}
     for position, target in enumerate(tests):
         files.setdefault(target.file, []).append(position)
     groups = list(files.values())
 
+    def prove_one(target, config, file_deps):
+        try:
+            return prove(target, config, file_deps)
+        except (CacheMiss, ProviderError, BudgetExceeded, SpawnFailure, SessionDead,
+                PreludeError):
+            raise
+        except Exception as exc:
+            log.error("config %s theorem %s failed: %s", config.tag, target.id, exc)
+            return [
+                AttemptRecord(
+                    theorem_id=target.id, config_tag=config.tag, variant_id="base",
+                    candidate_index=0, proof_script="", accepted=False,
+                    failing_step=(-1, "", f"harness error: {exc}"), turns=[],
+                    completion_kind="malformed",
+                )
+            ]
+
+    def prove_file(positions):
+        """Per target of the file, per config: that config's records."""
+        targets = [tests[p] for p in positions]
+        with contextlib.closing(deps.session_factory.walk(targets)) as walk:
+            file_deps = replace(deps, session_factory=walk)
+            return [[prove_one(target, config, file_deps) for config in manifest]
+                    for target in targets]
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_file = list(pool.map(prove_file, groups))
+    else:
+        per_file = [prove_file(positions) for positions in groups]
+    per_target: list[list[list[AttemptRecord]]] = [[] for _ in tests]
+    for positions, file_batches in zip(groups, per_file):
+        for position, batches in zip(positions, file_batches):
+            per_target[position] = batches
+
+    # Records of each config keep test order.
     attempts_by_config: dict[str, list[AttemptRecord]] = {}
-    for config in manifest:
-        def prove_one(target, file_deps):
-            try:
-                return prove(target, config, file_deps)
-            except (CacheMiss, ProviderError, BudgetExceeded, SpawnFailure, SessionDead,
-                    PreludeError):
-                raise
-            except Exception as exc:
-                log.error("config %s theorem %s failed: %s", config.tag, target.id, exc)
-                return [
-                    AttemptRecord(
-                        theorem_id=target.id, config_tag=config.tag, variant_id="base",
-                        candidate_index=0, proof_script="", accepted=False,
-                        failing_step=(-1, "", f"harness error: {exc}"), turns=[],
-                        completion_kind="malformed",
-                    )
-                ]
-
-        def prove_file(positions):
-            targets = [tests[p] for p in positions]
-            with contextlib.closing(deps.session_factory.walk(targets)) as walk:
-                file_deps = replace(deps, session_factory=walk)
-                return [prove_one(target, file_deps) for target in targets]
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                per_file = list(pool.map(prove_file, groups))
-        else:
-            per_file = [prove_file(positions) for positions in groups]
-        batches: list[list[AttemptRecord]] = [[] for _ in tests]
-        for positions, file_batches in zip(groups, per_file):
-            for position, batch in zip(positions, file_batches):
-                batches[position] = batch
-        records = [record for batch in batches for record in batch]
+    for c, config in enumerate(manifest):
+        records = [record for batches in per_target for record in batches[c]]
         for record in records:
             record.category = classify_failure(record, rules)
             if not record.accepted:

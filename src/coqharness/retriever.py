@@ -7,6 +7,7 @@ Coq-aware tokens); candidates are ranked by plain cosine over those vectors.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -104,10 +105,29 @@ _INDEX_FORMAT = "coqharness-index/1"
 
 @dataclass
 class Index:
+    """Read-only once built: its postings and retrieve's memo derive from `vectors`."""
+
     space: str
     featurizer: Featurizer
     vectors: dict[str, FeatureVector]
     texts: dict[str, str]
+    # bucket -> [(id, weight)] over the vectors of nonzero norm, and the ids in order
+    _postings: dict[int, list[tuple[str, float]]] = field(init=False, repr=False, compare=False)
+    _ids: list[str] = field(init=False, repr=False, compare=False)
+    # (query id, statement text, k) -> retrieve's ranking
+    _ranked: dict[tuple[str, str, int], list[tuple[str, float]]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        self._postings = {}
+        for rid, vector in self.vectors.items():
+            if vector.norm == 0.0:  # scores 0 against every query
+                continue
+            for bucket, weight in vector.entries.items():
+                self._postings.setdefault(bucket, []).append((rid, weight))
+        self._ids = sorted(self.vectors)
+        self._ranked = {}
 
 
 def _record_text(record: TheoremRecord, space: str) -> str:
@@ -135,17 +155,41 @@ def retrieve(index: Index, query: TheoremRecord, k: int) -> list[tuple[str, floa
     """Top-k (id, score), descending score, ties broken by ascending id.
 
     The query is keyed on its statement text; the candidates on the index
-    space.
+    space. Each score equals `similarity` bit for bit. A ranking is computed
+    once per (query id, statement text, k) and kept on the index.
     """
     if k <= 0:
         return []
+    key = (query.id, query.statement_text, k)
+    ranked = index._ranked.get(key)
+    if ranked is None:
+        ranked = index._ranked.setdefault(key, _rank(index, query, k))
+    return list(ranked)
+
+
+def _rank(index: Index, query: TheoremRecord, k: int) -> list[tuple[str, float]]:
+    """Score only the ids that share a bucket with the query, then fill with
+    zero scores in id order. Products commute and `math.fsum` is exact, so
+    summing the shared buckets' products equals `similarity`'s sum."""
     query_vector = index.featurizer.featurize(query.statement_text)
-    scores: list[tuple[str, float]] = []
-    for rid, vector in index.vectors.items():
-        if rid == query.id:
-            continue
-        scores.append((rid, similarity(query_vector, vector)))
+    products: dict[str, list[float]] = {}
+    if query_vector.norm != 0.0:
+        for bucket, weight in query_vector.entries.items():
+            for rid, other in index._postings.get(bucket, ()):
+                products.setdefault(rid, []).append(weight * other)
+    products.pop(query.id, None)
+    scores = []
+    for rid, terms in products.items():
+        cosine = math.fsum(terms) / (query_vector.norm * index.vectors[rid].norm)
+        score = min(1.0, max(0.0, cosine))
+        if score > 0.0:
+            scores.append((rid, score))
     scores.sort(key=lambda item: (-item[1], item[0]))
+    if len(scores) < k:
+        scored = {rid for rid, _ in scores}
+        scored.add(query.id)
+        zeros = (rid for rid in index._ids if rid not in scored)
+        scores.extend((rid, 0.0) for rid in itertools.islice(zeros, k - len(scores)))
     return scores[:k]
 
 

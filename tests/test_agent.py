@@ -21,9 +21,10 @@ from coqharness.agent import (
 )
 from coqharness.client import DecodingParams, Provider, ProviderError, ScriptedProvider
 from coqharness.corpus import TheoremRecord
-from coqharness.driver import PreludeError, SessionConfig, start_session
+from coqharness.driver import PreludeError, SessionConfig, SessionHandle, start_session
 from coqharness.evaluate import ClassifierRules, run_eval
 from coqharness.prompting import ConfigMismatch, TemplateSet
+from coqharness.retriever import build_index
 from coqharness.sentences import LexicalError, segment_sentences
 from walk_project import WALK_WRONG, build_walk_project
 
@@ -612,7 +613,52 @@ def test_run_eval_closes_every_file_session_once(walk_project, workers, fail_on)
         assert fail_on is not None
     else:
         assert fail_on is None
-        assert len(factory.opened) == len(manifest) * 2  # one per (config, file)
+        assert len(factory.opened) == 2  # one per file, whatever the number of configs
     assert factory.opened
     assert len(set(map(id, factory.closed))) == len(factory.closed)
     assert sorted(map(id, factory.closed)) == sorted(map(id, factory.opened))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_eval_checks_each_distinct_pair_once(walk_project, monkeypatch, workers):
+    corpus = walk_project["corpus"]
+    checked = []
+    check_proof = SessionHandle.check_proof
+
+    def counted(self, statement, script):
+        checked.append((statement.text, script))
+        return check_proof(self, statement, script)
+
+    monkeypatch.setattr(SessionHandle, "check_proof", counted)
+    deps = AgentDeps(
+        corpus=corpus, provider=ScriptedProvider(walk_project["script"]),
+        session_factory=walk_factory(walk_project), templates=TemplateSet.load(),
+        index=build_index(corpus.train),
+    )
+    manifest = [
+        RunConfig(tag="zs", mode="zs", decoding=DecodingParams(n=2)),
+        RunConfig(tag="zs+lem", mode="zs+lem", decoding=DecodingParams(n=3)),
+        RunConfig(tag="fs", mode="fs-sim", k_shots=2, decoding=DecodingParams(n=2)),
+        LIFECYCLE_CONFIGS["interactive"], LIFECYCLE_CONFIGS["repair"],
+        LIFECYCLE_CONFIGS["ensemble"],
+    ]
+    report = run_eval(corpus, manifest, deps, ClassifierRules.load(), workers=workers)
+    statements = {t.id: t.statement.text for t in corpus.test}
+    pairs = {(statements[r.theorem_id], r.proof_script)
+             for records in report.attempts.values() for r in records
+             if r.completion_kind == "proof" and r.config_tag != "inter"}
+    assert sum(len(r) for r in report.attempts.values()) > 2 * len(pairs)
+    assert sorted(checked) == sorted(pairs)  # each once, across configs
+
+
+def test_walk_drops_its_check_memo_when_it_moves_on(walk_project):
+    targets = by_file(walk_project["corpus"].test)[0]
+    with contextlib.closing(walk_factory(walk_project).walk(targets)) as walk:
+        with contextlib.closing(walk(targets[0])) as loan:
+            loan.check_proof(targets[0].statement, WALK_WRONG)
+            memo = loan._memo
+        assert len(memo) == 1
+        with contextlib.closing(walk(targets[0])) as again:
+            assert again._memo is memo
+        with contextlib.closing(walk(targets[1])) as moved:
+            assert moved._memo == {} and moved._memo is not memo

@@ -654,3 +654,24 @@ def test_prove_finds_a_name_and_reports_a_bad_row_from_the_full_corpus(
     code = main(["--config", str(config_file), "prove", "--theorem", "weak.v::weak_refl"])
     assert code == EXIT_CONFIG
     assert f"line {row + 1}: missing fields: ['proof']" in caplog.text
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--manifest", "MANIFEST"],
+    ["prove", "--theorem", "weak.v::weak_refl", "--mode", "zs"],
+    ["prove", "--theorem", "weak.v::weak_refl", "--mode", "fs-sim"],
+], ids=["eval", "prove-zs", "prove-fs-sim"])
+def test_missing_corpus_file_exit_2(config_file, manifest_path, tmp_path, caplog, argv):
+    missing = tmp_path / "nonexistent.jsonl"
+    argv = [str(manifest_path) if a == "MANIFEST" else a for a in argv]
+    code = main(["--config", str(config_file), *argv, "--corpus", str(missing)])
+    assert code == EXIT_CONFIG
+    assert f"cannot read corpus {missing}: No such file or directory" in caplog.text
+
+
+def test_no_corpus_file_named_exit_2(tmp_path, caplog):
+    config = tmp_path / "empty.ini"
+    config.write_text("[paths]\n")
+    code = main(["--config", str(config), "index", "--out", str(tmp_path / "i.json")])
+    assert code == EXIT_CONFIG
+    assert "no corpus file: pass --corpus or set paths.corpus_file" in caplog.text

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from coqharness.corpus import (
     EXCLUDED,
+    TEST,
     TRAIN,
     Corpus,
+    CorpusError,
     NoSourcesFound,
     SchemaViolation,
     TooFewRecords,
@@ -275,3 +277,26 @@ def test_load_record_reports_its_malformed_row_and_defers_a_bad_header(toy_corpu
 
     path.write_text('{"format": "other"}\n' + "".join(lines[1:]), encoding="utf-8")
     assert load_record(path, toy_corpus.records[0].id) is None
+
+
+def test_load_corpus_keeps_the_first_row_of_a_duplicated_id(toy_corpus, tmp_path, caplog):
+    record = replace(toy_corpus.records[0], id="f.v::t")
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(Corpus([record], toy_corpus.root, {record.id: TEST}), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    second = {**json.loads(lines[1]), "split": TRAIN, "name": "second"}
+    path.write_text("".join(lines) + json.dumps(second) + "\n", encoding="utf-8")
+    with caplog.at_level("WARNING", logger="coqharness.corpus"):
+        corpus = load_corpus(path)
+    assert corpus.records == [record] and corpus.test == [record] and corpus.train == []
+    assert corpus.warnings == ["line 3: dropped a second row with id 'f.v::t'"]
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert corpus.warnings[0] in caplog.text
+    assert load_record(path, record.id).records == corpus.records
+    assert load_record(path, record.id).split_labels == corpus.split_labels
+
+
+def test_a_missing_corpus_file_is_a_corpus_error(tmp_path):
+    for load in (load_corpus, lambda path: load_record(path, "f.v::t")):
+        with pytest.raises(CorpusError, match="cannot read corpus .*nonexistent.jsonl"):
+            load(tmp_path / "nonexistent.jsonl")

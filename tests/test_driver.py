@@ -19,6 +19,7 @@ from coqharness.agent import SessionFactory
 from coqharness.driver import (
     ERROR,
     TIMEOUT_MESSAGE,
+    BorrowedSession,
     PreludeError,
     QueryRejected,
     SessionConfig,
@@ -338,3 +339,50 @@ def test_real_session_walks_a_file_like_fresh_starts(walk_project):
                         fresh.check_proof(target.statement, target.proof_text)
                     assert walked.execute(target.statement) == fresh.execute(target.statement)
                     assert walked._snapshot() == fresh._snapshot()
+
+
+# ---------------------------------------------------------------------------
+# The check memo of a lent session
+# ---------------------------------------------------------------------------
+
+CHECKS = [("Lemma l: True.", "Proof. auto. Qed."), ("Lemma l: True.", "Proof. Slip. Qed."),
+          ("Lemma m: False.", "Proof. auto. Qed.")]
+
+
+def test_memoized_check_equals_a_fresh_check(stub_session):
+    lent, fresh = stub_session(), stub_session()
+    memo: dict = {}
+    for statement, script in CHECKS:
+        with closing(BorrowedSession(lent, memo)) as first, \
+                closing(BorrowedSession(lent, memo)) as second:
+            checked = first.check_proof(statement, script)
+            assert second.check_proof(statement, script) is checked
+            assert checked == fresh.check_proof(statement, script)
+    assert list(memo) == CHECKS
+    assert lent._snapshot() == fresh._snapshot()
+
+
+def test_timeouts_and_deaths_are_not_memoized(stub_session):
+    session = stub_session(timeout_per_step=0.5)
+    memo: dict = {}
+    with closing(BorrowedSession(session, memo)) as loan:
+        timed_out = loan.check_proof("Lemma l: True.", "Proof. Emit 400000 2. Qed.")
+        assert timed_out.message == TIMEOUT_MESSAGE
+        with pytest.raises(SessionDead):
+            loan.check_proof("Lemma l: True.", "Proof. Quit.")
+        with pytest.raises(LexicalError):
+            loan.check_proof("Lemma l: True.", "Proof. (* open")
+    assert memo == {}
+
+
+def test_a_loan_that_executed_bypasses_the_memo(mock_session):
+    statement, script = "Lemma t : True.", "Proof. exact I. Qed."
+    stale = object()
+    memo = {(statement, script): stale}
+    with closing(BorrowedSession(mock_session, memo)) as loan:
+        assert loan.check_proof(statement, script) is stale
+        assert loan.execute("Check nat.").ok
+        checked = loan.check_proof(statement, script)
+    assert checked is not stale and checked.accepted
+    assert checked == mock_session.check_proof(statement, script)
+    assert memo == {(statement, script): stale}

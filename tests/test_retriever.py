@@ -7,12 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coqharness.corpus import TheoremRecord
 from coqharness.retriever import (
     EmptyTrainSet,
     Featurizer,
     FeatureVector,
+    Index,
     build_index,
     hash_token,
     load_index,
@@ -200,10 +202,11 @@ def test_retrieve_ranking_invariant_under_uniform_scaling():
     index = build_index(records, feature_dim=1024)
     query = make_record("q", "p q auto", "x")
     base = [rid for rid, _ in retrieve(index, query, 5)]
-    for rid, vec in index.vectors.items():
-        index.vectors[rid] = FeatureVector.from_entries(
-            {k: 7.5 * w for k, w in vec.entries.items()}
-        )
+    scaled = {
+        rid: FeatureVector.from_entries({k: 7.5 * w for k, w in vec.entries.items()})
+        for rid, vec in index.vectors.items()
+    }
+    index = Index(index.space, index.featurizer, scaled, index.texts)  # an Index is read-only
     assert [rid for rid, _ in retrieve(index, query, 5)] == base
 
 
@@ -215,3 +218,62 @@ def test_index_roundtrip(tmp_path):
     assert loaded.space == index.space
     assert loaded.featurizer.df == index.featurizer.df
     assert loaded.vectors == index.vectors
+
+
+def brute_force(index: Index, query, k: int) -> list[tuple[str, float]]:
+    query_vector = index.featurizer.featurize(query.statement_text)
+    scores = [(rid, similarity(query_vector, vector))
+              for rid, vector in index.vectors.items() if rid != query.id]
+    return sorted(scores, key=lambda item: (-item[1], item[0]))[:k]
+
+
+_WORDS = ("x", "y", "nat", "auto", "intros", "plus", "=", "(", ")")
+_texts = st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join)
+_weights = st.floats(-4, 4, allow_nan=False).filter(lambda w: w != 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    docs=st.lists(_texts, min_size=1, max_size=9),
+    hand_made=st.lists(st.dictionaries(st.integers(0, 7), _weights, max_size=4), max_size=3),
+    query_text=_texts,
+    query_at=st.integers(-1, 12),
+    k=st.integers(1, 14),
+    feature_dim=st.sampled_from([4, 8, 64]),
+    tied=st.booleans(),
+)
+def test_retrieve_equals_brute_force(docs, hand_made, query_text, query_at, k, feature_dim, tied):
+    """Postings scoring is bit-identical to scoring every vector, over ties
+    (all documents alike), zero vectors, negative weights, the query's own
+    id and k past the index size."""
+    if tied:
+        docs = [docs[0]] * len(docs)
+    featurizer = Featurizer.fit(docs, feature_dim)
+    vectors = {  # inserted out of id order
+        f"f.v::h{i}": FeatureVector.from_entries({b % feature_dim: w for b, w in entries.items()})
+        for i, entries in enumerate(hand_made)
+    }
+    for i, doc in reversed(list(enumerate(docs))):
+        vectors[f"f.v::d{i}"] = featurizer.featurize(doc)
+    index = Index("proof_text", featurizer, vectors, {})
+    ids = sorted(vectors)
+    name = ids[query_at][len("f.v::"):] if 0 <= query_at < len(ids) else "q"
+    query = make_record(name, query_text, "Qed.", file="f.v")
+    expected = brute_force(index, query, k)
+    ranked = retrieve(index, query, k)
+    assert ranked == expected
+    assert [s.hex() for _, s in ranked] == [s.hex() for _, s in expected]  # bit for bit
+    assert retrieve(index, query, k) == expected  # from the memo
+
+
+def test_retrieve_memo_returns_copies_of_one_ranking():
+    index = build_index(five_record_fixture(), feature_dim=1024)
+    query = make_record("q", "p q auto", "x")
+    first = retrieve(index, query, 3)
+    assert len(index._ranked) == 1
+    first.clear()
+    assert retrieve(index, query, 3) == brute_force(index, query, 3) != []
+    assert len(index._ranked) == 1
+    retrieve(index, query, 2)
+    retrieve(index, make_record("q", "x y", "x"), 3)  # same id, another statement
+    assert len(index._ranked) == 3
