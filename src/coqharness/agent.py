@@ -16,7 +16,6 @@ a fixed seed.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import logging
 import random
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 from .client import DecodingParams, Provider, complete
-from .corpus import Corpus, TheoremRecord, preceding_lemmas
+from .corpus import TRAIN, Corpus, SourceFile, TheoremRecord, preceding_lemmas
 from .driver import (
     BorrowedSession,
     SessionConfig,
@@ -51,7 +50,7 @@ from .prompting import (
 )
 from .proofstate import render_proof_state
 from .retriever import Index, retrieve
-from .sentences import LexicalError, Sentence, segment_sentences
+from .sentences import LexicalError, segment_sentences
 
 log = logging.getLogger(__name__)
 
@@ -177,45 +176,17 @@ class AgentDeps:
 
 
 class SessionFactory:
-    """Starts sessions whose prelude is everything before the target in its file.
-
-    Per file it keeps the segmentation of the longest preceding source seen
-    so far; a target whose preceding source is a prefix of it gets its
-    prelude sliced from it by span. Calling the factory starts a fresh
-    session; `walk` gives one session that steps forward through a file.
-    """
+    """Starts sessions whose prelude is everything before the target in its
+    file. Calling the factory starts a fresh session; `walk` gives one
+    session that steps forward through a file."""
 
     def __init__(self, base: SessionConfig):
         self.base = base
-        # file -> (source, its sentences, their byte starts); entries are only
-        # ever replaced whole, so walks of different files may run in threads
-        self._files: dict[str, tuple[str, list[Sentence], list[int]]] = {}
-
-    def prelude(self, target: TheoremRecord) -> list[Sentence]:
-        """segment_sentences(target.preceding_source), from the file's cache when it covers it."""
-        source = target.preceding_source
-        cached = self._files.get(target.file)
-        if cached is not None and cached[0].startswith(source):
-            longest, sentences, starts = cached
-            end = len(source.encode("utf-8"))
-            k = bisect.bisect_left(starts, end)
-            # A prefix cut where a sentence begins segments to the sentences before the cut.
-            if len(source) == len(longest) or (k < len(starts) and starts[k] == end):
-                return sentences[:k]
-        sentences = segment_sentences(source)
-        if cached is None or len(source) > len(cached[0]):
-            self._files[target.file] = (source, sentences, [s.span[0] for s in sentences])
-        return sentences
 
     def __call__(self, target: TheoremRecord) -> SessionHandle:
-        return start_session(replace(self.base, prelude=self.prelude(target)))
+        return start_session(replace(self.base, prelude=target.prelude))
 
-    def walk(self, targets: list[TheoremRecord]) -> FileWalk:
-        """A FileWalk for `targets`, which share one file; the file is
-        segmented once, up to the target that comes last in it."""
-        longest = max(targets, key=lambda t: len(t.preceding_source))
-        with contextlib.suppress(LexicalError):  # that target's attempt reports it
-            self.prelude(longest)
+    def walk(self) -> FileWalk:
         return FileWalk(self)
 
 
@@ -226,15 +197,17 @@ class FileWalk:
     the sentences between the last target's prelude and this one's; every
     call then lends the session: closing the loan restores the state at the
     target. The loans of one target share a check memo (BorrowedSession),
-    dropped when the walk moves on. A target whose prelude does not extend
-    what was executed gets a fresh session from the factory, and so does the
-    target after a walk that failed. `close()` closes the session.
+    dropped when the walk moves on. A target of another SourceFile, or one
+    whose statement comes before what was executed, gets a fresh session
+    from the factory, and so does the target after a walk that failed.
+    `close()` closes the session.
     """
 
     def __init__(self, factory: SessionFactory):
         self._factory = factory
         self._session: SessionHandle | None = None
-        self._executed: list[Sentence] = []
+        self._source: SourceFile | None = None  # whose sentences [:_executed] ran
+        self._executed = 0
         self._target: TheoremRecord | None = None  # the target the session stands at
         self._memo: dict = {}
 
@@ -245,18 +218,17 @@ class FileWalk:
 
     def _advance(self, target: TheoremRecord) -> None:
         self._target, self._memo = None, {}
-        prelude = self._factory.prelude(target)
-        done = len(self._executed)
-        if self._session is not None and prelude[:done] == self._executed:
+        done, end = self._executed, target.statement_index
+        if self._session is not None and target.source is self._source and end >= done:
             try:
-                execute_prelude(self._session, prelude[done:], first_index=done)
+                execute_prelude(self._session, self._source.sentences[done:end], first_index=done)
             except BaseException:
                 self.close()  # stopped mid-walk: the next target starts afresh
                 raise
         else:
             self.close()
             self._session = self._factory(target)
-        self._executed = prelude
+        self._source, self._executed = target.source, end
         self._target = target
 
     def close(self) -> None:
@@ -276,17 +248,19 @@ def _select_examples(
 ) -> list[TheoremRecord]:
     if config.zero_shot:
         return []
-    train = [r for r in deps.corpus.train if r.id != target.id]
+    train = deps.corpus.train
+    if deps.corpus.split_labels.get(target.id) == TRAIN:
+        train = [r for r in train if r.id != target.id]
     if not train:
         raise AgentError(f"no train records available for few-shot mode {config.mode}")
     k = min(config.k_shots, len(train))
     if k < config.k_shots:
         log.warning("only %d train records for k_shots=%d", len(train), config.k_shots)
     if config.ranks_by_similarity and deps.index is not None:
-        ranked = retrieve(deps.index, target, k)
-        by_id = {r.id: r for r in train}
+        ranked = retrieve(deps.index, target, k)  # never the target itself
+        labels = deps.corpus.split_labels
         # least similar first, so the budget trimmer sheds the farthest one
-        return [by_id[rid] for rid, _ in reversed(ranked) if rid in by_id]
+        return [deps.corpus.by_id(rid) for rid, _ in reversed(ranked) if labels.get(rid) == TRAIN]
     # fs+lem falls back to random examples when there is no index; fs-sim cannot.
     if config.mode == "fs-sim":
         raise AgentError("similarity modes need a retrieval index")

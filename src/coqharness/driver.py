@@ -21,7 +21,8 @@ import select
 import shlex
 import subprocess
 import time
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -71,7 +72,7 @@ class QueryRejected(ProverError):
 class SessionConfig:
     backend: str = "mock"
     prover_command: str = "coqtop -emacs -q"
-    prelude: list[Sentence] = field(default_factory=list)
+    prelude: Sequence[Sentence] = ()
     timeout_per_step: float = DEFAULT_TIMEOUT
     workdir: str | Path = "."
     # mock backend: behavior table (dict), path to its JSON file, or the
@@ -183,7 +184,9 @@ class SessionHandle:
             self._restore(token)
 
 
-def execute_prelude(session: SessionHandle, prelude: list[Sentence], first_index: int = 0) -> None:
+def execute_prelude(
+    session: SessionHandle, prelude: Sequence[Sentence], first_index: int = 0
+) -> None:
     """Execute prelude sentences in prelude mode; PreludeError on a rejected one.
 
     `first_index` is the prelude index of prelude[0], so a session walked

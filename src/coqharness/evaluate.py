@@ -280,7 +280,7 @@ def run_eval(
     def prove_file(positions):
         """Per target of the file, per config: that config's records."""
         targets = [tests[p] for p in positions]
-        with contextlib.closing(deps.session_factory.walk(targets)) as walk:
+        with contextlib.closing(deps.session_factory.walk()) as walk:
             file_deps = replace(deps, session_factory=walk)
             return [[prove_one(target, config, file_deps) for config in manifest]
                     for target in targets]

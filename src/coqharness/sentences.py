@@ -14,6 +14,7 @@ sentence texts with the skipped regions reproduces the source exactly.
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -90,46 +91,36 @@ def _byte_offsets(source: str) -> Sequence[int]:
     """UTF-8 byte offset of each character index of `source`, and of its end."""
     if source.isascii():
         return range(len(source) + 1)
-    offsets = [0]
-    total = 0
-    for ch in source:
-        total += len(ch.encode("utf-8"))
-        offsets.append(total)
-    return offsets
+    return list(itertools.accumulate(map(len, map(str.encode, source)), initial=0))
+
+
+# Whitespace between sentences (`\s` on str patterns is str.isspace), what
+# can end or suspend a sentence, and the marks that nest comments.
+_SPACE_RUN = re.compile(r"\s*")
+_SENTENCE_MARK = re.compile(r'"|\(\*|\.')
+_COMMENT_MARK = re.compile(r"\(\*|\*\)")
 
 
 def _skip_string(source: str, i: int) -> int:
     """Advance past the string literal opening at `i`. Quotes escape by doubling."""
-    start = i
-    i += 1
-    n = len(source)
-    while i < n:
-        if source[i] == '"':
-            if i + 1 < n and source[i + 1] == '"':
-                i += 2
-                continue
-            return i + 1
-        i += 1
-    raise _Unterminated("string", start)
+    j = i + 1
+    while True:
+        j = source.find('"', j)
+        if j == -1:
+            raise _Unterminated("string", i)
+        if not source.startswith('"', j + 1):
+            return j + 1
+        j += 2
 
 
 def _skip_comment(source: str, i: int) -> int:
     """Advance past the (possibly nested) comment opening at `i`."""
-    start = i
     depth = 0
-    n = len(source)
-    while i < n:
-        if source.startswith("(*", i):
-            depth += 1
-            i += 2
-        elif source.startswith("*)", i):
-            depth -= 1
-            i += 2
-            if depth == 0:
-                return i
-        else:
-            i += 1
-    raise _Unterminated("comment", start)
+    for mark in _COMMENT_MARK.finditer(source, i):
+        depth += 1 if mark.group() == "(*" else -1
+        if depth == 0:
+            return mark.end()
+    raise _Unterminated("comment", i)
 
 
 class _Unterminated(Exception):
@@ -154,12 +145,12 @@ def segment_sentences(source: str) -> list[Sentence]:
         sentences.append(Sentence(source[start:end], (offsets[start], offsets[end])))
 
     try:
-        while i < n:
-            ch = source[i]
+        while True:
             # Between sentences: whitespace and comments are skipped regions.
-            if ch.isspace():
-                i += 1
-                continue
+            i = _SPACE_RUN.match(source, i).end()
+            if i == n:
+                break
+            ch = source[i]
             if source.startswith("(*", i):
                 i = _skip_comment(source, i)
                 continue
@@ -174,24 +165,23 @@ def segment_sentences(source: str) -> list[Sentence]:
                 emit(i, j)
                 i = j
                 continue
-            # A regular sentence: scan to its terminating period.
+            # A regular sentence: jump from mark to mark up to its terminating period.
             start = i
-            while i < n:
-                ch = source[i]
-                if ch == '"':
+            while True:
+                mark = _SENTENCE_MARK.search(source, i)
+                if mark is None:
+                    raise _Unterminated("sentence", start)
+                i = mark.start()
+                if source[i] == '"':
                     i = _skip_string(source, i)
-                elif source.startswith("(*", i):
+                elif source[i] == "(":
                     i = _skip_comment(source, i)
-                elif ch == ".":
-                    if i + 1 >= n or source[i + 1].isspace():
-                        emit(start, i + 1)
-                        i += 1
-                        break
+                elif i + 1 == n or source[i + 1].isspace():
+                    emit(start, i + 1)
                     i += 1
+                    break
                 else:
                     i += 1
-            else:
-                raise _Unterminated("sentence", start)
     except _Unterminated as exc:
         byte = offsets[exc.char_offset]
         if exc.kind == "comment":

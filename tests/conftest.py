@@ -78,3 +78,28 @@ def manifest_path() -> Path:
 @pytest.fixture()
 def walk_project(tmp_path) -> dict:
     return build_walk_project(tmp_path / "walk")
+
+
+LONG_FILES, LONG_LEMMAS = 3, 200
+
+
+def _long_lemma(f: int, i: int) -> str:
+    if i % 4 == 3:  # bullets, a nested comment, a string with a period, non-ASCII text
+        return (
+            f"(* lemme n°{i}. (* inner. *) *)\nLemma l{f}_{i} : ∀ n : nat, n = n /\\ {i} = {i}.\n"
+            f'Proof.\n  split.\n  - reflexivity.\n  - exact (eq_refl "é. {i}").\nQed.\n'
+        )
+    return f"Lemma l{f}_{i} : forall n : nat, n + {i} = n + {i}.\nProof.\n  intros n.\n  reflexivity.\nQed.\n"
+
+
+@pytest.fixture(scope="session")
+def long_project(tmp_path_factory) -> dict:
+    """LONG_FILES files of LONG_LEMMAS lemmas each, ingested and split."""
+    project = tmp_path_factory.mktemp("long") / "project"
+    project.mkdir()
+    for f in range(LONG_FILES):
+        lemmas = "\n".join(_long_lemma(f, i) for i in range(LONG_LEMMAS))
+        (project / f"m{f}.v").write_text(f"Section M{f}.\nVariable n : nat.\n{lemmas}End M{f}.\n",
+                                         encoding="utf-8")
+    corpus = corpus_mod.split_corpus(corpus_mod.ingest_project(project), seed=1)
+    return {"project": project, "corpus": corpus}

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -20,12 +19,12 @@ from coqharness.agent import (
     run_ensemble,
 )
 from coqharness.client import DecodingParams, Provider, ProviderError, ScriptedProvider
-from coqharness.corpus import TheoremRecord
+from coqharness.corpus import SourceFile, TheoremRecord
 from coqharness.driver import PreludeError, SessionConfig, SessionHandle, start_session
 from coqharness.evaluate import ClassifierRules, run_eval
 from coqharness.prompting import ConfigMismatch, TemplateSet
 from coqharness.retriever import build_index
-from coqharness.sentences import LexicalError, segment_sentences
+from coqharness.sentences import segment_sentences
 from walk_project import WALK_WRONG, build_walk_project
 
 C3_PROOF = "Proof.\nintros x.\nconstructor.\nreflexivity.\nQed."
@@ -41,14 +40,14 @@ def get(corpus, name):
 
 
 def synthetic_record(name: str, statement: str) -> TheoremRecord:
-    sentences = segment_sentences(statement + " Proof. admit. Admitted.")
+    text = statement + " Proof. admit. Admitted."
+    sentences = tuple(segment_sentences(text))
     return TheoremRecord(
         id=f"synthetic.v::{name}",
         name=name,
-        statement=sentences[0],
-        proof=tuple(sentences[1:]),
-        file="synthetic.v",
-        preceding_source="",
+        source=SourceFile("synthetic.v", text, sentences),
+        statement_index=0,
+        proof_end=len(sentences),
         index_in_file=0,
     )
 
@@ -497,32 +496,18 @@ def by_file(records):
     return list(files.values())
 
 
-@pytest.mark.parametrize("project_name", ["walk", "fixtures"])
-def test_sliced_prelude_equals_segmentation(project_name, walk_project, toy_corpus):
-    corpus = walk_project["corpus"] if project_name == "walk" else toy_corpus
-    factory = walk_factory(walk_project)
-    for targets in by_file(corpus.test):
-        factory.walk(targets).close()
+def source_before(record) -> str:
+    """The text of the record's file up to its statement."""
+    return record.source.text.encode("utf-8")[: record.statement.span[0]].decode("utf-8")
+
+
+@pytest.mark.parametrize("project_name", ["walk", "fixtures", "long"])
+def test_sliced_prelude_equals_segmentation(project_name, walk_project, toy_corpus, long_project):
+    corpus = {"walk": walk_project["corpus"], "fixtures": toy_corpus,
+              "long": long_project["corpus"]}[project_name]
     for record in corpus.records:  # test and train, before and after the last test
-        assert factory.prelude(record) == segment_sentences(record.preceding_source)
+        assert record.prelude == tuple(segment_sentences(source_before(record)))
 
-
-
-def test_prelude_not_cut_at_a_sentence_start_is_segmented_afresh(mock_table):
-    factory = SessionFactory(SessionConfig(backend="mock", mock_table=mock_table))
-    base = synthetic_record("t", "Lemma t: True.")
-    longest = "Require A. Check Foo.bar. (* x. *) Check B.\n"
-    factory.walk([replace(base, file="x.v", preceding_source=longest)]).close()
-    cuts = ["Require A. ", "Require A. Check Foo.", "Require A. Check Foo.bar. (* x.", longest, "Other. "]
-    for source in cuts:
-        record = replace(base, file="x.v", preceding_source=source)
-        try:
-            expected = segment_sentences(source)
-        except LexicalError as exc:
-            with pytest.raises(type(exc)):
-                factory.prelude(record)
-        else:
-            assert factory.prelude(record) == expected
 
 @pytest.mark.parametrize("project_name", ["walk", "fixtures"])
 def test_walked_session_matches_a_fresh_one_at_every_target(
@@ -534,11 +519,11 @@ def test_walked_session_matches_a_fresh_one_at_every_target(
         corpus, table = toy_corpus, mock_table
     factory = SessionFactory(SessionConfig(backend="mock", mock_table=table))
     for targets in by_file(corpus.test):
-        with contextlib.closing(factory.walk(targets)) as walk:
+        with contextlib.closing(factory.walk()) as walk:
             for position, target in enumerate(targets):
                 fresh_config = SessionConfig(
                     backend="mock", mock_table=table,
-                    prelude=segment_sentences(target.preceding_source),
+                    prelude=segment_sentences(source_before(target)),
                 )
                 with contextlib.closing(walk(target)) as walked, \
                         contextlib.closing(start_session(fresh_config)) as fresh:
@@ -561,7 +546,7 @@ def test_walk_meets_a_rejected_prelude_sentence_like_a_fresh_start(tmp_path):
     table = project["table"]
     targets = by_file(project["corpus"].test)[0]
     assert [t.name for t in targets] == ["a1", "a3", "a4", "a5"]
-    with contextlib.closing(walk_factory(project).walk(targets)) as walk:
+    with contextlib.closing(walk_factory(project).walk()) as walk:
         walk(targets[0]).close()
         for target in targets[1:]:
             with pytest.raises(PreludeError) as walked:
@@ -569,7 +554,7 @@ def test_walk_meets_a_rejected_prelude_sentence_like_a_fresh_start(tmp_path):
             with pytest.raises(PreludeError) as fresh:
                 start_session(SessionConfig(
                     backend="mock", mock_table=table,
-                    prelude=segment_sentences(target.preceding_source),
+                    prelude=segment_sentences(source_before(target)),
                 ))
             assert walked.value.step_index == fresh.value.step_index
             assert walked.value.message == fresh.value.message
@@ -653,7 +638,7 @@ def test_run_eval_checks_each_distinct_pair_once(walk_project, monkeypatch, work
 
 def test_walk_drops_its_check_memo_when_it_moves_on(walk_project):
     targets = by_file(walk_project["corpus"].test)[0]
-    with contextlib.closing(walk_factory(walk_project).walk(targets)) as walk:
+    with contextlib.closing(walk_factory(walk_project).walk()) as walk:
         with contextlib.closing(walk(targets[0])) as loan:
             loan.check_proof(targets[0].statement, WALK_WRONG)
             memo = loan._memo
@@ -662,3 +647,18 @@ def test_walk_drops_its_check_memo_when_it_moves_on(walk_project):
             assert again._memo is memo
         with contextlib.closing(walk(targets[1])) as moved:
             assert moved._memo == {} and moved._memo is not memo
+
+
+def test_walk_starts_afresh_for_another_file_or_an_earlier_target(walk_project):
+    corpus, table = walk_project["corpus"], walk_project["table"]
+    a1, a3, b0 = (corpus.by_id(i) for i in ("a.v::a1", "a.v::a3", "b.v::b0"))
+    factory = CountingFactory(SessionConfig(backend="mock", mock_table=table))
+    with contextlib.closing(factory.walk()) as walk:
+        for target, opened in ((a1, 1), (a3, 1), (a1, 2), (b0, 3), (a3, 4)):
+            fresh_config = SessionConfig(backend="mock", mock_table=table,
+                                         prelude=segment_sentences(source_before(target)))
+            with contextlib.closing(walk(target)) as walked, \
+                    contextlib.closing(start_session(fresh_config)) as fresh:
+                assert len(factory.opened) == opened
+                assert walked.current_state() == fresh.current_state()
+                assert walked.check_proof(target.statement, target.proof_text).accepted

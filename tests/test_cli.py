@@ -155,6 +155,35 @@ def test_prove_unknown_id_nonzero(config_file, ingested, caplog):
     assert "no_such_theorem" in caplog.text
 
 
+# A row of the format that stored each record's whole preceding source.
+_FORMAT_1_ROWS = [
+    {"format": "coqharness-corpus/1", "root": "project"},
+    {"id": "relations.v::union_incl", "name": "union_incl",
+     "statement": {"text": "Lemma union_incl: True.", "span": [0, 23]},
+     "proof": [{"text": "Qed.", "span": [24, 28]}], "file": "relations.v",
+     "preceding_source": "", "index_in_file": 0, "split": "test"},
+]
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--manifest", "MANIFEST", "--out", "OUT"],
+    ["index", "--out", "OUT"],
+    ["prove", "--theorem", "relations.v::union_incl", "--mode", "zs"],
+    ["prove", "--theorem", "relations.v::union_incl", "--mode", "fs-sim"],
+])
+def test_a_format_1_corpus_exits_2_and_asks_for_ingest(
+    command, config_file, manifest_path, tmp_path, caplog
+):
+    corpus_path = tmp_path / "old.jsonl"
+    corpus_path.write_text("".join(json.dumps(row) + "\n" for row in _FORMAT_1_ROWS))
+    argv = [str(manifest_path) if a == "MANIFEST" else str(tmp_path / "out") if a == "OUT" else a
+            for a in command]
+    code = main(["--config", str(config_file), argv[0], "--corpus", str(corpus_path), *argv[1:]])
+    assert code == EXIT_CONFIG
+    assert ("line 1: corpus format 'coqharness-corpus/1', expected 'coqharness-corpus/2': "
+            "re-run ingest") in caplog.text
+
+
 def test_prove_interactive_flag(config_file, ingested, tmp_path, fixtures_dir, capsys):
     # interactive needs a dialogue script: reuse eval mock; G_wmon dialogue
     script = {
@@ -648,12 +677,12 @@ def test_prove_finds_a_name_and_reports_a_bad_row_from_the_full_corpus(
     lines = ingested.read_text(encoding="utf-8").splitlines(keepends=True)
     row = next(i for i, line in enumerate(lines) if '"id": "weak.v::weak_refl"' in line)
     broken = json.loads(lines[row])
-    del broken["proof"]
+    del broken["proof_end"]
     lines[row] = json.dumps(broken, ensure_ascii=False) + "\n"
     ingested.write_text("".join(lines), encoding="utf-8")
     code = main(["--config", str(config_file), "prove", "--theorem", "weak.v::weak_refl"])
     assert code == EXIT_CONFIG
-    assert f"line {row + 1}: missing fields: ['proof']" in caplog.text
+    assert f"line {row + 1}: missing fields: ['proof_end']" in caplog.text
 
 
 @pytest.mark.parametrize("argv", [

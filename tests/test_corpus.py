@@ -46,9 +46,10 @@ def test_ingest_toy_project(toy_corpus):
     assert union_incl.index_in_file == 2
     assert union_incl.statement.text.startswith("Lemma union_incl:")
     assert [s.text for s in union_incl.proof][-1] == "Qed."
-    assert "Section Relations." in union_incl.preceding_source
-    assert "Lemma comp_eeq" in union_incl.preceding_source
-    assert "union_incl" not in union_incl.preceding_source.split("Lemma union_incl")[0] or True
+    prelude = [s.text for s in union_incl.prelude]
+    assert "Section Relations." in prelude
+    assert any(text.startswith("Lemma comp_eeq") for text in prelude)
+    assert not any("union_incl" in text for text in prelude)
 
 
 def test_by_id_first_record_wins_on_duplicate_ids(toy_corpus):
@@ -166,6 +167,38 @@ def test_preceding_lemmas_window(toy_corpus):
     assert [name for name, _, _ in got] == ["weak_refl"]
 
 
+def _filtered_preceding_lemmas(corpus, record_id, n):
+    """preceding_lemmas as a filter of the whole corpus and a sort."""
+    target = corpus.by_id(record_id)
+    if n <= 0:
+        return []
+    same_file = [
+        r for r in corpus.records
+        if r.file == target.file and r.index_in_file < target.index_in_file
+    ]
+    same_file.sort(key=lambda r: r.index_in_file)
+    return [(r.name, r.statement, r.proof) for r in same_file[-n:]]
+
+
+@pytest.mark.parametrize("project_name", ["walk", "fixtures", "long"])
+def test_preceding_lemmas_slice_equals_the_filter(project_name, walk_project, toy_corpus,
+                                                   long_project):
+    corpus = {"walk": walk_project["corpus"], "fixtures": toy_corpus,
+              "long": long_project["corpus"]}[project_name]
+    for record in corpus.records:
+        for n in (0, 1, 6, 10_000):
+            assert preceding_lemmas(corpus, record.id, n) == \
+                _filtered_preceding_lemmas(corpus, record.id, n)
+
+
+def test_corpus_file_grows_linearly_with_the_source(long_project, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(long_project["corpus"], path)
+    source_bytes = sum(p.stat().st_size for p in long_project["project"].glob("*.v"))
+    assert len(long_project["corpus"].records) >= 3 * 200
+    assert path.stat().st_size <= 3 * source_bytes
+
+
 def test_preceding_lemmas_prefix_closed(toy_corpus):
     for record in toy_corpus.records:
         full = preceding_lemmas(toy_corpus, record.id, 10_000)
@@ -206,7 +239,7 @@ def test_schema_violation_line_number(toy_corpus, tmp_path):
         load_corpus(path)
     assert err.value.line_number == 4
 
-    path.write_text('{"format": "coqharness-corpus/1", "root": "x"}\n{"id": "only"}\n')
+    path.write_text('{"format": "coqharness-corpus/2", "root": "x"}\n{"id": "only"}\n')
     with pytest.raises(SchemaViolation) as err:
         load_corpus(path)
     assert err.value.line_number == 2 and "missing fields" in str(err.value)
@@ -224,18 +257,26 @@ _IDS = ["a.v::t", "a.v::t2", "a.v::t#1", "é.v::ü", 'q"uote', "back\\slash", "i
 
 @st.composite
 def _corpus_files(draw):
-    """A corpus file's bytes: duplicate ids, rows quoting other ids in their
-    source or statement, CRLF or LF row ends, and an optional final newline."""
-    rows = [{"format": "coqharness-corpus/1", "root": draw(st.sampled_from(["r", "ü"]))}]
+    """A corpus file's bytes: duplicate ids, file paths equal to ids, file
+    texts and statements quoting other ids, CRLF or LF row ends, and an
+    optional final newline."""
+    rows = [{"format": "coqharness-corpus/2", "root": draw(st.sampled_from(["r", "ü"]))}]
+    paths: set[str] = set()
     for index in range(draw(st.integers(0, 8))):
         record_id, other = draw(st.sampled_from(_IDS)), draw(st.sampled_from(_IDS))
-        statement = draw(st.sampled_from([other, f'Lemma x : "{other}".', "Lemma y : True."]))
+        path = draw(st.sampled_from(_IDS))
+        if path not in paths:  # a file's row comes before its records' rows
+            paths.add(path)
+            prelude = draw(st.text(max_size=8)) + json.dumps(other)
+            statement = draw(st.sampled_from([other, f'Lemma x : "{other}".', "Lemma y : True."]))
+            a = len(prelude.encode("utf-8")) + 1
+            b = a + len(statement.encode("utf-8"))
+            rows.append({"path": path, "text": f"{prelude} {statement} Qed.",
+                         "spans": [0, a - 1, 1, b - a, 1, 4]})
         rows.append({
-            "id": record_id, "name": draw(st.sampled_from([other, "x"])),
-            "statement": {"text": statement, "span": [0, len(statement)]},
-            "proof": [{"text": "Qed.", "span": [1, 5]}], "file": draw(st.sampled_from(_IDS)),
-            "preceding_source": draw(st.text(max_size=8)) + json.dumps(other),
-            "index_in_file": index, "split": draw(st.sampled_from(["train", "test"])),
+            "id": record_id, "name": draw(st.sampled_from([other, "x"])), "file": path,
+            "index_in_file": index, "statement_index": 1, "proof_end": 3,
+            "split": draw(st.sampled_from(["train", "test"])),
         })
     lines = [json.dumps(row, ensure_ascii=False).encode("utf-8") for row in rows]
     data = b"".join(line + draw(st.sampled_from([b"\n", b"\r\n"])) for line in lines)
@@ -284,16 +325,54 @@ def test_load_corpus_keeps_the_first_row_of_a_duplicated_id(toy_corpus, tmp_path
     path = tmp_path / "corpus.jsonl"
     save_corpus(Corpus([record], toy_corpus.root, {record.id: TEST}), path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    second = {**json.loads(lines[1]), "split": TRAIN, "name": "second"}
+    second = {**json.loads(lines[2]), "split": TRAIN, "name": "second"}
     path.write_text("".join(lines) + json.dumps(second) + "\n", encoding="utf-8")
     with caplog.at_level("WARNING", logger="coqharness.corpus"):
         corpus = load_corpus(path)
     assert corpus.records == [record] and corpus.test == [record] and corpus.train == []
-    assert corpus.warnings == ["line 3: dropped a second row with id 'f.v::t'"]
+    assert corpus.warnings == ["line 4: dropped a second row with id 'f.v::t'"]
     assert [r.levelname for r in caplog.records] == ["WARNING"]
     assert corpus.warnings[0] in caplog.text
     assert load_record(path, record.id).records == corpus.records
     assert load_record(path, record.id).split_labels == corpus.split_labels
+
+
+_HEADER = {"format": "coqharness-corpus/2", "root": "r"}
+_FILE = {"path": "f.v", "text": "Lemma t: True. Qed.", "spans": [0, 14, 1, 4]}
+_RECORD = {"id": "f.v::t", "name": "t", "file": "f.v", "index_in_file": 0,
+           "statement_index": 0, "proof_end": 2, "split": "test"}
+
+
+# load_record reads only the two rows it needs, wherever they are, so the
+# cases about the order or shape of other rows are load_corpus's alone.
+@pytest.mark.parametrize("rows,line_number,detail,both", [
+    ([_HEADER, _FILE, _RECORD], None, None, True),
+    ([_HEADER, _RECORD, _FILE], 2, "no file row for 'f.v'", False),
+    ([_HEADER, [_FILE], _RECORD], 2, "not a JSON object", False),
+    ([_HEADER, {**_FILE, "path": ["f.v"]}, _RECORD], 2, "path is not a string", False),
+    ([_HEADER, {**_FILE, "spans": [0, 14, 1, 5]}, _RECORD], 2, "spans do not fit", True),
+    ([_HEADER, {**_FILE, "spans": [0, 14, 1]}, _RECORD], 2, "spans do not fit", True),
+    ([_HEADER, {**_FILE, "spans": [0, 14, -1, 5]}, _RECORD], 2, "spans do not fit", True),
+    ([_HEADER, {**_FILE, "spans": [0, 14, 1, 0]}, _RECORD], 2, "spans do not fit", True),
+    ([_HEADER, {**_FILE, "text": "Lemma é: True. Qed.", "spans": [0, 7, 1, 4]}, _RECORD], 2,
+     "malformed file row", True),
+    ([_HEADER, _FILE, {**_RECORD, "proof_end": 1}], 3, "sentences 0..1 outside the file", True),
+    ([_HEADER, _FILE, {**_RECORD, "proof_end": 3}], 3, "sentences 0..3 outside the file", True),
+    ([_HEADER, _FILE, {**_RECORD, "statement_index": "0"}], 3, "malformed record", True),
+    ([_HEADER, _FILE, {**_RECORD, "index_in_file": 0.5}], 3, "malformed record", True),
+])
+def test_file_and_record_rows_are_checked(rows, line_number, detail, both, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows),
+                    encoding="utf-8")
+    for load in (load_corpus, lambda path: load_record(path, "f.v::t"))[: 2 if both else 1]:
+        if detail is None:
+            [record] = load(path).records
+            assert (record.statement.text, record.proof_text) == ("Lemma t: True.", "Qed.")
+            continue
+        with pytest.raises(SchemaViolation) as err:
+            load(path)
+        assert err.value.line_number == line_number and detail in err.value.detail
 
 
 def test_a_missing_corpus_file_is_a_corpus_error(tmp_path):

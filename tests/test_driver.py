@@ -330,7 +330,7 @@ def test_real_session_walks_a_file_like_fresh_starts(walk_project):
     factory = SessionFactory(SessionConfig(backend="real", prover_command=STUB_COMMAND))
     for file in ("a.v", "b.v"):
         targets = [t for t in walk_project["corpus"].test if t.file == file]
-        with closing(factory.walk(targets)) as walk:
+        with closing(factory.walk()) as walk:
             for target in targets:
                 with closing(walk(target)) as walked, closing(factory(target)) as fresh:
                     # state id and accepted history: the stub's id counts sentences

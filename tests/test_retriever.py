@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coqharness.corpus import TheoremRecord
+from coqharness.corpus import SourceFile, TheoremRecord
 from coqharness.retriever import (
     EmptyTrainSet,
     Featurizer,
@@ -29,13 +29,14 @@ from oracles import oracle_cosine
 
 
 def make_record(name: str, statement: str, proof: str, file: str = "fix.v", index: int = 0):
+    size = len(statement.encode())
+    sentences = (Sentence(statement, (0, size)), Sentence(proof, (size + 1, size + 1 + len(proof.encode()))))
     return TheoremRecord(
         id=f"{file}::{name}",
         name=name,
-        statement=Sentence(statement, (0, len(statement.encode()))),
-        proof=(Sentence(proof, (0, len(proof.encode()))),),
-        file=file,
-        preceding_source="",
+        source=SourceFile(file, f"{statement} {proof}", sentences),
+        statement_index=0,
+        proof_end=2,
         index_in_file=index,
     )
 

@@ -21,6 +21,7 @@ from coqharness.sentences import (
 )
 
 from oracles import OracleLexicalError, oracle_segment
+from segment_loop import loop_segment
 
 C5_PRECEDING_BLOCK = """\
 Lemma comp_incl: incl R R' -> incl S S' -> incl (comp R S) (comp R' S').
@@ -252,3 +253,46 @@ def test_byte_offsets_index_like_per_character_encoding(source):
     expected = [len(source[:i].encode("utf-8")) for i in range(len(source) + 1)]
     assert len(offsets) == len(expected)
     assert [offsets[i] for i in range(len(source) + 1)] == expected
+
+
+# Pieces that steer the segmenter through each of its branches: nested and
+# unclosed comments, strings with doubled quotes, qualified names, bullets
+# and braces, non-ASCII text (two-, three- and four-byte characters and
+# Unicode whitespace), and periods followed by end of input or by a space.
+_PIECES = st.sampled_from([
+    "(*", "*)", "(* a. (* b. *) c. *)", "(**)", "(*)", '"', '""', '"a. ""b"". c"',
+    ".", ". ", ".\n", "Mod.t", "x", "Lemma é : ∀ x, x = x", "𝔽", "\u00a0", "\u2028",
+    "\x1c", "-", "--", "+", "*", "**", "{", "}", "(", ")", " ", "\n", "\t",
+])
+
+
+def _outcome(segment, source):
+    """The sentences as (text, span) pairs, or the error's type and byte offset."""
+    try:
+        return [(s.text, s.span) for s in segment(source)]
+    except LexicalError as exc:
+        return type(exc), exc.offset
+
+
+def _oracle_outcome(source):
+    """oracle_segment's answer in _outcome's terms."""
+    kinds = {"comment": UnterminatedComment, "string": UnterminatedString,
+             "sentence": UnterminatedSentence}
+    try:
+        return [(text, (a, b)) for text, a, b in oracle_segment(source)]
+    except OracleLexicalError as err:
+        return kinds[err.kind], len(source[: err.char_offset].encode("utf-8"))
+
+
+@given(st.lists(_PIECES, max_size=40).map("".join))
+@settings(max_examples=600, deadline=None)
+def test_jumping_segmenter_matches_the_loop_and_the_oracle(source):
+    got = _outcome(segment_sentences, source)
+    assert got == _outcome(loop_segment, source)
+    assert got == _oracle_outcome(source)
+
+
+@given(st.text(max_size=80))
+@settings(max_examples=300, deadline=None)
+def test_jumping_segmenter_matches_the_loop_on_any_text(source):
+    assert _outcome(segment_sentences, source) == _outcome(loop_segment, source)
