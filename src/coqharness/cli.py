@@ -249,7 +249,7 @@ def cmd_index(args, config) -> int:
         raise CliError("corpus has no train records; run ingest/split first")
     index = retriever.build_index(train, space=args.space)
     retriever.save_index(index, args.out)
-    print(json.dumps({"index": str(args.out), "size": len(index.vectors), "space": args.space}))
+    print(json.dumps({"index": str(args.out), "size": len(index.norms), "space": args.space}))
     return EXIT_OK
 
 
@@ -328,17 +328,7 @@ def cmd_report(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coqharness",
-        description="LLM proof-synthesis harness for Coq: corpus extraction, "
-        "retrieval, prompting, agent loops, machine-checked evaluation.",
-    )
-    parser.add_argument("--config", help="INI config file shared by all subcommands")
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="extract a corpus from a Coq project and split it")
+def _ingest_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--root", help="project directory containing .v files")
     p.add_argument("--out", help="corpus JSONL output path")
     p.add_argument("--split", default="by_index", choices=["by_index", "by_file", "explicit"])
@@ -347,16 +337,16 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--explicit-test", nargs="*", help="record ids for the explicit policy")
     p.add_argument("--exclude", nargs="*", help="glob patterns of files to skip")
     p.add_argument("--no-subdirs", action="store_true")
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("index", help="build the retrieval index")
+
+def _index_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--space", default=retriever.PROOF_SPACE,
                    choices=[retriever.PROOF_SPACE, retriever.STATEMENT_SPACE])
-    p.set_defaults(func=cmd_index)
 
-    p = sub.add_parser("prove", help="run one theorem under one config, dumping the transcript")
+
+def _prove_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus")
     p.add_argument("--theorem", required=True, help="record id or unique theorem name")
     p.add_argument("--config-tag")
@@ -365,9 +355,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--interactive", action="store_true")
     p.add_argument("--replay", action="store_true")
     p.add_argument("--cache-dir")
-    p.set_defaults(func=cmd_prove)
 
-    p = sub.add_parser("eval", help="run a manifest of configs and emit reports")
+
+def _eval_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out")
@@ -376,19 +366,63 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay", action="store_true",
                    help="serve completions from the cache only; fail on misses")
     p.add_argument("--cache-dir")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("report", help="recompute reports from stored attempt records")
+
+def _report_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attempts", required=True, help="directory of <config>.jsonl files")
     p.add_argument("--out", default="out")
     p.add_argument("--taxonomy-only", action="store_true")
-    p.set_defaults(func=cmd_report)
-    return parser
+
+
+# name: (help, adds its arguments, runs it)
+_COMMANDS = {
+    "ingest": ("extract a corpus from a Coq project and split it", _ingest_arguments, cmd_ingest),
+    "index": ("build the retrieval index", _index_arguments, cmd_index),
+    "prove": ("run one theorem under one config, dumping the transcript",
+              _prove_arguments, cmd_prove),
+    "eval": ("run a manifest of configs and emit reports", _eval_arguments, cmd_eval),
+    "report": ("recompute reports from stored attempt records", _report_arguments, cmd_report),
+}
+
+
+class _Unparsed:
+    """A subcommand's place in the top-level parser: it keeps the arguments
+    after the command name, unparsed, for that command's own parser."""
+
+    def __init__(self, **_):
+        pass
+
+    def parse_known_args(self, args, namespace=None):
+        return argparse.Namespace(arguments=list(args)), []
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse `argv` as argparse would with every subcommand's arguments
+    built, building only the invoked subcommand's: the same namespace, help
+    texts, usage errors and exit codes."""
+    parser = argparse.ArgumentParser(
+        prog="coqharness",
+        description="LLM proof-synthesis harness for Coq: corpus extraction, "
+        "retrieval, prompting, agent loops, machine-checked evaluation.",
+    )
+    parser.add_argument("--config", help="INI config file shared by all subcommands")
+    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Unparsed)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
+    args, unknown = parser.parse_known_args(argv)
+
+    command = argparse.ArgumentParser(prog=f"{parser.prog} {args.command}")
+    _COMMANDS[args.command][1](command)
+    parsed, unknown_after = command.parse_known_args(vars(args).pop("arguments"))
+    vars(args).update(vars(parsed))
+    if unknown or unknown_after:
+        parser.error("unrecognized arguments: " + " ".join(unknown + unknown_after))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.DEBUG if args.verbose else logging.INFO,
@@ -396,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         config = load_config(args.config)
-        return args.func(args, config)
+        return _COMMANDS[args.command][2](args, config)
     except CliError as exc:
         log.error("%s", exc)
         return exc.code

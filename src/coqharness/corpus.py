@@ -15,6 +15,8 @@ import logging
 import operator
 import random
 import re
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -60,11 +62,53 @@ class SchemaViolation(CorpusError):
 @dataclass(frozen=True)
 class SourceFile:
     """One ingested .v file: its path under the corpus root, its text, and
-    its sentences, which every record of the file shares."""
+    its sentences, which every record of the file shares. A loaded file's
+    sentences are built on first use; a slice of them is a tuple."""
 
     path: str
     text: str
-    sentences: tuple[Sentence, ...]
+    sentences: Sequence[Sentence]
+
+
+class _Sentences(Sequence):
+    """A loaded file's sentences, each built from its span when first read
+    and then kept. Two threads that first read a sentence at once may each
+    build it; the copies are equal and either may be kept, which is harmless
+    because no caller compares sentences by identity (a walk compares files)."""
+
+    __slots__ = ("_raw", "_bounds", "_built")
+
+    def __init__(self, raw: str | bytes, bounds: list[int]):
+        self._raw = raw  # the text, or its UTF-8 bytes when it is not ASCII
+        self._bounds = bounds  # where each sentence starts and ends, in turn
+        self._built: list[Sentence | None] = [None] * (len(bounds) // 2)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._get, range(*index.indices(len(self._built)))))
+        return self._get(range(len(self._built))[index])
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Sentences)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def _get(self, i: int) -> Sentence:
+        return self._built[i] or self._build(i)
+
+    def _build(self, i: int) -> Sentence:
+        span = start, end = self._bounds[2 * i], self._bounds[2 * i + 1]
+        text = self._raw[start:end]
+        if isinstance(text, bytes):  # load checked that no span splits a character
+            text = text.decode("utf-8")
+        sentence = self._built[i] = Sentence(text, span)
+        return sentence
 
 
 @dataclass(frozen=True)
@@ -355,27 +399,31 @@ def _missing(row, wanted: set[str], line_number: int) -> None:
         raise SchemaViolation(line_number, f"missing fields: {sorted(missing)}")
 
 
+_CONTINUATION_BYTE = re.compile(rb"[\x80-\xbf]")
+
+
 def _source_from_row(row: dict, line_number: int) -> SourceFile:
-    """A file row as a SourceFile; SchemaViolation when malformed."""
+    """A file row as a SourceFile whose sentences are built on first use;
+    SchemaViolation when malformed. Every span is checked here, at load."""
     _missing(row, _FILE_FIELDS, line_number)
-    path, text, spans = row["path"], row["text"], row["spans"]
+    path, text = row["path"], row["text"]
     try:
-        # Where each sentence starts and ends; ASCII text indexes its characters as its bytes.
-        bounds = list(itertools.accumulate(spans, initial=0))[1:]
-        raw = text if text.isascii() else text.encode("utf-8")
         if not isinstance(path, str):
             raise TypeError("its path is not a string")
+        spans = array("q", row["spans"])  # a TypeError unless every span is an integer
+        # Where each sentence starts and ends; ASCII text indexes its characters as its bytes.
+        bounds = list(itertools.accumulate(spans))
+        raw = text if text.isascii() else text.encode("utf-8")
         if len(spans) % 2 or min(spans, default=0) < 0 or 0 in spans[1::2] \
                 or bounds and bounds[-1] > len(raw):
             raise ValueError("its spans do not fit its text")
-        at = list(zip(bounds[::2], bounds[1::2]))
-        texts = [raw[a:b] for a, b in at]
-        if raw is not text:
-            texts = [piece.decode("utf-8") for piece in texts]
-        sentences = tuple(map(Sentence, texts, at))
-    except (AttributeError, TypeError, ValueError) as exc:
+        # The byte at each bound, or a space at the end, must begin a character.
+        if raw is not text and _CONTINUATION_BYTE.search(
+                bytes(map((raw + b" ").__getitem__, bounds))):
+            raise ValueError("a span splits a UTF-8 character")
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise SchemaViolation(line_number, f"malformed file row: {exc}") from None
-    return SourceFile(path, text, sentences)
+    return SourceFile(path, text, _Sentences(raw, bounds))
 
 
 def _record_from_row(
@@ -435,7 +483,7 @@ def load_corpus(path: str | Path) -> Corpus:
             if line_number == 1:
                 _check_format(row)
                 root = row.get("root", "")
-            elif "path" in row:
+            elif isinstance(row, dict) and "path" in row:
                 source = _source_from_row(row, line_number)
                 sources.setdefault(source.path, source)
             else:
@@ -465,10 +513,15 @@ def find_row(data: bytes, needle: bytes, key: str, value: str) -> tuple[dict, in
     return None
 
 
+# A line whose first non-blank byte cannot open a JSON object.
+_NON_OBJECT_ROW = re.compile(rb"\n[ \t\r\f\v]*[^{\s]")
+
+
 def load_record(path: str | Path, record_id: str) -> Corpus | None:
     """A Corpus of the record with id `record_id`, its row and then its file's
     row found by byte search; None when no row has that id or the header is
-    bad, for load_corpus to look the name up or report."""
+    bad, for load_corpus to look the name up or report. A non-object row, or
+    a file row after the record's, fails as it does in load_corpus."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -486,9 +539,16 @@ def load_record(path: str | Path, record_id: str) -> Corpus | None:
         return None
     if found is None:
         return None
+
+    def line_of(offset: int) -> int:
+        return data.count(b"\n", 0, offset) + 1
+
+    stray = _NON_OBJECT_ROW.search(data)
+    if stray is not None:
+        raise SchemaViolation(line_of(stray.end()), "not a JSON object")
     sources = {}
-    if file_row is not None:
-        source = _source_from_row(file_row[0], data.count(b"\n", 0, file_row[1]) + 1)
+    if file_row is not None and file_row[1] < found[1]:
+        source = _source_from_row(file_row[0], line_of(file_row[1]))
         sources[source.path] = source
-    record, split = _record_from_row(found[0], data.count(b"\n", 0, found[1]) + 1, sources)
+    record, split = _record_from_row(found[0], line_of(found[1]), sources)
     return Corpus([record], header.get("root", ""), {record.id: split})

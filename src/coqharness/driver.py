@@ -128,7 +128,8 @@ class SessionHandle:
         pass
 
     def set_prelude_mode(self, enabled: bool) -> None:
-        """While enabled, a backend may accept prelude sentences unchecked."""
+        """While enabled, a backend may accept prelude sentences unchecked, and
+        reports no proof states: execute_prelude reads only `ok` and `message`."""
 
     # Backend-specific checkpointing used by check_proof.
     def _snapshot(self):
@@ -295,6 +296,7 @@ class RealCoqSession(SessionHandle):
         self._open_proofs = ""
         self._proc: subprocess.Popen | None = None
         self._replaying = False
+        self._prelude_mode = False
         self._spawn()
 
     # -- process plumbing --
@@ -336,6 +338,9 @@ class RealCoqSession(SessionHandle):
 
     def close(self) -> None:
         self._kill()
+
+    def set_prelude_mode(self, enabled: bool) -> None:
+        self._prelude_mode = enabled
 
     def _read_until_prompt(self) -> str:
         """Return the output before the next prompt; keep what follows it."""
@@ -398,7 +403,7 @@ class RealCoqSession(SessionHandle):
         proof_complete = bool(
             was_in_proof and not self.in_proof and is_closing(sentence, proving_only=True)
         )
-        state = self._parse_state(response) if self.in_proof else None
+        state = self._parse_state(response) if self.in_proof and not self._prelude_mode else None
         return StepResult(OK, response.strip(), state, proof_complete)
 
     @staticmethod

@@ -27,8 +27,8 @@ Script steps are matched on whitespace-normalized text; a bare "Proof."
 is a no-op and never part of the match. A script's last step must be a
 closing command (one is appended when missing). `compile_behavior_table`
 reads a table into a BehaviorTable that any number of sessions can share,
-so a command reads its table once; each theorem entry is compiled when a
-session first opens it.
+so a command reads its table once; each theorem entry is compiled, its
+initial and scripted states parsed, when a session first opens it.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def _norm(text: str) -> str:
 @dataclass(frozen=True)
 class _Script:
     steps: tuple[str, ...]
-    states: tuple[str | None, ...]
+    states: tuple[ProofState | None, ...]  # parsed when the entry compiles
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,9 @@ def _parse_script(raw) -> _Script:
     steps = [s for s in steps if s != "Proof."]
     if not steps or not is_closing(steps[-1]):
         steps.append("Qed.")
+    states = [parse_proof_state(s) if s else None for s in states[: len(steps) - 1]]
     states += [None] * (len(steps) - 1 - len(states))
-    return _Script(tuple(steps), tuple(states[: len(steps) - 1]))
+    return _Script(tuple(steps), tuple(states))
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ class MockSession(SessionHandle):
             entry = _TheoremEntry(name, goal=_norm(m.group(1)) if m else "True")
         self._entry = entry
         self._steps = []
-        return StepResult(OK, "", self._synthesized_state())
+        return StepResult(OK, "", None if self._prelude_mode else self._synthesized_state())
 
     def _initial_state(self) -> ProofState:
         entry = self._entry
@@ -225,15 +226,11 @@ class MockSession(SessionHandle):
 
     def _state_after(self, script: _Script, k: int) -> tuple[ProofState | None, str]:
         """State and message after executing steps[:k] of an accepted prefix."""
-        if k == len(script.steps) - 1:
-            # Only the closer remains.
-            scripted = script.states[k - 1] if 0 < k <= len(script.states) else None
-            if scripted:
-                return parse_proof_state(scripted), ""
-            return None, NO_MORE_GOALS_MESSAGE
         scripted = script.states[k - 1] if 0 < k <= len(script.states) else None
-        if scripted:
-            return parse_proof_state(scripted), ""
+        if scripted is not None:
+            return scripted, ""
+        if k == len(script.steps) - 1:  # only the closer remains
+            return None, NO_MORE_GOALS_MESSAGE
         return self._synthesized_state(), ""
 
     def _fail(self, text: str) -> StepResult:
@@ -256,6 +253,8 @@ class MockSession(SessionHandle):
     # -- SessionHandle contract --
 
     def execute(self, sentence: Sentence | str) -> StepResult:
+        """One step. In prelude mode a step reports no proof state: it opens
+        and matches entries as any step does, but builds no state."""
         sentence = _coerce_sentence(sentence)
         text = _norm(sentence.text)
 
@@ -272,10 +271,13 @@ class MockSession(SessionHandle):
         if is_statement(sentence):
             return StepResult(ERROR, "Nested proofs are not supported.")
         if text == "Proof." or text.startswith("Proof using"):
-            state, message = (self._synthesized_state(), "")
-            if self._matching_scripts(self._steps):
-                matched = self._matching_scripts(self._steps)[0]
-                state, message = self._state_after(matched, len(self._steps))
+            if self._prelude_mode:
+                return StepResult(OK, "")
+            matches = self._matching_scripts(self._steps)
+            if matches:
+                state, message = self._state_after(matches[0], len(self._steps))
+            else:
+                state, message = self._synthesized_state(), ""
             return StepResult(OK, message, state)
 
         candidate = self._steps + [text]
@@ -288,6 +290,8 @@ class MockSession(SessionHandle):
                 self._entry = None
                 self._steps = []
                 return StepResult(OK, "", None, proof_complete=complete)
+            if self._prelude_mode:
+                return StepResult(OK, "")
             state, message = self._state_after(script, len(candidate))
             return StepResult(OK, message, state)
 
@@ -303,7 +307,7 @@ class MockSession(SessionHandle):
             self._steps = []
             return StepResult(OK, "")
         if self._prelude_mode:
-            return StepResult(OK, "", self._synthesized_state())
+            return StepResult(OK, "")
         return self._fail(text)
 
     def query(self, command: str, argument: str) -> str:

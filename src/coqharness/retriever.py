@@ -100,19 +100,20 @@ def similarity(a: FeatureVector, b: FeatureVector) -> float:
 PROOF_SPACE = "proof_text"
 STATEMENT_SPACE = "statement_text"
 
-_INDEX_FORMAT = "coqharness-index/1"
+_INDEX_FORMAT = "coqharness-index/2"
 
 
 @dataclass
 class Index:
-    """Read-only once built: its postings and retrieve's memo derive from `vectors`."""
+    """The postings of a set of feature vectors, as stored in an index file.
+    Read-only once built: retrieve's memo derives from it."""
 
     space: str
     featurizer: Featurizer
-    vectors: dict[str, FeatureVector]
-    texts: dict[str, str]
-    # bucket -> [(id, weight)] over the vectors of nonzero norm, and the ids in order
-    _postings: dict[int, list[tuple[str, float]]] = field(init=False, repr=False, compare=False)
+    # bucket, as the decimal string a JSON key holds -> [[id, weight]] over
+    # the vectors of nonzero norm
+    postings: dict[str, list[list]]
+    norms: dict[str, float]  # id -> its vector's norm, for every id indexed
     _ids: list[str] = field(init=False, repr=False, compare=False)
     # (query id, statement text, k) -> retrieve's ranking
     _ranked: dict[tuple[str, str, int], list[tuple[str, float]]] = field(
@@ -120,14 +121,18 @@ class Index:
     )
 
     def __post_init__(self):
-        self._postings = {}
-        for rid, vector in self.vectors.items():
+        self._ids = sorted(self.norms)
+        self._ranked = {}
+
+    @staticmethod
+    def from_vectors(space: str, featurizer: Featurizer, vectors: dict[str, FeatureVector]) -> "Index":
+        postings: dict[str, list[list]] = {}
+        for rid, vector in vectors.items():
             if vector.norm == 0.0:  # scores 0 against every query
                 continue
             for bucket, weight in vector.entries.items():
-                self._postings.setdefault(bucket, []).append((rid, weight))
-        self._ids = sorted(self.vectors)
-        self._ranked = {}
+                postings.setdefault(str(bucket), []).append([rid, weight])
+        return Index(space, featurizer, postings, {rid: v.norm for rid, v in vectors.items()})
 
 
 def _record_text(record: TheoremRecord, space: str) -> str:
@@ -148,7 +153,7 @@ def build_index(
     texts = {r.id: _record_text(r, space) for r in train}
     featurizer = Featurizer.fit(list(texts.values()), feature_dim)
     vectors = {rid: featurizer.featurize(text) for rid, text in texts.items()}
-    return Index(space, featurizer, vectors, texts)
+    return Index.from_vectors(space, featurizer, vectors)
 
 
 def retrieve(index: Index, query: TheoremRecord, k: int) -> list[tuple[str, float]]:
@@ -175,12 +180,12 @@ def _rank(index: Index, query: TheoremRecord, k: int) -> list[tuple[str, float]]
     products: dict[str, list[float]] = {}
     if query_vector.norm != 0.0:
         for bucket, weight in query_vector.entries.items():
-            for rid, other in index._postings.get(bucket, ()):
+            for rid, other in index.postings.get(str(bucket), ()):
                 products.setdefault(rid, []).append(weight * other)
     products.pop(query.id, None)
     scores = []
     for rid, terms in products.items():
-        cosine = math.fsum(terms) / (query_vector.norm * index.vectors[rid].norm)
+        cosine = math.fsum(terms) / (query_vector.norm * index.norms[rid])
         score = min(1.0, max(0.0, cosine))
         if score > 0.0:
             scores.append((rid, score))
@@ -200,19 +205,29 @@ def save_index(index: Index, path: str | Path) -> None:
         "feature_dim": index.featurizer.feature_dim,
         "n_docs": index.featurizer.n_docs,
         "df": index.featurizer.df,
-        "vectors": {rid: {str(k): w for k, w in v.entries.items()} for rid, v in index.vectors.items()},
-        "texts": index.texts,
+        "postings": index.postings,
+        "norms": index.norms,
     }
     Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
 
 
 def load_index(path: str | Path) -> Index:
+    """The index in a file, as stored: JSON floats read back exactly, so
+    nothing is recomputed, only checked. A malformed file raises."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != _INDEX_FORMAT:
-        raise RetrieverError(f"unsupported index file format in {path}")
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != _INDEX_FORMAT:
+        raise RetrieverError(
+            f"index format {found!r}, expected {_INDEX_FORMAT!r}: re-run index to rewrite it"
+        )
     featurizer = Featurizer(payload["feature_dim"], payload["df"], payload["n_docs"])
-    vectors = {
-        rid: FeatureVector.from_entries({int(k): w for k, w in entries.items()})
-        for rid, entries in payload["vectors"].items()
-    }
-    return Index(payload["space"], featurizer, vectors, payload.get("texts", {}))
+    postings, norms = payload["postings"], payload["norms"]
+    fields = (payload["space"], featurizer.feature_dim, featurizer.n_docs, featurizer.df,
+              postings, norms)
+    if tuple(map(type, fields)) != (str, int, int, dict, dict, dict):
+        raise RetrieverError("a field has the wrong type")
+    for pairs in postings.values():
+        for rid, weight in pairs:  # a ValueError unless a pair
+            if type(weight) is not float or not norms.get(rid, 0.0) > 0.0:
+                raise RetrieverError(f"a posting of {rid!r} has no norm or no weight")
+    return Index(payload["space"], featurizer, postings, norms)

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import coqharness
 from coqharness import corpus as corpus_mod, mockprover, retriever
-from coqharness.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROVER, EXIT_PROVIDER, main
+from coqharness.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROVER, EXIT_PROVIDER, main, parse_args
 from coqharness.corpus import load_corpus
+from coqharness.proofstate import ProofState
+from coqharness.sentences import Sentence
 
 
 @pytest.fixture()
@@ -381,6 +385,127 @@ def test_help_on_every_subcommand(capsys):
         assert "--" in capsys.readouterr().out
 
 
+# Help texts and usage errors as printed when every subcommand's arguments
+# were built at once, captured at COLUMNS=80 on Python 3.11.
+CLI_GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "cli_golden.json").read_text("utf-8"))
+
+
+@pytest.mark.parametrize("case", CLI_GOLDEN, ids=lambda case: " ".join(case["argv"]) or "none")
+def test_help_and_usage_errors_are_unchanged(case, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(case["argv"])
+    printed = capsys.readouterr()
+    assert (exit_info.value.code, printed.out, printed.err) == \
+        (case["code"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--config", "eval", "prove", "--theorem", "index", "--corpus", "report"],
+     {"config": "eval", "command": "prove", "theorem": "index", "corpus": "report"}),
+    (["--config=ingest", "-v", "index", "--out", "eval"],
+     {"config": "ingest", "verbose": True, "command": "index", "out": "eval", "space": "proof_text"}),
+    (["report", "--attempts", "prove", "--out", "ingest"],
+     {"config": None, "command": "report", "attempts": "prove", "out": "ingest"}),
+])
+def test_a_command_name_as_an_option_value_parses(argv, expected):
+    args = vars(parse_args(argv))
+    assert {key: args[key] for key in expected} == expected
+    assert "arguments" not in args
+
+
+def test_only_the_invoked_subcommand_builds_its_arguments(monkeypatch):
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
+                        lambda self, *names, **kw: added.extend(names) or add_argument(self, *names, **kw))
+    args = parse_args(["prove", "--theorem", "t", "--mode", "fs-sim"])
+    assert (args.command, args.theorem, args.mode, args.corpus) == ("prove", "t", "fs-sim", None)
+    assert sorted(added) == sorted([
+        "-h", "--help", "--config", "-v", "--verbose",  # the top-level parser's
+        "-h", "--help", "--corpus", "--theorem", "--config-tag", "--manifest", "--mode",
+        "--interactive", "--replay", "--cache-dir",
+    ])
+
+
+def test_a_malformed_scripted_state_exits_2(
+    config_file, ingested, manifest_path, mock_table, fixtures_dir, tmp_path, caplog
+):
+    table = json.loads(json.dumps(mock_table))
+    table["theorems"]["weak_refl"]["scripts"] = [
+        {"steps": ["intros x.", "constructor.", "reflexivity.", "Qed."], "states": ["garbage"]}]
+    bad = tmp_path / "bad-state-table.json"
+    bad.write_text(json.dumps(table), encoding="utf-8")
+    config = tmp_path / "bad-state.ini"
+    config.write_text(config_file.read_text().replace(str(fixtures_dir / "mock_table.json"), str(bad)))
+    code = main(["--config", str(config), "prove", "--theorem", "weak.v::weak_refl"])
+    assert code == EXIT_CONFIG
+    assert f"bad mock table {bad}: no goal separator line found" in caplog.text
+    caplog.clear()
+    out = tmp_path / "o"
+    code = main(["--config", str(config), "eval", "--manifest", str(manifest_path), "--out", str(out)])
+    assert code == EXIT_CONFIG  # every entry compiles before any theorem runs
+    assert f"bad mock table {bad}: no goal separator line found" in caplog.text
+    assert "Traceback" not in caplog.text and not out.exists()
+
+
+def test_prove_builds_few_sentences_and_no_prelude_states(long_project, tmp_path, monkeypatch, capsys):
+    """An fs-sim prove on the 3 x 200 project builds the sentences it reads,
+    not the corpus's, and its mock prelude replay builds no proof state."""
+    corpus = long_project["corpus"]
+    corpus_mod.save_corpus(corpus, tmp_path / "corpus.jsonl")
+    (tmp_path / "table.json").write_text(json.dumps({"theorems": {
+        r.name: {"scripts": [["intros n.", "reflexivity.", "Qed."]]} for r in corpus.records}}))
+    (tmp_path / "script.json").write_text(json.dumps(
+        {"default": "Proof.\nintros n.\nreflexivity.\nQed.", "entries": []}))
+    config = tmp_path / "long.ini"
+    config.write_text(f"""
+[paths]
+corpus_file = {tmp_path}/corpus.jsonl
+index_file = {tmp_path}/index.json
+
+[provider]
+kind = scripted
+script_file = {tmp_path}/script.json
+
+[prover]
+backend = mock
+mock_table = {tmp_path}/table.json
+""")
+    assert main(["--config", str(config), "index", "--out", str(tmp_path / "index.json")]) == EXIT_OK
+    in_file = [r for r in corpus.test if r.file == "m1.v"]
+    target = in_file[len(in_file) // 2]
+    held = sum(len(source.sentences) for source in {id(r.source): r.source for r in corpus.records}.values())
+
+    built, prelude = Counter(), [False]
+    sentence_init, state_init = Sentence.__init__, ProofState.__init__
+    set_prelude_mode, execute = mockprover.MockSession.set_prelude_mode, mockprover.MockSession.execute
+
+    def count(kind, init):
+        def counted(self, *args):
+            built[kind, prelude[0]] += 1
+            init(self, *args)
+        return counted
+
+    def set_mode(session, enabled):
+        prelude[0] = enabled
+        set_prelude_mode(session, enabled)
+
+    def counted_execute(session, sentence):
+        built["execute", prelude[0]] += 1
+        return execute(session, sentence)
+
+    monkeypatch.setattr(Sentence, "__init__", count("sentence", sentence_init))
+    monkeypatch.setattr(ProofState, "__init__", count("state", state_init))
+    monkeypatch.setattr(mockprover.MockSession, "set_prelude_mode", set_mode)
+    monkeypatch.setattr(mockprover.MockSession, "execute", counted_execute)
+    code = main(["--config", str(config), "prove", "--theorem", target.id, "--mode", "fs-sim"])
+    assert code == EXIT_OK and capsys.readouterr().out.strip().endswith("ACCEPTED")
+    assert built["execute", True] == target.statement_index  # the whole prelude was replayed
+    assert built["state", True] == 0 < built["state", False]
+    assert target.statement_index < built["sentence", False] + built["sentence", True] < held // 2
+
+
 def _manifest(tmp_path, configs) -> Path:
     path = tmp_path / "manifest-extra.json"
     path.write_text(json.dumps({"configs": configs}))
@@ -556,19 +681,29 @@ def test_eval_workers_1_and_4_write_identical_bytes(walk_project, tmp_path):
 
 @pytest.mark.parametrize(
     "content, detail",
-    [('{"format": "nope"}', "unsupported index file format"),
-     (None, "'vectors'"),
-     ('{"format": "coqharness-index/1", "space"', "Expecting")],
-    ids=["wrong-format", "no-vectors", "truncated"],
+    [('{"format": "nope"}', "index format 'nope', expected 'coqharness-index/2'"),
+     ('{"format": "coqharness-index/1", "space": "proof_text", "vectors": {}}',
+      "index format 'coqharness-index/1', expected 'coqharness-index/2': re-run index"),
+     ({"postings": None}, "'postings'"),
+     ({"norms": []}, "a field has the wrong type"),
+     ({"postings": {"7": [["weak.v::weak_refl"]]}}, "not enough values to unpack"),
+     ({"norms": {}}, "has no norm or no weight"),
+     ('{"format": "coqharness-index/2", "space"', "Expecting")],
+    ids=["wrong-format", "format-1", "no-postings", "wrong-type", "short-pair", "no-norms",
+         "truncated"],
 )
 def test_unreadable_index_file_exit_2(
     config_file, ingested, manifest_path, tmp_path, caplog, content, detail
 ):
     bad = tmp_path / "bad-index.json"
-    if content is None:  # a real index without its vectors
+    if isinstance(content, dict):  # a real index with a field deleted (None) or replaced
         assert main(["--config", str(config_file), "index", "--out", str(bad)]) == EXIT_OK
         payload = json.loads(bad.read_text())
-        del payload["vectors"]
+        for key, value in content.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
         content = json.dumps(payload)
     bad.write_text(content)
     out = tmp_path / "o"

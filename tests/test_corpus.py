@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import sys
 import tempfile
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +22,8 @@ from coqharness.corpus import (
     CorpusError,
     NoSourcesFound,
     SchemaViolation,
+    SourceFile,
+    TheoremRecord,
     TooFewRecords,
     UnknownId,
     ingest_project,
@@ -28,6 +33,7 @@ from coqharness.corpus import (
     save_corpus,
     split_corpus,
 )
+from coqharness.sentences import LexicalError, segment_sentences
 
 
 def test_ingest_toy_project(toy_corpus):
@@ -343,12 +349,10 @@ _RECORD = {"id": "f.v::t", "name": "t", "file": "f.v", "index_in_file": 0,
            "statement_index": 0, "proof_end": 2, "split": "test"}
 
 
-# load_record reads only the two rows it needs, wherever they are, so the
-# cases about the order or shape of other rows are load_corpus's alone.
 @pytest.mark.parametrize("rows,line_number,detail,both", [
     ([_HEADER, _FILE, _RECORD], None, None, True),
-    ([_HEADER, _RECORD, _FILE], 2, "no file row for 'f.v'", False),
-    ([_HEADER, [_FILE], _RECORD], 2, "not a JSON object", False),
+    ([_HEADER, _RECORD, _FILE], 2, "no file row for 'f.v'", True),
+    ([_HEADER, [_FILE], _RECORD], 2, "not a JSON object", True),
     ([_HEADER, {**_FILE, "path": ["f.v"]}, _RECORD], 2, "path is not a string", False),
     ([_HEADER, {**_FILE, "spans": [0, 14, 1, 5]}, _RECORD], 2, "spans do not fit", True),
     ([_HEADER, {**_FILE, "spans": [0, 14, 1]}, _RECORD], 2, "spans do not fit", True),
@@ -360,6 +364,7 @@ _RECORD = {"id": "f.v::t", "name": "t", "file": "f.v", "index_in_file": 0,
     ([_HEADER, _FILE, {**_RECORD, "proof_end": 3}], 3, "sentences 0..3 outside the file", True),
     ([_HEADER, _FILE, {**_RECORD, "statement_index": "0"}], 3, "malformed record", True),
     ([_HEADER, _FILE, {**_RECORD, "index_in_file": 0.5}], 3, "malformed record", True),
+    ([_HEADER, _FILE, _RECORD, 7], 4, "not a JSON object", True),
 ])
 def test_file_and_record_rows_are_checked(rows, line_number, detail, both, tmp_path):
     path = tmp_path / "corpus.jsonl"
@@ -379,3 +384,82 @@ def test_a_missing_corpus_file_is_a_corpus_error(tmp_path):
     for load in (load_corpus, lambda path: load_record(path, "f.v::t")):
         with pytest.raises(CorpusError, match="cannot read corpus .*nonexistent.jsonl"):
             load(tmp_path / "nonexistent.jsonl")
+
+
+# Sentence-sized pieces, ASCII and not: strings and comments holding
+# periods, bullets, braces, qualified names, and two- to four-byte characters.
+_ASCII_PIECES = ["x.", "Mod.t y.", "- auto.", "{", "}", '"a. ""b"". c".', "(* c. *)", " ", "\n"]
+_OTHER_PIECES = ["Lemma é : ∀ x, x = x.", "𝔽 z.", "(* ü. *)", "\u00a0", '"ß. ü".']
+
+
+@settings(max_examples=200, deadline=None)
+@given(ascii_only=st.booleans(), data=st.data())
+def test_sentences_built_on_first_use_equal_the_segmented_ones(tmp_path_factory, ascii_only, data):
+    """Every index and slice of a loaded file's sentences, read in any order,
+    equals the tuple its segmentation gives."""
+    pieces = _ASCII_PIECES + ([] if ascii_only else _OTHER_PIECES)
+    body = data.draw(st.lists(st.sampled_from(pieces), max_size=30).map("".join))
+    text = f"Lemma t : True.\n{body}\nQed."
+    try:
+        eager = tuple(segment_sentences(text))
+    except LexicalError:
+        return
+    record = TheoremRecord("f.v::t", "t", SourceFile("f.v", text, eager), 0, len(eager), 0)
+    path = tmp_path_factory.getbasetemp() / "lazy.jsonl"
+    save_corpus(Corpus([record], "r", {record.id: TEST}), path)
+    [loaded] = load_corpus(path).records
+    lazy, n = loaded.source.sentences, len(eager)
+    assert len(lazy) == n
+    for key in data.draw(st.lists(st.one_of(st.integers(-n, n - 1), st.slices(n)), max_size=12)):
+        assert lazy[key] == eager[key]
+    with pytest.raises(IndexError):
+        lazy[n]
+    assert list(lazy) == list(eager) and lazy == eager and loaded == record
+    assert (loaded.statement, loaded.proof, loaded.prelude) == (eager[0], eager[1:], ())
+    assert type(loaded.proof) is tuple and type(lazy[1:]) is tuple
+
+
+def test_sentences_built_by_many_threads_at_once(long_project, tmp_path):
+    """Threads that race to build a loaded file's sentences each read the
+    segmented ones, and every sentence is kept once built."""
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(long_project["corpus"], path)
+    eager = {r.file: tuple(r.source.sentences) for r in long_project["corpus"].records}
+    n_threads = (os.cpu_count() or 1) + 4  # more threads than cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            sources = {r.file: r.source for r in load_corpus(path).records}  # nothing built yet
+            barrier = threading.Barrier(n_threads)
+            views: list[dict] = [{} for _ in range(n_threads)]
+            errors: list[BaseException] = []
+
+            def read(k: int) -> None:
+                try:
+                    barrier.wait(timeout=30)
+                    for file, source in sources.items():
+                        sentences = source.sentences
+                        if k % 3 == 0:
+                            views[k][file] = sentences[:]
+                        elif k % 3 == 1:
+                            views[k][file] = tuple(sentences)
+                        else:  # from the end
+                            views[k][file] = tuple(reversed([sentences[-i] for i in
+                                                             range(1, len(sentences) + 1)]))
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read, args=(k,), daemon=True)
+                       for k in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert all(view == eager for view in views)
+            for source in sources.values():
+                assert all(a is b for a, b in zip(source.sentences, source.sentences[:]))
+    finally:
+        sys.setswitchinterval(interval)

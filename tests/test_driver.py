@@ -9,6 +9,7 @@ import logging
 import shlex
 import sys
 from contextlib import closing
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from coqharness.driver import (
     BorrowedSession,
     PreludeError,
     QueryRejected,
+    RealCoqSession,
     SessionConfig,
     SessionDead,
     start_session,
@@ -32,6 +34,7 @@ from coqharness.mockprover import (
     NO_FOCUSED_PROOF_MESSAGE,
     NO_MORE_GOALS_MESSAGE,
 )
+from coqharness.proofstate import ProofState, parse_proof_state
 from coqharness.sentences import LexicalError, segment_sentences
 
 
@@ -339,6 +342,76 @@ def test_real_session_walks_a_file_like_fresh_starts(walk_project):
                         fresh.check_proof(target.statement, target.proof_text)
                     assert walked.execute(target.statement) == fresh.execute(target.statement)
                     assert walked._snapshot() == fresh._snapshot()
+
+
+def test_real_current_state_after_a_failed_step(stub_session):
+    session = stub_session()
+    assert session.current_state() is None
+    opened = session.execute("Lemma l : forall x y : nat, x = y.")
+    assert opened.state == ProofState((), ("forall x y : nat, x = y",), (1, 1))
+    stepped = session.execute("intros x.")
+    assert stepped.state == ProofState(((("x",), "nat"),), ("forall x y : nat, x = y",), (1, 1))
+    failed = session.execute("intros y x.")
+    assert (failed.outcome, failed.message) == (ERROR, "Error: x is already used.")
+    assert session.current_state() == stepped.state
+    assert session.execute("Qed.").proof_complete
+    assert session.current_state() is None
+
+
+def test_real_query_through_a_loan(stub_session):
+    session = stub_session()
+    before = session._snapshot()
+    with closing(BorrowedSession(session, {})) as loan:
+        assert loan.query("Check", " nat ") == "Check nat."
+        with pytest.raises(QueryRejected, match="The reference nosuch was not found"):
+            loan.query("Search", "nosuch")
+        with pytest.raises(QueryRejected, match="allow-list"):
+            loan.query("Compute", "1")
+        assert loan._snapshot() == before
+        assert loan._memo == {}  # a query is not a step: the memo stays in use
+    assert session._snapshot() == before
+
+
+def test_real_prelude_reads_no_states_and_ends_where_stepping_ends(monkeypatch):
+    """A prelude replayed with no state parsing leaves the session where
+    executing its sentences one by one does."""
+    parsed = []
+    monkeypatch.setattr(RealCoqSession, "_parse_state",
+                        staticmethod(lambda response: parsed.append(response) or
+                                     (parse_proof_state(response) if "____" in response else None)))
+    prelude = segment_sentences(
+        "Require A. Lemma k : True. Proof. intros h. Qed. Lemma l : forall x y : nat, x = y. "
+        "Proof. intros x.")
+    config = SessionConfig(backend="real", prover_command=STUB_COMMAND)
+    with closing(start_session(replace(config, prelude=prelude))) as replayed, \
+            closing(start_session(config)) as stepped:
+        assert parsed == []
+        assert all(stepped.execute(sentence).ok for sentence in prelude)
+        assert len(parsed) == 6
+        assert replayed._snapshot() == stepped._snapshot()
+        assert replayed.current_state() == stepped.current_state() is not None
+        assert replayed.execute("Qed.") == stepped.execute("Qed.")
+        for script in ["Proof. intros a. Qed.", "Proof. intros a a. Qed.", "Proof. auto."]:
+            checked = replayed.check_proof("Lemma m : forall a : nat, a = a.", script)
+            assert checked == stepped.check_proof("Lemma m : forall a : nat, a = a.", script)
+        assert replayed._snapshot() == stepped._snapshot()
+
+
+def test_mock_prelude_reads_no_states_and_ends_where_stepping_ends():
+    table = {"theorems": {"one": {"scripts": [["intros h.", "Qed."]]},
+                          "two": {"scripts": [{"steps": ["split.", "auto.", "auto.", "Qed."],
+                                               "states": ["______(1/2)\nA\n______(2/2)\nB"]}]}}}
+    prelude = segment_sentences("Lemma one : True. Proof. intros h. Qed. Lemma two : A /\\ B. "
+                                "Proof. split. auto.")
+    config = SessionConfig(backend="mock", mock_table=table)
+    with closing(start_session(config)) as stepped, \
+            closing(start_session(replace(config, prelude=prelude))) as replayed:
+        assert all(stepped.execute(sentence).ok for sentence in prelude)
+        assert replayed._snapshot() == stepped._snapshot()
+        assert replayed.current_state() == stepped.current_state() is not None
+    with closing(start_session(config)) as session:
+        session.set_prelude_mode(True)
+        assert [session.execute(sentence).state for sentence in prelude] == [None] * len(prelude)
 
 
 # ---------------------------------------------------------------------------

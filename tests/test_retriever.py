@@ -149,11 +149,11 @@ def test_build_index_size_and_determinism():
     records = five_record_fixture()
     index = build_index(records, feature_dim=1024)
     rebuilt = build_index(records, feature_dim=1024)
-    assert len(index.vectors) == 5
-    assert index.vectors == rebuilt.vectors
+    assert len(index.norms) == 5
+    assert (index.postings, index.norms) == (rebuilt.postings, rebuilt.norms)
     assert index.featurizer.df == rebuilt.featurizer.df
     single = build_index(records[:1])
-    assert len(single.vectors) == 1
+    assert len(single.norms) == 1
     with pytest.raises(EmptyTrainSet):
         build_index([])
 
@@ -189,7 +189,7 @@ def test_retrieve_matches_bruteforce_and_excludes_query():
     brute = sorted(
         (
             (rid, similarity(query_vector, vec))
-            for rid, vec in index.vectors.items()
+            for rid, vec in vectors_of(index, records).items()
             if rid != query.id
         ),
         key=lambda item: (-item[1], item[0]),
@@ -205,26 +205,37 @@ def test_retrieve_ranking_invariant_under_uniform_scaling():
     base = [rid for rid, _ in retrieve(index, query, 5)]
     scaled = {
         rid: FeatureVector.from_entries({k: 7.5 * w for k, w in vec.entries.items()})
-        for rid, vec in index.vectors.items()
+        for rid, vec in vectors_of(index, records).items()
     }
-    index = Index(index.space, index.featurizer, scaled, index.texts)  # an Index is read-only
+    index = Index.from_vectors(index.space, index.featurizer, scaled)  # an Index is read-only
     assert [rid for rid, _ in retrieve(index, query, 5)] == base
 
 
 def test_index_roundtrip(tmp_path):
-    index = build_index(five_record_fixture(), feature_dim=256)
+    records = five_record_fixture()
+    index = build_index(records, feature_dim=256)
     path = tmp_path / "index.json"
     save_index(index, path)
     loaded = load_index(path)
     assert loaded.space == index.space
     assert loaded.featurizer.df == index.featurizer.df
-    assert loaded.vectors == index.vectors
+    assert (loaded.postings, loaded.norms) == (index.postings, index.norms)
+    assert index.norms == {r.id: v.norm for r, v in zip(records, vectors_of(index, records).values())}
+    query = make_record("q", "p q auto", "x")
+    ranked = retrieve(loaded, query, 5)
+    assert [s.hex() for _, s in ranked] == [s.hex() for _, s in retrieve(index, query, 5)]
+    assert ranked == brute_force(index, vectors_of(index, records), query, 5)
 
 
-def brute_force(index: Index, query, k: int) -> list[tuple[str, float]]:
+def vectors_of(index: Index, records) -> dict[str, FeatureVector]:
+    """The records' vectors in the index's space, computed afresh."""
+    return {r.id: index.featurizer.featurize(r.proof_text) for r in records}
+
+
+def brute_force(index: Index, vectors: dict[str, FeatureVector], query, k: int) -> list[tuple[str, float]]:
     query_vector = index.featurizer.featurize(query.statement_text)
     scores = [(rid, similarity(query_vector, vector))
-              for rid, vector in index.vectors.items() if rid != query.id]
+              for rid, vector in vectors.items() if rid != query.id]
     return sorted(scores, key=lambda item: (-item[1], item[0]))[:k]
 
 
@@ -256,11 +267,11 @@ def test_retrieve_equals_brute_force(docs, hand_made, query_text, query_at, k, f
     }
     for i, doc in reversed(list(enumerate(docs))):
         vectors[f"f.v::d{i}"] = featurizer.featurize(doc)
-    index = Index("proof_text", featurizer, vectors, {})
+    index = Index.from_vectors("proof_text", featurizer, vectors)
     ids = sorted(vectors)
     name = ids[query_at][len("f.v::"):] if 0 <= query_at < len(ids) else "q"
     query = make_record(name, query_text, "Qed.", file="f.v")
-    expected = brute_force(index, query, k)
+    expected = brute_force(index, vectors, query, k)
     ranked = retrieve(index, query, k)
     assert ranked == expected
     assert [s.hex() for _, s in ranked] == [s.hex() for _, s in expected]  # bit for bit
@@ -268,12 +279,13 @@ def test_retrieve_equals_brute_force(docs, hand_made, query_text, query_at, k, f
 
 
 def test_retrieve_memo_returns_copies_of_one_ranking():
-    index = build_index(five_record_fixture(), feature_dim=1024)
+    records = five_record_fixture()
+    index = build_index(records, feature_dim=1024)
     query = make_record("q", "p q auto", "x")
     first = retrieve(index, query, 3)
     assert len(index._ranked) == 1
     first.clear()
-    assert retrieve(index, query, 3) == brute_force(index, query, 3) != []
+    assert retrieve(index, query, 3) == brute_force(index, vectors_of(index, records), query, 3) != []
     assert len(index._ranked) == 1
     retrieve(index, query, 2)
     retrieve(index, make_record("q", "x y", "x"), 3)  # same id, another statement
