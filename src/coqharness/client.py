@@ -333,7 +333,7 @@ class TranscriptCache:
             data = self._shard(key).read_bytes()
         except FileNotFoundError:
             return None
-        found = find_row(data, key.encode(), "prompt_hash", key)
+        found = find_row(data, key.encode(), lambda row: row.get("prompt_hash") == key)
         if found is None:
             return None
         row = found[0]

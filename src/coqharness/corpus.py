@@ -16,24 +16,23 @@ import operator
 import random
 import re
 from array import array
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .sentences import (
+    NON_PROVING_CLOSERS,
+    PROVING_CLOSERS,
+    STATEMENT_KEYWORDS,
     LexicalError,
     Sentence,
-    is_closing,
-    is_statement,
+    leading_words,
     segment_sentences,
-    statement_name,
 )
 
 log = logging.getLogger(__name__)
 
 TRAIN, TEST, EXCLUDED = "train", "test", "excluded"
-
-_OBLIGATION_RE = re.compile(r"^\s*(?:Next\s+Obligation|Obligation\b|Program\b)")
 
 
 class CorpusError(Exception):
@@ -194,34 +193,43 @@ class Corpus:
 _IN_FILE_ORDER = operator.attrgetter("index_in_file")
 
 
-def _extract_records(source: SourceFile) -> tuple[list[TheoremRecord], list[str]]:
+def _opens_obligation(word: str | None, after: str | None) -> bool:
+    """Whether a sentence whose leading words are `word` and `after` starts
+    with `Next Obligation`, `Obligation` or `Program`."""
+    if word == "Next":
+        return after is not None and after.startswith("Obligation")
+    return word == "Obligation" or word == "Program"
+
+
+def _extract_records(source: SourceFile) -> tuple[list[TheoremRecord], dict[str, str], list[str]]:
+    """The file's records, their labels (train, or excluded when the proof is
+    Admitted/Abort'ed) and the warnings. Each sentence's leading word is read once."""
     rel, sentences = source.path, source.sentences
+    heads = leading_words(sentence.text for sentence in sentences)
     records: list[TheoremRecord] = []
+    labels: dict[str, str] = {}
     warnings: list[str] = []
     seen_names: dict[str, int] = {}
     index = 0
     i = 0
-    while i < len(sentences):
-        sentence = sentences[i]
-        if _OBLIGATION_RE.match(sentence.text):
-            warnings.append(f"{rel}: skipped Program/Obligation block at byte {sentence.span[0]}")
+    while i < len(heads):
+        word, after = heads[i]
+        if _opens_obligation(word, after):
+            warnings.append(f"{rel}: skipped Program/Obligation block at byte {sentences[i].span[0]}")
             i += 1
             continue
-        if not is_statement(sentence):
+        if word not in STATEMENT_KEYWORDS:
             i += 1
             continue
-        name = statement_name(sentence) or f"anon_{index}"
+        name = after or f"anon_{index}"
         depth = 1
         j = i + 1
-        excluded = False
-        while j < len(sentences) and depth > 0:
-            step = sentences[j]
-            if is_statement(step):
+        while j < len(heads) and depth > 0:
+            step = heads[j][0]
+            if step in STATEMENT_KEYWORDS:
                 depth += 1
-            elif is_closing(step):
+            elif step in PROVING_CLOSERS or step in NON_PROVING_CLOSERS:
                 depth -= 1
-                if depth == 0 and not is_closing(step, proving_only=True):
-                    excluded = True
             j += 1
         if depth > 0:
             warnings.append(f"{rel}: proof of {name} never closed; dropped")
@@ -239,11 +247,15 @@ def _extract_records(source: SourceFile) -> tuple[list[TheoremRecord], list[str]
                 index_in_file=index,
             )
         )
-        if excluded:
+        # The sentence that closed the proof is its last.
+        if heads[j - 1][0] in PROVING_CLOSERS:
+            labels[record_id] = TRAIN
+        else:
+            labels[record_id] = EXCLUDED
             warnings.append(f"{rel}: {name} is Admitted/Abort'ed; excluded from splits")
         index += 1
         i = j
-    return records, warnings
+    return records, labels, warnings
 
 
 def ingest_project(
@@ -279,11 +291,9 @@ def ingest_project(
             warnings.append(f"{rel}: segmentation failed at byte {exc.offset}; file skipped")
             log.warning("skipping %s: %s", rel, exc)
             continue
-        file_records, file_warnings = _extract_records(source)
-        for record in file_records:
-            proof_ok = record.proof and is_closing(record.proof[-1], proving_only=True)
-            labels[record.id] = EXCLUDED if not proof_ok else TRAIN
+        file_records, file_labels, file_warnings = _extract_records(source)
         records.extend(file_records)
+        labels.update(file_labels)
         warnings.extend(file_warnings)
     return Corpus(records, str(root), labels, warnings)
 
@@ -358,54 +368,46 @@ def preceding_lemmas(
 
 
 # ---------------------------------------------------------------------------
-# Persistence: JSON Lines. A header line, then per source file one row of its
-# path, text and sentence byte spans, followed by the rows of its records.
-# Each span is written as the bytes skipped since the sentence before and the
-# sentence's length, so a row grows linearly with its text.
+# Persistence: JSON Lines. A header line, then one row per source file of its
+# path, text, sentence byte spans and records. Each span is written as the
+# bytes skipped since the sentence before and the sentence's length, so a row
+# grows linearly with its text. Each record is written as [id, name,
+# index_in_file, statement_index, proof_end, split], in index_in_file order.
 # ---------------------------------------------------------------------------
 
-_FORMAT = "coqharness-corpus/2"
+_FORMAT = "coqharness-corpus/3"
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    rows: list[dict] = [{"format": _FORMAT, "root": corpus.root}]
-    written: set[str] = set()
-    for record in corpus.records:
-        source = record.source
-        if source.path not in written:
-            written.add(source.path)
-            spans, end = [], 0
-            for sentence in source.sentences:
-                spans += (sentence.span[0] - end, sentence.span[1] - sentence.span[0])
-                end = sentence.span[1]
-            rows.append({"path": source.path, "text": source.text, "spans": spans})
-        rows.append({"id": record.id, "name": record.name, "file": source.path,
-                     "index_in_file": record.index_in_file,
-                     "statement_index": record.statement_index, "proof_end": record.proof_end,
-                     "split": corpus.split_labels[record.id]})
+    labels = corpus.split_labels
+    lines = [json.dumps({"format": _FORMAT, "root": corpus.root}, ensure_ascii=False)]
+    for records in corpus._by_file.values():  # in index_in_file order
+        source = records[0].source
+        spans, end = [], 0
+        for sentence in source.sentences:
+            spans += (sentence.span[0] - end, sentence.span[1] - sentence.span[0])
+            end = sentence.span[1]
+        entries = [[r.id, r.name, r.index_in_file, r.statement_index, r.proof_end, labels[r.id]]
+                   for r in records]
+        lines.append(json.dumps({"path": source.path, "text": source.text, "spans": spans,
+                                 "records": entries}, ensure_ascii=False))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+        fh.write("\n".join(lines) + "\n")
 
 
-_FILE_FIELDS = {"path", "text", "spans"}
-_RECORD_FIELDS = {"id", "name", "file", "index_in_file", "statement_index", "proof_end", "split"}
-
-
-def _missing(row, wanted: set[str], line_number: int) -> None:
-    if not isinstance(row, dict):
-        raise SchemaViolation(line_number, "not a JSON object")
-    missing = wanted - set(row)
-    if missing:
-        raise SchemaViolation(line_number, f"missing fields: {sorted(missing)}")
-
-
+_FILE_FIELDS = {"path", "text", "spans", "records"}
+_RECORD_TYPES = (str, str, int, int, int, str)
 _CONTINUATION_BYTE = re.compile(rb"[\x80-\xbf]")
 
 
-def _source_from_row(row: dict, line_number: int) -> SourceFile:
-    """A file row as a SourceFile whose sentences are built on first use;
+def _source_from_row(row, line_number: int) -> SourceFile:
+    """A file row's SourceFile, whose sentences are built on first use;
     SchemaViolation when malformed. Every span is checked here, at load."""
-    _missing(row, _FILE_FIELDS, line_number)
+    if not isinstance(row, dict):
+        raise SchemaViolation(line_number, "not a JSON object")
+    missing = _FILE_FIELDS - set(row)
+    if missing:
+        raise SchemaViolation(line_number, f"missing fields: {sorted(missing)}")
     path, text = row["path"], row["text"]
     try:
         if not isinstance(path, str):
@@ -426,32 +428,40 @@ def _source_from_row(row: dict, line_number: int) -> SourceFile:
     return SourceFile(path, text, _Sentences(raw, bounds))
 
 
-def _record_from_row(
-    row: dict, line_number: int, sources: dict[str, SourceFile]
-) -> tuple[TheoremRecord, str]:
-    """A record row as (record, split label); SchemaViolation when malformed
-    or when `sources` lacks its file."""
-    _missing(row, _RECORD_FIELDS, line_number)
+def _file_from_row(row, line_number: int) -> tuple[SourceFile, list[tuple[TheoremRecord, str]]]:
+    """A file row's SourceFile and its records, each with its split label;
+    SchemaViolation, naming the record's position in the row, when malformed."""
+    source = _source_from_row(row, line_number)
+    entries = row["records"]
+    if not isinstance(entries, list):
+        raise SchemaViolation(line_number, "malformed file row: its records are not a list")
+    n_sentences = len(source.sentences)
+    records = []
+    for position, entry in enumerate(entries, start=1):
+        if not isinstance(entry, list) or tuple(map(type, entry)) != _RECORD_TYPES:
+            raise SchemaViolation(line_number, f"record {position}: malformed record: expected "
+                                  "[id, name, index_in_file, statement_index, proof_end, split]")
+        record_id, name, index, statement, end, split = entry
+        if not 0 <= statement < end - 1 < n_sentences:
+            raise SchemaViolation(
+                line_number, f"record {position}: sentences {statement}..{end} outside the file")
+        records.append((TheoremRecord(record_id, name, source, statement, end, index), split))
+    return source, records
+
+
+def _root_from_header(line: str) -> str:
+    """The root that a corpus file's first line names; SchemaViolation
+    unless it is a header of this format."""
     try:
-        source = sources.get(row["file"])
-        if source is None:
-            raise SchemaViolation(line_number, f"no file row for {row['file']!r}")
-        statement, end = row["statement_index"], row["proof_end"]
-        if not 0 <= statement < end - 1 < len(source.sentences):
-            raise SchemaViolation(line_number, f"sentences {statement}..{end} outside the file")
-        record = TheoremRecord(row["id"], row["name"], source, statement, end,
-                               operator.index(row["index_in_file"]))
-    except TypeError as exc:
-        raise SchemaViolation(line_number, f"malformed record: {exc}") from None
-    return record, row["split"]
-
-
-def _check_format(header) -> None:
+        header = json.loads(line) if line.strip() else None
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation(1, f"invalid JSON: {exc.msg}") from None
     found = header.get("format") if isinstance(header, dict) else None
     if found != _FORMAT:
         raise SchemaViolation(
             1, f"corpus format {found!r}, expected {_FORMAT!r}: re-run ingest to rewrite it"
         )
+    return header.get("root", "")
 
 
 def _unreadable(path: str | Path, exc: OSError) -> CorpusError:
@@ -459,37 +469,36 @@ def _unreadable(path: str | Path, exc: OSError) -> CorpusError:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """The corpus in a JSON Lines file. A record row follows its file's row.
-    Of file rows sharing a path the first is kept. Of record rows sharing an
-    id the first is kept, record and split; each later one is dropped with a
-    warning."""
+    """The corpus in a JSON Lines file. Of rows sharing a path the first is
+    kept. Of records sharing an id the first is kept, record and split. Each
+    later one is dropped with a warning."""
     records: list[TheoremRecord] = []
     labels: dict[str, str] = {}
     warnings: list[str] = []
-    sources: dict[str, SourceFile] = {}
-    root = ""
+    paths: set[str] = set()
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise _unreadable(path, exc) from exc
     with fh:
-        for line_number, line in enumerate(fh, start=1):
+        root = _root_from_header(fh.readline())
+        for line_number, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaViolation(line_number, f"invalid JSON: {exc.msg}") from None
-            if line_number == 1:
-                _check_format(row)
-                root = row.get("root", "")
-            elif isinstance(row, dict) and "path" in row:
-                source = _source_from_row(row, line_number)
-                sources.setdefault(source.path, source)
-            else:
-                record, split = _record_from_row(row, line_number, sources)
+            source, file_records = _file_from_row(row, line_number)
+            if source.path in paths:
+                warnings.append(f"line {line_number}: dropped a second row for {source.path!r}")
+                log.warning("%s: %s", path, warnings[-1])
+                continue
+            paths.add(source.path)
+            for position, (record, split) in enumerate(file_records, start=1):
                 if record.id in labels:
-                    warnings.append(f"line {line_number}: dropped a second row with id {record.id!r}")
+                    warnings.append(f"line {line_number}, record {position}: "
+                                    f"dropped a second record with id {record.id!r}")
                     log.warning("%s: %s", path, warnings[-1])
                     continue
                 records.append(record)
@@ -497,20 +506,28 @@ def load_corpus(path: str | Path) -> Corpus:
     return Corpus(records, root, labels, warnings)
 
 
-def find_row(data: bytes, needle: bytes, key: str, value: str) -> tuple[dict, int] | None:
-    """The first JSON Lines row of `data` whose `key` is `value`, and its offset. Only
-    rows holding `needle` are decoded, so a needle quoted in another row is skipped."""
-    at = data.find(needle)
+def find_row(
+    data: bytes, needle: bytes, wanted: Callable[[dict], bool], start: int = 0,
+    stop: int | None = None,
+) -> tuple[dict, int, int] | None:
+    """The first JSON Lines row of `data[start:stop]` that is an object and
+    `wanted`, with its start and end offsets. Only rows holding `needle` are
+    decoded, so a needle quoted where `wanted` does not look is skipped."""
+    at = data.find(needle, start, stop)
     while at != -1:
         start = data.rfind(b"\n", 0, at) + 1
         end = data.find(b"\n", at)
         if end == -1:
             end = len(data)
         row = json.loads(data[start:end])
-        if isinstance(row, dict) and row.get(key) == value:
-            return row, start
-        at = data.find(needle, end)
+        if isinstance(row, dict) and wanted(row):
+            return row, start, end
+        at = data.find(needle, end, stop)
     return None
+
+
+def _json_needle(value: str) -> bytes:
+    return json.dumps(value, ensure_ascii=False).encode()
 
 
 # A line whose first non-blank byte cannot open a JSON object.
@@ -518,37 +535,40 @@ _NON_OBJECT_ROW = re.compile(rb"\n[ \t\r\f\v]*[^{\s]")
 
 
 def load_record(path: str | Path, record_id: str) -> Corpus | None:
-    """A Corpus of the record with id `record_id`, its row and then its file's
-    row found by byte search; None when no row has that id or the header is
-    bad, for load_corpus to look the name up or report. A non-object row, or
-    a file row after the record's, fails as it does in load_corpus."""
+    """A Corpus of the record with id `record_id`, decoded from the first
+    file row that holds it, found by byte search for the JSON-quoted id. It
+    fails as load_corpus does on a bad header, a non-object row or a
+    malformed row that it decodes, and skips a row whose path an earlier row
+    has, as load_corpus drops it. None when no row holds the id, or a row it
+    reads is not JSON, for load_corpus to look the name up or report it."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise _unreadable(path, exc) from exc
-    def search(key: str, value) -> tuple[dict, int] | None:
-        needle = json.dumps(value, ensure_ascii=False).encode()
-        return find_row(data, needle, key, value) if isinstance(value, str) else None
-
-    try:
-        header = json.loads(data[: data.find(b"\n")].decode("utf-8"))
-        _check_format(header)
-        found = search("id", record_id)
-        file_row = search("path", found[0].get("file")) if found else None
-    except (ValueError, SchemaViolation):  # invalid JSON or UTF-8, or a bad header
-        return None
-    if found is None:
-        return None
-
-    def line_of(offset: int) -> int:
-        return data.count(b"\n", 0, offset) + 1
-
+    header, _, _ = data.partition(b"\n")
+    root = _root_from_header(header.decode("utf-8"))
     stray = _NON_OBJECT_ROW.search(data)
     if stray is not None:
-        raise SchemaViolation(line_of(stray.end()), "not a JSON object")
-    sources = {}
-    if file_row is not None and file_row[1] < found[1]:
-        source = _source_from_row(file_row[0], line_of(file_row[1]))
-        sources[source.path] = source
-    record, split = _record_from_row(found[0], line_of(found[1]), sources)
-    return Corpus([record], header.get("root", ""), {record.id: split})
+        raise SchemaViolation(data.count(b"\n", 0, stray.end()) + 1, "not a JSON object")
+
+    def holds_id(row: dict) -> bool:
+        entries = row.get("records")
+        return isinstance(entries, list) and any(
+            isinstance(entry, list) and entry[:1] == [record_id] for entry in entries)
+
+    def path_before(path: str, stop: int) -> bool:
+        """Whether a file row before offset `stop` has `path`."""
+        return find_row(data, _json_needle(path), lambda row: row.get("path") == path,
+                        len(header), stop) is not None
+
+    at = len(header)
+    try:
+        while (found := find_row(data, _json_needle(record_id), holds_id, at)) is not None:
+            row, start, at = found
+            source, file_records = _file_from_row(row, data.count(b"\n", 0, start) + 1)
+            if not path_before(source.path, start):
+                record, split = next(pair for pair in file_records if pair[0].id == record_id)
+                return Corpus([record], root, {record.id: split})
+    except json.JSONDecodeError:
+        pass
+    return None

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -66,6 +66,10 @@ def _norm(text: str) -> str:
     return " ".join(text.split())
 
 
+# A rule's test of a sentence's text, and the message it fails with.
+_ErrorRule = tuple[Callable[[str], object], str]
+
+
 @dataclass(frozen=True)
 class _Script:
     steps: tuple[str, ...]
@@ -78,18 +82,27 @@ class _TheoremEntry:
     goal: str | None = None
     initial_state: ProofState | None = None
     scripts: tuple[_Script, ...] = ()
-    errors: tuple[tuple[re.Pattern, str], ...] = ()
+    errors: tuple[_ErrorRule, ...] = ()
 
 
-def _compile_error_rules(raw: list[dict]) -> tuple[tuple[re.Pattern, str], ...]:
-    rules = []
-    for item in raw:
-        if "contains" in item:
-            pattern = re.compile(re.escape(item["contains"]))
-        else:
-            pattern = re.compile(item["regex"])
-        rules.append((pattern, item["message"]))
-    return tuple(rules)
+def _contains(needle: str) -> Callable[[str], bool]:
+    if not isinstance(needle, str):
+        raise TypeError(f"a contains rule is not a string: {needle!r}")
+    return lambda text: needle in text
+
+
+def _compile_error_rules(raw: list[dict]) -> tuple[_ErrorRule, ...]:
+    """Each rule as a test and its message: a `contains` rule matches its
+    text as a substring, a `regex` rule by a search of its pattern."""
+    return tuple(
+        (_contains(item["contains"]) if "contains" in item else re.compile(item["regex"]).search,
+         item["message"])
+        for item in raw
+    )
+
+
+def _first_error(rules: tuple[_ErrorRule, ...], text: str) -> str | None:
+    return next((message for matches, message in rules if matches(text)), None)
 
 
 def _parse_script(raw) -> _Script:
@@ -116,7 +129,7 @@ class BehaviorTable:
     raw_theorems: Mapping[str, dict]
     queries: Mapping[tuple[str, str], str]
     query_default: str
-    errors: tuple[tuple[re.Pattern, str], ...]
+    errors: tuple[_ErrorRule, ...]
     _compiled: dict[str, _TheoremEntry] = field(default_factory=dict, compare=False, repr=False)
 
     def entry(self, name: str) -> _TheoremEntry | None:
@@ -241,14 +254,9 @@ class MockSession(SessionHandle):
             for name in (t for t in m.group(1).split() if _IDENT_RE.match(t)):
                 if name in current:
                     return StepResult(ERROR, f"{name} is already used.")
-        if entry is not None:
-            for pattern, message in entry.errors:
-                if pattern.search(text):
-                    return StepResult(ERROR, message)
-        for pattern, message in self._table.errors:
-            if pattern.search(text):
-                return StepResult(ERROR, message)
-        return StepResult(ERROR, DEFAULT_TACTIC_FAILURE)
+        rules = self._table.errors if entry is None else entry.errors + self._table.errors
+        message = _first_error(rules, text)
+        return StepResult(ERROR, DEFAULT_TACTIC_FAILURE if message is None else message)
 
     # -- SessionHandle contract --
 
@@ -262,11 +270,14 @@ class MockSession(SessionHandle):
             if is_statement(sentence):
                 return self._open_proof(sentence)
             if is_closing(sentence):
+                # In a prelude, a closer with no open proof ends the proof of
+                # a command the mock does not open, such as a Definition or
+                # an Instance proved by tactics.
+                if self._prelude_mode:
+                    return StepResult(OK, "")
                 return StepResult(ERROR, NO_FOCUSED_PROOF_MESSAGE)
-            for pattern, message in self._table.errors:
-                if pattern.search(text):
-                    return StepResult(ERROR, message)
-            return StepResult(OK, "")
+            message = _first_error(self._table.errors, text)
+            return StepResult(OK, "") if message is None else StepResult(ERROR, message)
 
         if is_statement(sentence):
             return StepResult(ERROR, "Nested proofs are not supported.")

@@ -7,6 +7,7 @@ Coq-aware tokens); candidates are ranked by plain cosine over those vectors.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import json
 import math
@@ -54,30 +55,46 @@ class FeatureVector:
 
 @dataclass
 class Featurizer:
-    """Hashes tokens into a fixed-dimension TF-IDF weighted sparse space."""
+    """Hashes tokens into a fixed-dimension TF-IDF weighted sparse space.
+    `df` and `n_docs` do not change once it is built."""
 
     feature_dim: int = DEFAULT_FEATURE_DIM
     df: dict[str, int] = field(default_factory=dict)
     n_docs: int = 0
+    # token -> (bucket, idf), computed on a token's first use. Threads that
+    # featurize at once may each compute the same token's entry; both compute
+    # equal values from the same fields and either may be kept, so a vector
+    # never depends on which thread stored it.
+    _terms: dict[str, tuple[int, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @staticmethod
-    def fit(documents: list[str], feature_dim: int = DEFAULT_FEATURE_DIM) -> "Featurizer":
+    def fit(documents: list[Counter[str]], feature_dim: int = DEFAULT_FEATURE_DIM) -> "Featurizer":
+        """Document frequencies over documents given as `Counter(tokenize(text))`."""
         df: dict[str, int] = {}
-        for doc in documents:
-            for token in dict.fromkeys(tokenize(doc)):
+        for counts in documents:
+            for token in counts:
                 df[token] = df.get(token, 0) + 1
         return Featurizer(feature_dim, df, len(documents))
 
     def idf(self, token: str) -> float:
         return math.log((1 + self.n_docs) / (1 + self.df.get(token, 0))) + 1.0
 
-    def featurize(self, text: str) -> FeatureVector:
-        counts = Counter(tokenize(text))
+    def vector(self, counts: Counter[str]) -> FeatureVector:
+        """The vector of a document given as `Counter(tokenize(text))`."""
+        terms = self._terms
         entries: dict[int, float] = {}
         for token, tf in counts.items():
-            bucket = hash_token(token, self.feature_dim)
-            entries[bucket] = entries.get(bucket, 0.0) + tf * self.idf(token)
+            term = terms.get(token)
+            if term is None:
+                term = terms[token] = (hash_token(token, self.feature_dim), self.idf(token))
+            bucket, idf = term
+            entries[bucket] = entries.get(bucket, 0.0) + tf * idf
         return FeatureVector.from_entries(entries)
+
+    def featurize(self, text: str) -> FeatureVector:
+        return self.vector(Counter(tokenize(text)))
 
 
 def _sparse_cosine(a: FeatureVector, b: FeatureVector) -> float:
@@ -150,9 +167,9 @@ def build_index(
 ) -> Index:
     if not train:
         raise EmptyTrainSet("cannot index an empty train set")
-    texts = {r.id: _record_text(r, space) for r in train}
-    featurizer = Featurizer.fit(list(texts.values()), feature_dim)
-    vectors = {rid: featurizer.featurize(text) for rid, text in texts.items()}
+    counts = {r.id: Counter(tokenize(_record_text(r, space))) for r in train}
+    featurizer = Featurizer.fit(list(counts.values()), feature_dim)
+    vectors = {rid: featurizer.vector(tokens) for rid, tokens in counts.items()}
     return Index.from_vectors(space, featurizer, vectors)
 
 
@@ -189,13 +206,13 @@ def _rank(index: Index, query: TheoremRecord, k: int) -> list[tuple[str, float]]
         score = min(1.0, max(0.0, cosine))
         if score > 0.0:
             scores.append((rid, score))
-    scores.sort(key=lambda item: (-item[1], item[0]))
+    scores = heapq.nsmallest(k, scores, key=lambda item: (-item[1], item[0]))
     if len(scores) < k:
         scored = {rid for rid, _ in scores}
         scored.add(query.id)
         zeros = (rid for rid in index._ids if rid not in scored)
         scores.extend((rid, 0.0) for rid in itertools.islice(zeros, k - len(scores)))
-    return scores[:k]
+    return scores
 
 
 def save_index(index: Index, path: str | Path) -> None:

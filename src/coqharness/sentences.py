@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 
@@ -63,28 +63,39 @@ PROVING_CLOSERS = ("Qed", "Defined")
 NON_PROVING_CLOSERS = ("Admitted", "Abort")
 
 
-def is_statement(sentence: Sentence | str) -> bool:
+# A sentence's leading word and, when an identifier follows it, that
+# identifier: the name a statement binds.
+_LEADING_WORD = re.compile(r"\s*([A-Za-z]+)\b(?:\s+([^\W\d][\w']*))?")
+
+
+_NO_WORD = (None, None)
+
+
+def leading_word(sentence: Sentence | str) -> tuple[str | None, str | None]:
+    """The sentence's leading word and the identifier after it, each None when absent."""
     text = sentence.text if isinstance(sentence, Sentence) else sentence
-    m = re.match(r"\s*([A-Za-z]+)\b", text)
-    return bool(m and m.group(1) in STATEMENT_KEYWORDS)
+    m = _LEADING_WORD.match(text)
+    return m.groups() if m else _NO_WORD
+
+
+def leading_words(texts: Iterable[str]) -> list[tuple[str | None, str | None]]:
+    """`leading_word` of each text."""
+    return [m.groups() if m else _NO_WORD for m in map(_LEADING_WORD.match, texts)]
+
+
+def is_statement(sentence: Sentence | str) -> bool:
+    return leading_word(sentence)[0] in STATEMENT_KEYWORDS
 
 
 def is_closing(sentence: Sentence | str, proving_only: bool = False) -> bool:
-    text = sentence.text if isinstance(sentence, Sentence) else sentence
-    m = re.match(r"\s*([A-Za-z]+)\b", text)
-    if not m:
-        return False
-    closers = PROVING_CLOSERS if proving_only else PROVING_CLOSERS + NON_PROVING_CLOSERS
-    return m.group(1) in closers
+    word = leading_word(sentence)[0]
+    return word in PROVING_CLOSERS or not proving_only and word in NON_PROVING_CLOSERS
 
 
 def statement_name(statement: Sentence | str) -> str | None:
     """Name bound by a theorem-like statement, or None."""
-    text = statement.text if isinstance(statement, Sentence) else statement
-    m = re.match(
-        r"\s*(?:%s)\s+([^\W\d][\w']*)" % "|".join(STATEMENT_KEYWORDS), text
-    )
-    return m.group(1) if m else None
+    word, name = leading_word(statement)
+    return name if word in STATEMENT_KEYWORDS else None
 
 
 def _byte_offsets(source: str) -> Sequence[int]:

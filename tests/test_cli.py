@@ -159,13 +159,20 @@ def test_prove_unknown_id_nonzero(config_file, ingested, caplog):
     assert "no_such_theorem" in caplog.text
 
 
-# A row of the format that stored each record's whole preceding source.
+# Rows of the format that stored each record's whole preceding source, and of
+# the format that wrote a file row followed by one row per record.
 _FORMAT_1_ROWS = [
     {"format": "coqharness-corpus/1", "root": "project"},
     {"id": "relations.v::union_incl", "name": "union_incl",
      "statement": {"text": "Lemma union_incl: True.", "span": [0, 23]},
      "proof": [{"text": "Qed.", "span": [24, 28]}], "file": "relations.v",
      "preceding_source": "", "index_in_file": 0, "split": "test"},
+]
+_FORMAT_2_ROWS = [
+    {"format": "coqharness-corpus/2", "root": "project"},
+    {"path": "relations.v", "text": "Lemma union_incl: True. Qed.", "spans": [0, 23, 1, 4]},
+    {"id": "relations.v::union_incl", "name": "union_incl", "file": "relations.v",
+     "index_in_file": 0, "statement_index": 0, "proof_end": 2, "split": "test"},
 ]
 
 
@@ -178,14 +185,40 @@ _FORMAT_1_ROWS = [
 def test_a_format_1_corpus_exits_2_and_asks_for_ingest(
     command, config_file, manifest_path, tmp_path, caplog
 ):
-    corpus_path = tmp_path / "old.jsonl"
-    corpus_path.write_text("".join(json.dumps(row) + "\n" for row in _FORMAT_1_ROWS))
+    argv = [str(manifest_path) if a == "MANIFEST" else str(tmp_path / "out") if a == "OUT" else a
+            for a in command]
+    for version, rows in ((1, _FORMAT_1_ROWS), (2, _FORMAT_2_ROWS)):
+        corpus_path = tmp_path / f"old-{version}.jsonl"
+        corpus_path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        caplog.clear()
+        code = main(["--config", str(config_file), argv[0], "--corpus", str(corpus_path),
+                     *argv[1:]])
+        assert code == EXIT_CONFIG
+        assert (f"line 1: corpus format 'coqharness-corpus/{version}', expected "
+                "'coqharness-corpus/3': re-run ingest to rewrite it") in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content", ["", "\n", '{"path": "relations.v"}\n'],
+                         ids=["empty", "blank-first-line", "no-header"])
+@pytest.mark.parametrize("command", [
+    ["eval", "--manifest", "MANIFEST", "--out", "OUT"],
+    ["index", "--out", "OUT"],
+    ["prove", "--theorem", "relations.v::union_incl", "--mode", "zs"],
+    ["prove", "--theorem", "relations.v::union_incl", "--mode", "fs-sim"],
+])
+def test_a_corpus_file_without_a_header_exits_2(
+    command, content, config_file, manifest_path, tmp_path, caplog
+):
+    corpus_path = tmp_path / "headless.jsonl"
+    corpus_path.write_text(content)
     argv = [str(manifest_path) if a == "MANIFEST" else str(tmp_path / "out") if a == "OUT" else a
             for a in command]
     code = main(["--config", str(config_file), argv[0], "--corpus", str(corpus_path), *argv[1:]])
     assert code == EXIT_CONFIG
-    assert ("line 1: corpus format 'coqharness-corpus/1', expected 'coqharness-corpus/2': "
-            "re-run ingest") in caplog.text
+    assert ("line 1: corpus format None, expected 'coqharness-corpus/3': "
+            "re-run ingest to rewrite it") in caplog.text
+    assert not (tmp_path / "out").exists()
 
 
 def test_prove_interactive_flag(config_file, ingested, tmp_path, fixtures_dir, capsys):
@@ -810,14 +843,16 @@ def test_prove_finds_a_name_and_reports_a_bad_row_from_the_full_corpus(
     assert len(loads) == 1  # a name is not an id: the whole corpus is read
 
     lines = ingested.read_text(encoding="utf-8").splitlines(keepends=True)
-    row = next(i for i, line in enumerate(lines) if '"id": "weak.v::weak_refl"' in line)
+    row = next(i for i, line in enumerate(lines) if '["weak.v::weak_refl"' in line)
     broken = json.loads(lines[row])
-    del broken["proof_end"]
+    position = next(k for k, entry in enumerate(broken["records"], start=1)
+                    if entry[0] == "weak.v::weak_refl")
+    del broken["records"][position - 1][4]  # its proof_end
     lines[row] = json.dumps(broken, ensure_ascii=False) + "\n"
     ingested.write_text("".join(lines), encoding="utf-8")
     code = main(["--config", str(config_file), "prove", "--theorem", "weak.v::weak_refl"])
     assert code == EXIT_CONFIG
-    assert f"line {row + 1}: missing fields: ['proof_end']" in caplog.text
+    assert f"line {row + 1}: record {position}: malformed record" in caplog.text
 
 
 @pytest.mark.parametrize("argv", [
@@ -839,3 +874,49 @@ def test_no_corpus_file_named_exit_2(tmp_path, caplog):
     code = main(["--config", str(config), "index", "--out", str(tmp_path / "i.json")])
     assert code == EXIT_CONFIG
     assert "no corpus file: pass --corpus or set paths.corpus_file" in caplog.text
+
+
+def test_a_prelude_with_proved_definitions_and_instances_proves_and_evals(tmp_path, capsys):
+    """A Definition and an Instance proved by tactics before the target
+    replay in its prelude, so `prove` accepts and `eval` reports no error."""
+    project = tmp_path / "project"
+    project.mkdir()
+    (project / "m.v").write_text(
+        "Definition two : nat.\nProof. exact 2. Defined.\n\n"
+        "Class Pointed (A : Type) := point : A.\n"
+        "Instance nat_pointed : Pointed nat.\nProof. exact 0. Qed.\n\n"
+        "Lemma base : True.\nProof. exact I. Qed.\n\n"
+        "Lemma two_is_two : two = 2.\nProof. reflexivity. Qed.\n",
+        encoding="utf-8")
+    table = {"theorems": {"base": {"scripts": [["exact I.", "Qed."]]},
+                          "two_is_two": {"scripts": [["reflexivity.", "Qed."]]}}}
+    script = {"default": "no idea",
+              "entries": [{"theorem": "two_is_two", "completions": ["Proof.\nreflexivity.\nQed."]}]}
+    manifest = {"configs": [{"tag": "zs", "mode": "zs", "decoding": {"n": 1}, "seed": 1}]}
+    for name, payload in (("table", table), ("script", script), ("manifest", manifest)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
+    config = tmp_path / "prelude.ini"
+    config.write_text(f"""
+[paths]
+cache_dir = {tmp_path}/cache
+corpus_file = {tmp_path}/corpus.jsonl
+
+[provider]
+kind = scripted
+script_file = {tmp_path}/script.json
+
+[prover]
+backend = mock
+mock_table = {tmp_path}/table.json
+""")
+    assert main(["--config", str(config), "ingest", "--root", str(project), "--split", "explicit",
+                 "--explicit-test", "m.v::two_is_two", "--out", str(tmp_path / "corpus.jsonl")]) \
+        == EXIT_OK
+    capsys.readouterr()
+    assert main(["--config", str(config), "prove", "--theorem", "m.v::two_is_two"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "ACCEPTED"
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "eval", "--manifest", str(tmp_path / "manifest.json"),
+                 "--out", str(out)]) == EXIT_OK
+    [attempt] = map(json.loads, (out / "attempts" / "zs.jsonl").read_text().splitlines())
+    assert attempt["theorem_id"] == "m.v::two_is_two" and attempt["accepted"]

@@ -26,6 +26,7 @@ from coqharness.corpus import (
     TheoremRecord,
     TooFewRecords,
     UnknownId,
+    _extract_records,
     ingest_project,
     load_corpus,
     load_record,
@@ -33,7 +34,9 @@ from coqharness.corpus import (
     save_corpus,
     split_corpus,
 )
-from coqharness.sentences import LexicalError, segment_sentences
+from coqharness.sentences import LexicalError, Sentence, segment_sentences
+
+from classify_per_call import extract_per_call
 
 
 def test_ingest_toy_project(toy_corpus):
@@ -197,6 +200,36 @@ def test_preceding_lemmas_slice_equals_the_filter(project_name, walk_project, to
                 _filtered_preceding_lemmas(corpus, record.id, n)
 
 
+@pytest.mark.parametrize("project_name", ["walk", "fixtures", "long"])
+def test_extract_records_equals_the_per_call_classification(project_name, walk_project,
+                                                            toy_corpus, long_project):
+    corpus = {"walk": walk_project["corpus"], "fixtures": toy_corpus,
+              "long": long_project["corpus"]}[project_name]
+    sources = {r.file: r.source for r in corpus.records}
+    assert len(sources) >= 2
+    for source in sources.values():
+        assert _extract_records(source) == extract_per_call(source)
+
+
+# Statements, closers, near misses and obligation openers, as sentence texts.
+_SENTENCES = ["Lemma a : True.", "Theorem b: x.", "Lemma (x) : y.", "Fact  c'.", "Lemmas d.",
+              "Lemma_e.", "Remark\tg.", "Lemma 1x.", "Corollary é : e.", "Qed.", "Defined.",
+              "Admitted.", "Abort.", " Qed.", "Qedx.", "Program Definition f := 1.",
+              "Next Obligation.", "Next  Obligations.", "Next Obl.", "Obligation 1.",
+              "Obligations.", "Program_x.", "Program'.", "Proof.", "auto.", "-", "Definition d."]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_SENTENCES), max_size=14))
+def test_extract_records_equals_the_per_call_classification_on_any_sentences(texts):
+    sentences, at = [], 0
+    for text in texts:
+        sentences.append(Sentence(text, (at, at + len(text.encode("utf-8")))))
+        at = sentences[-1].span[1] + 1
+    source = SourceFile("s.v", " ".join(texts), tuple(sentences))
+    assert _extract_records(source) == extract_per_call(source)
+
+
 def test_corpus_file_grows_linearly_with_the_source(long_project, tmp_path):
     path = tmp_path / "corpus.jsonl"
     save_corpus(long_project["corpus"], path)
@@ -235,17 +268,33 @@ def test_unicode_identifiers_roundtrip(tmp_path):
     assert path.read_bytes() == raw
 
 
+_HEADER = {"format": "coqharness-corpus/3", "root": "r"}
+_RECORD = ["f.v::t", "t", 0, 0, 2, "test"]
+_FILE = {"path": "f.v", "text": "Lemma t: True. Qed.", "spans": [0, 14, 1, 4], "records": [_RECORD]}
+# Another file, before _FILE, so that a bad record of _FILE is on line 3.
+_OTHER = {"path": "g.v", "text": "Lemma u: True. Qed.", "spans": [0, 14, 1, 4],
+          "records": [["g.v::u", "u", 0, 0, 2, "train"]]}
+
+
+def _record(**changes) -> dict:
+    """_FILE with its record's fields changed, by position."""
+    fields = ["id", "name", "index_in_file", "statement_index", "proof_end", "split"]
+    entry = [changes.get(name, value) for name, value in zip(fields, _RECORD)]
+    return {**_FILE, "records": [entry]}
+
+
 def test_schema_violation_line_number(toy_corpus, tmp_path):
     path = tmp_path / "corpus.jsonl"
     save_corpus(toy_corpus, path)
     lines = path.read_text().splitlines()
-    lines[3] = lines[3][: len(lines[3]) // 2]  # truncate a record line
+    assert len(lines) == 3  # the header and one row per file
+    lines[2] = lines[2][: len(lines[2]) // 2]  # truncate the second file's row
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SchemaViolation) as err:
         load_corpus(path)
-    assert err.value.line_number == 4
+    assert err.value.line_number == 3
 
-    path.write_text('{"format": "coqharness-corpus/2", "root": "x"}\n{"id": "only"}\n')
+    path.write_text('{"format": "coqharness-corpus/3", "root": "x"}\n{"path": "only"}\n')
     with pytest.raises(SchemaViolation) as err:
         load_corpus(path)
     assert err.value.line_number == 2 and "missing fields" in str(err.value)
@@ -256,6 +305,19 @@ def test_schema_violation_line_number(toy_corpus, tmp_path):
     assert err.value.line_number == 1
 
 
+@pytest.mark.parametrize("content", ["", "\n", "\n" + json.dumps(_HEADER) + "\n",
+                                     json.dumps(_FILE) + "\n"],
+                         ids=["empty", "blank", "blank-first-line", "file-row-first"])
+def test_a_corpus_file_without_a_header_is_a_format_error(content, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(content, encoding="utf-8")
+    for load in (load_corpus, lambda path: load_record(path, "f.v::t")):
+        with pytest.raises(SchemaViolation) as err:
+            load(path)
+        assert str(err.value) == ("line 1: corpus format None, expected 'coqharness-corpus/3': "
+                                  "re-run ingest to rewrite it")
+
+
 # Ids that are prefixes of one another, non-ASCII, escaped in JSON, or equal
 # to a field name or a value that other rows hold (a decoy for the byte search).
 _IDS = ["a.v::t", "a.v::t2", "a.v::t#1", "é.v::ü", 'q"uote', "back\\slash", "id", "train", "a.v"]
@@ -263,27 +325,23 @@ _IDS = ["a.v::t", "a.v::t2", "a.v::t#1", "é.v::ü", 'q"uote', "back\\slash", "i
 
 @st.composite
 def _corpus_files(draw):
-    """A corpus file's bytes: duplicate ids, file paths equal to ids, file
-    texts and statements quoting other ids, CRLF or LF row ends, and an
-    optional final newline."""
-    rows = [{"format": "coqharness-corpus/2", "root": draw(st.sampled_from(["r", "ü"]))}]
-    paths: set[str] = set()
-    for index in range(draw(st.integers(0, 8))):
-        record_id, other = draw(st.sampled_from(_IDS)), draw(st.sampled_from(_IDS))
-        path = draw(st.sampled_from(_IDS))
-        if path not in paths:  # a file's row comes before its records' rows
-            paths.add(path)
-            prelude = draw(st.text(max_size=8)) + json.dumps(other)
-            statement = draw(st.sampled_from([other, f'Lemma x : "{other}".', "Lemma y : True."]))
-            a = len(prelude.encode("utf-8")) + 1
-            b = a + len(statement.encode("utf-8"))
-            rows.append({"path": path, "text": f"{prelude} {statement} Qed.",
-                         "spans": [0, a - 1, 1, b - a, 1, 4]})
-        rows.append({
-            "id": record_id, "name": draw(st.sampled_from([other, "x"])), "file": path,
-            "index_in_file": index, "statement_index": 1, "proof_end": 3,
-            "split": draw(st.sampled_from(["train", "test"])),
-        })
+    """A corpus file's bytes: ids duplicated within a row and across rows,
+    paths shared by several rows and equal to ids, file texts and statements
+    quoting ids, CRLF or LF row ends, and an optional final newline."""
+    rows = [{"format": "coqharness-corpus/3", "root": draw(st.sampled_from(["r", "ü"]))}]
+    for _ in range(draw(st.integers(0, 5))):
+        other = draw(st.sampled_from(_IDS))
+        prelude = draw(st.text(max_size=8)) + json.dumps(other)
+        statement = draw(st.sampled_from([other, f'Lemma x : "{other}".', "Lemma y : True."]))
+        a = len(prelude.encode("utf-8")) + 1
+        b = a + len(statement.encode("utf-8"))
+        records = [
+            [draw(st.sampled_from(_IDS)), draw(st.sampled_from([other, "x"])), index, 1, 3,
+             draw(st.sampled_from(["train", "test"]))]
+            for index in range(draw(st.integers(0, 3)))
+        ]
+        rows.append({"path": draw(st.sampled_from(_IDS)), "text": f"{prelude} {statement} Qed.",
+                     "spans": [0, a - 1, 1, b - a, 1, 4], "records": records})
     lines = [json.dumps(row, ensure_ascii=False).encode("utf-8") for row in rows]
     data = b"".join(line + draw(st.sampled_from([b"\n", b"\r\n"])) for line in lines)
     if draw(st.booleans()):
@@ -306,24 +364,30 @@ def test_load_record_agrees_with_load_corpus(data):
                 assert found is None  # the caller falls back to load_corpus
                 continue
             assert found.records == [expected] and found.root == oracle.root
-            if sum(r.id == record_id for r in oracle.records) == 1:
-                assert found.split_labels == {record_id: oracle.split_labels[record_id]}
+            assert found.records[0].source.path == expected.source.path
+            assert found.split_labels == {record_id: oracle.split_labels[record_id]}
 
 
-def test_load_record_reports_its_malformed_row_and_defers_a_bad_header(toy_corpus, tmp_path):
+def test_load_record_reports_its_malformed_row_and_a_bad_header(toy_corpus, tmp_path):
     path = tmp_path / "corpus.jsonl"
     save_corpus(toy_corpus, path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    row = json.loads(lines[3])
-    del row["file"]
-    lines[3] = json.dumps(row, ensure_ascii=False) + "\n"
+    row = json.loads(lines[2])
+    target = row["records"][1]
+    del target[5]  # its split
+    lines[2] = json.dumps(row, ensure_ascii=False) + "\n"
     path.write_text("".join(lines), encoding="utf-8")
-    with pytest.raises(SchemaViolation) as err:
-        load_record(path, row["id"])
-    assert err.value.line_number == 4 and "missing fields: ['file']" in str(err.value)
+    for load in (load_corpus, lambda path: load_record(path, target[0])):
+        with pytest.raises(SchemaViolation) as err:
+            load(path)
+        assert err.value.line_number == 3 and err.value.detail.startswith(
+            "record 2: malformed record")
 
     path.write_text('{"format": "other"}\n' + "".join(lines[1:]), encoding="utf-8")
-    assert load_record(path, toy_corpus.records[0].id) is None
+    for load in (load_corpus, lambda path: load_record(path, toy_corpus.records[0].id)):
+        with pytest.raises(SchemaViolation) as err:
+            load(path)
+        assert err.value.line_number == 1 and "corpus format 'other'" in err.value.detail
 
 
 def test_load_corpus_keeps_the_first_row_of_a_duplicated_id(toy_corpus, tmp_path, caplog):
@@ -331,40 +395,61 @@ def test_load_corpus_keeps_the_first_row_of_a_duplicated_id(toy_corpus, tmp_path
     path = tmp_path / "corpus.jsonl"
     save_corpus(Corpus([record], toy_corpus.root, {record.id: TEST}), path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    second = {**json.loads(lines[2]), "split": TRAIN, "name": "second"}
-    path.write_text("".join(lines) + json.dumps(second) + "\n", encoding="utf-8")
+    row = json.loads(lines[1])
+    [entry] = row["records"]
+    row["records"].append([record.id, "second", 1, *entry[3:5], TRAIN])  # in the same row
+    other = {**row, "path": "g.v", "records": [[record.id, "third", 0, *entry[3:5], TRAIN]]}
+    path.write_text(lines[0] + json.dumps(row) + "\n" + json.dumps(other) + "\n",
+                    encoding="utf-8")
     with caplog.at_level("WARNING", logger="coqharness.corpus"):
         corpus = load_corpus(path)
     assert corpus.records == [record] and corpus.test == [record] and corpus.train == []
-    assert corpus.warnings == ["line 4: dropped a second row with id 'f.v::t'"]
-    assert [r.levelname for r in caplog.records] == ["WARNING"]
-    assert corpus.warnings[0] in caplog.text
+    assert corpus.warnings == ["line 2, record 2: dropped a second record with id 'f.v::t'",
+                               "line 3, record 1: dropped a second record with id 'f.v::t'"]
+    assert [r.levelname for r in caplog.records] == ["WARNING", "WARNING"]
+    assert all(warning in caplog.text for warning in corpus.warnings)
     assert load_record(path, record.id).records == corpus.records
     assert load_record(path, record.id).split_labels == corpus.split_labels
 
 
-_HEADER = {"format": "coqharness-corpus/2", "root": "r"}
-_FILE = {"path": "f.v", "text": "Lemma t: True. Qed.", "spans": [0, 14, 1, 4]}
-_RECORD = {"id": "f.v::t", "name": "t", "file": "f.v", "index_in_file": 0,
-           "statement_index": 0, "proof_end": 2, "split": "test"}
+def test_load_corpus_keeps_the_first_row_of_a_duplicated_path(tmp_path, caplog):
+    second = {**_FILE, "text": "Lemma u: True. Qed.", "records": [["f.v::u", "u", 0, 0, 2, "train"]]}
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in (_HEADER, _FILE, second)),
+                    encoding="utf-8")
+    with caplog.at_level("WARNING", logger="coqharness.corpus"):
+        corpus = load_corpus(path)
+    assert [r.id for r in corpus.records] == ["f.v::t"]
+    assert corpus.warnings == ["line 3: dropped a second row for 'f.v'"]
+    assert corpus.warnings[0] in caplog.text
+    assert load_record(path, "f.v::t").records == corpus.records
+    assert load_record(path, "f.v::u") is None
 
 
 @pytest.mark.parametrize("rows,line_number,detail,both", [
-    ([_HEADER, _FILE, _RECORD], None, None, True),
-    ([_HEADER, _RECORD, _FILE], 2, "no file row for 'f.v'", True),
-    ([_HEADER, [_FILE], _RECORD], 2, "not a JSON object", True),
-    ([_HEADER, {**_FILE, "path": ["f.v"]}, _RECORD], 2, "path is not a string", False),
-    ([_HEADER, {**_FILE, "spans": [0, 14, 1, 5]}, _RECORD], 2, "spans do not fit", True),
-    ([_HEADER, {**_FILE, "spans": [0, 14, 1]}, _RECORD], 2, "spans do not fit", True),
-    ([_HEADER, {**_FILE, "spans": [0, 14, -1, 5]}, _RECORD], 2, "spans do not fit", True),
-    ([_HEADER, {**_FILE, "spans": [0, 14, 1, 0]}, _RECORD], 2, "spans do not fit", True),
-    ([_HEADER, {**_FILE, "text": "Lemma é: True. Qed.", "spans": [0, 7, 1, 4]}, _RECORD], 2,
+    ([_HEADER, _FILE], None, None, True),
+    ([_HEADER, {**_FILE, "records": {"f.v::t": _RECORD}}], 2, "records are not a list", False),
+    ([_HEADER, [_FILE]], 2, "not a JSON object", True),
+    ([_HEADER, {**_FILE, "path": ["f.v"]}], 2, "path is not a string", True),
+    ([_HEADER, {**_FILE, "spans": [0, 14, 1, 5]}], 2, "spans do not fit", True),
+    ([_HEADER, {**_FILE, "spans": [0, 14, 1]}], 2, "spans do not fit", True),
+    ([_HEADER, {**_FILE, "spans": [0, 14, -1, 5]}], 2, "spans do not fit", True),
+    ([_HEADER, {**_FILE, "spans": [0, 14, 1, 0]}], 2, "spans do not fit", True),
+    ([_HEADER, {**_FILE, "text": "Lemma é: True. Qed.", "spans": [0, 7, 1, 4]}], 2,
      "malformed file row", True),
-    ([_HEADER, _FILE, {**_RECORD, "proof_end": 1}], 3, "sentences 0..1 outside the file", True),
-    ([_HEADER, _FILE, {**_RECORD, "proof_end": 3}], 3, "sentences 0..3 outside the file", True),
-    ([_HEADER, _FILE, {**_RECORD, "statement_index": "0"}], 3, "malformed record", True),
-    ([_HEADER, _FILE, {**_RECORD, "index_in_file": 0.5}], 3, "malformed record", True),
-    ([_HEADER, _FILE, _RECORD, 7], 4, "not a JSON object", True),
+    ([_HEADER, _OTHER, _record(proof_end=1)], 3, "sentences 0..1 outside the file", True),
+    ([_HEADER, _OTHER, _record(proof_end=3)], 3, "sentences 0..3 outside the file", True),
+    ([_HEADER, _OTHER, _record(statement_index="0")], 3, "malformed record", True),
+    ([_HEADER, _OTHER, _record(index_in_file=0.5)], 3, "malformed record", True),
+    ([_HEADER, _FILE, _OTHER, 7], 4, "not a JSON object", True),
+    ([_HEADER, {**_FILE, "records": [_RECORD[:5]]}], 2, "record 1: malformed record", True),
+    ([_HEADER, _record(name=None)], 2, "record 1: malformed record", True),
+    ([_HEADER, _record(split=["test"])], 2, "record 1: malformed record", True),
+    ([_HEADER, _record(index_in_file=True)], 2, "record 1: malformed record", True),
+    ([_HEADER, {**_FILE, "records": [_RECORD, "f.v::u"]}], 2, "record 2: malformed record",
+     True),
+    ([_HEADER, {k: v for k, v in _FILE.items() if k != "records"}], 2,
+     "missing fields: ['records']", False),
 ])
 def test_file_and_record_rows_are_checked(rows, line_number, detail, both, tmp_path):
     path = tmp_path / "corpus.jsonl"

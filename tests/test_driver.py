@@ -28,6 +28,7 @@ from coqharness.driver import (
     SessionDead,
     start_session,
 )
+from coqharness import mockprover
 from coqharness.mockprover import (
     DEFAULT_TACTIC_FAILURE,
     INCOMPLETE_PROOF_MESSAGE,
@@ -412,6 +413,42 @@ def test_mock_prelude_reads_no_states_and_ends_where_stepping_ends():
     with closing(start_session(config)) as session:
         session.set_prelude_mode(True)
         assert [session.execute(sentence).state for sentence in prelude] == [None] * len(prelude)
+
+
+def test_mock_prelude_accepts_the_proof_of_a_command_it_does_not_open():
+    """A Definition or an Instance proved by tactics passes in a prelude; a
+    closer with no open proof still fails outside one."""
+    prelude = segment_sentences(
+        "Definition two : nat.\nProof. exact 2. Defined.\n"
+        "Instance nat_pointed : Pointed nat.\nProof. exact 0. Qed.\n")
+    config = SessionConfig(backend="mock", mock_table={}, prelude=prelude)
+    with closing(start_session(config)) as session:
+        assert session.current_state() is None
+        for closer in ("Defined.", "Qed."):
+            assert session.execute(closer).message == NO_FOCUSED_PROOF_MESSAGE
+
+
+def test_mock_contains_rules_match_literally_and_compile_no_regex(monkeypatch):
+    """A `contains` rule is a substring test: its regex metacharacters match
+    only themselves, and building the table compiles no pattern for it."""
+    compiled = []
+    monkeypatch.setattr(mockprover.re, "compile",
+                        lambda pattern, *a, _compile=mockprover.re.compile:
+                        compiled.append(pattern) or _compile(pattern, *a))
+    table = {"theorems": {"t": {"errors": [{"contains": "x.(*", "message": "entry rule"}]}},
+             "errors": [{"contains": "a+b", "message": "table rule"},
+                        {"regex": "^Require .*Missing", "message": "regex rule"}]}
+    with closing(start_session(SessionConfig(backend="mock", mock_table=table))) as session:
+        assert session.execute("Require Import a+b.").message == "table rule"
+        assert session.execute("Require Import aab.").ok  # a `+` that means one or more
+        assert session.execute("Require Import Missing.").message == "regex rule"
+        assert session.execute("Lemma t : True.").ok
+        assert session.execute('idtac "x.(*".').message == "entry rule"
+        assert session.execute('idtac "xa(*".').message == DEFAULT_TACTIC_FAILURE
+        assert session.execute("apply a+b.").message == "table rule"  # after the entry's rules
+    assert compiled == ["^Require .*Missing"]
+    with pytest.raises(TypeError, match="a contains rule is not a string: 5"):
+        mockprover.compile_behavior_table({"errors": [{"contains": 5, "message": "m"}]})
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ index build, save and load, and lexical ranking."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from coqharness.corpus import SourceFile, TheoremRecord
 from coqharness.retriever import (
+    PROOF_SPACE,
+    STATEMENT_SPACE,
     EmptyTrainSet,
     Featurizer,
     FeatureVector,
@@ -26,6 +29,7 @@ from coqharness.retriever import (
 from coqharness.sentences import Sentence
 
 from oracles import oracle_cosine
+from two_pass_index import two_pass_build_index, two_pass_featurize
 
 
 def make_record(name: str, statement: str, proof: str, file: str = "fix.v", index: int = 0):
@@ -39,6 +43,10 @@ def make_record(name: str, statement: str, proof: str, file: str = "fix.v", inde
         proof_end=2,
         index_in_file=index,
     )
+
+
+def _counts(docs: list[str]) -> list[Counter]:
+    return [Counter(tokenize(doc)) for doc in docs]
 
 
 def to_fv(dense: np.ndarray) -> FeatureVector:
@@ -56,19 +64,19 @@ def test_tokenize_coq_aware():
 
 
 def test_featurize_empty_is_zero():
-    featurizer = Featurizer.fit(["a b", "b c"], feature_dim=64)
+    featurizer = Featurizer.fit(_counts(["a b", "b c"]), feature_dim=64)
     vector = featurizer.featurize("")
     assert vector.entries == {} and vector.norm == 0.0
 
 
 def test_featurize_deterministic():
-    featurizer = Featurizer.fit(["intros x.", "auto."], feature_dim=512)
+    featurizer = Featurizer.fit(_counts(["intros x.", "auto."]), feature_dim=512)
     assert featurizer.featurize("intros x. auto.") == featurizer.featurize("intros x. auto.")
 
 
 def test_featurize_matches_hand_tfidf():
     docs = ["intros x. auto.", "intros y. reflexivity.", "auto."]
-    featurizer = Featurizer.fit(docs, feature_dim=4096)
+    featurizer = Featurizer.fit(_counts(docs), feature_dim=4096)
     # hand count: df(intros)=2, df(x)=1, df(".")=3, df(auto)=2
     assert featurizer.df == {
         "intros": 2, "x": 1, ".": 3, "auto": 2, "y": 1, "reflexivity": 1,
@@ -211,6 +219,24 @@ def test_retrieve_ranking_invariant_under_uniform_scaling():
     assert [rid for rid, _ in retrieve(index, query, 5)] == base
 
 
+@pytest.mark.parametrize("project_name", ["walk", "fixtures", "long"])
+@pytest.mark.parametrize("space", [PROOF_SPACE, STATEMENT_SPACE])
+def test_index_file_equals_the_two_pass_build(project_name, space, walk_project, toy_corpus,
+                                              long_project, tmp_path):
+    """The one-pass build writes the two-pass build's bytes, and its memo
+    featurizes every query as the two-pass featurizer does."""
+    corpus = {"walk": walk_project["corpus"], "fixtures": toy_corpus,
+              "long": long_project["corpus"]}[project_name]
+    save_index(build_index(corpus.train, space), tmp_path / "one.json")
+    save_index(two_pass_build_index(corpus.train, space), tmp_path / "two.json")
+    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
+    featurizer = load_index(tmp_path / "one.json").featurizer
+    for record in corpus.records:
+        for _ in range(2):  # computed, then from the memo
+            assert featurizer.featurize(record.statement_text) == \
+                two_pass_featurize(featurizer, record.statement_text)
+
+
 def test_index_roundtrip(tmp_path):
     records = five_record_fixture()
     index = build_index(records, feature_dim=256)
@@ -260,7 +286,7 @@ def test_retrieve_equals_brute_force(docs, hand_made, query_text, query_at, k, f
     id and k past the index size."""
     if tied:
         docs = [docs[0]] * len(docs)
-    featurizer = Featurizer.fit(docs, feature_dim)
+    featurizer = Featurizer.fit(_counts(docs), feature_dim)
     vectors = {  # inserted out of id order
         f"f.v::h{i}": FeatureVector.from_entries({b % feature_dim: w for b, w in entries.items()})
         for i, entries in enumerate(hand_made)

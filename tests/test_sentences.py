@@ -20,6 +20,7 @@ from coqharness.sentences import (
     statement_name,
 )
 
+import classify_per_call as per_call
 from oracles import OracleLexicalError, oracle_segment
 from segment_loop import loop_segment
 
@@ -296,3 +297,25 @@ def test_jumping_segmenter_matches_the_loop_and_the_oracle(source):
 @settings(max_examples=300, deadline=None)
 def test_jumping_segmenter_matches_the_loop_on_any_text(source):
     assert _outcome(segment_sentences, source) == _outcome(loop_segment, source)
+
+
+# Leading words and what may follow them: keywords, near misses that are
+# longer, shorter or joined to a word character, and the obligation openers.
+_HEADS = ["Lemma", "Lemmas", "Lemm", "Theorem", "Fact", "Remark", "Corollary", "Proposition",
+          "Qed", "Defined", "Admitted", "Abort", "Qedx", "Proof", "Program", "Next",
+          "Obligation", "Obligations", "Definition", "auto", "", "-", "é"]
+_TAILS = ["", " ", "  ", "\t", "\n", " x", " foo'", " é", " 1x", " (x)", " : True", "_x", "1",
+          "é", "'", ".", " Obligation", " Obligations", " Obligation 1", " Obl", " _a"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(lead=st.sampled_from(["", " ", "\n  "]), head=st.sampled_from(_HEADS),
+       tail=st.lists(st.sampled_from(_TAILS), max_size=3).map("".join))
+def test_one_leading_word_classifies_as_the_per_call_regexes(lead, head, tail):
+    text = f"{lead}{head}{tail}."
+    for sentence in (text, Sentence(text, (0, len(text.encode("utf-8"))))):
+        assert is_statement(sentence) == per_call.is_statement(sentence)
+        assert is_closing(sentence) == per_call.is_closing(sentence)
+        assert is_closing(sentence, proving_only=True) == \
+            per_call.is_closing(sentence, proving_only=True)
+        assert statement_name(sentence) == per_call.statement_name(sentence)
