@@ -10,8 +10,10 @@ Four loop styles over one theorem:
   ensemble     one-shot once per prompt-diversity variant, splitting the
                sample budget, base variant taking the remainder
 
-All loops are deterministic under the scripted provider and mock prover for
-a fixed seed.
+`prove` lends each loop a session borrowed from a FileWalk and closes the
+loan when the loop returns; no loop opens or closes a session itself. All
+loops are deterministic under the scripted provider and mock prover for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -22,17 +24,10 @@ import random
 import re
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable
 
 from .client import DecodingParams, Provider, complete
-from .corpus import TRAIN, Corpus, SourceFile, TheoremRecord, preceding_lemmas
-from .driver import (
-    BorrowedSession,
-    SessionConfig,
-    SessionHandle,
-    execute_prelude,
-    start_session,
-)
+from .corpus import TRAIN, Corpus, TheoremRecord, preceding_lemmas
+from .driver import FileWalk, SessionConfig, SessionHandle
 from .prompting import (
     EMPTY,
     MALFORMED,
@@ -170,72 +165,9 @@ def attempt_from_json(row: dict) -> AttemptRecord:
 class AgentDeps:
     corpus: Corpus
     provider: Provider
-    session_factory: Callable[[TheoremRecord], SessionHandle]
+    prover: SessionConfig
     templates: TemplateSet
     index: Index | None = None
-
-
-class SessionFactory:
-    """Starts sessions whose prelude is everything before the target in its
-    file. Calling the factory starts a fresh session; `walk` gives one
-    session that steps forward through a file."""
-
-    def __init__(self, base: SessionConfig):
-        self.base = base
-
-    def __call__(self, target: TheoremRecord) -> SessionHandle:
-        return start_session(replace(self.base, prelude=target.prelude))
-
-    def walk(self) -> FileWalk:
-        return FileWalk(self)
-
-
-class FileWalk:
-    """One prover session stepped forward through a file, lent out per target.
-
-    Calling it with a target other than the last executes, in prelude mode,
-    the sentences between the last target's prelude and this one's; every
-    call then lends the session: closing the loan restores the state at the
-    target. The loans of one target share a check memo (BorrowedSession),
-    dropped when the walk moves on. A target of another SourceFile, or one
-    whose statement comes before what was executed, gets a fresh session
-    from the factory, and so does the target after a walk that failed.
-    `close()` closes the session.
-    """
-
-    def __init__(self, factory: SessionFactory):
-        self._factory = factory
-        self._session: SessionHandle | None = None
-        self._source: SourceFile | None = None  # whose sentences [:_executed] ran
-        self._executed = 0
-        self._target: TheoremRecord | None = None  # the target the session stands at
-        self._memo: dict = {}
-
-    def __call__(self, target: TheoremRecord) -> SessionHandle:
-        if target is not self._target:
-            self._advance(target)
-        return BorrowedSession(self._session, self._memo)
-
-    def _advance(self, target: TheoremRecord) -> None:
-        self._target, self._memo = None, {}
-        done, end = self._executed, target.statement_index
-        if self._session is not None and target.source is self._source and end >= done:
-            try:
-                execute_prelude(self._session, self._source.sentences[done:end], first_index=done)
-            except BaseException:
-                self.close()  # stopped mid-walk: the next target starts afresh
-                raise
-        else:
-            self.close()
-            self._session = self._factory(target)
-        self._source, self._executed = target.source, end
-        self._target = target
-
-    def close(self) -> None:
-        self._target = None
-        session, self._session = self._session, None
-        if session is not None:
-            session.close()
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +295,11 @@ def _check_candidates(
 
 
 def prove_one_shot(
-    target: TheoremRecord, config: RunConfig, deps: AgentDeps
+    target: TheoremRecord, config: RunConfig, deps: AgentDeps, session: SessionHandle
 ) -> list[AttemptRecord]:
     """The baseline pipeline: one prompt, n samples, machine-check each."""
     prompt = _build_target_prompt(target, config, deps)
-    with contextlib.closing(deps.session_factory(target)) as session:
-        return _check_candidates(prompt, target, config, deps, session, config.decoding.n)
+    return _check_candidates(prompt, target, config, deps, session, config.decoding.n)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +332,7 @@ def _parse_turn_reply(raw: str, statement_text: str):
 
 
 def prove_interactive(
-    target: TheoremRecord, config: RunConfig, deps: AgentDeps
+    target: TheoremRecord, config: RunConfig, deps: AgentDeps, session: SessionHandle
 ) -> AttemptRecord:
     """Turn loop with proof-state feedback and QUERY tool calls.
 
@@ -424,98 +355,97 @@ def prove_interactive(
     step_counter = 0
     stall_streak = 0
 
-    with contextlib.closing(deps.session_factory(target)) as session:
-        started = time.monotonic()
-        opening = session.execute(target.statement)
-        if not opening.ok:
-            return AttemptRecord(
-                theorem_id=target.id, config_tag=config.tag, variant_id=prompt.variant_id,
-                candidate_index=0, proof_script="", accepted=False,
-                failing_step=(-1, target.statement.text, opening.message),
-                turns=[], completion_kind=MALFORMED,
-            )
-        history = list(prompt.messages)
-        delta = (
-            templates.render("interactive.state", state=render_proof_state(opening.state))
-            if opening.state is not None
-            else templates.render("interactive.no_goals")
+    started = time.monotonic()
+    opening = session.execute(target.statement)
+    if not opening.ok:
+        return AttemptRecord(
+            theorem_id=target.id, config_tag=config.tag, variant_id=prompt.variant_id,
+            candidate_index=0, proof_script="", accepted=False,
+            failing_step=(-1, target.statement.text, opening.message),
+            turns=[], completion_kind=MALFORMED,
         )
+    history = list(prompt.messages)
+    delta = (
+        templates.render("interactive.state", state=render_proof_state(opening.state))
+        if opening.state is not None
+        else templates.render("interactive.no_goals")
+    )
 
-        for _ in range(config.max_turns):
-            if config.wall_clock is not None and time.monotonic() - started >= config.wall_clock:
-                budget_exhausted = True
-                break
-            history.append(ChatMessage("user", delta))
-            conversation = replace(prompt, messages=tuple(history))
-            completion = complete(conversation, decoding, deps.provider)[0]
-            history.append(ChatMessage("assistant", completion or "(empty completion)"))
-            kind_tag, payload, extra = _parse_turn_reply(completion, target.statement.text)
-
-            if kind_tag == "query":
-                command, argument = payload, extra
-                if queries_used >= config.max_queries:
-                    budget_exhausted = True
-                    turns.append(Turn(delta, completion))
-                    break
-                try:
-                    output = session.query(command, argument)
-                except Exception as exc:  # QueryRejected and friends stay in-band
-                    output = str(exc)
-                queries_used += 1
-                turns.append(Turn(delta, completion, ((command, argument, output),)))
-                delta = templates.render("interactive.query_result", state=output)
-                stall_streak = 0
-                continue
-
-            if kind_tag == "refusal":
-                kind = REFUSAL
-                refusal_text = payload
-                turns.append(Turn(delta, completion))
-                break
-
-            if kind_tag == "noise":
-                turns.append(Turn(delta, completion))
-                stall_streak += 1
-                if stall_streak >= 2:
-                    break
-                delta = templates.render(
-                    "interactive.error",
-                    error="Reply with tactic sentences or a QUERY line.",
-                )
-                continue
-
-            stall_streak = 0
-            turns.append(Turn(delta, completion))
-            error_message = None
-            state_after = None
-            for text in payload[:MAX_TACTICS_PER_TURN]:
-                result = session.execute(text)
-                if not result.ok:
-                    error_message = result.message
-                    last_failing = (step_counter, text, result.message)
-                    break
-                executed.append(text)
-                step_counter += 1
-                state_after = result.state
-                if result.proof_complete:
-                    accepted = True
-                    break
-            if accepted:
-                break
-            if error_message is not None:
-                error_block = templates.render("interactive.error", error=error_message)
-                current = session.current_state()
-                if current is not None:
-                    error_block += "\n\n" + templates.render(
-                        "interactive.state", state=render_proof_state(current)
-                    )
-                delta = error_block
-            elif state_after is not None:
-                delta = templates.render("interactive.state", state=render_proof_state(state_after))
-            else:
-                delta = templates.render("interactive.no_goals")
-        else:
+    for _ in range(config.max_turns):
+        if config.wall_clock is not None and time.monotonic() - started >= config.wall_clock:
             budget_exhausted = True
+            break
+        history.append(ChatMessage("user", delta))
+        conversation = replace(prompt, messages=tuple(history))
+        completion = complete(conversation, decoding, deps.provider)[0]
+        history.append(ChatMessage("assistant", completion or "(empty completion)"))
+        kind_tag, payload, extra = _parse_turn_reply(completion, target.statement.text)
+
+        if kind_tag == "query":
+            command, argument = payload, extra
+            if queries_used >= config.max_queries:
+                budget_exhausted = True
+                turns.append(Turn(delta, completion))
+                break
+            try:
+                output = session.query(command, argument)
+            except Exception as exc:  # QueryRejected and friends stay in-band
+                output = str(exc)
+            queries_used += 1
+            turns.append(Turn(delta, completion, ((command, argument, output),)))
+            delta = templates.render("interactive.query_result", state=output)
+            stall_streak = 0
+            continue
+
+        if kind_tag == "refusal":
+            kind = REFUSAL
+            refusal_text = payload
+            turns.append(Turn(delta, completion))
+            break
+
+        if kind_tag == "noise":
+            turns.append(Turn(delta, completion))
+            stall_streak += 1
+            if stall_streak >= 2:
+                break
+            delta = templates.render(
+                "interactive.error",
+                error="Reply with tactic sentences or a QUERY line.",
+            )
+            continue
+
+        stall_streak = 0
+        turns.append(Turn(delta, completion))
+        error_message = None
+        state_after = None
+        for text in payload[:MAX_TACTICS_PER_TURN]:
+            result = session.execute(text)
+            if not result.ok:
+                error_message = result.message
+                last_failing = (step_counter, text, result.message)
+                break
+            executed.append(text)
+            step_counter += 1
+            state_after = result.state
+            if result.proof_complete:
+                accepted = True
+                break
+        if accepted:
+            break
+        if error_message is not None:
+            error_block = templates.render("interactive.error", error=error_message)
+            current = session.current_state()
+            if current is not None:
+                error_block += "\n\n" + templates.render(
+                    "interactive.state", state=render_proof_state(current)
+                )
+            delta = error_block
+        elif state_after is not None:
+            delta = templates.render("interactive.state", state=render_proof_state(state_after))
+        else:
+            delta = templates.render("interactive.no_goals")
+    else:
+        budget_exhausted = True
 
     if kind == PROOF and not accepted and stall_streak >= 2:
         kind = MALFORMED  # stalled: no tactics, no queries
@@ -547,59 +477,60 @@ def _repair_feedback(record: AttemptRecord) -> str:
     return record.error_message or "The proof was not accepted."
 
 
-def repair_loop(target: TheoremRecord, config: RunConfig, deps: AgentDeps) -> list[AttemptRecord]:
+def repair_loop(
+    target: TheoremRecord, config: RunConfig, deps: AgentDeps, session: SessionHandle
+) -> list[AttemptRecord]:
     """Round 0 is one-shot; each later round feeds every unique still-failing
     script its prover error and samples one repair, stopping early on any
     acceptance."""
     started = time.monotonic()
     prompt = _build_target_prompt(target, config, deps)
-    with contextlib.closing(deps.session_factory(target)) as session:
-        records = _check_candidates(prompt, target, config, deps, session, config.decoding.n)
-        if any(r.accepted for r in records):
-            return records
-
-        # One repair chain per unique failing proof script from round 0.
-        chains: list[dict] = []
-        seen: set[str] = set()
-        for record in records:
-            if record.completion_kind != PROOF or record.accepted:
-                continue
-            if record.proof_script in seen:
-                continue
-            seen.add(record.proof_script)
-            chains.append({"conversation": prompt, "latest": record, "done": False})
-
-        candidate_index = len(records)
-        for round_no in range(1, config.repair_rounds + 1):
-            if not chains:
-                break
-            if config.wall_clock is not None and time.monotonic() - started >= config.wall_clock:
-                break
-            any_accepted = False
-            for chain in chains:
-                if chain["done"]:
-                    continue
-                latest: AttemptRecord = chain["latest"]
-                feedback = deps.templates.render("repair.feedback", error=_repair_feedback(latest))
-                conversation = chain["conversation"].appended(
-                    ChatMessage("assistant", latest.proof_script or latest.turns[-1].completion),
-                    ChatMessage("user", feedback),
-                )
-                chain["conversation"] = conversation
-                repaired = _check_candidates(
-                    conversation, target, config, deps, session, 1,
-                    first_index=candidate_index, round_no=round_no,
-                )[0]
-                candidate_index += 1
-                records.append(repaired)
-                chain["latest"] = repaired
-                if repaired.accepted:
-                    chain["done"] = True
-                    any_accepted = True
-                    break
-            if any_accepted:
-                break
+    records = _check_candidates(prompt, target, config, deps, session, config.decoding.n)
+    if any(r.accepted for r in records):
         return records
+
+    # One repair chain per unique failing proof script from round 0.
+    chains: list[dict] = []
+    seen: set[str] = set()
+    for record in records:
+        if record.completion_kind != PROOF or record.accepted:
+            continue
+        if record.proof_script in seen:
+            continue
+        seen.add(record.proof_script)
+        chains.append({"conversation": prompt, "latest": record, "done": False})
+
+    candidate_index = len(records)
+    for round_no in range(1, config.repair_rounds + 1):
+        if not chains:
+            break
+        if config.wall_clock is not None and time.monotonic() - started >= config.wall_clock:
+            break
+        any_accepted = False
+        for chain in chains:
+            if chain["done"]:
+                continue
+            latest: AttemptRecord = chain["latest"]
+            feedback = deps.templates.render("repair.feedback", error=_repair_feedback(latest))
+            conversation = chain["conversation"].appended(
+                ChatMessage("assistant", latest.proof_script or latest.turns[-1].completion),
+                ChatMessage("user", feedback),
+            )
+            chain["conversation"] = conversation
+            repaired = _check_candidates(
+                conversation, target, config, deps, session, 1,
+                first_index=candidate_index, round_no=round_no,
+            )[0]
+            candidate_index += 1
+            records.append(repaired)
+            chain["latest"] = repaired
+            if repaired.accepted:
+                chain["done"] = True
+                any_accepted = True
+                break
+        if any_accepted:
+            break
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +538,9 @@ def repair_loop(target: TheoremRecord, config: RunConfig, deps: AgentDeps) -> li
 # ---------------------------------------------------------------------------
 
 
-def run_ensemble(target: TheoremRecord, config: RunConfig, deps: AgentDeps) -> list[AttemptRecord]:
+def run_ensemble(
+    target: TheoremRecord, config: RunConfig, deps: AgentDeps, session: SessionHandle
+) -> list[AttemptRecord]:
     """One one-shot pass per diversity variant; n splits evenly with the
     remainder going to the base prompt."""
     if not config.strategies:
@@ -619,28 +552,31 @@ def run_ensemble(target: TheoremRecord, config: RunConfig, deps: AgentDeps) -> l
     remainder = config.decoding.n - per * len(groups)
 
     records: list[AttemptRecord] = []
-    with contextlib.closing(deps.session_factory(target)) as session:
-        index = 0
-        for position, variant_prompt in enumerate(groups):
-            budget = per + (remainder if position == 0 else 0)
-            if budget == 0:
-                continue
-            records.extend(
-                _check_candidates(
-                    variant_prompt, target, config, deps, session, budget, first_index=index
-                )
+    index = 0
+    for position, variant_prompt in enumerate(groups):
+        budget = per + (remainder if position == 0 else 0)
+        if budget == 0:
+            continue
+        records.extend(
+            _check_candidates(
+                variant_prompt, target, config, deps, session, budget, first_index=index
             )
-            index += budget
+        )
+        index += budget
     return records
 
 
 DISPATCH = {
     "one_shot": prove_one_shot,
-    "interactive": lambda t, c, d: [prove_interactive(t, c, d)],
+    "interactive": lambda t, c, d, s: [prove_interactive(t, c, d, s)],
     "repair": repair_loop,
     "ensemble": run_ensemble,
 }
 
 
-def prove(target: TheoremRecord, config: RunConfig, deps: AgentDeps) -> list[AttemptRecord]:
-    return DISPATCH[config.loop](target, config, deps)
+def prove(
+    target: TheoremRecord, config: RunConfig, deps: AgentDeps, walk: FileWalk
+) -> list[AttemptRecord]:
+    """Run the config's loop on a session borrowed from `walk` at the target."""
+    with contextlib.closing(walk(target)) as session:
+        return DISPATCH[config.loop](target, config, deps, session)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import logging
 import os
@@ -19,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import agent, client, corpus as corpus_mod, evaluate, retriever
-from .driver import PreludeError, SessionConfig, SessionDead, SpawnFailure
+from .driver import FileWalk, PreludeError, SessionConfig, SessionDead, SpawnFailure
 from .mockprover import compile_behavior_table
 from .prompting import PromptError, TemplateSet
 
@@ -177,6 +178,9 @@ def build_deps(
     index_file: str | None = None,
     whole_table: bool = True,
 ) -> agent.AgentDeps:
+    few_shot = [c.tag for c in run_configs if not c.zero_shot]
+    if few_shot and not corpus.train:
+        raise CliError(f"corpus has no train records for few-shot configs: {', '.join(few_shot)}")
     provider = build_provider(config, replay, cache_dir)
     session_config = build_session_config(config, whole_table)
     templates = TemplateSet.load(_get(config, "paths", "template_file"))
@@ -191,12 +195,12 @@ def build_deps(
         except (OSError, ValueError, KeyError, TypeError, AttributeError,
                 retriever.RetrieverError) as exc:
             raise CliError(f"bad index file {index_path}: {exc}") from exc
-    elif similarity and corpus.train:
+    elif similarity:
         index = retriever.build_index(corpus.train)
     return agent.AgentDeps(
         corpus=corpus,
         provider=provider,
-        session_factory=agent.SessionFactory(session_config),
+        prover=session_config,
         index=index,
         templates=templates,
     )
@@ -280,10 +284,10 @@ def cmd_prove(args, config) -> int:
             raise CliError(f"unknown theorem id {args.theorem!r}")
         target = matches[0]
     deps = build_deps(config, cps, [run_config], args.replay, args.cache_dir, whole_table=False)
-    records = agent.prove(target, run_config, deps)
+    with contextlib.closing(FileWalk(deps.prover)) as walk:
+        records = agent.prove(target, run_config, deps, walk)
     rules = evaluate.ClassifierRules.load(_get(config, "paths", "classifier_patterns"))
-    for record in records:
-        record.category = evaluate.classify_failure(record, rules)
+    evaluate.annotate(records, cps, rules)
     for record in records:
         print(json.dumps(record, ensure_ascii=False, indent=2, default=vars))
     verdict = "ACCEPTED" if any(r.accepted for r in records) else "REJECTED"
@@ -434,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         log.error("%s", exc)
         return exc.code
-    except (corpus_mod.CorpusError, evaluate.EvalError, ValueError) as exc:
+    except (corpus_mod.CorpusError, evaluate.EvalError, agent.AgentError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
     except (client.ProviderError, client.BudgetExceeded, client.CacheMiss) as exc:

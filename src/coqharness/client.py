@@ -362,10 +362,6 @@ class CachingProvider(Provider):
         self.misses = 0
         self._lock = threading.Lock()
 
-    @property
-    def name(self) -> str:
-        return f"cache({self.inner.name if self.inner else 'replay'})"
-
     def complete(self, prompt: ChatPrompt, params: DecodingParams) -> list[str]:
         key = prompt_hash(prompt, params)
         cached = self.cache.lookup(key)

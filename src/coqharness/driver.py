@@ -22,7 +22,7 @@ import shlex
 import subprocess
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -30,6 +30,7 @@ from .proofstate import MalformedState, ProofState, parse_proof_state
 from .sentences import Sentence, is_closing, segment_sentences
 
 if TYPE_CHECKING:
+    from .corpus import SourceFile, TheoremRecord
     from .mockprover import BehaviorTable
 
 log = logging.getLogger(__name__)
@@ -269,6 +270,54 @@ class BorrowedSession(SessionHandle):
 
     def close(self) -> None:
         self._session._restore(self._token)
+
+
+class FileWalk:
+    """One prover session stepped forward through a file, lent out per target.
+
+    Calling it with a target other than the last executes, in prelude mode,
+    the sentences between the last target's prelude and this one's; every
+    call then lends the session: closing the loan restores the state at the
+    target. The loans of one target share a check memo (BorrowedSession),
+    dropped when the walk moves on. A target of another SourceFile, or one
+    whose statement comes before what was executed, gets a fresh session
+    started with its own prelude, and so does the target after a walk that
+    failed. `close()` closes the session.
+    """
+
+    def __init__(self, base: SessionConfig):
+        self._base = base
+        self._session: SessionHandle | None = None
+        self._source: SourceFile | None = None  # whose sentences [:_executed] ran
+        self._executed = 0
+        self._target: TheoremRecord | None = None  # the target the session stands at
+        self._memo: dict = {}
+
+    def __call__(self, target: TheoremRecord) -> SessionHandle:
+        if target is not self._target:
+            self._advance(target)
+        return BorrowedSession(self._session, self._memo)
+
+    def _advance(self, target: TheoremRecord) -> None:
+        self._target, self._memo = None, {}
+        done, end = self._executed, target.statement_index
+        if self._session is not None and target.source is self._source and end >= done:
+            try:
+                execute_prelude(self._session, self._source.sentences[done:end], first_index=done)
+            except BaseException:
+                self.close()  # stopped mid-walk: the next target starts afresh
+                raise
+        else:
+            self.close()
+            self._session = start_session(replace(self._base, prelude=target.prelude))
+        self._source, self._executed = target.source, end
+        self._target = target
+
+    def close(self) -> None:
+        self._target = None
+        session, self._session = self._session, None
+        if session is not None:
+            session.close()
 
 
 # ---------------------------------------------------------------------------

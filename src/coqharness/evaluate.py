@@ -17,14 +17,14 @@ import json
 import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .agent import AgentDeps, AttemptRecord, RunConfig, attempt_from_json, prove
 from .client import BudgetExceeded, CacheMiss, ProviderError
 from .corpus import Corpus, UnknownId
-from .driver import PreludeError, SessionDead, SpawnFailure
+from .driver import FileWalk, PreludeError, SessionDead, SpawnFailure
 from .prompting import REFUSAL as REFUSAL_KIND
 from .sentences import is_closing
 
@@ -128,6 +128,17 @@ def _reference_tactic_count(corpus: Corpus, theorem_id: str) -> int | None:
             continue
         count += 1
     return count
+
+
+def annotate(records: list[AttemptRecord], corpus: Corpus, rules: ClassifierRules) -> None:
+    """Set each record's category, and flag `missed_simple` on a failed one
+    whose theorem's reference proof is at most two tactics. `eval` and
+    `prove` both annotate through here."""
+    for record in records:
+        record.category = classify_failure(record, rules)
+        if not record.accepted:
+            reference = _reference_tactic_count(corpus, record.theorem_id)
+            record.missed_simple = reference is not None and reference <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +253,8 @@ def run_eval(
     and so do harness failures (cache miss, provider or prover unavailable),
     which are not the model's. Deterministic under the scripted provider.
     Each test file gets one prover session, walked forward from target to
-    target by `deps.session_factory.walk` (a SessionFactory); at each target
-    every config borrows it in manifest order. `workers` threads share out
-    the files.
+    target by a FileWalk; at each target every config borrows it in
+    manifest order. `workers` threads share out the files.
     """
     if not manifest:
         raise EvalError("empty manifest")
@@ -260,9 +270,9 @@ def run_eval(
         files.setdefault(target.file, []).append(position)
     groups = list(files.values())
 
-    def prove_one(target, config, file_deps):
+    def prove_one(target, config, walk):
         try:
-            return prove(target, config, file_deps)
+            return prove(target, config, deps, walk)
         except (CacheMiss, ProviderError, BudgetExceeded, SpawnFailure, SessionDead,
                 PreludeError):
             raise
@@ -280,9 +290,8 @@ def run_eval(
     def prove_file(positions):
         """Per target of the file, per config: that config's records."""
         targets = [tests[p] for p in positions]
-        with contextlib.closing(deps.session_factory.walk()) as walk:
-            file_deps = replace(deps, session_factory=walk)
-            return [[prove_one(target, config, file_deps) for config in manifest]
+        with contextlib.closing(FileWalk(deps.prover)) as walk:
+            return [[prove_one(target, config, walk) for config in manifest]
                     for target in targets]
 
     if workers > 1:
@@ -299,12 +308,7 @@ def run_eval(
     attempts_by_config: dict[str, list[AttemptRecord]] = {}
     for c, config in enumerate(manifest):
         records = [record for batches in per_target for record in batches[c]]
-        for record in records:
-            record.category = classify_failure(record, rules)
-            if not record.accepted:
-                reference = _reference_tactic_count(corpus, record.theorem_id)
-                if reference is not None and reference <= 2:
-                    record.missed_simple = True
+        annotate(records, corpus, rules)
         attempts_by_config[config.tag] = records
 
     echo = {config.tag: asdict(config) for config in manifest}

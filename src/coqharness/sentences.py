@@ -52,9 +52,6 @@ class Sentence:
     text: str
     span: tuple[int, int]
 
-    def is_bullet(self) -> bool:
-        return bool(re.fullmatch(r"[-+*]+|[{}]", self.text))
-
 
 STATEMENT_KEYWORDS = ("Lemma", "Theorem", "Fact", "Remark", "Corollary", "Proposition")
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from coqharness import corpus as corpus_mod
-from coqharness.agent import AgentDeps, SessionFactory
+from coqharness.agent import AgentDeps
 from coqharness.client import ScriptedProvider
 from coqharness.driver import SessionConfig, start_session
 from coqharness.prompting import TemplateSet
@@ -60,9 +60,7 @@ def toy_deps(toy_corpus, mock_table, scripted_provider_fresh):
         return AgentDeps(
             corpus=toy_corpus,
             provider=provider or scripted_provider_fresh(),
-            session_factory=SessionFactory(
-                SessionConfig(backend="mock", mock_table=mock_table)
-            ),
+            prover=SessionConfig(backend="mock", mock_table=mock_table),
             index=build_index(toy_corpus.train),
             templates=TemplateSet.load(),
         )

@@ -37,6 +37,11 @@ def golden_files(directory: Path) -> list[str]:
     return names + [f"attempts/{p.name}" for p in sorted((directory / "attempts").glob("*.jsonl"))]
 
 
+def config_of(work: Path) -> Path:
+    """The config file that `run_case` writes under `work`."""
+    return work / "golden.ini"
+
+
 def _setup(case: str, work: Path, config: Path) -> None:
     """Write `config` and ingest the case's project under `work`."""
     if case == "fixtures":
@@ -61,7 +66,7 @@ def _setup(case: str, work: Path, config: Path) -> None:
 
 def run_case(case: str, work: Path, workers: int, replay: bool = False) -> Path:
     """Eval the case under `work`; with `replay`, from the cache a recorded run left there."""
-    config = work / "golden.ini"
+    config = config_of(work)
     if not config.exists():
         _setup(case, work, config)
     out = work / f"out-w{workers}{'-replay' if replay else ''}"

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from coqharness.agent import RunConfig, prove_interactive, repair_loop, run_ensemble
+from coqharness.agent import RunConfig
 from coqharness.client import DecodingParams, ScriptedProvider
 from coqharness.driver import SessionConfig, start_session
 from coqharness.evaluate import (
@@ -32,6 +32,7 @@ from oracles import oracle_segment
 from test_agent import (
     REFUSAL_TEXT,
     interactive_config,
+    prove_alone,
     repair_config,
     scripted,
     synthetic_record,
@@ -222,7 +223,7 @@ def test_criterion_5_agent_loop_properties(toy_deps, fixtures_dir):
     )
     target = next(r for r in deps.corpus.records if r.name == "G_wmon")
     config = interactive_config(max_turns=10, max_queries=3)
-    record = prove_interactive(target, config, deps)
+    [record] = prove_alone(target, config, deps)
     assert record.accepted
     assert sum(len(t.tool_calls) for t in record.turns) == 1
     assert len(record.turns) <= config.max_turns
@@ -232,7 +233,7 @@ def test_criterion_5_agent_loop_properties(toy_deps, fixtures_dir):
     bisim = synthetic_record(
         "bisimulation_bisim", "Lemma bisimulation_bisim: bisimulation bisim."
     )
-    records = repair_loop(bisim, repair_config(), deps)
+    records = prove_alone(bisim, repair_config(), deps)
     assert not records[0].accepted and "stutter_bisim" in records[0].error_message
     assert records[-1].round == 1 and records[-1].accepted
 
@@ -252,7 +253,7 @@ def test_criterion_5_agent_loop_properties(toy_deps, fixtures_dir):
         tag="ens", mode="zs", loop="ensemble",
         strategies=("simple-tactics-first",), decoding=DecodingParams(n=5),
     )
-    ens_records = run_ensemble(trans, ens_config, deps)
+    ens_records = prove_alone(trans, ens_config, deps)
     assert not any(r.accepted for r in ens_records if r.variant_id == "base")
     assert any(r.accepted for r in ens_records)
 
@@ -277,7 +278,7 @@ def test_criterion_5_agent_loop_properties(toy_deps, fixtures_dir):
     budget_config = interactive_config(max_turns=6, max_queries=2)
     for seed in range(100):
         rand_deps = toy_deps(RandomDialogue(seed))
-        outcome = prove_interactive(target, budget_config, rand_deps)
+        [outcome] = prove_alone(target, budget_config, rand_deps)
         assert len(outcome.turns) <= budget_config.max_turns
         assert sum(len(t.tool_calls) for t in outcome.turns) <= budget_config.max_queries
 

@@ -4,23 +4,21 @@ from __future__ import annotations
 
 import contextlib
 import json
+from dataclasses import dataclass
 
 import pytest
 
-from coqharness.agent import (
-    AgentDeps,
-    RunConfig,
-    SessionFactory,
-    attempt_from_json,
-    prove,
-    prove_interactive,
-    prove_one_shot,
-    repair_loop,
-    run_ensemble,
-)
+from coqharness import driver
+from coqharness.agent import AgentDeps, RunConfig, attempt_from_json, prove, run_ensemble
 from coqharness.client import DecodingParams, Provider, ProviderError, ScriptedProvider
 from coqharness.corpus import SourceFile, TheoremRecord
-from coqharness.driver import PreludeError, SessionConfig, SessionHandle, start_session
+from coqharness.driver import (
+    FileWalk,
+    PreludeError,
+    SessionConfig,
+    SessionHandle,
+    start_session,
+)
 from coqharness.evaluate import ClassifierRules, run_eval
 from coqharness.prompting import ConfigMismatch, TemplateSet
 from coqharness.retriever import build_index
@@ -56,6 +54,47 @@ def scripted(entries, default="(* nothing scripted *)"):
     return ScriptedProvider({"default": default, "entries": entries})
 
 
+def prove_alone(target, config, deps):
+    """Prove through a one-target walk, as `coqharness prove` does."""
+    with contextlib.closing(FileWalk(deps.prover)) as walk:
+        return prove(target, config, deps, walk)
+
+
+@dataclass
+class Started:
+    session: SessionHandle
+    closes: int = 0
+    executes: int = 0  # steps run after start_session returned it
+
+
+@pytest.fixture()
+def started(monkeypatch) -> list[Started]:
+    """Every session that `driver.start_session` starts, with the number of
+    times each is closed and of the steps it executes after its start."""
+    sessions = []
+    start = driver.start_session
+
+    def counted_start(config):
+        entry = Started(start(config))
+        sessions.append(entry)
+        session = entry.session
+        close, execute = session.close, session.execute
+
+        def counted_close():
+            entry.closes += 1
+            close()
+
+        def counted_execute(sentence):
+            entry.executes += 1
+            return execute(sentence)
+
+        session.close, session.execute = counted_close, counted_execute
+        return session
+
+    monkeypatch.setattr(driver, "start_session", counted_start)
+    return sessions
+
+
 # -- RunConfig ----------------------------------------------------------------
 
 
@@ -79,7 +118,7 @@ def test_run_config_invariants():
 def test_attempt_record_json_roundtrip(toy_deps):
     deps = toy_deps()
     config = RunConfig(tag="zs", mode="zs", decoding=DecodingParams(n=2), seed=11)
-    records = prove_one_shot(get(deps.corpus, "weak_refl"), config, deps)
+    records = prove_alone(get(deps.corpus, "weak_refl"), config, deps)
     for record in records:
         line = json.dumps(record, default=vars)
         clone = attempt_from_json(json.loads(line))
@@ -93,44 +132,21 @@ def test_attempt_record_json_roundtrip(toy_deps):
 def test_one_shot_weak_refl_accepted(toy_deps):
     deps = toy_deps()
     config = RunConfig(tag="zs", mode="zs", decoding=DecodingParams(n=1), seed=11)
-    records = prove_one_shot(get(deps.corpus, "weak_refl"), config, deps)
+    records = prove_alone(get(deps.corpus, "weak_refl"), config, deps)
     assert len(records) == 1
     assert records[0].accepted
     assert records[0].completion_kind == "proof"
     assert records[0].failing_step is None
 
 
-def test_one_shot_refusal_never_reaches_prover(toy_corpus, mock_table):
-    calls = {"execute": 0}
-
-    base_factory = SessionFactory(
-        SessionConfig(backend="mock", mock_table=mock_table)
-    )
-
-    def counting_factory(target):
-        session = base_factory(target)
-        original = session.execute
-
-        def counted(sentence):
-            calls["execute"] += 1
-            return original(sentence)
-
-        session.execute = counted  # type: ignore[method-assign]
-        return session
-
-    provider = scripted(
-        [{"theorem": "G_wmon", "completions": [REFUSAL_TEXT]}]
-    )
-    deps = AgentDeps(
-        corpus=toy_corpus, provider=provider, session_factory=counting_factory,
-        templates=TemplateSet.load(),
-    )
+def test_one_shot_refusal_never_reaches_prover(toy_deps, started):
+    deps = toy_deps(scripted([{"theorem": "G_wmon", "completions": [REFUSAL_TEXT]}]))
     config = RunConfig(tag="zs", mode="zs", decoding=DecodingParams(n=2), seed=0)
-    records = prove_one_shot(get(toy_corpus, "G_wmon"), config, deps)
+    records = prove_alone(get(deps.corpus, "G_wmon"), config, deps)
     assert len(records) == 2
     assert all(r.completion_kind == "refusal" for r in records)
     assert all(not r.accepted for r in records)
-    assert calls["execute"] == 0
+    assert [s.executes for s in started] == [0]
 
 
 def test_one_shot_identical_samples_one_unique_script(toy_deps):
@@ -138,7 +154,7 @@ def test_one_shot_identical_samples_one_unique_script(toy_deps):
         scripted([{"theorem": "weak_refl", "completions": [C3_PROOF]}])
     )
     config = RunConfig(tag="zs", mode="zs", decoding=DecodingParams(n=5), seed=0)
-    records = prove_one_shot(get(deps.corpus, "weak_refl"), config, deps)
+    records = prove_alone(get(deps.corpus, "weak_refl"), config, deps)
     assert len(records) == 5
     assert len({r.proof_script for r in records}) == 1
     assert all(r.accepted for r in records)
@@ -148,7 +164,7 @@ def test_one_shot_fs_modes_build_and_check(toy_deps):
     deps = toy_deps()
     for tag in ("fs-rand", "fs-sim"):
         config = RunConfig(tag=tag, mode=tag, k_shots=2, decoding=DecodingParams(n=2), seed=11)
-        records = prove_one_shot(get(deps.corpus, "union_incl"), config, deps)
+        records = prove_alone(get(deps.corpus, "union_incl"), config, deps)
         assert len(records) == 2
 
 
@@ -159,7 +175,7 @@ def test_determinism_byte_identical(toy_deps):
         deps = toy_deps()
         out = []
         for name in ("union_incl", "trans_incl", "weak_refl", "G_wmon"):
-            out.extend(prove_one_shot(get(deps.corpus, name), config, deps))
+            out.extend(prove_alone(get(deps.corpus, name), config, deps))
         return json.dumps(out, sort_keys=True, default=vars)
 
     assert run() == run()
@@ -176,7 +192,7 @@ def test_no_leakage_in_prompts_and_turns(toy_deps):
                 k_shots=0 if tag.startswith("zs") else 2,
                 n_lemmas=2, decoding=DecodingParams(n=1), seed=11,
             )
-            for record in prove(target, config, deps):
+            for record in prove_alone(target, config, deps):
                 for turn in record.turns:
                     assert reference not in turn.prompt_delta
 
@@ -205,7 +221,7 @@ def test_interactive_query_then_proof(toy_deps):
             }]
         )
     )
-    record = prove_interactive(get(deps.corpus, "G_wmon"), interactive_config(), deps)
+    [record] = prove_alone(get(deps.corpus, "G_wmon"), interactive_config(), deps)
     assert record.accepted
     tool_calls = [c for t in record.turns for c in t.tool_calls]
     assert len(tool_calls) == 1
@@ -235,7 +251,7 @@ def test_interactive_name_collision_recovery(toy_deps):
         "Lemma G_evolve: forall (R0 : relation2 X Y) (n : nat), "
         "incl (comp (star B) (UExp G R0 n)) (UExp G R0 (S n)).",
     )
-    record = prove_interactive(target, interactive_config(), deps)
+    [record] = prove_alone(target, interactive_config(), deps)
     assert record.accepted
     feedback = [t.prompt_delta for t in record.turns]
     assert any("R is already used." in delta for delta in feedback)
@@ -246,7 +262,7 @@ def test_interactive_stall_terminates(toy_deps):
     deps = toy_deps(
         scripted([{"theorem": "G_wmon", "completions": ["", "  "]}], default="")
     )
-    record = prove_interactive(get(deps.corpus, "G_wmon"), interactive_config(), deps)
+    [record] = prove_alone(get(deps.corpus, "G_wmon"), interactive_config(), deps)
     assert not record.accepted
     assert record.completion_kind == "malformed"
     assert len(record.turns) == 2
@@ -254,7 +270,7 @@ def test_interactive_stall_terminates(toy_deps):
 
 def test_interactive_refusal_terminates(toy_deps):
     deps = toy_deps(scripted([{"theorem": "G_wmon", "completions": [REFUSAL_TEXT]}]))
-    record = prove_interactive(get(deps.corpus, "G_wmon"), interactive_config(), deps)
+    [record] = prove_alone(get(deps.corpus, "G_wmon"), interactive_config(), deps)
     assert not record.accepted
     assert record.completion_kind == "refusal"
 
@@ -263,7 +279,7 @@ def test_interactive_turn_budget(toy_deps):
     deps = toy_deps(
         scripted([{"theorem": "G_wmon", "completions": ["idtac nonsense."]}])
     )
-    record = prove_interactive(
+    [record] = prove_alone(
         get(deps.corpus, "G_wmon"), interactive_config(max_turns=4), deps
     )
     assert not record.accepted
@@ -273,7 +289,7 @@ def test_interactive_turn_budget(toy_deps):
 
 def test_interactive_query_budget(toy_deps):
     deps = toy_deps(scripted([{"theorem": "G_wmon", "completions": ["QUERY Check nat"]}]))
-    record = prove_interactive(
+    [record] = prove_alone(
         get(deps.corpus, "G_wmon"), interactive_config(max_turns=10, max_queries=2), deps
     )
     assert not record.accepted
@@ -288,7 +304,7 @@ def test_interactive_wall_clock_budget(toy_deps):
         tag="i", mode="zs", loop="interactive",
         decoding=DecodingParams(n=1), max_turns=10, wall_clock=0.0,
     )
-    record = prove_interactive(get(deps.corpus, "G_wmon"), config, deps)
+    [record] = prove_alone(get(deps.corpus, "G_wmon"), config, deps)
     assert record.budget_exhausted
     assert record.turns == []
 
@@ -301,7 +317,7 @@ def test_repair_wall_clock_budget(toy_deps):
         tag="rep", mode="zs", loop="repair", repair_rounds=3,
         decoding=DecodingParams(n=1), wall_clock=0.0,
     )
-    records = repair_loop(get(deps.corpus, "weak_refl"), config, deps)
+    records = prove_alone(get(deps.corpus, "weak_refl"), config, deps)
     assert len(records) == 1  # round 0 only; no repair rounds started
 
 
@@ -318,7 +334,7 @@ def repair_config(rounds=2, n=1):
 def test_repair_fixes_hallucinated_reference(toy_deps, fixtures_dir):
     deps = toy_deps(ScriptedProvider(fixtures_dir / "provider_script.json"))
     target = synthetic_record("bisimulation_bisim", "Lemma bisimulation_bisim: bisimulation bisim.")
-    records = repair_loop(target, repair_config(), deps)
+    records = prove_alone(target, repair_config(), deps)
     assert len(records) == 2
     round0, round1 = records
     assert not round0.accepted
@@ -329,7 +345,7 @@ def test_repair_fixes_hallucinated_reference(toy_deps, fixtures_dir):
 
 def test_repair_early_stop_when_round0_accepted(toy_deps):
     deps = toy_deps(scripted([{"theorem": "weak_refl", "completions": [C3_PROOF]}]))
-    records = repair_loop(get(deps.corpus, "weak_refl"), repair_config(n=3), deps)
+    records = prove_alone(get(deps.corpus, "weak_refl"), repair_config(n=3), deps)
     assert len(records) == 3  # exactly n, no repair rounds
     assert all(r.round == 0 for r in records)
 
@@ -349,7 +365,7 @@ def test_repair_all_rounds_fail_record_count(toy_deps):
         ]
     )
     deps = toy_deps(provider)
-    records = repair_loop(get(deps.corpus, "weak_refl"), repair_config(rounds=3, n=2), deps)
+    records = prove_alone(get(deps.corpus, "weak_refl"), repair_config(rounds=3, n=2), deps)
     # n=2 round-0 records with 2 unique failing scripts, then 3 rounds x 2 chains
     assert len(records) == 2 + 3 * 2
     assert not any(r.accepted for r in records)
@@ -380,7 +396,7 @@ def test_ensemble_budget_split(toy_deps):
         )
     )
     config = ensemble_config(["simple-tactics-first", "no-lemma-use"], n=5)
-    records = run_ensemble(get(deps.corpus, "trans_incl"), config, deps)
+    records = prove_alone(get(deps.corpus, "trans_incl"), config, deps)
     by_variant = {}
     for record in records:
         by_variant.setdefault(record.variant_id, []).append(record)
@@ -402,7 +418,7 @@ def test_ensemble_proves_what_base_misses(toy_deps):
         )
     )
     config = ensemble_config(["simple-tactics-first"], n=5)
-    records = run_ensemble(get(deps.corpus, "trans_incl"), config, deps)
+    records = prove_alone(get(deps.corpus, "trans_incl"), config, deps)
     base = [r for r in records if r.variant_id == "base"]
     variant = [r for r in records if r.variant_id == "simple-tactics-first"]
     assert not any(r.accepted for r in base)
@@ -416,8 +432,11 @@ def test_ensemble_proves_what_base_misses(toy_deps):
 def test_ensemble_empty_strategies_rejected(toy_deps):
     deps = toy_deps()
     config = RunConfig(tag="ens", mode="zs", decoding=DecodingParams(n=2))
-    with pytest.raises(ConfigMismatch):
-        run_ensemble(get(deps.corpus, "trans_incl"), config, deps)
+    target = get(deps.corpus, "trans_incl")
+    with contextlib.closing(FileWalk(deps.prover)) as walk, \
+            contextlib.closing(walk(target)) as session:
+        with pytest.raises(ConfigMismatch):
+            run_ensemble(target, config, deps, session)
 
 
 # -- session lifecycle --------------------------------------------------------
@@ -452,41 +471,51 @@ class FailingProvider(Provider):
 
 @pytest.mark.parametrize("fail_on", [None, 2])
 @pytest.mark.parametrize("loop", sorted(LIFECYCLE_CONFIGS))
-def test_every_opened_session_is_closed_once(toy_deps, loop, fail_on):
+def test_every_opened_session_is_closed_once(toy_deps, started, loop, fail_on):
     deps = toy_deps()
     deps.provider = FailingProvider(deps.provider, fail_on)
-    base_factory = deps.session_factory
-    opened, closed = [], []
-
-    def counting_factory(target):
-        session = base_factory(target)
-        opened.append(session)
-        close = session.close
-
-        def counted_close():
-            closed.append(session)
-            close()
-
-        session.close = counted_close  # type: ignore[method-assign]
-        return session
-
-    deps.session_factory = counting_factory
     try:
-        for target in deps.corpus.test:
-            prove(target, LIFECYCLE_CONFIGS[loop], deps)
+        for targets in by_file(deps.corpus.test):
+            with contextlib.closing(FileWalk(deps.prover)) as walk:
+                for target in targets:
+                    with contextlib.closing(walk(target)) as loan:
+                        lent_in = (loan._snapshot(), loan.current_state())
+                    try:
+                        prove(target, LIFECYCLE_CONFIGS[loop], deps, walk)
+                    finally:  # the loan left the session as it was lent
+                        with contextlib.closing(walk(target)) as loan:
+                            assert (loan._snapshot(), loan.current_state()) == lent_in
     except ProviderError:
         assert fail_on is not None
     else:
         assert fail_on is None
-    assert opened
-    assert sorted(map(id, closed)) == sorted(map(id, opened))
+    assert started
+    assert [s.closes for s in started] == [1] * len(started)
+
+
+def test_prove_checks_a_script_two_ensemble_variants_propose_once(toy_deps, monkeypatch):
+    deps = toy_deps(scripted([{"theorem": "trans_incl", "completions": ["Proof.\nauto.\nQed."]}]))
+    raw_checks = []
+    check_proof = SessionHandle.check_proof
+
+    def counted(self, statement, script):
+        if not isinstance(self, driver.BorrowedSession):
+            raw_checks.append(script)
+        return check_proof(self, statement, script)
+
+    monkeypatch.setattr(SessionHandle, "check_proof", counted)
+    records = prove_alone(get(deps.corpus, "trans_incl"), LIFECYCLE_CONFIGS["ensemble"], deps)
+    assert [r.variant_id for r in records] == ["base", "simple-tactics-first"]
+    assert len({r.proof_script for r in records}) == 1
+    assert all(r.accepted for r in records)
+    assert raw_checks == ["Proof.\nauto.\nQed."]
 
 
 # -- one walked-forward session per file ---------------------------------------
 
 
-def walk_factory(project) -> SessionFactory:
-    return SessionFactory(SessionConfig(backend="mock", mock_table=project["table"]))
+def walk_config(project) -> SessionConfig:
+    return SessionConfig(backend="mock", mock_table=project["table"])
 
 
 def by_file(records):
@@ -517,9 +546,8 @@ def test_walked_session_matches_a_fresh_one_at_every_target(
         corpus, table = walk_project["corpus"], walk_project["table"]
     else:
         corpus, table = toy_corpus, mock_table
-    factory = SessionFactory(SessionConfig(backend="mock", mock_table=table))
     for targets in by_file(corpus.test):
-        with contextlib.closing(factory.walk()) as walk:
+        with contextlib.closing(FileWalk(SessionConfig(backend="mock", mock_table=table))) as walk:
             for position, target in enumerate(targets):
                 fresh_config = SessionConfig(
                     backend="mock", mock_table=table,
@@ -546,7 +574,7 @@ def test_walk_meets_a_rejected_prelude_sentence_like_a_fresh_start(tmp_path):
     table = project["table"]
     targets = by_file(project["corpus"].test)[0]
     assert [t.name for t in targets] == ["a1", "a3", "a4", "a5"]
-    with contextlib.closing(walk_factory(project).walk()) as walk:
+    with contextlib.closing(FileWalk(walk_config(project))) as walk:
         walk(targets[0]).close()
         for target in targets[1:]:
             with pytest.raises(PreludeError) as walked:
@@ -560,35 +588,14 @@ def test_walk_meets_a_rejected_prelude_sentence_like_a_fresh_start(tmp_path):
             assert walked.value.message == fresh.value.message
 
 
-class CountingFactory(SessionFactory):
-    """Records every session it starts and every close of one."""
-
-    def __init__(self, base):
-        super().__init__(base)
-        self.opened, self.closed = [], []
-
-    def __call__(self, target):
-        session = super().__call__(target)
-        self.opened.append(session)
-        close = session.close
-
-        def counted_close():
-            self.closed.append(session)
-            close()
-
-        session.close = counted_close  # type: ignore[method-assign]
-        return session
-
-
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("fail_on", [None, 2])
-def test_run_eval_closes_every_file_session_once(walk_project, workers, fail_on):
+def test_run_eval_closes_every_file_session_once(walk_project, started, workers, fail_on):
     corpus = walk_project["corpus"]
-    factory = CountingFactory(SessionConfig(backend="mock", mock_table=walk_project["table"]))
     deps = AgentDeps(
         corpus=corpus,
         provider=FailingProvider(ScriptedProvider(walk_project["script"]), fail_on),
-        session_factory=factory,
+        prover=walk_config(walk_project),
         templates=TemplateSet.load(),
     )
     manifest = [LIFECYCLE_CONFIGS["one_shot"], LIFECYCLE_CONFIGS["interactive"]]
@@ -598,10 +605,9 @@ def test_run_eval_closes_every_file_session_once(walk_project, workers, fail_on)
         assert fail_on is not None
     else:
         assert fail_on is None
-        assert len(factory.opened) == 2  # one per file, whatever the number of configs
-    assert factory.opened
-    assert len(set(map(id, factory.closed))) == len(factory.closed)
-    assert sorted(map(id, factory.closed)) == sorted(map(id, factory.opened))
+        assert len(started) == 2  # one per file, whatever the number of configs
+    assert started
+    assert [s.closes for s in started] == [1] * len(started)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -617,7 +623,7 @@ def test_run_eval_checks_each_distinct_pair_once(walk_project, monkeypatch, work
     monkeypatch.setattr(SessionHandle, "check_proof", counted)
     deps = AgentDeps(
         corpus=corpus, provider=ScriptedProvider(walk_project["script"]),
-        session_factory=walk_factory(walk_project), templates=TemplateSet.load(),
+        prover=walk_config(walk_project), templates=TemplateSet.load(),
         index=build_index(corpus.train),
     )
     manifest = [
@@ -638,7 +644,7 @@ def test_run_eval_checks_each_distinct_pair_once(walk_project, monkeypatch, work
 
 def test_walk_drops_its_check_memo_when_it_moves_on(walk_project):
     targets = by_file(walk_project["corpus"].test)[0]
-    with contextlib.closing(walk_factory(walk_project).walk()) as walk:
+    with contextlib.closing(FileWalk(walk_config(walk_project))) as walk:
         with contextlib.closing(walk(targets[0])) as loan:
             loan.check_proof(targets[0].statement, WALK_WRONG)
             memo = loan._memo
@@ -649,16 +655,15 @@ def test_walk_drops_its_check_memo_when_it_moves_on(walk_project):
             assert moved._memo == {} and moved._memo is not memo
 
 
-def test_walk_starts_afresh_for_another_file_or_an_earlier_target(walk_project):
+def test_walk_starts_afresh_for_another_file_or_an_earlier_target(walk_project, started):
     corpus, table = walk_project["corpus"], walk_project["table"]
     a1, a3, b0 = (corpus.by_id(i) for i in ("a.v::a1", "a.v::a3", "b.v::b0"))
-    factory = CountingFactory(SessionConfig(backend="mock", mock_table=table))
-    with contextlib.closing(factory.walk()) as walk:
+    with contextlib.closing(FileWalk(SessionConfig(backend="mock", mock_table=table))) as walk:
         for target, opened in ((a1, 1), (a3, 1), (a1, 2), (b0, 3), (a3, 4)):
             fresh_config = SessionConfig(backend="mock", mock_table=table,
                                          prelude=segment_sentences(source_before(target)))
             with contextlib.closing(walk(target)) as walked, \
                     contextlib.closing(start_session(fresh_config)) as fresh:
-                assert len(factory.opened) == opened
+                assert len(started) == opened
                 assert walked.current_state() == fresh.current_state()
                 assert walked.check_proof(target.statement, target.proof_text).accepted

@@ -159,6 +159,60 @@ def test_prove_unknown_id_nonzero(config_file, ingested, caplog):
     assert "no_such_theorem" in caplog.text
 
 
+FIXTURE_IDS = (
+    "relations.v::comp_incl", "relations.v::comp_eeq", "relations.v::union_incl",
+    "relations.v::union2_evolve_left", "relations.v::union2_evolve_right",
+    "relations.v::trans_incl", "weak.v::weak_refl", "weak.v::G_wmon",
+)
+
+
+def _ingest_with_test_ids(config_file, fixtures_dir, tmp_path, test_ids) -> Path:
+    corpus_path = tmp_path / "split.jsonl"
+    code = main(["--config", str(config_file), "ingest", "--root", str(fixtures_dir / "project"),
+                 "--out", str(corpus_path), "--split", "explicit", "--explicit-test", *test_ids])
+    assert code == EXIT_OK
+    return corpus_path
+
+
+@pytest.mark.parametrize("mode", ["fs-rand", "fs-sim", "fs+lem"])
+def test_few_shot_prove_on_a_corpus_with_no_train_records_exits_2(
+    config_file, fixtures_dir, tmp_path, capsys, caplog, mode
+):
+    corpus_path = _ingest_with_test_ids(config_file, fixtures_dir, tmp_path, FIXTURE_IDS)
+    capsys.readouterr()
+    code = main(["--config", str(config_file), "prove", "--corpus", str(corpus_path),
+                 "--theorem", "weak.v::weak_refl", "--mode", mode])
+    assert code == EXIT_CONFIG
+    assert "no train records" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
+def test_eval_with_few_shot_configs_on_a_corpus_with_no_train_records_exits_2(
+    config_file, fixtures_dir, manifest_path, tmp_path, caplog
+):
+    corpus_path = _ingest_with_test_ids(config_file, fixtures_dir, tmp_path, FIXTURE_IDS)
+    out = tmp_path / "out"
+    code = main(["--config", str(config_file), "eval", "--corpus", str(corpus_path),
+                 "--manifest", str(manifest_path), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "no train records for few-shot configs: fs-rand, fs-sim, fs+lem" in caplog.text
+    assert not out.exists()
+
+
+def test_few_shot_prove_of_the_only_train_record_exits_2(
+    config_file, fixtures_dir, tmp_path, capsys, caplog
+):
+    only_train = "weak.v::weak_refl"
+    test_ids = [i for i in FIXTURE_IDS if i != only_train]
+    corpus_path = _ingest_with_test_ids(config_file, fixtures_dir, tmp_path, test_ids)
+    capsys.readouterr()
+    code = main(["--config", str(config_file), "prove", "--corpus", str(corpus_path),
+                 "--theorem", only_train, "--mode", "fs-rand"])
+    assert code == EXIT_CONFIG
+    assert "no train records available for few-shot mode fs-rand" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
 # Rows of the format that stored each record's whole preceding source, and of
 # the format that wrote a file row followed by one row per record.
 _FORMAT_1_ROWS = [

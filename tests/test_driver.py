@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coqharness.agent import SessionFactory
 from coqharness.driver import (
     ERROR,
     TIMEOUT_MESSAGE,
     BorrowedSession,
+    FileWalk,
     PreludeError,
     QueryRejected,
     RealCoqSession,
@@ -331,12 +331,13 @@ def test_real_close_closes_both_pipes(stub_session):
 
 
 def test_real_session_walks_a_file_like_fresh_starts(walk_project):
-    factory = SessionFactory(SessionConfig(backend="real", prover_command=STUB_COMMAND))
+    config = SessionConfig(backend="real", prover_command=STUB_COMMAND)
     for file in ("a.v", "b.v"):
         targets = [t for t in walk_project["corpus"].test if t.file == file]
-        with closing(factory.walk()) as walk:
+        with closing(FileWalk(config)) as walk:
             for target in targets:
-                with closing(walk(target)) as walked, closing(factory(target)) as fresh:
+                with closing(walk(target)) as walked, \
+                        closing(start_session(replace(config, prelude=target.prelude))) as fresh:
                     # state id and accepted history: the stub's id counts sentences
                     assert walked._snapshot() == fresh._snapshot()
                     assert walked.check_proof(target.statement, target.proof_text) == \

@@ -196,7 +196,7 @@ def test_helpers():
     assert is_statement(stmt)
     assert statement_name(stmt) == "foo'"
     assert not is_statement(segment_sentences("Definition d := 1.")[0])
-    assert segment_sentences("-")[0].is_bullet()
+    assert segment_sentences("-")[0].text == "-"
 
 
 _ident = st.from_regex(r"[A-Za-z_][A-Za-z0-9_']{0,6}", fullmatch=True)
