@@ -51,7 +51,6 @@ log = logging.getLogger(__name__)
 
 MODES = ("zs", "fs-rand", "fs-sim", "zs+lem", "fs+lem")
 LOOPS = ("one_shot", "interactive", "repair", "ensemble")
-RETRIEVAL_MODES = ("lexical",)
 
 DEFAULT_K_SHOTS = 6
 DEFAULT_N_LEMMAS = 6
@@ -82,7 +81,6 @@ class RunConfig:
     max_queries: int = DEFAULT_MAX_QUERIES
     wall_clock: float | None = None  # seconds per theorem for looping agents
     max_prompt_chars: int | None = None
-    retrieval_mode: str = "lexical"
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -100,8 +98,6 @@ class RunConfig:
         for strategy in self.strategies:
             if not known_strategy(strategy):
                 raise UnknownStrategy(f"unknown ensemble strategy {strategy!r}")
-        if self.retrieval_mode not in RETRIEVAL_MODES:
-            raise ValueError(f"unknown retrieval mode {self.retrieval_mode!r}")
         if self.max_turns < 1:
             raise ValueError("max_turns must be >= 1")
 
@@ -188,14 +184,11 @@ def _select_examples(
     k = min(config.k_shots, len(train))
     if k < config.k_shots:
         log.warning("only %d train records for k_shots=%d", len(train), config.k_shots)
-    if config.ranks_by_similarity and deps.index is not None:
+    if config.ranks_by_similarity:  # cli.build_deps loads or builds the index
         ranked = retrieve(deps.index, target, k)  # never the target itself
         labels = deps.corpus.split_labels
         # least similar first, so the budget trimmer sheds the farthest one
         return [deps.corpus.by_id(rid) for rid, _ in reversed(ranked) if labels.get(rid) == TRAIN]
-    # fs+lem falls back to random examples when there is no index; fs-sim cannot.
-    if config.mode == "fs-sim":
-        raise AgentError("similarity modes need a retrieval index")
     rng = random.Random(f"{config.seed}:{target.id}")
     return rng.sample(train, k)
 
@@ -323,12 +316,12 @@ def _parse_turn_reply(raw: str, statement_text: str):
         sentences = segment_sentences(script)
     except LexicalError:
         return ("noise", None, None)
-    texts = [s.text for s in sentences if s.text.strip() != "Proof."]
-    if parsed.appended_qed and texts and texts[-1] == "Qed.":
-        texts = texts[:-1]  # partial turn: do not auto-close the proof
-    if not texts:
+    tactics = [s for s in sentences if s.text.strip() != "Proof."]
+    if parsed.appended_qed and tactics and tactics[-1].text == "Qed.":
+        tactics = tactics[:-1]  # partial turn: do not auto-close the proof
+    if not tactics:
         return ("noise", None, None)
-    return ("tactics", texts, None)
+    return ("tactics", tactics, None)
 
 
 def prove_interactive(
@@ -418,13 +411,13 @@ def prove_interactive(
         turns.append(Turn(delta, completion))
         error_message = None
         state_after = None
-        for text in payload[:MAX_TACTICS_PER_TURN]:
-            result = session.execute(text)
+        for sentence in payload[:MAX_TACTICS_PER_TURN]:
+            result = session.execute(sentence)
             if not result.ok:
                 error_message = result.message
-                last_failing = (step_counter, text, result.message)
+                last_failing = (step_counter, sentence.text, result.message)
                 break
-            executed.append(text)
+            executed.append(sentence.text)
             step_counter += 1
             state_after = result.state
             if result.proof_complete:
@@ -498,7 +491,7 @@ def repair_loop(
         if record.proof_script in seen:
             continue
         seen.add(record.proof_script)
-        chains.append({"conversation": prompt, "latest": record, "done": False})
+        chains.append({"conversation": prompt, "latest": record})
 
     candidate_index = len(records)
     for round_no in range(1, config.repair_rounds + 1):
@@ -506,10 +499,7 @@ def repair_loop(
             break
         if config.wall_clock is not None and time.monotonic() - started >= config.wall_clock:
             break
-        any_accepted = False
         for chain in chains:
-            if chain["done"]:
-                continue
             latest: AttemptRecord = chain["latest"]
             feedback = deps.templates.render("repair.feedback", error=_repair_feedback(latest))
             conversation = chain["conversation"].appended(
@@ -525,11 +515,7 @@ def repair_loop(
             records.append(repaired)
             chain["latest"] = repaired
             if repaired.accepted:
-                chain["done"] = True
-                any_accepted = True
-                break
-        if any_accepted:
-            break
+                return records
     return records
 
 
@@ -543,8 +529,6 @@ def run_ensemble(
 ) -> list[AttemptRecord]:
     """One one-shot pass per diversity variant; n splits evenly with the
     remainder going to the base prompt."""
-    if not config.strategies:
-        raise ConfigMismatch("ensemble needs a non-empty strategy list")
     base = _build_target_prompt(target, config, deps)
     variants = diversify(base, list(config.strategies), deps.templates)
     groups = [base] + variants

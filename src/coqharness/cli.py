@@ -136,6 +136,8 @@ def decoding_from(config: configparser.ConfigParser, section: str = "defaults") 
 
 
 def run_config_from_dict(raw: dict, defaults: client.DecodingParams) -> agent.RunConfig:
+    if raw.get("retrieval_mode", "lexical") != "lexical":  # the one mode there is
+        raise ValueError(f"unknown retrieval mode {raw['retrieval_mode']!r}")
     decoding = replace(defaults, **raw.get("decoding", {}))
     return agent.RunConfig(
         tag=raw["tag"],
@@ -151,7 +153,6 @@ def run_config_from_dict(raw: dict, defaults: client.DecodingParams) -> agent.Ru
         max_queries=raw.get("max_queries", agent.DEFAULT_MAX_QUERIES),
         wall_clock=raw.get("wall_clock"),
         max_prompt_chars=raw.get("max_prompt_chars"),
-        retrieval_mode=raw.get("retrieval_mode", "lexical"),
     )
 
 
@@ -438,7 +439,8 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         log.error("%s", exc)
         return exc.code
-    except (corpus_mod.CorpusError, evaluate.EvalError, agent.AgentError, ValueError) as exc:
+    except (corpus_mod.CorpusError, evaluate.EvalError, agent.AgentError, PromptError,
+            ValueError) as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
     except (client.ProviderError, client.BudgetExceeded, client.CacheMiss) as exc:

@@ -150,9 +150,10 @@ class TheoremRecord:
 
 @dataclass
 class Corpus:
-    """Records with their split labels. The lookups are built once, at
-    construction: neither `records` nor `split_labels` may change after it,
-    and callers must not change the lists the lookups return."""
+    """Records with their split labels (none: excluded). The lookups are built
+    together on first use (two threads that race to it build equal copies):
+    neither `records` nor `split_labels` may change after construction, and
+    callers must not change the lists the lookups return."""
 
     records: list[TheoremRecord]
     root: str
@@ -163,14 +164,21 @@ class Corpus:
     _by_file: dict[str, list[TheoremRecord]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self._by_id, self._by_label, self._by_file = {}, {}, {}
         for record in self.records:
-            label = self.split_labels.setdefault(record.id, EXCLUDED)
-            self._by_id.setdefault(record.id, record)
-            self._by_label.setdefault(label, []).append(record)
-            self._by_file.setdefault(record.file, []).append(record)
-        for same_file in self._by_file.values():
+            self.split_labels.setdefault(record.id, EXCLUDED)
+
+    def __getattr__(self, name: str):  # so `ingest_project`'s corpus is never grouped
+        if name not in ("_by_id", "_by_label", "_by_file"):
+            raise AttributeError(name)
+        by_id, by_label, by_file = {}, {}, {}
+        for record in self.records:
+            by_id.setdefault(record.id, record)
+            by_label.setdefault(self.split_labels[record.id], []).append(record)
+            by_file.setdefault(record.file, []).append(record)
+        for same_file in by_file.values():
             same_file.sort(key=_IN_FILE_ORDER)
+        self._by_id, self._by_label, self._by_file = by_id, by_label, by_file
+        return getattr(self, name)
 
     def by_id(self, record_id: str) -> TheoremRecord:
         try:

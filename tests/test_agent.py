@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
-from coqharness import driver
-from coqharness.agent import AgentDeps, RunConfig, attempt_from_json, prove, run_ensemble
+from coqharness import agent, driver, prompting
+from coqharness.agent import AgentDeps, RunConfig, attempt_from_json, prove
 from coqharness.client import DecodingParams, Provider, ProviderError, ScriptedProvider
 from coqharness.corpus import SourceFile, TheoremRecord
 from coqharness.driver import (
@@ -258,6 +258,34 @@ def test_interactive_name_collision_recovery(toy_deps):
     assert "intro RR." in record.proof_script
 
 
+def test_interactive_executes_the_sentences_it_segmented(toy_deps, monkeypatch):
+    """Each reply is segmented once, when it is parsed; the tactics it holds
+    reach the session as those sentences and are not segmented again."""
+    replies = [
+        "unfold wmonotonic, G; intuition.\napply wunfold; auto.",
+        "Qed.",
+    ]
+    deps = toy_deps(scripted([{"theorem": "G_wmon", "completions": replies}]))
+    target = get(deps.corpus, "G_wmon")
+    segmented = []
+    for module in (agent, driver, prompting):
+        segment = module.segment_sentences
+
+        def counted(text, segment=segment):
+            segmented.append(text)
+            return segment(text)
+
+        monkeypatch.setattr(module, "segment_sentences", counted)
+    for reply in replies:
+        agent._parse_turn_reply(reply, target.statement.text)
+    parsing_alone = len(segmented)
+    segmented.clear()
+    [record] = prove_alone(target, interactive_config(), deps)
+    assert record.accepted
+    assert record.proof_script == "unfold wmonotonic, G; intuition. apply wunfold; auto. Qed."
+    assert len(segmented) == parsing_alone
+
+
 def test_interactive_stall_terminates(toy_deps):
     deps = toy_deps(
         scripted([{"theorem": "G_wmon", "completions": ["", "  "]}], default="")
@@ -429,14 +457,12 @@ def test_ensemble_proves_what_base_misses(toy_deps):
     }
 
 
-def test_ensemble_empty_strategies_rejected(toy_deps):
-    deps = toy_deps()
-    config = RunConfig(tag="ens", mode="zs", decoding=DecodingParams(n=2))
-    target = get(deps.corpus, "trans_incl")
-    with contextlib.closing(FileWalk(deps.prover)) as walk, \
-            contextlib.closing(walk(target)) as session:
-        with pytest.raises(ConfigMismatch):
-            run_ensemble(target, config, deps, session)
+def test_ensemble_empty_strategies_rejected():
+    with pytest.raises(ConfigMismatch, match="non-empty strategy list"):
+        RunConfig(tag="ens", mode="zs", loop="ensemble", strategies=())
+    one_shot = RunConfig(tag="ens", mode="zs", strategies=())
+    with pytest.raises(ConfigMismatch, match="non-empty strategy list"):
+        replace(one_shot, loop="ensemble")  # replace re-runs the check
 
 
 # -- session lifecycle --------------------------------------------------------

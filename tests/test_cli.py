@@ -662,6 +662,46 @@ def test_missing_index_file_exit_2(
         assert f"index file not found: {missing}" in caplog.text
 
 
+@pytest.mark.parametrize("tag", ["fs-sim", "fs+lem"])
+def test_prove_with_a_stale_index_and_no_examples_exit_2(
+    config_file, fixtures_dir, ingested, manifest_path, tmp_path, caplog, tag
+):
+    """An index built over another split ranks only ids that are no longer
+    train records, so the prompt has no examples: a config error, not a crash."""
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    assert main(["--config", str(config_file), "ingest", "--root", str(fixtures_dir / "project"),
+                 "--out", str(stale / "corpus.jsonl"), "--split", "by_index"]) == EXIT_OK
+    assert main(["--config", str(config_file), "index", "--corpus", str(stale / "corpus.jsonl"),
+                 "--out", str(stale / "index.json")]) == EXIT_OK
+    config = tmp_path / "stale.ini"
+    config.write_text(config_file.read_text().replace(
+        "[paths]\n", f"[paths]\nindex_file = {stale}/index.json\n"))
+    code = main(["--config", str(config), "prove", "--corpus", str(ingested),
+                 "--theorem", "weak.v::G_wmon", "--manifest", str(manifest_path),
+                 "--config-tag", tag])
+    assert code == EXIT_CONFIG
+    assert f"{tag} requires few-shot examples" in caplog.text
+
+
+def test_ingest_groups_its_records_once(config_file, fixtures_dir, tmp_path, monkeypatch):
+    """Each record is sorted into its file's order once per `ingest`: the
+    unsplit corpus is never grouped, only the split one that is saved."""
+    sorted_records = []
+    in_file_order = corpus_mod._IN_FILE_ORDER
+
+    def counted(record):
+        sorted_records.append(record.id)
+        return in_file_order(record)
+
+    monkeypatch.setattr(corpus_mod, "_IN_FILE_ORDER", counted)
+    out = tmp_path / "once.jsonl"
+    assert main(["--config", str(config_file), "ingest", "--root", str(fixtures_dir / "project"),
+                 "--out", str(out)]) == EXIT_OK
+    monkeypatch.undo()
+    assert sorted(sorted_records) == sorted(r.id for r in load_corpus(out).records)
+
+
 def test_report_classifies_uncategorized_rows_with_configured_patterns(tmp_path, capsys):
     attempts = tmp_path / "attempts"
     attempts.mkdir()
