@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .client import DecodingParams, Provider, complete
 from .corpus import TRAIN, Corpus, TheoremRecord, preceding_lemmas
-from .driver import FileWalk, SessionConfig, SessionHandle
+from .driver import FileWalk, QueryRejected, SessionConfig, SessionHandle
 from .prompting import (
     EMPTY,
     MALFORMED,
@@ -382,8 +382,8 @@ def prove_interactive(
                 break
             try:
                 output = session.query(command, argument)
-            except Exception as exc:  # QueryRejected and friends stay in-band
-                output = str(exc)
+            except QueryRejected as exc:  # the model's failure: fed back in-band
+                output = exc.message
             queries_used += 1
             turns.append(Turn(delta, completion, ((command, argument, output),)))
             delta = templates.render("interactive.query_result", state=output)

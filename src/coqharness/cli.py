@@ -285,9 +285,9 @@ def cmd_prove(args, config) -> int:
             raise CliError(f"unknown theorem id {args.theorem!r}")
         target = matches[0]
     deps = build_deps(config, cps, [run_config], args.replay, args.cache_dir, whole_table=False)
+    rules = evaluate.ClassifierRules.load(_get(config, "paths", "classifier_patterns"))
     with contextlib.closing(FileWalk(deps.prover)) as walk:
         records = agent.prove(target, run_config, deps, walk)
-    rules = evaluate.ClassifierRules.load(_get(config, "paths", "classifier_patterns"))
     evaluate.annotate(records, cps, rules)
     for record in records:
         print(json.dumps(record, ensure_ascii=False, indent=2, default=vars))
@@ -440,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
         log.error("%s", exc)
         return exc.code
     except (corpus_mod.CorpusError, evaluate.EvalError, agent.AgentError, PromptError,
-            ValueError) as exc:
+            ValueError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
     except (client.ProviderError, client.BudgetExceeded, client.CacheMiss) as exc:

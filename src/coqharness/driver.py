@@ -421,8 +421,21 @@ class RealCoqSession(SessionHandle):
         if self._proc is None or self._proc.poll() is not None:
             raise SessionDead("prover process is not running")
         flat = re.sub(r"[\r\n]+", " ", text).strip()
-        self._proc.stdin.write((flat + "\n").encode("utf-8"))
+        try:
+            self._proc.stdin.write((flat + "\n").encode("utf-8"))
+        except BrokenPipeError:  # it exited after the poll() above
+            self._kill()
+            raise SessionDead("prover exited before reading its input") from None
         return self._read_until_prompt()
+
+    def _back_to(self, state_id: int) -> str:
+        """Undo to `state_id`. A prover that does not answer the undo cannot
+        be put back in a known state: it is dead, not a step that timed out."""
+        try:
+            return self._send(f"BackTo {state_id}.")
+        except TimeoutError:
+            self._kill()
+            raise SessionDead(f"no reply to BackTo {state_id}") from None
 
     # -- session operations --
 
@@ -445,7 +458,7 @@ class RealCoqSession(SessionHandle):
         if ERROR_RE.search(response):
             if self._state_id != pre_state_id:
                 # The toplevel normally does not advance on error; undo if it did.
-                self._send(f"BackTo {pre_state_id}.")
+                self._back_to(pre_state_id)
             return StepResult(ERROR, response.strip())
 
         self._history.append(sentence)
@@ -473,7 +486,7 @@ class RealCoqSession(SessionHandle):
             self._restart_from_checkpoint()
             raise QueryRejected(TIMEOUT_MESSAGE) from None
         if self._state_id != pre_state_id:
-            self._send(f"BackTo {pre_state_id}.")
+            self._back_to(pre_state_id)
         if ERROR_RE.search(response):
             raise QueryRejected(response.strip())
         return response.strip()
@@ -496,7 +509,7 @@ class RealCoqSession(SessionHandle):
         if self._proc is None or self._proc.poll() is not None:
             self._restart_from_checkpoint(history_len)
             return
-        response = self._send(f"BackTo {state_id}.")
+        response = self._back_to(state_id)
         if ERROR_RE.search(response):
             raise SessionDead(f"BackTo {state_id} rejected: {response.strip()}")
         del self._history[history_len:]

@@ -14,7 +14,6 @@ import csv
 import hashlib
 import io
 import json
-import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -22,13 +21,10 @@ from importlib import resources
 from pathlib import Path
 
 from .agent import AgentDeps, AttemptRecord, RunConfig, attempt_from_json, prove
-from .client import BudgetExceeded, CacheMiss, ProviderError
 from .corpus import Corpus, UnknownId
-from .driver import FileWalk, PreludeError, SessionDead, SpawnFailure
+from .driver import FileWalk
 from .prompting import REFUSAL as REFUSAL_KIND
 from .sentences import is_closing
-
-log = logging.getLogger(__name__)
 
 CORRECT = "correct"
 REFUSAL = "refusal"
@@ -80,18 +76,18 @@ class ClassifierRules:
     @staticmethod
     def load(path: str | Path | None = None) -> "ClassifierRules":
         if path is None:
-            text = resources.files("coqharness.data").joinpath(
-                "classifier_patterns.json"
-            ).read_text(encoding="utf-8")
+            source = resources.files("coqharness.data").joinpath("classifier_patterns.json")
         else:
-            text = Path(path).read_text(encoding="utf-8")
-        raw = json.loads(text)
+            source = Path(path)
         ordered = []
-        for rule in raw["rules"]:
-            category = rule["category"]
-            if category not in CATEGORIES:
-                raise EvalError(f"unknown category {category!r} in pattern file")
-            ordered.append((category, [re.compile(p) for p in rule["patterns"]]))
+        try:  # an unreadable file raises an OSError that names it
+            for rule in json.loads(source.read_text(encoding="utf-8"))["rules"]:
+                category = rule["category"]
+                if category not in CATEGORIES:
+                    raise EvalError(f"unknown category {category!r} in pattern file")
+                ordered.append((category, [re.compile(p) for p in rule["patterns"]]))
+        except (ValueError, KeyError, TypeError, re.error) as exc:
+            raise EvalError(f"bad classifier patterns {path}: {exc}") from exc
         return ClassifierRules(ordered)
 
 
@@ -249,9 +245,11 @@ def run_eval(
 ) -> EvalReport:
     """Run every manifest config over the corpus test split and aggregate.
 
-    Per-attempt failures are data. Manifest/corpus schema problems abort,
-    and so do harness failures (cache miss, provider or prover unavailable),
-    which are not the model's. Deterministic under the scripted provider.
+    Per-attempt failures are data; every other exception is the harness's
+    (a manifest or corpus problem, a prompt that cannot be built, a cache
+    miss, a provider or prover unavailable) and propagates, aborting the
+    run with no report, so no harness failure is ever counted as a model
+    failure. Deterministic under the scripted provider.
     Each test file gets one prover session, walked forward from target to
     target by a FileWalk; at each target every config borrows it in
     manifest order. `workers` threads share out the files.
@@ -270,28 +268,11 @@ def run_eval(
         files.setdefault(target.file, []).append(position)
     groups = list(files.values())
 
-    def prove_one(target, config, walk):
-        try:
-            return prove(target, config, deps, walk)
-        except (CacheMiss, ProviderError, BudgetExceeded, SpawnFailure, SessionDead,
-                PreludeError):
-            raise
-        except Exception as exc:
-            log.error("config %s theorem %s failed: %s", config.tag, target.id, exc)
-            return [
-                AttemptRecord(
-                    theorem_id=target.id, config_tag=config.tag, variant_id="base",
-                    candidate_index=0, proof_script="", accepted=False,
-                    failing_step=(-1, "", f"harness error: {exc}"), turns=[],
-                    completion_kind="malformed",
-                )
-            ]
-
     def prove_file(positions):
         """Per target of the file, per config: that config's records."""
         targets = [tests[p] for p in positions]
         with contextlib.closing(FileWalk(deps.prover)) as walk:
-            return [[prove_one(target, config, walk) for config in manifest]
+            return [[prove(target, config, deps, walk) for config in manifest]
                     for target in targets]
 
     if workers > 1:
@@ -432,29 +413,25 @@ def report_to_json(report: EvalReport) -> dict:
 def emit_report(
     report: EvalReport,
     out_dir: str | Path,
-    formats: tuple[str, ...] = ("markdown", "csv", "json"),
     write_attempts: bool = True,
 ) -> list[Path]:
     """Write report.{md,csv,json} plus attempts/<tag>.jsonl under out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    if "markdown" in formats:
-        path = out_dir / "report.md"
-        path.write_text(render_markdown(report), encoding="utf-8")
-        written.append(path)
-    if "csv" in formats:
-        path = out_dir / "report.csv"
-        path.write_text(render_csv(report), encoding="utf-8")
-        written.append(path)
-    if "json" in formats:
-        path = out_dir / "report.json"
-        path.write_text(
-            json.dumps(report_to_json(report), indent=2, sort_keys=True, ensure_ascii=False)
-            + "\n",
-            encoding="utf-8",
-        )
-        written.append(path)
+    path = out_dir / "report.md"
+    path.write_text(render_markdown(report), encoding="utf-8")
+    written.append(path)
+    path = out_dir / "report.csv"
+    path.write_text(render_csv(report), encoding="utf-8")
+    written.append(path)
+    path = out_dir / "report.json"
+    path.write_text(
+        json.dumps(report_to_json(report), indent=2, sort_keys=True, ensure_ascii=False)
+        + "\n",
+        encoding="utf-8",
+    )
+    written.append(path)
     if write_attempts and report.attempts:
         attempts_dir = out_dir / "attempts"
         attempts_dir.mkdir(exist_ok=True)

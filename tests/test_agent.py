@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-from coqharness import agent, driver, prompting
+from coqharness import agent, driver, mockprover, prompting
 from coqharness.agent import AgentDeps, RunConfig, attempt_from_json, prove
 from coqharness.client import DecodingParams, Provider, ProviderError, ScriptedProvider
 from coqharness.corpus import SourceFile, TheoremRecord
@@ -324,6 +324,21 @@ def test_interactive_query_budget(toy_deps):
     assert record.budget_exhausted
     tool_calls = [c for t in record.turns for c in t.tool_calls]
     assert len(tool_calls) == 2  # third attempt tripped the ceiling
+
+
+@pytest.mark.parametrize("failure", [driver.SessionDead("prover exited"),
+                                     driver.SpawnFailure("cannot respawn")])
+def test_interactive_query_harness_failure_propagates(toy_deps, monkeypatch, failure):
+    """Only a rejected query is the model's: a prover that dies during a
+    QUERY ends the run instead of becoming the query's output."""
+
+    def dying_query(self, command, argument):
+        raise failure
+
+    monkeypatch.setattr(mockprover.MockSession, "query", dying_query)
+    deps = toy_deps(scripted([{"theorem": "G_wmon", "completions": ["QUERY Print G"]}]))
+    with pytest.raises(type(failure)):
+        prove_alone(get(deps.corpus, "G_wmon"), interactive_config(), deps)
 
 
 def test_interactive_wall_clock_budget(toy_deps):

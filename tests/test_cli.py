@@ -16,6 +16,8 @@ import coqharness
 from coqharness import corpus as corpus_mod, mockprover, retriever
 from coqharness.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROVER, EXIT_PROVIDER, main, parse_args
 from coqharness.corpus import load_corpus
+from coqharness.driver import SessionDead
+from coqharness.prompting import TemplateSet
 from coqharness.proofstate import ProofState
 from coqharness.sentences import Sentence
 
@@ -662,12 +664,11 @@ def test_missing_index_file_exit_2(
         assert f"index file not found: {missing}" in caplog.text
 
 
-@pytest.mark.parametrize("tag", ["fs-sim", "fs+lem"])
-def test_prove_with_a_stale_index_and_no_examples_exit_2(
-    config_file, fixtures_dir, ingested, manifest_path, tmp_path, caplog, tag
-):
-    """An index built over another split ranks only ids that are no longer
-    train records, so the prompt has no examples: a config error, not a crash."""
+@pytest.fixture()
+def stale_index_config(config_file, fixtures_dir, tmp_path) -> Path:
+    """A config naming an index built over another split: it ranks only ids
+    that are no longer train records, so `weak.v::G_wmon`'s similarity
+    prompts have no examples."""
     stale = tmp_path / "stale"
     stale.mkdir()
     assert main(["--config", str(config_file), "ingest", "--root", str(fixtures_dir / "project"),
@@ -677,11 +678,140 @@ def test_prove_with_a_stale_index_and_no_examples_exit_2(
     config = tmp_path / "stale.ini"
     config.write_text(config_file.read_text().replace(
         "[paths]\n", f"[paths]\nindex_file = {stale}/index.json\n"))
-    code = main(["--config", str(config), "prove", "--corpus", str(ingested),
+    return config
+
+
+@pytest.mark.parametrize("tag", ["fs-sim", "fs+lem"])
+def test_prove_with_a_stale_index_and_no_examples_exit_2(
+    stale_index_config, ingested, manifest_path, caplog, tag
+):
+    """A prompt with no examples is a config error, not a crash."""
+    code = main(["--config", str(stale_index_config), "prove", "--corpus", str(ingested),
                  "--theorem", "weak.v::G_wmon", "--manifest", str(manifest_path),
                  "--config-tag", tag])
     assert code == EXIT_CONFIG
     assert f"{tag} requires few-shot examples" in caplog.text
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_eval_with_a_stale_index_and_no_examples_exit_2(
+    stale_index_config, ingested, manifest_path, tmp_path, caplog, workers
+):
+    """The same prompt aborts `eval` too: no attempt records it as the model's failure."""
+    out = tmp_path / "o"
+    code = main(["--config", str(stale_index_config), "eval", "--corpus", str(ingested),
+                 "--manifest", str(manifest_path), "--out", str(out),
+                 "--workers", str(workers)])
+    assert code == EXIT_CONFIG
+    assert "fs-sim requires few-shot examples" in caplog.text
+    assert not (out / "report.json").exists()
+
+
+def test_a_template_file_missing_a_section_exits_2(
+    config_file, ingested, manifest_path, tmp_path, caplog
+):
+    """A +lem config's prompt needs [user.target_with_lemmas]: `eval`
+    exits 2 without it and writes no report."""
+    sections = TemplateSet.load().sections
+    del sections["user.target_with_lemmas"]
+    templates = tmp_path / "templates.txt"
+    templates.write_text("".join(f"[{name}]\n{body}\n" for name, body in sections.items()))
+    config = tmp_path / "templates.ini"
+    config.write_text(config_file.read_text().replace(
+        "[paths]\n", f"[paths]\ntemplate_file = {templates}\n"))
+    out = tmp_path / "o"
+    code = main(["--config", str(config), "eval", "--corpus", str(ingested),
+                 "--manifest", str(manifest_path), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "missing template section [user.target_with_lemmas]" in caplog.text
+    assert not (out / "report.json").exists()
+
+
+def test_eval_prover_death_during_a_query_exit_4(
+    config_file, ingested, fixtures_dir, tmp_path, monkeypatch, caplog
+):
+    """A prover that dies while answering a QUERY is the harness's failure,
+    not the query's output."""
+
+    def dying_query(self, command, argument):
+        raise SessionDead("prover exited; output so far: ''")
+
+    monkeypatch.setattr(mockprover.MockSession, "query", dying_query)
+    script = tmp_path / "query_script.json"
+    script.write_text(json.dumps({
+        "default": "(* nothing scripted *)",
+        "entries": [{"theorem": "G_wmon", "completions": ["QUERY Print G"]}],
+    }))
+    config = tmp_path / "query.ini"
+    config.write_text(config_file.read_text().replace(
+        f"{fixtures_dir}/provider_script.json", str(script)))
+    manifest = _manifest(tmp_path, [
+        {"tag": "inter", "mode": "zs", "loop": "interactive", "max_turns": 3},
+    ])
+    out = tmp_path / "o"
+    code = main(["--config", str(config), "eval", "--corpus", str(ingested),
+                 "--manifest", str(manifest), "--out", str(out)])
+    assert code == EXIT_PROVER
+    assert "prover unavailable: prover exited" in caplog.text
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("case", ["ingest-out", "index-out", "template", "patterns"])
+def test_an_unreadable_or_unwritable_path_exits_2(
+    config_file, ingested, fixtures_dir, manifest_path, tmp_path, caplog, case
+):
+    """A path that cannot be read or written is a config error naming it."""
+    missing = tmp_path / "no-such-dir" / "file"
+    config, argv = config_file, ["eval", "--corpus", str(ingested),
+                                 "--manifest", str(manifest_path), "--out", str(tmp_path / "o")]
+    if case == "ingest-out":
+        argv = ["ingest", "--root", str(fixtures_dir / "project"), "--out", str(missing)]
+    elif case == "index-out":
+        argv = ["index", "--corpus", str(ingested), "--out", str(missing)]
+    else:
+        key = {"template": "template_file", "patterns": "classifier_patterns"}[case]
+        config = tmp_path / "paths.ini"
+        config.write_text(config_file.read_text().replace(
+            "[paths]\n", f"[paths]\n{key} = {missing}\n"))
+    code = main(["--config", str(config), *argv])
+    assert code == EXIT_CONFIG
+    assert f"No such file or directory: '{missing}'" in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("content, detail", [
+    ({"rules": [{"patterns": ["x"]}]}, "'category'"),
+    ({"rules": [{"category": "resource", "patterns": ["("]}]}, "missing ), unterminated"),
+    ([], "list indices must be integers"),
+    ("{", "Expecting property name"),
+], ids=["no-category", "bad-regex", "top-level-list", "not-json"])
+@pytest.mark.parametrize("command", ["eval", "prove"])
+def test_bad_classifier_patterns_exit_2(
+    config_file, ingested, manifest_path, tmp_path, monkeypatch, caplog, content, detail,
+    command,
+):
+    """A patterns file that does not decode or has the wrong shape exits 2
+    before any theorem is proved."""
+    patterns = tmp_path / "patterns.json"
+    patterns.write_text(content if isinstance(content, str) else json.dumps(content))
+    config = tmp_path / "patterns.ini"
+    config.write_text(config_file.read_text().replace(
+        "[paths]\n", f"[paths]\nclassifier_patterns = {patterns}\n"))
+
+    def never(*args):
+        raise AssertionError("proved a theorem with unusable classifier patterns")
+
+    monkeypatch.setattr(coqharness.agent, "prove", never)
+    monkeypatch.setattr(coqharness.evaluate, "prove", never)
+    argv = {
+        "eval": ["eval", "--manifest", str(manifest_path), "--out", str(tmp_path / "o")],
+        "prove": ["prove", "--theorem", "weak.v::weak_refl"],
+    }[command]
+    code = main(["--config", str(config), *argv, "--corpus", str(ingested)])
+    assert code == EXIT_CONFIG
+    assert f"bad classifier patterns {patterns}: " in caplog.text and detail in caplog.text
+    assert "Traceback" not in caplog.text
 
 
 def test_ingest_groups_its_records_once(config_file, fixtures_dir, tmp_path, monkeypatch):

@@ -317,6 +317,42 @@ def test_real_death_inside_check_proof_replays_history(stub_session, caplog):
     assert again.ok and again.message == "Check again."
 
 
+def test_real_exit_before_a_write_is_a_dead_session(stub_session, monkeypatch):
+    """A prover that exits between the liveness check and the write of a
+    sentence is a dead session (exit 4), not a broken pipe."""
+    session = stub_session()
+    proc = session._proc
+    poll = proc.poll
+
+    def exits_after_this_poll():
+        monkeypatch.setattr(proc, "poll", poll)
+        proc.kill()
+        proc.wait()
+        return None
+
+    monkeypatch.setattr(proc, "poll", exits_after_this_poll)
+    with pytest.raises(SessionDead, match="prover exited before reading its input"):
+        session.execute("Check nat.")
+    assert session._proc is None and proc.stdin.closed and proc.stdout.closed
+
+
+def test_real_undo_without_a_reply_is_a_dead_session(stub_session, monkeypatch):
+    """A prover that does not answer the undo after a failed step that moved
+    the state is dead (exit 4): its timeout is not the step's."""
+    session = stub_session()
+    send = session._send
+
+    def no_reply_to_undo(text):
+        if text.startswith("BackTo"):
+            raise TimeoutError("")
+        return send(text)
+
+    monkeypatch.setattr(session, "_send", no_reply_to_undo)
+    with pytest.raises(SessionDead, match="no reply to BackTo"):
+        session.execute("Slip.")
+    assert session._proc is None
+
+
 def test_real_large_reply_and_utf8(stub_session):
     session = stub_session()
     assert session.execute("Emit 131072 0.").message == "x" * 131072

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from coqharness import evaluate
 from coqharness.agent import AttemptRecord, RunConfig, Turn
 from coqharness.client import DecodingParams
 from coqharness.evaluate import (
@@ -231,6 +232,24 @@ def test_run_eval_validation(toy_corpus, toy_deps):
                      {r.id: "train" for r in toy_corpus.records})
     with pytest.raises(EvalError):
         run_eval(no_test, [config], deps, RULES)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_run_eval_propagates_a_harness_error(toy_deps, monkeypatch, workers):
+    """An exception from proving one target aborts the run: it is never
+    recorded as a failed attempt."""
+    prove = evaluate.prove
+
+    def failing_prove(target, config, deps, walk):
+        if target.id == "weak.v::G_wmon":
+            raise RuntimeError("injected at G_wmon")
+        return prove(target, config, deps, walk)
+
+    monkeypatch.setattr(evaluate, "prove", failing_prove)
+    deps = toy_deps()
+    config = RunConfig(tag="zs", mode="zs", decoding=DecodingParams(n=1))
+    with pytest.raises(RuntimeError, match="injected at G_wmon"):
+        run_eval(deps.corpus, [config], deps, RULES, workers=workers)
 
 
 def test_run_eval_annotates_missed_simple(toy_deps):
