@@ -45,7 +45,7 @@ from .prompting import (
 )
 from .proofstate import render_proof_state
 from .retriever import Index, retrieve
-from .sentences import LexicalError, segment_sentences
+from .sentences import LexicalError, opens_proof
 
 log = logging.getLogger(__name__)
 
@@ -240,7 +240,6 @@ def _check_candidates(
     """Sample n completions for the prompt, parse, and check the proofs."""
     decoding = replace(config.decoding, n=n)
     completions = complete(prompt, decoding, deps.provider)
-    check_cache: dict[str, object] = {}
     records: list[AttemptRecord] = []
     for i, raw in enumerate(completions):
         parsed = parse_completion(raw, target.statement_text)
@@ -262,19 +261,13 @@ def _check_candidates(
             dropped_examples=prompt.dropped_examples,
         )
         if parsed.kind == PROOF:
-            script = parsed.proof_script or ""
-            if script in check_cache:
-                result = check_cache[script]
-            else:
-                try:
-                    result = session.check_proof(target.statement, script)
-                except LexicalError as exc:
-                    result = exc
-                check_cache[script] = result
-            if isinstance(result, LexicalError):
+            # a duplicate script is served by the loan's check memo (driver.BorrowedSession)
+            try:
+                result = session.check_proof(target.statement, parsed.proof_script)
+            except LexicalError as exc:
                 record.completion_kind = MALFORMED
                 record.lexical_error = True
-                record.failing_step = (-1, "", str(result))
+                record.failing_step = (-1, "", str(exc))
             else:
                 record.accepted = result.accepted
                 if not result.accepted:
@@ -301,7 +294,8 @@ def prove_one_shot(
 
 
 def _parse_turn_reply(raw: str, statement_text: str):
-    """A turn reply is a QUERY line, tactic sentences, a refusal, or noise."""
+    """A turn reply is a QUERY line, tactic sentences, a refusal, or noise;
+    the tactics are parse_completion's sentences less any proof opener."""
     text = raw.strip()
     m = _QUERY_LINE_RE.search(text)
     if m:
@@ -311,14 +305,7 @@ def _parse_turn_reply(raw: str, statement_text: str):
         return ("refusal", parsed.refusal_text or "", None)
     if parsed.kind in (EMPTY, MALFORMED):
         return ("noise", None, None)
-    script = parsed.proof_script or ""
-    try:
-        sentences = segment_sentences(script)
-    except LexicalError:
-        return ("noise", None, None)
-    tactics = [s for s in sentences if s.text.strip() != "Proof."]
-    if parsed.appended_qed and tactics and tactics[-1].text == "Qed.":
-        tactics = tactics[:-1]  # partial turn: do not auto-close the proof
+    tactics = [s for s in parsed.sentences if not opens_proof(s)]
     if not tactics:
         return ("noise", None, None)
     return ("tactics", tactics, None)

@@ -13,7 +13,6 @@ import hashlib
 import json
 import logging
 import os
-import re
 import threading
 import time
 from dataclasses import dataclass, fields
@@ -124,16 +123,8 @@ class _ScriptEntry:
 
     def matches(self, prompt: ChatPrompt) -> bool:
         if self.theorem is not None:
-            target = prompt.target_id or ""
-            if target:
-                named = self.theorem == target or target.endswith(f"::{self.theorem}")
-            else:
-                # hand-built prompts without ids: match the theorem name in
-                # the final message instead
-                named = bool(
-                    re.search(rf"\b{re.escape(self.theorem)}\b", prompt.messages[-1].content)
-                )
-            if not named:
+            target = prompt.target_id
+            if self.theorem != target and not target.endswith(f"::{self.theorem}"):
                 return False
         if self.config_tag is not None and self.config_tag != prompt.config_tag:
             return False
@@ -291,16 +282,14 @@ class HttpChatProvider(Provider):
             except Exception as exc:  # connection-level failure: retryable
                 status, body = -1, repr(exc)
             if status == 200:
+                completions, paid = _read_reply(body)
                 self._local.retries = attempt
-                data = json.loads(body)
-                usage = data.get("usage", {})
-                paid = (usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0))
                 self._local.usage = paid
                 with self._lock:
                     self.tokens_used += sum(paid)
                     if self.token_budget is not None and self.tokens_used > self.token_budget:
                         log.warning("token budget exceeded after call; aborting run")
-                return [choice["message"]["content"] for choice in data["choices"]]
+                return completions
             last_status, last_body = status, body
             if status not in (-1, 408, 409, 429) and not 500 <= status < 600:
                 break  # non-retryable client error
@@ -308,6 +297,22 @@ class HttpChatProvider(Provider):
             time.sleep(backoff)
             backoff *= 2
         raise ProviderError(last_status, last_body)
+
+
+def _read_reply(body: str) -> tuple[list[str], tuple[int, int]]:
+    """A status-200 body's completions and token usage, else a ProviderError."""
+    try:
+        data = json.loads(body)
+        completions = [choice["message"]["content"] for choice in data["choices"]]
+        usage = data.get("usage", {})
+        paid = (usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0))
+        if not all(isinstance(c, str) for c in completions):
+            raise TypeError("a completion is not a string")
+        if not all(isinstance(t, int) for t in paid):
+            raise TypeError("a token count is not an integer")
+        return completions, paid
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise ProviderError(200, f"malformed reply ({exc!r}): {body}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .agent import AgentDeps, AttemptRecord, RunConfig, attempt_from_json, prove
 from .corpus import Corpus, UnknownId
 from .driver import FileWalk
 from .prompting import REFUSAL as REFUSAL_KIND
-from .sentences import is_closing
+from .sentences import is_closing, opens_proof
 
 CORRECT = "correct"
 REFUSAL = "refusal"
@@ -117,13 +117,7 @@ def _reference_tactic_count(corpus: Corpus, theorem_id: str) -> int | None:
         record = corpus.by_id(theorem_id)
     except UnknownId:
         return None
-    count = 0
-    for sentence in record.proof:
-        text = sentence.text.strip()
-        if text == "Proof." or text.startswith("Proof using") or is_closing(sentence):
-            continue
-        count += 1
-    return count
+    return sum(not (opens_proof(s) or is_closing(s)) for s in record.proof)
 
 
 def annotate(records: list[AttemptRecord], corpus: Corpus, rules: ClassifierRules) -> None:

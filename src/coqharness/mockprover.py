@@ -23,10 +23,10 @@ installed. File format (JSON)::
       "errors": [ ... ]     // matched against sentences outside proofs
     }
 
-Script steps are matched on whitespace-normalized text; a bare "Proof."
-is a no-op and never part of the match. A script's last step must be a
-closing command (one is appended when missing). `compile_behavior_table`
-reads a table into a BehaviorTable that any number of sessions can share,
+Script steps are matched on whitespace-normalized text; a proof opener
+("Proof." or "Proof using ...") is a no-op and never part of the match. A
+script's last step must be a closing command (one is appended when
+missing). `compile_behavior_table` reads a table into a BehaviorTable that any number of sessions can share,
 so a command reads its table once; each theorem entry is compiled, its
 initial and scripted states parsed, when a session first opens it.
 """
@@ -50,7 +50,7 @@ from .driver import (
     _coerce_sentence,
 )
 from .proofstate import MalformedState, ProofState, parse_proof_state
-from .sentences import Sentence, is_closing, is_statement, statement_name
+from .sentences import Sentence, is_closing, is_statement, opens_proof, statement_name
 
 INCOMPLETE_PROOF_MESSAGE = "Attempt to save an incomplete proof."
 NO_FOCUSED_PROOF_MESSAGE = "No focused proof (No proof-editing in progress)."
@@ -112,7 +112,7 @@ def _parse_script(raw) -> _Script:
     else:
         steps = [_norm(s) for s in raw]
         states = []
-    steps = [s for s in steps if s != "Proof."]
+    steps = [s for s in steps if not opens_proof(s)]
     if not steps or not is_closing(steps[-1]):
         steps.append("Qed.")
     states = [parse_proof_state(s) if s else None for s in states[: len(steps) - 1]]
@@ -281,7 +281,7 @@ class MockSession(SessionHandle):
 
         if is_statement(sentence):
             return StepResult(ERROR, "Nested proofs are not supported.")
-        if text == "Proof." or text.startswith("Proof using"):
+        if opens_proof(text):
             if self._prelude_mode:
                 return StepResult(OK, "")
             matches = self._matching_scripts(self._steps)

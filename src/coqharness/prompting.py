@@ -14,7 +14,9 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .sentences import LexicalError, _skip_comment, is_closing, is_statement, segment_sentences
+from .sentences import (
+    LexicalError, Sentence, _skip_comment, is_closing, is_statement, segment_sentences,
+)
 
 ROLES = ("system", "user", "assistant")
 
@@ -84,6 +86,8 @@ class ParsedCompletion:
     refusal_text: str | None = None
     appended_qed: bool = False
     lexical: bool = False  # malformed specifically because segmentation failed
+    # a proof's sentences, less an appended Qed.; spans index the unfenced reply
+    sentences: tuple[Sentence, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +160,14 @@ def build_prompt(
 ) -> ChatPrompt:
     """Assemble the prompt for one theorem under one run configuration.
 
-    `config` needs .mode and .tag (see agent.RunConfig). Examples arrive
+    `config` needs .mode, .tag, .zero_shot and .with_lemmas (see
+    agent.RunConfig). Examples arrive
     least-similar first so over-budget prompts shed the farthest example;
     each example renders as a user/assistant turn pair. `example_lemmas`
     optionally carries, per example, the (name, statement) list shown with
     it in the +lemma formats.
     """
-    mode = config.mode
-    zero_shot = mode.startswith("zs")
-    with_lemmas = mode.endswith("+lem")
+    mode, zero_shot, with_lemmas = config.mode, config.zero_shot, config.with_lemmas
     if zero_shot and examples:
         raise ConfigMismatch(f"{mode} takes no few-shot examples")
     if not zero_shot and not examples:
@@ -305,6 +308,7 @@ def parse_completion(raw: str, target_statement: str | None = None) -> ParsedCom
     Code fences are stripped; a restated theorem line is dropped (and must
     match `target_statement` modulo whitespace when that is given); a proof
     lacking a closing command gets "Qed." appended, flagged as a repair.
+    A proof keeps its sentences, so no caller segments the reply again.
     """
     if not raw.strip():
         return ParsedCompletion(EMPTY, raw)
@@ -338,4 +342,4 @@ def parse_completion(raw: str, target_statement: str | None = None) -> ParsedCom
     if not is_closing(sentences[-1]):
         script = script.rstrip() + "\nQed."
         appended = True
-    return ParsedCompletion(PROOF, raw, proof_script=script, appended_qed=appended)
+    return ParsedCompletion(PROOF, raw, script, appended_qed=appended, sentences=tuple(sentences))

@@ -89,6 +89,12 @@ def is_closing(sentence: Sentence | str, proving_only: bool = False) -> bool:
     return word in PROVING_CLOSERS or not proving_only and word in NON_PROVING_CLOSERS
 
 
+def opens_proof(sentence: Sentence | str) -> bool:
+    """Whether the sentence is `Proof.` or `Proof using …`, whitespace normalised."""
+    text = " ".join((sentence.text if isinstance(sentence, Sentence) else sentence).split())
+    return text == "Proof." or text.startswith("Proof using")
+
+
 def statement_name(statement: Sentence | str) -> str | None:
     """Name bound by a theorem-like statement, or None."""
     word, name = leading_word(statement)

@@ -13,8 +13,10 @@ from coqharness.agent import AgentDeps, RunConfig, attempt_from_json, prove
 from coqharness.client import DecodingParams, Provider, ProviderError, ScriptedProvider
 from coqharness.corpus import SourceFile, TheoremRecord
 from coqharness.driver import (
+    TIMEOUT_MESSAGE,
     FileWalk,
     PreludeError,
+    ProofCheckResult,
     SessionConfig,
     SessionHandle,
     start_session,
@@ -160,6 +162,29 @@ def test_one_shot_identical_samples_one_unique_script(toy_deps):
     assert all(r.accepted for r in records)
 
 
+def test_one_shot_rechecks_only_a_duplicate_whose_check_timed_out(toy_deps, monkeypatch):
+    """Duplicate samples are served by the loan's check memo, which never
+    stores a TIMEOUT: a duplicate of a timed-out script is checked again."""
+    slow = "Proof.\nintros x.\ncrawl.\nQed."
+    deps = toy_deps(scripted([{"theorem": "weak_refl", "completions": [C3_PROOF, slow]}]))
+    raw_checks = []
+    check_proof = SessionHandle.check_proof
+
+    def timing_out(self, statement, script):
+        if not isinstance(self, driver.BorrowedSession):
+            raw_checks.append(script)
+            if script == slow:
+                return ProofCheckResult(False, None, TIMEOUT_MESSAGE, [])
+        return check_proof(self, statement, script)
+
+    monkeypatch.setattr(SessionHandle, "check_proof", timing_out)
+    config = RunConfig(tag="zs", mode="zs", decoding=DecodingParams(n=4))
+    records = prove_alone(get(deps.corpus, "weak_refl"), config, deps)
+    assert [r.accepted for r in records] == [True, False, True, False]
+    assert [r.error_message for r in records] == ["", TIMEOUT_MESSAGE, "", TIMEOUT_MESSAGE]
+    assert raw_checks == [C3_PROOF, slow, slow]
+
+
 def test_one_shot_fs_modes_build_and_check(toy_deps):
     deps = toy_deps()
     for tag in ("fs-rand", "fs-sim"):
@@ -259,7 +284,7 @@ def test_interactive_name_collision_recovery(toy_deps):
 
 
 def test_interactive_executes_the_sentences_it_segmented(toy_deps, monkeypatch):
-    """Each reply is segmented once, when it is parsed; the tactics it holds
+    """Each reply is segmented once, by parse_completion; the tactics it holds
     reach the session as those sentences and are not segmented again."""
     replies = [
         "unfold wmonotonic, G; intuition.\napply wunfold; auto.",
@@ -268,7 +293,7 @@ def test_interactive_executes_the_sentences_it_segmented(toy_deps, monkeypatch):
     deps = toy_deps(scripted([{"theorem": "G_wmon", "completions": replies}]))
     target = get(deps.corpus, "G_wmon")
     segmented = []
-    for module in (agent, driver, prompting):
+    for module in (driver, prompting):
         segment = module.segment_sentences
 
         def counted(text, segment=segment):
@@ -276,14 +301,23 @@ def test_interactive_executes_the_sentences_it_segmented(toy_deps, monkeypatch):
             return segment(text)
 
         monkeypatch.setattr(module, "segment_sentences", counted)
-    for reply in replies:
-        agent._parse_turn_reply(reply, target.statement.text)
-    parsing_alone = len(segmented)
-    segmented.clear()
     [record] = prove_alone(target, interactive_config(), deps)
     assert record.accepted
     assert record.proof_script == "unfold wmonotonic, G; intuition. apply wunfold; auto. Qed."
-    assert len(segmented) == parsing_alone
+    assert segmented == replies
+
+
+@pytest.mark.parametrize("reply", ["Proof.", "```coq\nProof using x.\n```", "Proof. (* next *)"])
+def test_a_turn_reply_of_only_a_proof_opener_is_noise(reply):
+    assert agent._parse_turn_reply(reply, "Lemma t: True.") == ("noise", None, None)
+
+
+def test_turn_tactics_are_the_parsed_sentences_less_opener_and_appended_qed():
+    kind, tactics, _ = agent._parse_turn_reply(
+        "Lemma t: True.\nProof using x.\nintros x. auto.", "Lemma t: True."
+    )
+    assert kind == "tactics"
+    assert [s.text for s in tactics] == ["intros x.", "auto."]
 
 
 def test_interactive_stall_terminates(toy_deps):

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import http.server
 import json
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -464,6 +466,103 @@ mock_table = {fixtures_dir}/mock_table.json
         ]
     )
     assert code == EXIT_PROVIDER
+
+
+class _ChatStub(http.server.BaseHTTPRequestHandler):
+    """Answers every request with `server.reply(request)`, recording each
+    request's path, Authorization header and JSON body."""
+
+    def do_POST(self):
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.requests.append((self.path, self.headers.get("Authorization"), request))
+        body = self.server.reply(request).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def _fixed_completions(request) -> str:
+    choices = [{"message": {"content": "Proof.\nauto.\nQed."}}] * request["n"]
+    return json.dumps({"choices": choices, "usage": {"prompt_tokens": 3, "completion_tokens": 4}})
+
+
+@pytest.fixture()
+def chat_stub(monkeypatch):
+    """A loopback chat-completions endpoint; no proxy is consulted."""
+    for name in ("http_proxy", "https_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ChatStub)
+    server.requests, server.reply = [], _fixed_completions
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+def _http_config(tmp_path, fixtures_dir, server, monkeypatch) -> Path:
+    monkeypatch.setenv("COQHARNESS_STUB_KEY", "sk-stub")
+    config = tmp_path / "http.ini"
+    config.write_text(
+        f"""
+[paths]
+cache_dir = {tmp_path}/cache
+
+[provider]
+kind = http
+base_url = http://127.0.0.1:{server.server_address[1]}/v1
+model_name = stub-model
+api_key_env = COQHARNESS_STUB_KEY
+rpm_limit = 0
+
+[prover]
+backend = mock
+mock_table = {fixtures_dir}/mock_table.json
+"""
+    )
+    return config
+
+
+def test_eval_through_the_http_provider_and_its_replay(
+    ingested, manifest_path, fixtures_dir, tmp_path, monkeypatch, chat_stub
+):
+    config = _http_config(tmp_path, fixtures_dir, chat_stub, monkeypatch)
+    argv = ["--config", str(config), "eval", "--corpus", str(ingested),
+            "--manifest", str(manifest_path)]
+    assert main([*argv, "--out", str(tmp_path / "live")]) == EXIT_OK
+    requests = list(chat_stub.requests)
+    assert len(requests) == 5 * 4  # 5 one-shot configs x 4 test theorems
+    assert {(path, auth) for path, auth, _ in requests} == {
+        ("/v1/chat/completions", "Bearer sk-stub")
+    }
+    assert {request["model"] for _, _, request in requests} == {"stub-model"}
+    assert main([*argv, "--out", str(tmp_path / "replayed"), "--replay"]) == EXIT_OK
+    assert chat_stub.requests == requests
+    for name in ("report.json", "report.md", "report.csv"):
+        live = (tmp_path / "live" / name).read_bytes()
+        assert live == (tmp_path / "replayed" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("body", ["<html>502 Bad Gateway</html>", '{"choices": [{"message": {}}]}'],
+                         ids=["not-json", "no-content"])
+def test_a_malformed_http_reply_exits_3(
+    ingested, fixtures_dir, tmp_path, monkeypatch, caplog, chat_stub, body
+):
+    chat_stub.reply = lambda request: body
+    config = _http_config(tmp_path, fixtures_dir, chat_stub, monkeypatch)
+    code = main(["--config", str(config), "prove", "--corpus", str(ingested),
+                 "--theorem", "weak.v::weak_refl"])
+    assert code == EXIT_PROVIDER
+    assert len(chat_stub.requests) == 1
+    assert "provider failure: provider error 200: malformed reply" in caplog.text
 
 
 def test_help_on_every_subcommand(capsys):

@@ -9,11 +9,13 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coqharness import client
 from coqharness.client import (
     BudgetExceeded,
     CacheMiss,
@@ -94,6 +96,16 @@ def test_scripted_provider_selectors_and_default():
     assert provider.complete(
         make_prompt(text="unrelated", target="other.v::x"), DecodingParams(n=2)
     ) == ["fallback", "fallback"]
+
+
+def test_a_theorem_selector_matches_the_target_id_only():
+    provider = ScriptedProvider(
+        {"default": "fallback", "entries": [{"theorem": "t", "completions": ["named"]}]}
+    )
+    assert provider.complete(make_prompt(target="t"), DecodingParams(n=1)) == ["named"]
+    assert provider.complete(make_prompt(target="dir/f.v::t"), DecodingParams(n=1)) == ["named"]
+    for target in ("", "f.v::tt", "f.v::t2"):  # "Lemma t" in the message is not a match
+        assert provider.complete(make_prompt(target=target), DecodingParams(n=1)) == ["fallback"]
 
 
 def test_scripted_provider_empty_script_means_default_everywhere():
@@ -324,6 +336,56 @@ def test_http_provider_budgets(monkeypatch):
     provider.complete(make_prompt(), DecodingParams(n=1))
     with pytest.raises(BudgetExceeded):
         provider.complete(make_prompt(), DecodingParams(n=1))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "<html>502 Bad Gateway</html>",
+        "[]",
+        '{"error": "overloaded"}',
+        '{"choices": [{"message": {}}]}',
+        '{"choices": [{"message": {"content": null}}]}',
+        '{"choices": "none"}',
+        '{"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": "3"}}',
+        '{"choices": [{"message": {"content": "x"}}], "usage": []}',
+    ],
+)
+def test_http_provider_malformed_200_reply_is_a_provider_error(body):
+    reply = FakeResponse(200)
+    reply.text = body
+    session = FakeSession([reply])
+    provider = HttpChatProvider("http://fake", "model-x", rpm_limit=0, session=session)
+    with pytest.raises(ProviderError) as err:
+        complete(make_prompt(), DecodingParams(n=1), provider)
+    assert err.value.status == 200 and body in err.value.body
+    assert session.calls == 1
+    assert provider.tokens_used == 0
+
+
+@pytest.mark.parametrize("rpm_limit, posted_at", [(120, [100.0, 100.5]), (0, [100.0, 100.1])])
+def test_http_provider_throttles_to_its_rpm_limit(monkeypatch, rpm_limit, posted_at):
+    now, slept = [100.0], []
+
+    def sleep(seconds):
+        slept.append(seconds)
+        now[0] += seconds
+
+    monkeypatch.setattr(client, "time", SimpleNamespace(monotonic=lambda: now[0], sleep=sleep))
+
+    class ClockedSession(FakeSession):
+        def post(self, url, json=None, headers=None, timeout=None):
+            posts.append(now[0])
+            return super().post(url, json, headers, timeout)
+
+    posts = []
+    session = ClockedSession([FakeResponse(200, _ok_payload(["x"]))] * 2)
+    provider = HttpChatProvider("http://fake", "model-x", rpm_limit=rpm_limit, session=session)
+    provider.complete(make_prompt(), DecodingParams(n=1))
+    now[0] += 0.1  # the caller's own work between two calls
+    provider.complete(make_prompt(), DecodingParams(n=1))
+    assert posts == pytest.approx(posted_at)
+    assert slept == ([pytest.approx(0.4)] if rpm_limit else [])
 
 
 def test_complete_checks_count():

@@ -465,6 +465,43 @@ def test_mock_prelude_accepts_the_proof_of_a_command_it_does_not_open():
             assert session.execute(closer).message == NO_FOCUSED_PROOF_MESSAGE
 
 
+def test_mock_rejects_a_statement_inside_an_open_proof(mock_session):
+    assert mock_session.execute("Lemma weak_refl: forall x, Weak T x x.").ok
+    nested = mock_session.execute("Lemma inner: True.")
+    assert nested.outcome == ERROR
+    assert nested.message == "Nested proofs are not supported."
+    assert mock_session.execute("intros x.").ok  # the open proof is unchanged
+
+
+def test_mock_proof_opener_without_a_matching_script_reports_the_synthesized_state(
+    mock_session,
+):
+    opened = mock_session.execute("Lemma mystery: forall n, n = n.")
+    proof = mock_session.execute("Proof.")
+    assert proof.ok and proof.message == ""
+    assert proof.state == opened.state == ProofState((), ("forall n, n = n",), (1, 1))
+
+
+def test_mock_table_script_without_a_closer_gets_qed_appended():
+    table = {"theorems": {"t": {"scripts": [["exact I."]]}}}
+    assert mockprover._parse_script(["exact I."]).steps == ("exact I.", "Qed.")
+    with closing(start_session(SessionConfig(backend="mock", mock_table=table))) as session:
+        assert session.execute("Lemma t: True.").ok
+        assert session.execute("exact I.").message == NO_MORE_GOALS_MESSAGE
+        assert session.execute("Qed.").proof_complete
+
+
+@pytest.mark.parametrize("opener", ["Proof.", "Proof using x.", "Proof\n  using x  y."])
+def test_a_table_script_drops_every_proof_opener(opener):
+    """`Proof using ...` in a table script is a no-op like `Proof.`, so a
+    script holding it matches with or without the opener."""
+    table = {"theorems": {"t": {"scripts": [[opener, "intros x.", "Qed."]]}}}
+    statement = "Lemma t: forall x : nat, True."
+    with closing(start_session(SessionConfig(backend="mock", mock_table=table))) as session:
+        for script in (f"{opener} intros x. Qed.", "Proof. intros x. Qed.", "intros x. Qed."):
+            assert session.check_proof(statement, script).accepted, script
+
+
 def test_mock_contains_rules_match_literally_and_compile_no_regex(monkeypatch):
     """A `contains` rule is a substring test: its regex metacharacters match
     only themselves, and building the table compiles no pattern for it."""

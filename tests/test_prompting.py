@@ -238,3 +238,16 @@ def test_parse_roundtrip_wellformed():
     parsed = parse_completion(script)
     assert parsed.kind == "proof"
     assert parsed.proof_script == script
+
+
+def test_parse_keeps_the_sentences_it_segmented():
+    """A proof carries its sentences: a restated statement and an appended
+    Qed. are not among them, a closer the reply wrote is."""
+    statement = "Lemma t: True."
+    partial = parse_completion("```coq\nLemma t: True.\nProof. exact I.\n```", statement)
+    assert partial.appended_qed
+    assert [s.text for s in partial.sentences] == ["Proof.", "exact I."]
+    closed = parse_completion("Proof. exact I. Qed.", statement)
+    assert [s.text for s in closed.sentences] == ["Proof.", "exact I.", "Qed."]
+    for not_a_proof in ("", REFUSAL_TEXT, "no sentence here"):
+        assert parse_completion(not_a_proof).sentences == ()

@@ -15,6 +15,7 @@ from coqharness.sentences import (
     _byte_offsets,
     is_closing,
     is_statement,
+    opens_proof,
     rejoin,
     segment_sentences,
     statement_name,
@@ -319,3 +320,21 @@ def test_one_leading_word_classifies_as_the_per_call_regexes(lead, head, tail):
         assert is_closing(sentence, proving_only=True) == \
             per_call.is_closing(sentence, proving_only=True)
         assert statement_name(sentence) == per_call.statement_name(sentence)
+
+
+@pytest.mark.parametrize(
+    "text, opens",
+    [
+        ("Proof.", True),
+        ("  Proof.\n", True),
+        ("Proof using x.", True),
+        ("Proof\n  using   x y.", True),
+        ("Proof with auto.", False),
+        ("Proofs.", False),
+        ("Qed.", False),
+        ("intros.", False),
+    ],
+)
+def test_opens_proof_accepts_proof_and_proof_using(text, opens):
+    assert opens_proof(text) is opens
+    assert opens_proof(Sentence(text, (0, len(text)))) is opens
