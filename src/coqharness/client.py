@@ -304,6 +304,7 @@ def _read_reply(body: str) -> tuple[list[str], tuple[int, int]]:
     try:
         data = json.loads(body)
         completions = [choice["message"]["content"] for choice in data["choices"]]
+        completions = ["" if c is None else c for c in completions]  # a refused reply
         usage = data.get("usage", {})
         paid = (usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0))
         if not all(isinstance(c, str) for c in completions):

@@ -228,14 +228,15 @@ class BorrowedSession(SessionHandle):
     Loans lent in one state may share a check memo, keyed by (statement
     text, script): a check whose pair is in it is not run again. A loan
     uses the memo only until it executes a step, since the session may then
-    have left the state the memo's results hold for. A TIMEOUT result is
-    never stored; exceptions propagate and are not stored either.
+    have left the state the memo's results hold for. A TIMEOUT result is kept
+    by this loan alone, so the next loan checks it again; exceptions are not kept.
     """
 
     def __init__(self, session: SessionHandle, memo: dict | None = None):
         self._session = session
         self._token = session._snapshot()
         self._memo = memo
+        self._timeouts: dict = {}
 
     def execute(self, sentence: Sentence | str) -> StepResult:
         self._memo = None
@@ -248,12 +249,12 @@ class BorrowedSession(SessionHandle):
             key = (theorem_statement.text, proof_script)
         else:
             key = (theorem_statement, proof_script)
-        result = self._memo.get(key)
+        result = self._memo.get(key) or self._timeouts.get(key)
         if result is None:
             # on the lent session itself, so that its steps leave the memo in use
             result = SessionHandle.check_proof(self._session, theorem_statement, proof_script)
-            if result.message != TIMEOUT_MESSAGE:
-                self._memo[key] = result
+            kept = self._timeouts if result.message == TIMEOUT_MESSAGE else self._memo
+            kept[key] = result
         return result
 
     def query(self, command: str, argument: str) -> str:

@@ -162,9 +162,10 @@ def test_one_shot_identical_samples_one_unique_script(toy_deps):
     assert all(r.accepted for r in records)
 
 
-def test_one_shot_rechecks_only_a_duplicate_whose_check_timed_out(toy_deps, monkeypatch):
-    """Duplicate samples are served by the loan's check memo, which never
-    stores a TIMEOUT: a duplicate of a timed-out script is checked again."""
+def test_one_shot_checks_a_timed_out_duplicate_once_per_loan(toy_deps, monkeypatch):
+    """Duplicate samples are served by the loan's check memo. A TIMEOUT is
+    kept by its loan alone: a duplicate of a timed-out script is not checked
+    again within one config's samples, but the next config's loan checks it."""
     slow = "Proof.\nintros x.\ncrawl.\nQed."
     deps = toy_deps(scripted([{"theorem": "weak_refl", "completions": [C3_PROOF, slow]}]))
     raw_checks = []
@@ -178,10 +179,14 @@ def test_one_shot_rechecks_only_a_duplicate_whose_check_timed_out(toy_deps, monk
         return check_proof(self, statement, script)
 
     monkeypatch.setattr(SessionHandle, "check_proof", timing_out)
+    target = get(deps.corpus, "weak_refl")
     config = RunConfig(tag="zs", mode="zs", decoding=DecodingParams(n=4))
-    records = prove_alone(get(deps.corpus, "weak_refl"), config, deps)
-    assert [r.accepted for r in records] == [True, False, True, False]
-    assert [r.error_message for r in records] == ["", TIMEOUT_MESSAGE, "", TIMEOUT_MESSAGE]
+    with contextlib.closing(FileWalk(deps.prover)) as walk:
+        first = prove(target, config, deps, walk)
+        second = prove(target, replace(config, tag="zs-again"), deps, walk)
+    for records in (first, second):
+        assert [r.accepted for r in records] == [True, False, True, False]
+        assert [r.error_message for r in records] == ["", TIMEOUT_MESSAGE, "", TIMEOUT_MESSAGE]
     assert raw_checks == [C3_PROOF, slow, slow]
 
 

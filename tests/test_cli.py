@@ -565,6 +565,21 @@ def test_a_malformed_http_reply_exits_3(
     assert "provider failure: provider error 200: malformed reply" in caplog.text
 
 
+def test_a_null_http_completion_is_an_empty_attempt(
+    ingested, fixtures_dir, tmp_path, monkeypatch, capsys, chat_stub
+):
+    chat_stub.reply = lambda request: json.dumps(
+        {"choices": [{"message": {"content": None}}] * request["n"]}
+    )
+    config = _http_config(tmp_path, fixtures_dir, chat_stub, monkeypatch)
+    code = main(["--config", str(config), "prove", "--corpus", str(ingested),
+                 "--theorem", "weak.v::weak_refl"])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert '"completion_kind": "empty"' in out and '"completion_kind": "proof"' not in out
+    assert out.rstrip().endswith("REJECTED")
+
+
 def test_help_on_every_subcommand(capsys):
     for command in ("ingest", "index", "prove", "eval", "report"):
         with pytest.raises(SystemExit) as exit_info:

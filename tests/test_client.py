@@ -345,7 +345,6 @@ def test_http_provider_budgets(monkeypatch):
         "[]",
         '{"error": "overloaded"}',
         '{"choices": [{"message": {}}]}',
-        '{"choices": [{"message": {"content": null}}]}',
         '{"choices": "none"}',
         '{"choices": [{"message": {"content": "x"}}], "usage": {"prompt_tokens": "3"}}',
         '{"choices": [{"message": {"content": "x"}}], "usage": []}',
@@ -361,6 +360,12 @@ def test_http_provider_malformed_200_reply_is_a_provider_error(body):
     assert err.value.status == 200 and body in err.value.body
     assert session.calls == 1
     assert provider.tokens_used == 0
+
+
+def test_http_provider_null_content_is_an_empty_completion():
+    session = FakeSession([FakeResponse(200, _ok_payload(["x", None]))])
+    provider = HttpChatProvider("http://fake", "model-x", rpm_limit=0, session=session)
+    assert complete(make_prompt(), DecodingParams(n=2), provider) == ["x", ""]
 
 
 @pytest.mark.parametrize("rpm_limit, posted_at", [(120, [100.0, 100.5]), (0, [100.0, 100.1])])

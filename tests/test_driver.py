@@ -22,10 +22,12 @@ from coqharness.driver import (
     BorrowedSession,
     FileWalk,
     PreludeError,
+    ProofCheckResult,
     QueryRejected,
     RealCoqSession,
     SessionConfig,
     SessionDead,
+    SessionHandle,
     start_session,
 )
 from coqharness import mockprover
@@ -556,6 +558,25 @@ def test_timeouts_and_deaths_are_not_memoized(stub_session):
             loan.check_proof("Lemma l: True.", "Proof. Quit.")
         with pytest.raises(LexicalError):
             loan.check_proof("Lemma l: True.", "Proof. (* open")
+    assert memo == {}
+
+
+def test_a_timeout_is_kept_by_its_loan_alone(mock_session, monkeypatch):
+    statement, script = "Lemma t : True.", "Proof. exact I. Qed."
+    checked = []
+
+    def timing_out(self, statement, script):
+        checked.append(script)
+        return ProofCheckResult(False, None, TIMEOUT_MESSAGE, [])
+
+    monkeypatch.setattr(SessionHandle, "check_proof", timing_out)
+    memo: dict = {}
+    with closing(BorrowedSession(mock_session, memo)) as loan:
+        timed_out = loan.check_proof(statement, script)
+        assert loan.check_proof(statement, script) is timed_out
+    with closing(BorrowedSession(mock_session, memo)) as loan:
+        assert loan.check_proof(statement, script) is not timed_out
+    assert checked == [script, script]
     assert memo == {}
 
 
