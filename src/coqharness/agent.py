@@ -345,11 +345,18 @@ def prove_interactive(
             turns=[], completion_kind=MALFORMED,
         )
     history = list(prompt.messages)
-    delta = (
-        templates.render("interactive.state", state=render_proof_state(opening.state))
-        if opening.state is not None
-        else templates.render("interactive.no_goals")
-    )
+
+    def feedback(error: str | None = None) -> str:
+        """The error, if any, then the session's proof state as the model sees it."""
+        state = session.current_state()
+        shown = None if state is None else templates.render(
+            "interactive.state", state=render_proof_state(state))
+        if error is None:
+            return templates.render("interactive.no_goals") if shown is None else shown
+        block = templates.render("interactive.error", error=error)
+        return block if shown is None else block + "\n\n" + shown
+
+    delta = feedback()
 
     for _ in range(config.max_turns):
         if config.wall_clock is not None and time.monotonic() - started >= config.wall_clock:
@@ -397,7 +404,6 @@ def prove_interactive(
         stall_streak = 0
         turns.append(Turn(delta, completion))
         error_message = None
-        state_after = None
         for sentence in payload[:MAX_TACTICS_PER_TURN]:
             result = session.execute(sentence)
             if not result.ok:
@@ -406,24 +412,12 @@ def prove_interactive(
                 break
             executed.append(sentence.text)
             step_counter += 1
-            state_after = result.state
             if result.proof_complete:
                 accepted = True
                 break
         if accepted:
             break
-        if error_message is not None:
-            error_block = templates.render("interactive.error", error=error_message)
-            current = session.current_state()
-            if current is not None:
-                error_block += "\n\n" + templates.render(
-                    "interactive.state", state=render_proof_state(current)
-                )
-            delta = error_block
-        elif state_after is not None:
-            delta = templates.render("interactive.state", state=render_proof_state(state_after))
-        else:
-            delta = templates.render("interactive.no_goals")
+        delta = feedback(error_message)
     else:
         budget_exhausted = True
 

@@ -16,7 +16,7 @@ import logging
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import agent, client, corpus as corpus_mod, evaluate, retriever
@@ -136,24 +136,17 @@ def decoding_from(config: configparser.ConfigParser, section: str = "defaults") 
 
 
 def run_config_from_dict(raw: dict, defaults: client.DecodingParams) -> agent.RunConfig:
-    if raw.get("retrieval_mode", "lexical") != "lexical":  # the one mode there is
+    """The RunConfig of a manifest entry's own keys; RunConfig states each default."""
+    values = dict(raw)
+    if values.pop("retrieval_mode", "lexical") != "lexical":  # the one mode there is
         raise ValueError(f"unknown retrieval mode {raw['retrieval_mode']!r}")
-    decoding = replace(defaults, **raw.get("decoding", {}))
-    return agent.RunConfig(
-        tag=raw["tag"],
-        mode=raw["mode"],
-        loop=raw.get("loop", "one_shot"),
-        k_shots=raw.get("k_shots"),
-        n_lemmas=raw.get("n_lemmas", agent.DEFAULT_N_LEMMAS),
-        decoding=decoding,
-        seed=raw.get("seed", 0),
-        repair_rounds=raw.get("repair_rounds", agent.DEFAULT_REPAIR_ROUNDS),
-        strategies=tuple(raw.get("strategies", ())),
-        max_turns=raw.get("max_turns", agent.DEFAULT_MAX_TURNS),
-        max_queries=raw.get("max_queries", agent.DEFAULT_MAX_QUERIES),
-        wall_clock=raw.get("wall_clock"),
-        max_prompt_chars=raw.get("max_prompt_chars"),
-    )
+    unknown = sorted(values.keys() - {f.name for f in fields(agent.RunConfig)})
+    if unknown:
+        raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
+    values["decoding"] = replace(defaults, **values.get("decoding", {}))
+    if "strategies" in values:
+        values["strategies"] = tuple(values["strategies"])
+    return agent.RunConfig(**values)
 
 
 def load_manifest(path: str, defaults: client.DecodingParams) -> list[agent.RunConfig]:

@@ -91,7 +91,6 @@ class SessionConfig:
 class StepResult:
     outcome: str
     message: str = ""
-    state: ProofState | None = None
     proof_complete: bool = False
 
     @property
@@ -104,7 +103,6 @@ class ProofCheckResult:
     accepted: bool
     failing_step: tuple[int, Sentence] | None
     message: str
-    states: list[ProofState]
 
 
 def _coerce_sentence(sentence: Sentence | str) -> Sentence:
@@ -129,8 +127,8 @@ class SessionHandle:
         pass
 
     def set_prelude_mode(self, enabled: bool) -> None:
-        """While enabled, a backend may accept prelude sentences unchecked, and
-        reports no proof states: execute_prelude reads only `ok` and `message`."""
+        """While enabled, a backend may accept prelude sentences unchecked:
+        execute_prelude reads only `ok` and `message`."""
 
     # Backend-specific checkpointing used by check_proof.
     def _snapshot(self):
@@ -140,6 +138,8 @@ class SessionHandle:
         raise NotImplementedError
 
     def current_state(self) -> ProofState | None:
+        """The open proof's state, None outside a proof: the one way to read
+        a state, since a step reports only its outcome."""
         raise NotImplementedError
 
     def _validate_query(self, command: str, argument: str) -> None:
@@ -162,26 +162,19 @@ class SessionHandle:
             statement_sentences = segment_sentences(theorem_statement)
         script_sentences = segment_sentences(proof_script)
         token = self._snapshot()
-        states: list[ProofState] = []
         try:
-            for offset, sentence in enumerate(statement_sentences):
+            for sentence in statement_sentences:
                 result = self.execute(sentence)
                 if not result.ok:
-                    return ProofCheckResult(False, (-1, sentence), result.message, states)
-                if result.state is not None:
-                    states.append(result.state)
+                    return ProofCheckResult(False, (-1, sentence), result.message)
             result = None
             for index, sentence in enumerate(script_sentences):
                 result = self.execute(sentence)
                 if not result.ok:
-                    return ProofCheckResult(False, (index, sentence), result.message, states)
-                if result.state is not None:
-                    states.append(result.state)
+                    return ProofCheckResult(False, (index, sentence), result.message)
             if result is not None and result.proof_complete:
-                return ProofCheckResult(True, None, "", states)
-            return ProofCheckResult(
-                False, None, "proof incomplete: no closing command accepted", states
-            )
+                return ProofCheckResult(True, None, "")
+            return ProofCheckResult(False, None, "proof incomplete: no closing command accepted")
         finally:
             self._restore(token)
 
@@ -346,7 +339,6 @@ class RealCoqSession(SessionHandle):
         self._open_proofs = ""
         self._proc: subprocess.Popen | None = None
         self._replaying = False
-        self._prelude_mode = False
         self._spawn()
 
     # -- process plumbing --
@@ -388,9 +380,6 @@ class RealCoqSession(SessionHandle):
 
     def close(self) -> None:
         self._kill()
-
-    def set_prelude_mode(self, enabled: bool) -> None:
-        self._prelude_mode = enabled
 
     def _read_until_prompt(self) -> str:
         """Return the output before the next prompt; keep what follows it."""
@@ -466,17 +455,7 @@ class RealCoqSession(SessionHandle):
         proof_complete = bool(
             was_in_proof and not self.in_proof and is_closing(sentence, proving_only=True)
         )
-        state = self._parse_state(response) if self.in_proof and not self._prelude_mode else None
-        return StepResult(OK, response.strip(), state, proof_complete)
-
-    @staticmethod
-    def _parse_state(response: str) -> ProofState | None:
-        if NO_MORE_GOALS_RE.search(response):
-            return None
-        try:
-            return parse_proof_state(response)
-        except MalformedState:
-            return None
+        return StepResult(OK, response.strip(), proof_complete)
 
     def query(self, command: str, argument: str) -> str:
         self._validate_query(command, argument)
@@ -500,7 +479,12 @@ class RealCoqSession(SessionHandle):
         except TimeoutError:
             self._restart_from_checkpoint()
             return None
-        return self._parse_state(response)
+        if NO_MORE_GOALS_RE.search(response):
+            return None
+        try:
+            return parse_proof_state(response)
+        except MalformedState:
+            return None
 
     def _snapshot(self):
         return (self._state_id, len(self._history))

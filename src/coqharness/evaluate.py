@@ -443,9 +443,12 @@ def load_attempts_dir(directory: str | Path) -> dict[str, list[AttemptRecord]]:
     out: dict[str, list[AttemptRecord]] = {}
     for path in sorted(directory.glob("*.jsonl")):
         records = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
+        with open(path, "rb") as fh:  # decoded per row, so a bad byte names its line
+            for number, line in enumerate(fh, start=1):
                 if line.strip():
-                    records.append(attempt_from_json(json.loads(line)))
+                    try:
+                        records.append(attempt_from_json(json.loads(line.decode("utf-8"))))
+                    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+                        raise EvalError(f"bad attempt row {path}:{number}: {exc}") from exc
         out[path.stem] = records
     return out

@@ -28,7 +28,8 @@ Script steps are matched on whitespace-normalized text; a proof opener
 script's last step must be a closing command (one is appended when
 missing). `compile_behavior_table` reads a table into a BehaviorTable that any number of sessions can share,
 so a command reads its table once; each theorem entry is compiled, its
-initial and scripted states parsed, when a session first opens it.
+initial and scripted states parsed, when a session first opens it outside
+a prelude. A prelude opens no entry: its proofs pass unchecked.
 """
 
 from __future__ import annotations
@@ -186,8 +187,8 @@ class MockSession(SessionHandle):
         # Mutable session state: the open proof (if any) and its executed steps.
         self._entry: _TheoremEntry | None = None
         self._steps: list[str] = []
-        # Prelude replay is trusted file content: tactics inside its proofs
-        # pass without adjudication so a whole file can be fed through.
+        # Prelude replay is trusted file content: it opens no table entry, and
+        # any sentence inside its proofs passes, so a whole file can be fed through.
         self._prelude_mode = False
 
     def set_prelude_mode(self, enabled: bool) -> None:
@@ -195,15 +196,16 @@ class MockSession(SessionHandle):
 
     # -- helpers --
 
-    def _open_proof(self, statement: Sentence) -> StepResult:
+    def _open_proof(self, statement: Sentence) -> None:
         name = statement_name(statement) or "_unnamed"
-        entry = self._table.entry(name)
+        entry = None if self._prelude_mode else self._table.entry(name)
         if entry is None:
             m = re.match(r"[^:]*:\s*(.*)\.\s*$", statement.text, re.DOTALL)
             entry = _TheoremEntry(name, goal=_norm(m.group(1)) if m else "True")
-        self._entry = entry
-        self._steps = []
-        return StepResult(OK, "", None if self._prelude_mode else self._synthesized_state())
+        self._entry, self._steps = entry, []
+
+    def _close_proof(self) -> None:
+        self._entry, self._steps = None, []
 
     def _initial_state(self) -> ProofState:
         entry = self._entry
@@ -231,26 +233,19 @@ class MockSession(SessionHandle):
                 extra.append(((name,), "_"))
         return ProofState(base.hypotheses + tuple(extra), base.goals, base.goal_index)
 
-    def _matching_scripts(self, steps: list[str]) -> list[_Script]:
+    def _matching_script(self, steps: list[str]) -> _Script | None:
+        """The open entry's first script that `steps` begin."""
         entry = self._entry
         assert entry is not None
         prefix = tuple(steps)
-        return [s for s in entry.scripts if s.steps[: len(prefix)] == prefix]
-
-    def _state_after(self, script: _Script, k: int) -> tuple[ProofState | None, str]:
-        """State and message after executing steps[:k] of an accepted prefix."""
-        scripted = script.states[k - 1] if 0 < k <= len(script.states) else None
-        if scripted is not None:
-            return scripted, ""
-        if k == len(script.steps) - 1:  # only the closer remains
-            return None, NO_MORE_GOALS_MESSAGE
-        return self._synthesized_state(), ""
+        return next((s for s in entry.scripts if s.steps[: len(prefix)] == prefix), None)
 
     def _fail(self, text: str) -> StepResult:
         entry = self._entry
         m = _INTRO_RE.match(text)
         if m:
-            current = set(self.current_state().hypothesis_names) if self.current_state() else set()
+            state = self.current_state()
+            current = set(state.hypothesis_names) if state else set()
             for name in (t for t in m.group(1).split() if _IDENT_RE.match(t)):
                 if name in current:
                     return StepResult(ERROR, f"{name} is already used.")
@@ -261,64 +256,49 @@ class MockSession(SessionHandle):
     # -- SessionHandle contract --
 
     def execute(self, sentence: Sentence | str) -> StepResult:
-        """One step. In prelude mode a step reports no proof state: it opens
-        and matches entries as any step does, but builds no state."""
+        """One step. It builds no proof state: current_state() reads that."""
         sentence = _coerce_sentence(sentence)
         text = _norm(sentence.text)
 
         if self._entry is None:
             if is_statement(sentence):
-                return self._open_proof(sentence)
+                self._open_proof(sentence)
+                return StepResult(OK)
             if is_closing(sentence):
                 # In a prelude, a closer with no open proof ends the proof of
                 # a command the mock does not open, such as a Definition or
                 # an Instance proved by tactics.
                 if self._prelude_mode:
-                    return StepResult(OK, "")
+                    return StepResult(OK)
                 return StepResult(ERROR, NO_FOCUSED_PROOF_MESSAGE)
             message = _first_error(self._table.errors, text)
-            return StepResult(OK, "") if message is None else StepResult(ERROR, message)
+            return StepResult(OK) if message is None else StepResult(ERROR, message)
 
         if is_statement(sentence):
             return StepResult(ERROR, "Nested proofs are not supported.")
+        if self._prelude_mode:  # trusted: a closer closes the proof, all else passes
+            if is_closing(sentence):
+                self._close_proof()
+            return StepResult(OK, proof_complete=is_closing(sentence, proving_only=True))
         if opens_proof(text):
-            if self._prelude_mode:
-                return StepResult(OK, "")
-            matches = self._matching_scripts(self._steps)
-            if matches:
-                state, message = self._state_after(matches[0], len(self._steps))
-            else:
-                state, message = self._synthesized_state(), ""
-            return StepResult(OK, message, state)
+            return StepResult(OK)
 
         candidate = self._steps + [text]
-        matches = self._matching_scripts(candidate)
-        if matches:
+        script = self._matching_script(candidate)
+        if script is not None:
+            left = len(script.steps) - len(candidate)
+            if left == 0:
+                self._close_proof()
+                return StepResult(OK, proof_complete=is_closing(text, proving_only=True))
             self._steps = candidate
-            script = matches[0]
-            if len(candidate) == len(script.steps):
-                complete = is_closing(text, proving_only=True)
-                self._entry = None
-                self._steps = []
-                return StepResult(OK, "", None, proof_complete=complete)
-            if self._prelude_mode:
-                return StepResult(OK, "")
-            state, message = self._state_after(script, len(candidate))
-            return StepResult(OK, message, state)
+            return StepResult(OK, NO_MORE_GOALS_MESSAGE if left == 1 else "")
 
         if is_closing(sentence, proving_only=True):
-            if self._prelude_mode:
-                self._entry = None
-                self._steps = []
-                return StepResult(OK, "", None, proof_complete=True)
             return StepResult(ERROR, INCOMPLETE_PROOF_MESSAGE)
         if is_closing(sentence):
             # Admitted./Abort. close the proof without completing it.
-            self._entry = None
-            self._steps = []
-            return StepResult(OK, "")
-        if self._prelude_mode:
-            return StepResult(OK, "")
+            self._close_proof()
+            return StepResult(OK)
         return self._fail(text)
 
     def query(self, command: str, argument: str) -> str:
@@ -332,10 +312,13 @@ class MockSession(SessionHandle):
     def current_state(self) -> ProofState | None:
         if self._entry is None:
             return None
-        matches = self._matching_scripts(self._steps)
-        if matches and self._steps:
-            state, _ = self._state_after(matches[0], len(self._steps))
-            return state
+        script = self._matching_script(self._steps) if self._steps else None
+        if script is not None:
+            scripted = script.states[len(self._steps) - 1]
+            if scripted is not None:
+                return scripted
+            if len(self._steps) == len(script.steps) - 1:  # only the closer remains
+                return None
         return self._synthesized_state()
 
     def _snapshot(self):

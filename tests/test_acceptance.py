@@ -306,16 +306,17 @@ def test_criterion_6_live_toplevel_integration():
         assert sentence.text == "exact O." and index == 1
         assert broken.message.strip()
 
-        one_goal = session.execute("Lemma live1: 1 + 1 = 2.")
-        assert one_goal.ok and one_goal.state is not None
-        assert parse_proof_state(render_proof_state(one_goal.state)) == one_goal.state
+        assert session.execute("Lemma live1: 1 + 1 = 2.").ok
+        one_goal = session.current_state()
+        assert one_goal is not None
+        assert parse_proof_state(render_proof_state(one_goal)) == one_goal
         session.execute("Abort.")
 
         session.execute("Lemma live2: True /\\ True.")
-        two_goal = session.execute("split.")
-        assert two_goal.ok and two_goal.state is not None
-        assert two_goal.state.goal_index[1] >= 2
-        assert parse_proof_state(render_proof_state(two_goal.state)) == two_goal.state
+        assert session.execute("split.").ok
+        two_goal = session.current_state()
+        assert two_goal is not None and two_goal.goal_index[1] >= 2
+        assert parse_proof_state(render_proof_state(two_goal)) == two_goal
         session.execute("Abort.")
 
         check = session.query("Check", "nat")

@@ -23,8 +23,10 @@ from coqharness.driver import (
 )
 from coqharness.evaluate import ClassifierRules, run_eval
 from coqharness.prompting import ConfigMismatch, TemplateSet
+from coqharness.proofstate import ProofState, render_proof_state
 from coqharness.retriever import build_index
 from coqharness.sentences import segment_sentences
+from test_driver import STUB_COMMAND
 from walk_project import WALK_WRONG, build_walk_project
 
 C3_PROOF = "Proof.\nintros x.\nconstructor.\nreflexivity.\nQed."
@@ -175,7 +177,7 @@ def test_one_shot_checks_a_timed_out_duplicate_once_per_loan(toy_deps, monkeypat
         if not isinstance(self, driver.BorrowedSession):
             raw_checks.append(script)
             if script == slow:
-                return ProofCheckResult(False, None, TIMEOUT_MESSAGE, [])
+                return ProofCheckResult(False, None, TIMEOUT_MESSAGE)
         return check_proof(self, statement, script)
 
     monkeypatch.setattr(SessionHandle, "check_proof", timing_out)
@@ -286,6 +288,30 @@ def test_interactive_name_collision_recovery(toy_deps):
     feedback = [t.prompt_delta for t in record.turns]
     assert any("R is already used." in delta for delta in feedback)
     assert "intro RR." in record.proof_script
+
+
+def test_interactive_on_the_real_backend_feeds_back_the_shown_state(toy_deps, monkeypatch):
+    """On backend = real a step reports no state: the state fed back at the
+    opening and after a turn that ran its tactics is the toplevel's reply
+    to one `Show.` each."""
+    sent = []
+    send = driver.RealCoqSession._send
+    monkeypatch.setattr(driver.RealCoqSession, "_send",
+                        lambda session, text: sent.append(text) or send(session, text))
+    deps = replace(
+        toy_deps(scripted([{"theorem": "l", "completions": ["intros x.", "Qed."]}])),
+        prover=SessionConfig(backend="real", prover_command=STUB_COMMAND),
+    )
+    statement = "Lemma l : forall x y : nat, x = y."
+    [record] = prove_alone(synthetic_record("l", statement), interactive_config(), deps)
+    assert record.accepted and record.proof_script == "intros x. Qed."
+    goal = ("forall x y : nat, x = y",)
+    shown = [ProofState((), goal, (1, 1)), ProofState(((("x",), "nat"),), goal, (1, 1))]
+    assert [turn.prompt_delta for turn in record.turns] == [
+        deps.templates.render("interactive.state", state=render_proof_state(state))
+        for state in shown
+    ]
+    assert sent == [statement, "Show.", "intros x.", "Show.", "Qed.", "BackTo 1."]
 
 
 def test_interactive_executes_the_sentences_it_segmented(toy_deps, monkeypatch):

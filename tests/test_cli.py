@@ -10,13 +10,17 @@ import subprocess
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import coqharness
-from coqharness import corpus as corpus_mod, mockprover, retriever
-from coqharness.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROVER, EXIT_PROVIDER, main, parse_args
+from coqharness import client, corpus as corpus_mod, mockprover, retriever
+from coqharness.agent import RunConfig
+from coqharness.cli import (
+    EXIT_CONFIG, EXIT_OK, EXIT_PROVER, EXIT_PROVIDER, main, parse_args, run_config_from_dict,
+)
 from coqharness.corpus import load_corpus
 from coqharness.driver import SessionDead
 from coqharness.prompting import TemplateSet
@@ -654,7 +658,8 @@ def test_a_malformed_scripted_state_exits_2(
 
 def test_prove_builds_few_sentences_and_no_prelude_states(long_project, tmp_path, monkeypatch, capsys):
     """An fs-sim prove on the 3 x 200 project builds the sentences it reads,
-    not the corpus's, and its mock prelude replay builds no proof state."""
+    not the corpus's, and its mock prover builds no proof state: a one-shot
+    prove reads none, and its target's entry holds none."""
     corpus = long_project["corpus"]
     corpus_mod.save_corpus(corpus, tmp_path / "corpus.jsonl")
     (tmp_path / "table.json").write_text(json.dumps({"theorems": {
@@ -705,7 +710,7 @@ mock_table = {tmp_path}/table.json
     code = main(["--config", str(config), "prove", "--theorem", target.id, "--mode", "fs-sim"])
     assert code == EXIT_OK and capsys.readouterr().out.strip().endswith("ACCEPTED")
     assert built["execute", True] == target.statement_index  # the whole prelude was replayed
-    assert built["state", True] == 0 < built["state", False]
+    assert built["state", True] == built["state", False] == 0
     assert target.statement_index < built["sentence", False] + built["sentence", True] < held // 2
 
 
@@ -751,6 +756,49 @@ def test_eval_embedded_retrieval_mode_exit_2(config_file, ingested, tmp_path, ca
                  "--config-tag", "emb"])
     assert code == EXIT_CONFIG
     assert caplog.text.count("unknown retrieval mode 'embedded'") == 2
+
+
+@pytest.mark.parametrize("entry, logged", [
+    ({"max_turn": 3}, "unknown key 'max_turn'"),
+    ({"n": 2, "retrieval": "lexical"}, "unknown key 'n', 'retrieval'"),
+])
+def test_an_unknown_manifest_key_exits_2(config_file, ingested, tmp_path, caplog, entry, logged):
+    """A misspelt key is not ignored: the config it names would run with a
+    default in its place."""
+    manifest = _manifest(tmp_path, [
+        {"tag": "zs", "mode": "zs"},
+        {"tag": "i", "mode": "zs", "loop": "interactive", **entry},
+    ])
+    out = tmp_path / "o"
+    code = main(["--config", str(config_file), "eval", "--corpus", str(ingested),
+                 "--manifest", str(manifest), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert f"bad manifest entry: {logged}" in caplog.text
+    assert not (out / "report.json").exists()
+    code = main(["--config", str(config_file), "prove", "--corpus", str(ingested),
+                 "--theorem", "weak.v::weak_refl", "--manifest", str(manifest),
+                 "--config-tag", "zs"])
+    assert code == EXIT_CONFIG
+    assert caplog.text.count(f"bad manifest entry: {logged}") == 2
+
+
+def test_a_manifest_entry_is_its_own_keys_over_the_run_config_defaults(
+    config_file, ingested, tmp_path, capsys
+):
+    defaults = client.DecodingParams(n=3)
+    assert run_config_from_dict({"tag": "t", "mode": "zs"}, defaults) == \
+        RunConfig(tag="t", mode="zs", decoding=defaults)
+    entry = {"tag": "e", "mode": "zs", "loop": "ensemble", "retrieval_mode": "lexical",
+             "strategies": ["verbose-stepwise"], "decoding": {"n": 2}, "max_turns": 3}
+    assert run_config_from_dict(entry, defaults) == RunConfig(
+        tag="e", mode="zs", loop="ensemble", strategies=("verbose-stepwise",),
+        decoding=replace(defaults, n=2), max_turns=3)
+    manifest = _manifest(tmp_path, [entry])
+    code = main(["--config", str(config_file), "prove", "--corpus", str(ingested),
+                 "--theorem", "weak.v::weak_refl", "--manifest", str(manifest),
+                 "--config-tag", "e"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.count('"config_tag": "e"') == 2  # its own n, one per variant
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -969,6 +1017,28 @@ def test_report_classifies_uncategorized_rows_with_configured_patterns(tmp_path,
     assert histogram["zs"]["wrong_tactic"] == 0
 
 
+@pytest.mark.parametrize("bad, logged", [
+    ("[1, 2]", "'list' object has no attribute 'get'"),
+    ('{"theorem_id": "f.v::t"}', "missing"),
+    ("{not json", "Expecting property name"),
+    ("\udcff", "can't decode byte 0xff"),
+])
+def test_report_on_a_bad_attempt_row_exits_2_naming_it(tmp_path, caplog, bad, logged):
+    attempts = tmp_path / "attempts"
+    attempts.mkdir()
+    row = {
+        "theorem_id": "f.v::t", "config_tag": "zs", "variant_id": "base",
+        "candidate_index": 0, "proof_script": "Proof. auto. Qed.", "accepted": True,
+        "failing_step": None, "turns": [], "completion_kind": "proof",
+    }
+    (attempts / "zs.jsonl").write_text(json.dumps(row) + "\n\n" + bad + "\n",
+                                       encoding="utf-8", errors="surrogateescape")
+    code = main(["report", "--attempts", str(attempts), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert f"bad attempt row {attempts / 'zs.jsonl'}:3: " in caplog.text
+    assert logged in caplog.text and "Traceback" not in caplog.text
+
+
 def test_eval_unreadable_mock_table_exit_2(ingested, manifest_path, tmp_path, fixtures_dir):
     config = tmp_path / "bad-table.ini"
     config.write_text(
@@ -1119,7 +1189,7 @@ def test_eval_malformed_mock_table_entry_exit_2(
 @pytest.mark.parametrize(
     "theorem, expected",
     [("a.v::a3", EXIT_CONFIG),   # the broken entry is the target
-     ("a.v::a5", EXIT_CONFIG),   # ... or a lemma of the prelude
+     ("a.v::a5", EXIT_OK),       # ... or a lemma of the prelude, which opens no entry
      ("a.v::a1", EXIT_OK),       # ... or comes after the target
      ("b.v::b2", EXIT_OK)],      # ... or is in another file
 )
@@ -1161,8 +1231,8 @@ def test_prove_set_up_reads_only_what_its_config_uses(walk_project, monkeypatch,
         assert code == EXIT_OK
         assert capsys.readouterr().out.strip().endswith("ACCEPTED")
         assert (calls["load_corpus"], calls["load_index"]) == (loads, loads), mode
-        # a.v's entries carry initial states: a prove parses those of a0..a3 only
-        assert opened == {"a0", "a1", "a2", "a3"}
+        # a.v's entries carry initial states: a prove parses its target's only
+        assert opened == {"a3"}
         assert 0 < calls["parse_proof_state"] <= len(opened)
 
 

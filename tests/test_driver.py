@@ -16,15 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coqharness import driver
 from coqharness.driver import (
     ERROR,
+    OK,
     TIMEOUT_MESSAGE,
     BorrowedSession,
     FileWalk,
     PreludeError,
     ProofCheckResult,
     QueryRejected,
-    RealCoqSession,
     SessionConfig,
     SessionDead,
     SessionHandle,
@@ -49,18 +50,18 @@ def test_session_config_validation():
 
 
 def test_trivial_proof_stepwise(mock_session):
-    first = mock_session.execute("Lemma weak_refl: forall x, Weak T x x.")
-    assert first.ok and first.state is not None
-    assert first.state.goals == ("forall x, Weak T x x",)
-    assert "T" in first.state.hypothesis_names
+    assert mock_session.execute("Lemma weak_refl: forall x, Weak T x x.").ok
+    first = mock_session.current_state()
+    assert first.goals == ("forall x, Weak T x x",)
+    assert "T" in first.hypothesis_names
 
     assert mock_session.execute("Proof.").ok
     step = mock_session.execute("intros x.")
     assert step.ok and not step.proof_complete
-    assert "x" in step.state.hypothesis_names
+    assert "x" in mock_session.current_state().hypothesis_names
     assert mock_session.execute("constructor.").ok
     last_tactic = mock_session.execute("reflexivity.")
-    assert last_tactic.ok and last_tactic.state is None
+    assert last_tactic.ok and mock_session.current_state() is None
     assert last_tactic.message == NO_MORE_GOALS_MESSAGE
     closing = mock_session.execute("Qed.")
     assert closing.ok and closing.proof_complete
@@ -131,7 +132,7 @@ def test_check_proof_accepts_and_restores(mock_session):
         "Proof. intros x. constructor. reflexivity. Qed.",
     )
     assert result.accepted and result.failing_step is None
-    assert len(result.states) >= 3
+    assert result.message == ""
     again = mock_session.check_proof(
         "Lemma weak_refl: forall x, Weak T x x.",
         "Proof. intros x. constructor. reflexivity. Qed.",
@@ -207,12 +208,12 @@ def test_scripted_states_are_served(tmp_path):
     }
     session = start_session(SessionConfig(backend="mock", mock_table=table))
     session.execute("Lemma two_goals: A /\\ B.")
-    first = session.execute("split.")
-    assert first.state.goal_index == (1, 2)
-    second = session.execute("auto.")
-    assert second.state.goal_index == (2, 2)
+    assert session.execute("split.").ok
+    assert session.current_state().goal_index == (1, 2)
+    assert session.execute("auto.").ok
+    assert session.current_state().goal_index == (2, 2)
     third = session.execute("auto.")
-    assert third.state is None and third.message == NO_MORE_GOALS_MESSAGE
+    assert session.current_state() is None and third.message == NO_MORE_GOALS_MESSAGE
     assert session.execute("Qed.").proof_complete
     session.close()
 
@@ -387,13 +388,14 @@ def test_real_session_walks_a_file_like_fresh_starts(walk_project):
 def test_real_current_state_after_a_failed_step(stub_session):
     session = stub_session()
     assert session.current_state() is None
-    opened = session.execute("Lemma l : forall x y : nat, x = y.")
-    assert opened.state == ProofState((), ("forall x y : nat, x = y",), (1, 1))
-    stepped = session.execute("intros x.")
-    assert stepped.state == ProofState(((("x",), "nat"),), ("forall x y : nat, x = y",), (1, 1))
+    assert session.execute("Lemma l : forall x y : nat, x = y.").ok
+    assert session.current_state() == ProofState((), ("forall x y : nat, x = y",), (1, 1))
+    assert session.execute("intros x.").ok
+    stepped = ProofState(((("x",), "nat"),), ("forall x y : nat, x = y",), (1, 1))
+    assert session.current_state() == stepped
     failed = session.execute("intros y x.")
     assert (failed.outcome, failed.message) == (ERROR, "Error: x is already used.")
-    assert session.current_state() == stepped.state
+    assert session.current_state() == stepped
     assert session.execute("Qed.").proof_complete
     assert session.current_state() is None
 
@@ -413,23 +415,23 @@ def test_real_query_through_a_loan(stub_session):
 
 
 def test_real_prelude_reads_no_states_and_ends_where_stepping_ends(monkeypatch):
-    """A prelude replayed with no state parsing leaves the session where
-    executing its sentences one by one does."""
+    """No step parses a proof state, in a prelude or out of one: only
+    current_state does, from the reply to `Show.`. A prelude leaves the
+    session where executing its sentences one by one does."""
     parsed = []
-    monkeypatch.setattr(RealCoqSession, "_parse_state",
-                        staticmethod(lambda response: parsed.append(response) or
-                                     (parse_proof_state(response) if "____" in response else None)))
+    monkeypatch.setattr(driver, "parse_proof_state",
+                        lambda response: parsed.append(response) or parse_proof_state(response))
     prelude = segment_sentences(
         "Require A. Lemma k : True. Proof. intros h. Qed. Lemma l : forall x y : nat, x = y. "
         "Proof. intros x.")
     config = SessionConfig(backend="real", prover_command=STUB_COMMAND)
     with closing(start_session(replace(config, prelude=prelude))) as replayed, \
             closing(start_session(config)) as stepped:
-        assert parsed == []
         assert all(stepped.execute(sentence).ok for sentence in prelude)
-        assert len(parsed) == 6
+        assert parsed == []
         assert replayed._snapshot() == stepped._snapshot()
         assert replayed.current_state() == stepped.current_state() is not None
+        assert len(parsed) == 2
         assert replayed.execute("Qed.") == stepped.execute("Qed.")
         for script in ["Proof. intros a. Qed.", "Proof. intros a a. Qed.", "Proof. auto."]:
             checked = replayed.check_proof("Lemma m : forall a : nat, a = a.", script)
@@ -438,20 +440,44 @@ def test_real_prelude_reads_no_states_and_ends_where_stepping_ends(monkeypatch):
 
 
 def test_mock_prelude_reads_no_states_and_ends_where_stepping_ends():
+    """A prelude ends outside any proof, as a target's prelude does, where
+    executing its sentences one by one ends; it opens no table entry."""
     table = {"theorems": {"one": {"scripts": [["intros h.", "Qed."]]},
                           "two": {"scripts": [{"steps": ["split.", "auto.", "auto.", "Qed."],
                                                "states": ["______(1/2)\nA\n______(2/2)\nB"]}]}}}
     prelude = segment_sentences("Lemma one : True. Proof. intros h. Qed. Lemma two : A /\\ B. "
-                                "Proof. split. auto.")
+                                "Proof. split. auto. auto. Qed.")
     config = SessionConfig(backend="mock", mock_table=table)
     with closing(start_session(config)) as stepped, \
             closing(start_session(replace(config, prelude=prelude))) as replayed:
         assert all(stepped.execute(sentence).ok for sentence in prelude)
-        assert replayed._snapshot() == stepped._snapshot()
-        assert replayed.current_state() == stepped.current_state() is not None
+        assert replayed._snapshot() == stepped._snapshot() == (None, [])
+        assert set(stepped._table._compiled) == {"one", "two"}
+        assert replayed._table._compiled == {}
+
+
+def test_mock_prelude_trusts_the_proofs_it_opens():
+    """Inside a prelude's proof a statement is a nested-proof error, a
+    closer closes the proof and anything else passes, whatever the table's
+    entry holds: a malformed one is not compiled."""
+    table = {"theorems": {"broken": {"initial_state": "no goal separator"}}}
+    config = SessionConfig(backend="mock", mock_table=table)
     with closing(start_session(config)) as session:
         session.set_prelude_mode(True)
-        assert [session.execute(sentence).state for sentence in prelude] == [None] * len(prelude)
+        steps = segment_sentences("Lemma broken : True. Proof. nonsense. Qed. "
+                                  "Lemma other : True. foo. Admitted.")
+        results = [session.execute(sentence) for sentence in steps]
+        assert [(r.outcome, r.proof_complete) for r in results] == \
+            [(OK, False)] * 3 + [(OK, True)] + [(OK, False)] * 3
+        assert session.current_state() is None
+        assert session.execute("Lemma inner : True.").ok
+        nested = session.execute("Lemma nested : True.")
+        assert (nested.outcome, nested.message) == (ERROR, "Nested proofs are not supported.")
+        session.set_prelude_mode(False)
+        assert session._table._compiled == {}
+        session.execute("Abort.")
+        with pytest.raises(ValueError, match="bad mock table <dict>: .*separator"):
+            session.execute("Lemma broken : True.")
 
 
 def test_mock_prelude_accepts_the_proof_of_a_command_it_does_not_open():
@@ -478,10 +504,11 @@ def test_mock_rejects_a_statement_inside_an_open_proof(mock_session):
 def test_mock_proof_opener_without_a_matching_script_reports_the_synthesized_state(
     mock_session,
 ):
-    opened = mock_session.execute("Lemma mystery: forall n, n = n.")
+    assert mock_session.execute("Lemma mystery: forall n, n = n.").ok
+    opened = mock_session.current_state()
     proof = mock_session.execute("Proof.")
     assert proof.ok and proof.message == ""
-    assert proof.state == opened.state == ProofState((), ("forall n, n = n",), (1, 1))
+    assert mock_session.current_state() == opened == ProofState((), ("forall n, n = n",), (1, 1))
 
 
 def test_mock_table_script_without_a_closer_gets_qed_appended():
@@ -567,7 +594,7 @@ def test_a_timeout_is_kept_by_its_loan_alone(mock_session, monkeypatch):
 
     def timing_out(self, statement, script):
         checked.append(script)
-        return ProofCheckResult(False, None, TIMEOUT_MESSAGE, [])
+        return ProofCheckResult(False, None, TIMEOUT_MESSAGE)
 
     monkeypatch.setattr(SessionHandle, "check_proof", timing_out)
     memo: dict = {}

@@ -1,0 +1,30 @@
+"""Guards for the tools that read the program from outside `src/`."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+BENCH_TRACE = Path(__file__).resolve().parent.parent / "perfbench" / "bench_trace.py"
+
+
+def test_every_bench_trace_target_resolves():
+    """`perfbench/bench_trace.py` wraps each of its TARGETS by name and skips
+    a name it cannot find, so a renamed function would drop its span from a
+    traced run without a word. Each target resolves as `Tracer.install`
+    looks it up: a method in its class's own dict, a function in its module."""
+    spec = importlib.util.spec_from_file_location("bench_trace", BENCH_TRACE)
+    bench_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_trace)
+    missing = []
+    for span, module_name, path in bench_trace.TARGETS:
+        module = importlib.import_module(f"coqharness.{module_name}")
+        if "." in path:
+            cls_name, attr = path.split(".")
+            found = attr in vars(getattr(module, cls_name, object))
+        else:
+            found = callable(getattr(module, path, None))
+        if not found:
+            missing.append(span)
+    assert missing == []
