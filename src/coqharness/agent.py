@@ -89,8 +89,8 @@ class RunConfig:
             raise ValueError(f"unknown agent loop {self.loop!r}")
         if self.k_shots is None:
             self.k_shots = 0 if self.zero_shot else DEFAULT_K_SHOTS
-        if self.zero_shot != (self.k_shots == 0):
-            raise ValueError("k_shots must be 0 exactly for zero-shot modes")
+        if self.zero_shot != (self.k_shots == 0) or self.k_shots < 0:
+            raise ValueError(f"k_shots must be 0 in zero-shot modes, > 0 in others, not {self.k_shots}")
         if self.loop == "repair" and self.repair_rounds < 1:
             raise ValueError("repair needs at least one round")
         if self.loop == "ensemble" and not self.strategies:

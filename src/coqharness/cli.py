@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import functools
 import json
 import logging
-import os
 import re
 import sys
+import types
+import typing
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -31,10 +33,6 @@ EXIT_CONFIG = 2
 EXIT_PROVIDER = 3
 EXIT_PROVER = 4
 
-_SECRET_KEY_RE = re.compile(r"(_key|_token)$")
-_ENV_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
-
-
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_CONFIG):
         super().__init__(message)
@@ -47,12 +45,6 @@ def load_config(path: str | None) -> configparser.ConfigParser:
         if not Path(path).exists():
             raise CliError(f"config file not found: {path}")
         parser.read(path, encoding="utf-8")
-    # environment interpolation, for secret-bearing keys only
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            if _SECRET_KEY_RE.search(key) and "${" in value:
-                parser.set(section, key, _ENV_RE.sub(
-                    lambda m: os.environ.get(m.group(1), ""), value))
     return parser
 
 
@@ -135,6 +127,19 @@ def decoding_from(config: configparser.ConfigParser, section: str = "defaults") 
     )
 
 
+_type_hints = functools.cache(typing.get_type_hints)  # it evaluates every annotation per call
+
+
+def _of_type(value, hint) -> bool:
+    """Whether a manifest value's JSON type is a field's; a bool is no number."""
+    if isinstance(hint, types.UnionType):
+        return any(_of_type(value, arm) for arm in typing.get_args(hint))
+    if hint == tuple[str, ...]:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    json_type = {float: (int, float), client.DecodingParams: dict}.get(hint, hint)
+    return not isinstance(value, bool) and isinstance(value, json_type)
+
+
 def run_config_from_dict(raw: dict, defaults: client.DecodingParams) -> agent.RunConfig:
     """The RunConfig of a manifest entry's own keys; RunConfig states each default."""
     values = dict(raw)
@@ -143,7 +148,12 @@ def run_config_from_dict(raw: dict, defaults: client.DecodingParams) -> agent.Ru
     unknown = sorted(values.keys() - {f.name for f in fields(agent.RunConfig)})
     if unknown:
         raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
-    values["decoding"] = replace(defaults, **values.get("decoding", {}))
+    decoding = values.get("decoding", {})
+    for cls, given in ((agent.RunConfig, values), (client.DecodingParams, decoding)):
+        for f in fields(cls):
+            if f.name in given and not _of_type(given[f.name], _type_hints(cls)[f.name]):
+                raise TypeError(f"{f.name} must be {f.type}, not {given[f.name]!r}")
+    values["decoding"] = replace(defaults, **decoding)
     if "strategies" in values:
         values["strategies"] = tuple(values["strategies"])
     return agent.RunConfig(**values)
@@ -154,13 +164,17 @@ def load_manifest(path: str, defaults: client.DecodingParams) -> list[agent.RunC
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read manifest {path}: {exc}") from exc
-    entries = raw.get("configs")
+    entries = raw.get("configs") if isinstance(raw, dict) else None
     if not entries:
         raise CliError("manifest has no configs")
-    try:
-        return [run_config_from_dict(entry, defaults) for entry in entries]
-    except (KeyError, ValueError, TypeError, PromptError) as exc:
-        raise CliError(f"bad manifest entry: {exc}") from exc
+    run_configs = []
+    for entry in entries:
+        try:
+            run_configs.append(run_config_from_dict(entry, defaults))
+        except (KeyError, ValueError, TypeError, PromptError) as exc:
+            tag = entry.get("tag") if isinstance(entry, dict) else entry
+            raise CliError(f"bad manifest entry {tag!r}: {exc}") from exc
+    return run_configs
 
 
 def build_deps(

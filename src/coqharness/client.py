@@ -175,10 +175,6 @@ class ScriptedProvider(Provider):
                 )
             )
 
-    def reset(self) -> None:
-        for entry in self.entries:
-            entry.cursor = 0
-
     def complete(self, prompt: ChatPrompt, params: DecodingParams) -> list[str]:
         for entry in self.entries:
             if entry.matches(prompt):

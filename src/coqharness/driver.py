@@ -126,9 +126,14 @@ class SessionHandle:
     def close(self) -> None:
         pass
 
-    def set_prelude_mode(self, enabled: bool) -> None:
-        """While enabled, a backend may accept prelude sentences unchecked:
-        execute_prelude reads only `ok` and `message`."""
+    def replay(self, sentences: Sequence[Sentence], first_index: int = 0) -> None:
+        """Execute a file's sentences in order, PreludeError on a rejected one;
+        `first_index` is sentences[0]'s index in the file, so a session walked
+        forward reports the step a fresh start would."""
+        for index, sentence in enumerate(sentences, first_index):
+            result = self.execute(sentence)
+            if not result.ok:
+                raise PreludeError(index, result.message)
 
     # Backend-specific checkpointing used by check_proof.
     def _snapshot(self):
@@ -179,24 +184,6 @@ class SessionHandle:
             self._restore(token)
 
 
-def execute_prelude(
-    session: SessionHandle, prelude: Sequence[Sentence], first_index: int = 0
-) -> None:
-    """Execute prelude sentences in prelude mode; PreludeError on a rejected one.
-
-    `first_index` is the prelude index of prelude[0], so a session walked
-    forward reports the step a fresh start would.
-    """
-    session.set_prelude_mode(True)
-    try:
-        for index, sentence in enumerate(prelude, first_index):
-            result = session.execute(sentence)
-            if not result.ok:
-                raise PreludeError(index, result.message)
-    finally:
-        session.set_prelude_mode(False)
-
-
 def start_session(config: SessionConfig) -> SessionHandle:
     """Spawn (or mock) a prover with the prelude already executed."""
     if config.backend == "mock":
@@ -208,7 +195,7 @@ def start_session(config: SessionConfig) -> SessionHandle:
     else:
         raise ValueError(f"unknown backend {config.backend!r}")
     try:
-        execute_prelude(session, config.prelude)
+        session.replay(config.prelude)
     except PreludeError:
         session.close()
         raise
@@ -269,10 +256,10 @@ class BorrowedSession(SessionHandle):
 class FileWalk:
     """One prover session stepped forward through a file, lent out per target.
 
-    Calling it with a target other than the last executes, in prelude mode,
-    the sentences between the last target's prelude and this one's; every
-    call then lends the session: closing the loan restores the state at the
-    target. The loans of one target share a check memo (BorrowedSession),
+    Calling it with a target other than the last replays the sentences
+    between the last target's prelude and this one's (`SessionHandle.replay`);
+    every call then lends the session: closing the loan restores the state at
+    the target. The loans of one target share a check memo (BorrowedSession),
     dropped when the walk moves on. A target of another SourceFile, or one
     whose statement comes before what was executed, gets a fresh session
     started with its own prelude, and so does the target after a walk that
@@ -297,7 +284,7 @@ class FileWalk:
         done, end = self._executed, target.statement_index
         if self._session is not None and target.source is self._source and end >= done:
             try:
-                execute_prelude(self._session, self._source.sentences[done:end], first_index=done)
+                self._session.replay(self._source.sentences[done:end], first_index=done)
             except BaseException:
                 self.close()  # stopped mid-walk: the next target starts afresh
                 raise
@@ -338,7 +325,6 @@ class RealCoqSession(SessionHandle):
         self._state_id = 0
         self._open_proofs = ""
         self._proc: subprocess.Popen | None = None
-        self._replaying = False
         self._spawn()
 
     # -- process plumbing --
@@ -440,8 +426,6 @@ class RealCoqSession(SessionHandle):
         try:
             response = self._send(sentence.text)
         except TimeoutError:
-            if self._replaying:
-                raise SessionDead("timeout while replaying after a restart") from None
             self._restart_from_checkpoint()
             return StepResult(ERROR, TIMEOUT_MESSAGE)
 
@@ -508,13 +492,11 @@ class RealCoqSession(SessionHandle):
         self._history = []
         self._open_proofs = ""
         self._spawn()
-        self._replaying = True
-        try:
-            for sentence in replay:
-                result = self.execute(sentence)
-                if not result.ok:
-                    raise SessionDead(
-                        f"replay after restart failed at {sentence.text!r}: {result.message}"
-                    )
-        finally:
-            self._replaying = False
+        for sentence in replay:
+            try:
+                response = self._send(sentence.text)
+            except TimeoutError:
+                raise SessionDead("timeout while replaying after a restart") from None
+            if ERROR_RE.search(response):
+                raise SessionDead(f"replay after restart failed at {sentence.text!r}: {response.strip()}")
+            self._history.append(sentence)

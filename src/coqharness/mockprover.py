@@ -26,17 +26,17 @@ installed. File format (JSON)::
 Script steps are matched on whitespace-normalized text; a proof opener
 ("Proof." or "Proof using ...") is a no-op and never part of the match. A
 script's last step must be a closing command (one is appended when
-missing). `compile_behavior_table` reads a table into a BehaviorTable that any number of sessions can share,
-so a command reads its table once; each theorem entry is compiled, its
-initial and scripted states parsed, when a session first opens it outside
-a prelude. A prelude opens no entry: its proofs pass unchecked.
+missing). `compile_behavior_table` reads a table into a BehaviorTable that
+any number of sessions can share, so a command reads its table once; each
+theorem entry is compiled, its states parsed, when a session first executes
+its statement. `MockSession.replay` opens no entry: its proofs pass unchecked.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -44,6 +44,7 @@ from types import MappingProxyType
 from .driver import (
     ERROR,
     OK,
+    PreludeError,
     QueryRejected,
     SessionConfig,
     SessionHandle,
@@ -56,6 +57,7 @@ from .sentences import Sentence, is_closing, is_statement, opens_proof, statemen
 INCOMPLETE_PROOF_MESSAGE = "Attempt to save an incomplete proof."
 NO_FOCUSED_PROOF_MESSAGE = "No focused proof (No proof-editing in progress)."
 NO_MORE_GOALS_MESSAGE = "No more goals."
+NESTED_PROOF_MESSAGE = "Nested proofs are not supported."
 DEFAULT_TACTIC_FAILURE = "No applicable tactic."
 DEFAULT_QUERY_ERROR = "The reference {arg} was not found in the current environment."
 
@@ -187,18 +189,12 @@ class MockSession(SessionHandle):
         # Mutable session state: the open proof (if any) and its executed steps.
         self._entry: _TheoremEntry | None = None
         self._steps: list[str] = []
-        # Prelude replay is trusted file content: it opens no table entry, and
-        # any sentence inside its proofs passes, so a whole file can be fed through.
-        self._prelude_mode = False
-
-    def set_prelude_mode(self, enabled: bool) -> None:
-        self._prelude_mode = enabled
 
     # -- helpers --
 
     def _open_proof(self, statement: Sentence) -> None:
         name = statement_name(statement) or "_unnamed"
-        entry = None if self._prelude_mode else self._table.entry(name)
+        entry = self._table.entry(name)
         if entry is None:
             m = re.match(r"[^:]*:\s*(.*)\.\s*$", statement.text, re.DOTALL)
             entry = _TheoremEntry(name, goal=_norm(m.group(1)) if m else "True")
@@ -265,21 +261,12 @@ class MockSession(SessionHandle):
                 self._open_proof(sentence)
                 return StepResult(OK)
             if is_closing(sentence):
-                # In a prelude, a closer with no open proof ends the proof of
-                # a command the mock does not open, such as a Definition or
-                # an Instance proved by tactics.
-                if self._prelude_mode:
-                    return StepResult(OK)
                 return StepResult(ERROR, NO_FOCUSED_PROOF_MESSAGE)
             message = _first_error(self._table.errors, text)
             return StepResult(OK) if message is None else StepResult(ERROR, message)
 
         if is_statement(sentence):
-            return StepResult(ERROR, "Nested proofs are not supported.")
-        if self._prelude_mode:  # trusted: a closer closes the proof, all else passes
-            if is_closing(sentence):
-                self._close_proof()
-            return StepResult(OK, proof_complete=is_closing(sentence, proving_only=True))
+            return StepResult(ERROR, NESTED_PROOF_MESSAGE)
         if opens_proof(text):
             return StepResult(OK)
 
@@ -300,6 +287,26 @@ class MockSession(SessionHandle):
             self._close_proof()
             return StepResult(OK)
         return self._fail(text)
+
+    def replay(self, sentences: Sequence[Sentence], first_index: int = 0) -> None:
+        """Trusted file content, from outside a proof: a statement opens no
+        table entry and its proof passes unchecked up to its closer. Outside a
+        proof the table's error rules apply, and a closer ends the proof of a
+        command the mock does not open, such as a Definition or an Instance."""
+        opened = None  # the index of the statement whose proof is open
+        for index, sentence in enumerate(sentences, first_index):
+            if is_statement(sentence):
+                if opened is not None:
+                    raise PreludeError(index, NESTED_PROOF_MESSAGE)
+                opened = index
+            elif is_closing(sentence):
+                opened = None
+            elif opened is None:
+                message = _first_error(self._table.errors, _norm(sentence.text))
+                if message is not None:
+                    raise PreludeError(index, message)
+        if opened is not None:
+            raise PreludeError(opened, "the replayed sentences end inside this statement's proof")
 
     def query(self, command: str, argument: str) -> str:
         self._validate_query(command, argument)

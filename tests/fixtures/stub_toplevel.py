@@ -3,14 +3,17 @@
 
 Every reply ends in ``<prompt>Coq < SID |NAME| SID < </prompt>``, NAME being
 the open proof's, if any. Commands, one per line: ``BackTo N.`` returns to
-state N, proof included; ``Emit N S.`` writes N characters, then sleeps S
-seconds; ``Slip.`` fails but still advances the state id; ``Quit.`` exits;
-a line naming ``nosuch`` fails; ``Show.`` shows the open proof's goal. A
-``Lemma NAME : GOAL.`` opens a proof of GOAL; inside it ``intros X Y.``
-adds hypotheses (a name already used fails), a closer (``Qed.``,
-``Defined.``, ``Admitted.``, ``Abort.``) ends it, and any other sentence
-shows the goal. Outside a proof anything else is echoed. Every accepted
-command but ``Show.`` advances the state id.
+state N, proof included, and fails for a state it never reached; ``Emit N
+S.`` writes N characters, then sleeps S seconds; ``Slip.`` fails but still
+advances the state id; ``Quit.`` exits; a line naming ``nosuch`` fails;
+``Show.`` shows the open proof's goal. A ``Lemma NAME : GOAL.`` opens a
+proof of GOAL; inside it ``intros X Y.`` adds hypotheses (a name already
+used fails), ``exact I.`` solves the goal, leaving ``No more goals.``, a
+closer (``Qed.``, ``Defined.``, ``Admitted.``, ``Abort.``) ends it, and any
+other sentence shows the goal. Outside a proof anything else is echoed.
+Every accepted command but ``Show.`` advances the state id. A ``Check``
+naming ``stall``, or a ``Show.`` of a goal naming it, is answered only after
+five seconds.
 """
 
 import re
@@ -24,6 +27,8 @@ proofs = {1: None}  # state id -> its open proof
 
 def show(proof) -> str:
     _, names, goal = proof
+    if goal is None:
+        return "No more goals.\n"
     return "".join(f"{name} : nat\n" for name in names) + "_" * 30 + f"(1/1)\n{goal}\n"
 
 
@@ -45,6 +50,9 @@ def step(text: str):
         return "Error: Nested proofs are not allowed.\n", None
     if re.fullmatch(r"(?:Qed|Defined|Admitted|Abort)\.", text):
         return f"{proof[0]} is defined\n", None
+    if text == "exact I.":
+        solved = (proof[0], proof[1], None)
+        return show(solved), solved
     intros = re.fullmatch(r"intros?((?:\s+[\w']+)+)\.", text)
     if intros:
         names = proof[1]
@@ -67,7 +75,13 @@ while True:
     text = line.strip()
     back = re.fullmatch(r"BackTo (\d+)\.", text)
     emit = re.fullmatch(r"Emit (\d+) ([\d.]+)\.", text)
-    if back:
+    stalls = "stall" in text if text.startswith("Check ") else (
+        text == "Show." and proof is not None and "stall" in (proof[2] or ""))
+    if stalls:
+        time.sleep(5)
+    if back and int(back.group(1)) not in proofs:
+        sys.stdout.write(f"Error: Invalid backtrack to state {back.group(1)}.\n")
+    elif back:
         sid = int(back.group(1))
         proof = proofs[sid]
     elif emit:

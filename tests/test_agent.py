@@ -314,6 +314,19 @@ def test_interactive_on_the_real_backend_feeds_back_the_shown_state(toy_deps, mo
     assert sent == [statement, "Show.", "intros x.", "Show.", "Qed.", "BackTo 1."]
 
 
+def test_interactive_on_the_real_backend_with_a_rejected_statement_is_malformed(toy_deps):
+    """A statement the toplevel rejects ends the attempt before any model
+    call: one malformed record failing at step -1 with the toplevel's error."""
+    provider = scripted([], default=None)
+    deps = replace(toy_deps(provider),
+                   prover=SessionConfig(backend="real", prover_command=STUB_COMMAND))
+    statement = "Lemma nosuch : True."
+    [record] = prove_alone(synthetic_record("nosuch", statement), interactive_config(), deps)
+    assert (record.accepted, record.completion_kind, record.turns) == (False, "malformed", [])
+    assert record.failing_step == (
+        -1, statement, "Error: The reference nosuch was not found in the current environment.")
+
+
 def test_interactive_executes_the_sentences_it_segmented(toy_deps, monkeypatch):
     """Each reply is segmented once, by parse_completion; the tactics it holds
     reach the session as those sentences and are not segmented again."""

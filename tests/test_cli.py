@@ -685,33 +685,28 @@ mock_table = {tmp_path}/table.json
     target = in_file[len(in_file) // 2]
     held = sum(len(source.sentences) for source in {id(r.source): r.source for r in corpus.records}.values())
 
-    built, prelude = Counter(), [False]
+    built = Counter()
     sentence_init, state_init = Sentence.__init__, ProofState.__init__
-    set_prelude_mode, execute = mockprover.MockSession.set_prelude_mode, mockprover.MockSession.execute
+    replay = mockprover.MockSession.replay
 
     def count(kind, init):
         def counted(self, *args):
-            built[kind, prelude[0]] += 1
+            built[kind] += 1
             init(self, *args)
         return counted
 
-    def set_mode(session, enabled):
-        prelude[0] = enabled
-        set_prelude_mode(session, enabled)
-
-    def counted_execute(session, sentence):
-        built["execute", prelude[0]] += 1
-        return execute(session, sentence)
+    def counted_replay(session, sentences, first_index=0):
+        built["replayed"] += len(sentences)
+        return replay(session, sentences, first_index)
 
     monkeypatch.setattr(Sentence, "__init__", count("sentence", sentence_init))
     monkeypatch.setattr(ProofState, "__init__", count("state", state_init))
-    monkeypatch.setattr(mockprover.MockSession, "set_prelude_mode", set_mode)
-    monkeypatch.setattr(mockprover.MockSession, "execute", counted_execute)
+    monkeypatch.setattr(mockprover.MockSession, "replay", counted_replay)
     code = main(["--config", str(config), "prove", "--theorem", target.id, "--mode", "fs-sim"])
     assert code == EXIT_OK and capsys.readouterr().out.strip().endswith("ACCEPTED")
-    assert built["execute", True] == target.statement_index  # the whole prelude was replayed
-    assert built["state", True] == built["state", False] == 0
-    assert target.statement_index < built["sentence", False] + built["sentence", True] < held // 2
+    assert built["replayed"] == target.statement_index  # the whole prelude was replayed
+    assert built["state"] == 0
+    assert target.statement_index < built["sentence"] < held // 2
 
 
 def _manifest(tmp_path, configs) -> Path:
@@ -773,13 +768,46 @@ def test_an_unknown_manifest_key_exits_2(config_file, ingested, tmp_path, caplog
     code = main(["--config", str(config_file), "eval", "--corpus", str(ingested),
                  "--manifest", str(manifest), "--out", str(out)])
     assert code == EXIT_CONFIG
-    assert f"bad manifest entry: {logged}" in caplog.text
+    assert f"bad manifest entry 'i': {logged}" in caplog.text
     assert not (out / "report.json").exists()
     code = main(["--config", str(config_file), "prove", "--corpus", str(ingested),
                  "--theorem", "weak.v::weak_refl", "--manifest", str(manifest),
                  "--config-tag", "zs"])
     assert code == EXIT_CONFIG
-    assert caplog.text.count(f"bad manifest entry: {logged}") == 2
+    assert caplog.text.count(f"bad manifest entry 'i': {logged}") == 2
+
+
+@pytest.mark.parametrize("entry, logged", [
+    ({"loop": "interactive", "wall_clock": "10"}, "'w': wall_clock must be float | None, not '10'"),
+    ({"tag": 7}, "7: tag must be str, not 7"),
+    ({"max_queries": "3"}, "'w': max_queries must be int, not '3'"),
+    ({"n_lemmas": "2"}, "'w': n_lemmas must be int, not '2'"),
+    ({"seed": True}, "'w': seed must be int, not True"),
+    ({"mode": "fs-rand", "k_shots": -2}, "'w': k_shots must be 0 in zero-shot modes, > 0 in others, not -2"),
+    ({"decoding": {"temperature": "hot"}}, "'w': temperature must be float, not 'hot'"),
+    ({"decoding": {"n": 2.0}}, "'w': n must be int, not 2.0"),
+    ({"decoding": [1]}, "'w': decoding must be DecodingParams, not [1]"),
+    ({"loop": "ensemble", "strategies": "verbose-stepwise"},
+     "'w': strategies must be tuple[str, ...], not 'verbose-stepwise'"),
+], ids=["wall_clock", "tag", "max_queries", "n_lemmas", "seed-bool", "k_shots", "temperature",
+        "n-float", "decoding", "strategies"])
+def test_a_manifest_value_of_the_wrong_type_exits_2(
+    config_file, ingested, tmp_path, caplog, entry, logged
+):
+    """A value of the wrong JSON type, a bool where a number belongs
+    included, is named with its config before any theorem runs."""
+    manifest = _manifest(tmp_path, [{"tag": "zs", "mode": "zs"}, {"tag": "w", "mode": "zs", **entry}])
+    out = tmp_path / "o"
+    code = main(["--config", str(config_file), "eval", "--corpus", str(ingested),
+                 "--manifest", str(manifest), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert f"bad manifest entry {logged}" in caplog.text
+    assert not out.exists()
+    code = main(["--config", str(config_file), "prove", "--corpus", str(ingested),
+                 "--theorem", "weak.v::weak_refl", "--manifest", str(manifest),
+                 "--config-tag", "zs"])
+    assert code == EXIT_CONFIG
+    assert caplog.text.count(f"bad manifest entry {logged}") == 2
 
 
 def test_a_manifest_entry_is_its_own_keys_over_the_run_config_defaults(
@@ -1282,6 +1310,56 @@ def test_no_corpus_file_named_exit_2(tmp_path, caplog):
     code = main(["--config", str(config), "index", "--out", str(tmp_path / "i.json")])
     assert code == EXIT_CONFIG
     assert "no corpus file: pass --corpus or set paths.corpus_file" in caplog.text
+
+
+_PROVER = "\n[prover]\nbackend = mock\nmock_table = {fixtures}/mock_table.json\n"
+_PROVE = ["prove", "--corpus", "{corpus}", "--theorem", "weak.v::weak_refl"]
+_EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
+
+
+@pytest.mark.parametrize("files, argv, logged", [
+    ({}, ["--config", "{tmp}/missing.ini", "index", "--out", "{tmp}/i.json"],
+     "config file not found: {tmp}/missing.ini"),
+    ({"c.ini": "[provider]\nkind = scripted\n" + _PROVER}, ["--config", "{tmp}/c.ini", *_PROVE],
+     "provider.script_file required for the scripted provider"),
+    ({"c.ini": "[provider]\nscript_file = {tmp}/s.json\n" + _PROVER, "s.json": "[]"},
+     ["--config", "{tmp}/c.ini", *_PROVE],
+     "bad provider script: script must be an object with an 'entries' list"),
+    ({"c.ini": "[provider]\nkind = http\nmodel_name = m\n" + _PROVER},
+     ["--config", "{tmp}/c.ini", *_PROVE], "provider.base_url and provider.model_name are required"),
+    ({"c.ini": "[provider]\nkind = pigeon\n" + _PROVER}, ["--config", "{tmp}/c.ini", *_PROVE],
+     "unknown provider kind 'pigeon'"),
+    ({"m.json": "{{"}, ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
+     "cannot read manifest {tmp}/m.json: "),
+    ({"m.json": '{{"configs": []}}'}, ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
+     "manifest has no configs"),
+    ({"m.json": "[]"}, ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
+     "manifest has no configs"),
+    ({}, ["--config", "{config}", "index", "--corpus", "{all_test}", "--out", "{tmp}/i.json"],
+     "corpus has no train records; run ingest/split first"),
+    ({}, ["--config", "{config}", *_PROVE, "--manifest", "{fixtures}/manifest.json",
+          "--config-tag", "nope"], "config tag 'nope' not in manifest"),
+    ({"attempts/notes.txt": ""}, ["--config", "{config}", "report", "--attempts", "{tmp}/attempts"],
+     "no attempt files under {tmp}/attempts"),
+    ({}, ["--config", "{config}", "ingest", "--root", "{fixtures}/project", "--out", "{tmp}/c.jsonl",
+          "--test-fraction", "1.5"], "test_fraction must lie in (0, 1)"),
+    ({"one/a.v": "Lemma a : True.\nProof. exact I. Qed.\nLemma b : True.\nProof. exact I. Qed.\n"},
+     ["--config", "{config}", "ingest", "--root", "{tmp}/one", "--out", "{tmp}/c.jsonl",
+      "--split", "by_file"], "by_file split needs at least 2 files with eligible records"),
+], ids=["config-file", "script-file", "provider-script", "http", "provider-kind", "manifest-json",
+        "manifest-configs", "manifest-list", "index-train", "config-tag", "report-attempts", "test-fraction",
+        "by-file"])
+def test_a_config_error_exits_2_with_its_message(
+    config_file, ingested, fixtures_dir, tmp_path, caplog, files, argv, logged
+):
+    places = {"tmp": tmp_path, "fixtures": fixtures_dir, "config": config_file, "corpus": ingested}
+    if "{all_test}" in argv:
+        places["all_test"] = _ingest_with_test_ids(config_file, fixtures_dir, tmp_path, FIXTURE_IDS)
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text.format(**places))
+    assert main([arg.format(**places) for arg in argv]) == EXIT_CONFIG
+    assert logged.format(**places) in caplog.text
 
 
 def test_a_prelude_with_proved_definitions_and_instances_proves_and_evals(tmp_path, capsys):

@@ -77,8 +77,6 @@ def test_scripted_provider_in_order_and_cycling():
     assert complete(make_prompt(), DecodingParams(n=3), provider) == ["one", "two", "three"]
     # cursor advanced; next call wraps around cyclically
     assert provider.complete(make_prompt(), DecodingParams(n=2)) == ["one", "two"]
-    provider.reset()
-    assert provider.complete(make_prompt(), DecodingParams(n=1)) == ["one"]
 
 
 def test_scripted_provider_selectors_and_default():

@@ -29,6 +29,7 @@ from coqharness.driver import (
     SessionConfig,
     SessionDead,
     SessionHandle,
+    SpawnFailure,
     start_session,
 )
 from coqharness import mockprover
@@ -356,6 +357,86 @@ def test_real_undo_without_a_reply_is_a_dead_session(stub_session, monkeypatch):
     assert session._proc is None
 
 
+@pytest.mark.parametrize("reply, dead", [
+    (None, "timeout while replaying after a restart"),
+    ("Error: gone.\n", "replay after restart failed at 'Require B.': Error: gone."),
+])
+def test_real_replay_after_a_restart_that_fails_is_a_dead_session(
+    stub_session, monkeypatch, reply, dead
+):
+    """A restart replays the accepted history, prelude included; a sentence
+    of it that times out or is rejected leaves the prover in no known state,
+    so the session is dead (exit 4), and no undo is sent."""
+    session = stub_session(timeout_per_step=0.5)
+    send, sent = session._send, []
+
+    def replayed(text):
+        sent.append(text)
+        if text != "Require B.":
+            return send(text)
+        if reply is None:
+            raise TimeoutError("")
+        return reply
+
+    monkeypatch.setattr(session, "_send", replayed)
+    with pytest.raises(SessionDead, match=dead):
+        session.execute("Emit 10 3.")
+    assert sent == ["Emit 10 3.", "Require A.", "Require B."]
+
+
+def test_real_timeouts_of_a_query_and_a_show_restart_the_prover(stub_session, caplog):
+    """A query that times out is rejected and a `Show.` that does reads no
+    state; either restarts the prover in the state it was in."""
+    session = stub_session(timeout_per_step=0.5)
+    with caplog.at_level(logging.WARNING, logger="coqharness.driver"):
+        with pytest.raises(QueryRejected) as rejected:
+            session.query("Check", "stall")
+        assert rejected.value.message == TIMEOUT_MESSAGE
+        assert session.execute("Lemma s : stall.").ok
+        before = session._snapshot()
+        assert session.current_state() is None
+    assert [r.getMessage() for r in caplog.records] == [
+        "restarting the prover after a step timeout; replaying 2 sentences",
+        "restarting the prover after a step timeout; replaying 3 sentences",
+    ]
+    assert session._snapshot() == before and session.in_proof
+    assert session.execute("Qed.").proof_complete
+
+
+def test_real_current_state_reads_none_without_goals_or_from_a_display_it_cannot_parse(
+    stub_session,
+):
+    session = stub_session()
+    assert session.execute("Lemma l : forall x : nat, True.").ok
+    assert session.execute("intros 1x.").ok  # shown as the hypothesis line `1x : nat`
+    assert session.in_proof and session.current_state() is None
+    assert session.execute("exact I.").ok
+    assert session.in_proof and session.current_state() is None
+    assert session.execute("Qed.").proof_complete
+
+
+def test_real_rejected_undo_is_a_dead_session(stub_session):
+    session = stub_session()
+    with pytest.raises(SessionDead, match="BackTo 999 rejected: Error: Invalid backtrack"):
+        session._restore((999, 0))
+
+
+def test_real_prover_without_an_initial_prompt_fails_to_spawn():
+    silent = f"{shlex.quote(sys.executable)} -c {shlex.quote('import sys; sys.stdin.read()')}"
+    with pytest.raises(SpawnFailure, match="no initial prompt from prover"):
+        start_session(SessionConfig(backend="real", prover_command=silent, timeout_per_step=0.5))
+
+
+def test_real_check_of_a_rejected_statement_fails_at_step_minus_1(stub_session):
+    session = stub_session()
+    before = session._snapshot()
+    checked = session.check_proof("Lemma nosuch : True.", "Proof. exact I. Qed.")
+    assert not checked.accepted
+    assert (checked.failing_step[0], checked.failing_step[1].text) == (-1, "Lemma nosuch : True.")
+    assert checked.message.startswith("Error: The reference nosuch was not found")
+    assert session._snapshot() == before
+
+
 def test_real_large_reply_and_utf8(stub_session):
     session = stub_session()
     assert session.execute("Emit 131072 0.").message == "x" * 131072
@@ -457,25 +538,25 @@ def test_mock_prelude_reads_no_states_and_ends_where_stepping_ends():
 
 
 def test_mock_prelude_trusts_the_proofs_it_opens():
-    """Inside a prelude's proof a statement is a nested-proof error, a
-    closer closes the proof and anything else passes, whatever the table's
-    entry holds: a malformed one is not compiled."""
+    """Inside a replayed proof a statement is a nested-proof error, a closer
+    closes the proof and anything else passes, whatever the table's entry
+    holds: a malformed one is not compiled. Replayed sentences may not end
+    inside a proof."""
     table = {"theorems": {"broken": {"initial_state": "no goal separator"}}}
     config = SessionConfig(backend="mock", mock_table=table)
     with closing(start_session(config)) as session:
-        session.set_prelude_mode(True)
-        steps = segment_sentences("Lemma broken : True. Proof. nonsense. Qed. "
-                                  "Lemma other : True. foo. Admitted.")
-        results = [session.execute(sentence) for sentence in steps]
-        assert [(r.outcome, r.proof_complete) for r in results] == \
-            [(OK, False)] * 3 + [(OK, True)] + [(OK, False)] * 3
-        assert session.current_state() is None
-        assert session.execute("Lemma inner : True.").ok
-        nested = session.execute("Lemma nested : True.")
-        assert (nested.outcome, nested.message) == (ERROR, "Nested proofs are not supported.")
-        session.set_prelude_mode(False)
+        session.replay(segment_sentences("Lemma broken : True. Proof. nonsense. Qed. "
+                                         "Lemma other : True. foo. Admitted."))
+        assert session._snapshot() == (None, [])
+        with pytest.raises(PreludeError) as nested:
+            session.replay(segment_sentences("Lemma inner : True. Lemma nested : True."), 7)
+        assert (nested.value.step_index, nested.value.message) == \
+            (8, "Nested proofs are not supported.")
+        with pytest.raises(PreludeError) as unclosed:
+            session.replay(segment_sentences("Lemma done : True. Qed. Lemma open : True. auto."))
+        assert unclosed.value.step_index == 2
+        assert session._snapshot() == (None, [])
         assert session._table._compiled == {}
-        session.execute("Abort.")
         with pytest.raises(ValueError, match="bad mock table <dict>: .*separator"):
             session.execute("Lemma broken : True.")
 
