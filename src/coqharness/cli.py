@@ -153,6 +153,11 @@ def run_config_from_dict(raw: dict, defaults: client.DecodingParams) -> agent.Ru
         for f in fields(cls):
             if f.name in given and not _of_type(given[f.name], _type_hints(cls)[f.name]):
                 raise TypeError(f"{f.name} must be {f.type}, not {given[f.name]!r}")
+    if values.get("max_queries", 0) < 0:
+        raise ValueError("max_queries must be >= 0")
+    for key in ("wall_clock", "max_prompt_chars"):
+        if values.get(key) is not None and values[key] <= 0:
+            raise ValueError(f"{key} must be > 0")
     values["decoding"] = replace(defaults, **decoding)
     if "strategies" in values:
         values["strategies"] = tuple(values["strategies"])

@@ -9,7 +9,6 @@ and as a no-network replay source.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -18,7 +17,7 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .corpus import find_row
+from . import store
 from .prompting import ChatPrompt
 
 log = logging.getLogger(__name__)
@@ -80,16 +79,14 @@ class Transcript:
 
 def prompt_hash(prompt: ChatPrompt, params: DecodingParams) -> str:
     """Stable content hash over messages and decoding parameters."""
-    payload = {
+    return store.content_hash({
         "messages": [[m.role, m.content] for m in prompt.messages],
         "temperature": params.temperature,
         "presence_penalty": params.presence_penalty,
         "n": params.n,
         "max_tokens": params.max_tokens,
         "seed": params.seed,
-    }
-    canonical = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    })
 
 
 class Provider:
@@ -318,36 +315,38 @@ def _read_reply(body: str) -> tuple[list[str], tuple[int, int]]:
 
 
 class TranscriptCache:
-    """Append-only JSON Lines store sharded by prompt-hash prefix."""
+    """Append-only JSON Lines store (`store`) sharded by prompt-hash prefix."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
 
     def _shard(self, key: str) -> Path:
         return self.directory / f"{key[:2]}.jsonl"
 
     def lookup(self, key: str) -> Transcript | None:
         """First row of the key's shard whose prompt_hash is `key`, found by
-        byte search (`corpus.find_row`)."""
+        byte search (`store.find_row`)."""
+
+        def transcript(row: dict) -> Transcript | None:
+            if row.get("prompt_hash") != key:
+                return None
+            if not isinstance(row.get("completions"), list):
+                raise TypeError("its completions are not a list")
+            values = {f.name: row[f.name] for f in fields(Transcript) if f.name in row}
+            values["token_usage"] = tuple(values.get("token_usage", (0, 0)))
+            return Transcript(**values)
+
+        shard = self._shard(key)
         try:
-            data = self._shard(key).read_bytes()
+            data = store.read(shard)
         except FileNotFoundError:
             return None
-        found = find_row(data, key.encode(), lambda row: row.get("prompt_hash") == key)
-        if found is None:
-            return None
-        row = found[0]
-        values = {f.name: row[f.name] for f in fields(Transcript) if f.name in row}
-        values["token_usage"] = tuple(values.get("token_usage", (0, 0)))
-        return Transcript(**values)
+        found = store.find_row(shard, data, key.encode(), transcript)
+        return found and found[0]
 
     def append(self, transcript: Transcript) -> None:
-        line = json.dumps(transcript, ensure_ascii=False, default=vars) + "\n"
-        with self._lock:
-            with open(self._shard(transcript.prompt_hash), "a", encoding="utf-8") as fh:
-                fh.write(line)
+        store.append(self._shard(transcript.prompt_hash), transcript)
 
 
 class CachingProvider(Provider):

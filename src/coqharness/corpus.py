@@ -16,10 +16,11 @@ import operator
 import random
 import re
 from array import array
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from . import store
 from .sentences import (
     NON_PROVING_CLOSERS,
     PROVING_CLOSERS,
@@ -49,13 +50,6 @@ class TooFewRecords(CorpusError):
 
 class UnknownId(CorpusError):
     pass
-
-
-class SchemaViolation(CorpusError):
-    def __init__(self, line_number: int, detail: str):
-        super().__init__(f"line {line_number}: {detail}")
-        self.line_number = line_number
-        self.detail = detail
 
 
 @dataclass(frozen=True)
@@ -408,14 +402,14 @@ _RECORD_TYPES = (str, str, int, int, int, str)
 _CONTINUATION_BYTE = re.compile(rb"[\x80-\xbf]")
 
 
-def _source_from_row(row, line_number: int) -> SourceFile:
+def _source_from_row(row) -> SourceFile:
     """A file row's SourceFile, whose sentences are built on first use;
-    SchemaViolation when malformed. Every span is checked here, at load."""
+    ValueError when malformed. Every span is checked here, at load."""
     if not isinstance(row, dict):
-        raise SchemaViolation(line_number, "not a JSON object")
+        raise ValueError("not a JSON object")
     missing = _FILE_FIELDS - set(row)
     if missing:
-        raise SchemaViolation(line_number, f"missing fields: {sorted(missing)}")
+        raise ValueError(f"missing fields: {sorted(missing)}")
     path, text = row["path"], row["text"]
     try:
         if not isinstance(path, str):
@@ -432,48 +426,45 @@ def _source_from_row(row, line_number: int) -> SourceFile:
                 bytes(map((raw + b" ").__getitem__, bounds))):
             raise ValueError("a span splits a UTF-8 character")
     except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-        raise SchemaViolation(line_number, f"malformed file row: {exc}") from None
+        raise ValueError(f"malformed file row: {exc}") from None
     return SourceFile(path, text, _Sentences(raw, bounds))
 
 
-def _file_from_row(row, line_number: int) -> tuple[SourceFile, list[tuple[TheoremRecord, str]]]:
+def _file_from_row(row) -> tuple[SourceFile, list[tuple[TheoremRecord, str]]]:
     """A file row's SourceFile and its records, each with its split label;
-    SchemaViolation, naming the record's position in the row, when malformed."""
-    source = _source_from_row(row, line_number)
+    ValueError, naming the record's position in the row, when malformed."""
+    source = _source_from_row(row)
     entries = row["records"]
     if not isinstance(entries, list):
-        raise SchemaViolation(line_number, "malformed file row: its records are not a list")
+        raise ValueError("malformed file row: its records are not a list")
     n_sentences = len(source.sentences)
     records = []
     for position, entry in enumerate(entries, start=1):
         if not isinstance(entry, list) or tuple(map(type, entry)) != _RECORD_TYPES:
-            raise SchemaViolation(line_number, f"record {position}: malformed record: expected "
-                                  "[id, name, index_in_file, statement_index, proof_end, split]")
+            raise ValueError(f"record {position}: malformed record: expected "
+                             "[id, name, index_in_file, statement_index, proof_end, split]")
         record_id, name, index, statement, end, split = entry
         if not 0 <= statement < end - 1 < n_sentences:
-            raise SchemaViolation(
-                line_number, f"record {position}: sentences {statement}..{end} outside the file")
+            raise ValueError(f"record {position}: sentences {statement}..{end} outside the file")
         records.append((TheoremRecord(record_id, name, source, statement, end, index), split))
     return source, records
 
 
-def _root_from_header(line: str) -> str:
-    """The root that a corpus file's first line names; SchemaViolation
-    unless it is a header of this format."""
+def _read(path: str | Path) -> tuple[bytes, str, int]:
+    """A corpus file's bytes, the root its header names and where its second
+    line starts; RowError unless its first line is a header of this format."""
     try:
-        header = json.loads(line) if line.strip() else None
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(1, f"invalid JSON: {exc.msg}") from None
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise CorpusError(f"cannot read corpus {path}: {exc.strerror or exc}") from exc
+    line = data.partition(b"\n")[0]
+    header = dict(store.rows(path, line, lambda row: row)).get(1)  # None when blank
     found = header.get("format") if isinstance(header, dict) else None
     if found != _FORMAT:
-        raise SchemaViolation(
-            1, f"corpus format {found!r}, expected {_FORMAT!r}: re-run ingest to rewrite it"
+        raise store.RowError(
+            path, 1, f"corpus format {found!r}, expected {_FORMAT!r}: re-run ingest to rewrite it"
         )
-    return header.get("root", "")
-
-
-def _unreadable(path: str | Path, exc: OSError) -> CorpusError:
-    return CorpusError(f"cannot read corpus {path}: {exc.strerror or exc}")
+    return data, header.get("root", ""), len(line) + 1
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -484,54 +475,22 @@ def load_corpus(path: str | Path) -> Corpus:
     labels: dict[str, str] = {}
     warnings: list[str] = []
     paths: set[str] = set()
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise _unreadable(path, exc) from exc
-    with fh:
-        root = _root_from_header(fh.readline())
-        for line_number, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaViolation(line_number, f"invalid JSON: {exc.msg}") from None
-            source, file_records = _file_from_row(row, line_number)
-            if source.path in paths:
-                warnings.append(f"line {line_number}: dropped a second row for {source.path!r}")
+    data, root, body = _read(path)
+    for line_number, (source, file_records) in store.rows(path, data, _file_from_row, body):
+        if source.path in paths:
+            warnings.append(f"line {line_number}: dropped a second row for {source.path!r}")
+            log.warning("%s: %s", path, warnings[-1])
+            continue
+        paths.add(source.path)
+        for position, (record, split) in enumerate(file_records, start=1):
+            if record.id in labels:
+                warnings.append(f"line {line_number}, record {position}: "
+                                f"dropped a second record with id {record.id!r}")
                 log.warning("%s: %s", path, warnings[-1])
                 continue
-            paths.add(source.path)
-            for position, (record, split) in enumerate(file_records, start=1):
-                if record.id in labels:
-                    warnings.append(f"line {line_number}, record {position}: "
-                                    f"dropped a second record with id {record.id!r}")
-                    log.warning("%s: %s", path, warnings[-1])
-                    continue
-                records.append(record)
-                labels[record.id] = split
+            records.append(record)
+            labels[record.id] = split
     return Corpus(records, root, labels, warnings)
-
-
-def find_row(
-    data: bytes, needle: bytes, wanted: Callable[[dict], bool], start: int = 0,
-    stop: int | None = None,
-) -> tuple[dict, int, int] | None:
-    """The first JSON Lines row of `data[start:stop]` that is an object and
-    `wanted`, with its start and end offsets. Only rows holding `needle` are
-    decoded, so a needle quoted where `wanted` does not look is skipped."""
-    at = data.find(needle, start, stop)
-    while at != -1:
-        start = data.rfind(b"\n", 0, at) + 1
-        end = data.find(b"\n", at)
-        if end == -1:
-            end = len(data)
-        row = json.loads(data[start:end])
-        if isinstance(row, dict) and wanted(row):
-            return row, start, end
-        at = data.find(needle, end, stop)
-    return None
 
 
 def _json_needle(value: str) -> bytes:
@@ -547,36 +506,29 @@ def load_record(path: str | Path, record_id: str) -> Corpus | None:
     file row that holds it, found by byte search for the JSON-quoted id. It
     fails as load_corpus does on a bad header, a non-object row or a
     malformed row that it decodes, and skips a row whose path an earlier row
-    has, as load_corpus drops it. None when no row holds the id, or a row it
-    reads is not JSON, for load_corpus to look the name up or report it."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise _unreadable(path, exc) from exc
-    header, _, _ = data.partition(b"\n")
-    root = _root_from_header(header.decode("utf-8"))
+    has, as load_corpus drops it. None when no row holds the id, for
+    load_corpus to look the name up."""
+    data, root, body = _read(path)
     stray = _NON_OBJECT_ROW.search(data)
     if stray is not None:
-        raise SchemaViolation(data.count(b"\n", 0, stray.end()) + 1, "not a JSON object")
+        raise store.RowError(path, data.count(b"\n", 0, stray.end()) + 1, "not a JSON object")
 
-    def holds_id(row: dict) -> bool:
+    def holds_id(row: dict):
+        """The row's file and records when one of them has the id."""
         entries = row.get("records")
         return isinstance(entries, list) and any(
-            isinstance(entry, list) and entry[:1] == [record_id] for entry in entries)
+            isinstance(entry, list) and entry[:1] == [record_id] for entry in entries
+        ) and _file_from_row(row)
 
-    def path_before(path: str, stop: int) -> bool:
-        """Whether a file row before offset `stop` has `path`."""
-        return find_row(data, _json_needle(path), lambda row: row.get("path") == path,
-                        len(header), stop) is not None
+    def path_before(path_: str, stop: int) -> bool:
+        """Whether a file row before offset `stop` has `path_`."""
+        return store.find_row(path, data, _json_needle(path_),
+                              lambda row: row.get("path") == path_, body, stop) is not None
 
-    at = len(header)
-    try:
-        while (found := find_row(data, _json_needle(record_id), holds_id, at)) is not None:
-            row, start, at = found
-            source, file_records = _file_from_row(row, data.count(b"\n", 0, start) + 1)
-            if not path_before(source.path, start):
-                record, split = next(pair for pair in file_records if pair[0].id == record_id)
-                return Corpus([record], root, {record.id: split})
-    except json.JSONDecodeError:
-        pass
+    at = body
+    while (found := store.find_row(path, data, _json_needle(record_id), holds_id, at)) is not None:
+        (source, file_records), start, at = found
+        if not path_before(source.path, start):
+            record, split = next(pair for pair in file_records if pair[0].id == record_id)
+            return Corpus([record], root, {record.id: split})
     return None

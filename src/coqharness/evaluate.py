@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import re
@@ -20,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from . import store
 from .agent import AgentDeps, AttemptRecord, RunConfig, attempt_from_json, prove
 from .corpus import Corpus, UnknownId
 from .driver import FileWalk
@@ -216,18 +216,14 @@ def build_report(
 
 
 def corpus_hash(corpus: Corpus) -> str:
-    payload = [
+    return store.content_hash([
         [r.id, r.statement.text, [s.text for s in r.proof], corpus.split_labels[r.id]]
         for r in corpus.records
-    ]
-    return hashlib.sha256(json.dumps(payload, ensure_ascii=False).encode("utf-8")).hexdigest()
+    ])
 
 
 def manifest_hash(manifest: list[RunConfig]) -> str:
-    payload = [asdict(config) for config in manifest]
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    ).hexdigest()
+    return store.content_hash([asdict(config) for config in manifest])
 
 
 def run_eval(
@@ -439,16 +435,7 @@ def emit_report(
 
 
 def load_attempts_dir(directory: str | Path) -> dict[str, list[AttemptRecord]]:
-    directory = Path(directory)
-    out: dict[str, list[AttemptRecord]] = {}
-    for path in sorted(directory.glob("*.jsonl")):
-        records = []
-        with open(path, "rb") as fh:  # decoded per row, so a bad byte names its line
-            for number, line in enumerate(fh, start=1):
-                if line.strip():
-                    try:
-                        records.append(attempt_from_json(json.loads(line.decode("utf-8"))))
-                    except (ValueError, TypeError, KeyError, AttributeError) as exc:
-                        raise EvalError(f"bad attempt row {path}:{number}: {exc}") from exc
-        out[path.stem] = records
-    return out
+    return {
+        path.stem: [record for _, record in store.rows(path, path.read_bytes(), attempt_from_json)]
+        for path in sorted(Path(directory).glob("*.jsonl"))
+    }

@@ -256,7 +256,7 @@ def test_a_format_1_corpus_exits_2_and_asks_for_ingest(
         code = main(["--config", str(config_file), argv[0], "--corpus", str(corpus_path),
                      *argv[1:]])
         assert code == EXIT_CONFIG
-        assert (f"line 1: corpus format 'coqharness-corpus/{version}', expected "
+        assert (f"bad row {corpus_path}:1: corpus format 'coqharness-corpus/{version}', expected "
                 "'coqharness-corpus/3': re-run ingest to rewrite it") in caplog.text
     assert not (tmp_path / "out").exists()
 
@@ -278,7 +278,7 @@ def test_a_corpus_file_without_a_header_exits_2(
             for a in command]
     code = main(["--config", str(config_file), argv[0], "--corpus", str(corpus_path), *argv[1:]])
     assert code == EXIT_CONFIG
-    assert ("line 1: corpus format None, expected 'coqharness-corpus/3': "
+    assert (f"bad row {corpus_path}:1: corpus format None, expected 'coqharness-corpus/3': "
             "re-run ingest to rewrite it") in caplog.text
     assert not (tmp_path / "out").exists()
 
@@ -1063,7 +1063,7 @@ def test_report_on_a_bad_attempt_row_exits_2_naming_it(tmp_path, caplog, bad, lo
                                        encoding="utf-8", errors="surrogateescape")
     code = main(["report", "--attempts", str(attempts), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
-    assert f"bad attempt row {attempts / 'zs.jsonl'}:3: " in caplog.text
+    assert f"bad row {attempts / 'zs.jsonl'}:3: " in caplog.text
     assert logged in caplog.text and "Traceback" not in caplog.text
 
 
@@ -1288,7 +1288,7 @@ def test_prove_finds_a_name_and_reports_a_bad_row_from_the_full_corpus(
     ingested.write_text("".join(lines), encoding="utf-8")
     code = main(["--config", str(config_file), "prove", "--theorem", "weak.v::weak_refl"])
     assert code == EXIT_CONFIG
-    assert f"line {row + 1}: record {position}: malformed record" in caplog.text
+    assert f"bad row {ingested}:{row + 1}: record {position}: malformed record" in caplog.text
 
 
 @pytest.mark.parametrize("argv", [
@@ -1346,9 +1346,20 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
     ({"one/a.v": "Lemma a : True.\nProof. exact I. Qed.\nLemma b : True.\nProof. exact I. Qed.\n"},
      ["--config", "{config}", "ingest", "--root", "{tmp}/one", "--out", "{tmp}/c.jsonl",
       "--split", "by_file"], "by_file split needs at least 2 files with eligible records"),
+    *[({"m.json": '{{"configs": [{{"tag": "w", "mode": "zs", "loop": "interactive", %s}}]}}' % value},
+       ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
+       f"bad manifest entry 'w': {logged}")
+      for value, logged in [('"wall_clock": -1', "wall_clock must be > 0"),
+                            ('"wall_clock": 0', "wall_clock must be > 0"),
+                            ('"max_queries": -1', "max_queries must be >= 0"),
+                            ('"max_prompt_chars": 0', "max_prompt_chars must be > 0")]],
+    ({"c.jsonl": '{{"format": "coqharness-corpus/3", "root": "r"}}\n\n[1]\n'},
+     ["--config", "{config}", "eval", "--corpus", "{tmp}/c.jsonl", "--manifest",
+      "{fixtures}/manifest.json", "--out", "{tmp}/out"], "bad row {tmp}/c.jsonl:3: not a JSON object"),
 ], ids=["config-file", "script-file", "provider-script", "http", "provider-kind", "manifest-json",
         "manifest-configs", "manifest-list", "index-train", "config-tag", "report-attempts", "test-fraction",
-        "by-file"])
+        "by-file", "wall-clock-negative", "wall-clock-zero", "max-queries", "max-prompt-chars",
+        "corpus-row"])
 def test_a_config_error_exits_2_with_its_message(
     config_file, ingested, fixtures_dir, tmp_path, caplog, files, argv, logged
 ):

@@ -70,6 +70,20 @@ def test_prompt_hash_stability_and_sensitivity():
     assert key != prompt_hash(prompt, DecodingParams(n=3))
 
 
+def test_prompt_hash_keeps_the_spelling_of_every_recorded_transcript():
+    """Literal keys: any change to the canonical JSON (sorted keys, compact
+    separators, non-ASCII kept) or to the hash would re-key every cache."""
+    prompt = ChatPrompt(
+        (ChatMessage("system", "You prove Coq lemmas."),
+         ChatMessage("user", "Prove Lemma é : ∀ n : nat, n = n.")),
+        config_tag="zs", target_id="f.v::é",
+    )
+    assert prompt_hash(prompt, DecodingParams(temperature=0.5, n=2, max_tokens=64, seed=7)) == (
+        "5a66aeb80b9ec8773043455384c4dac4a770f9542735fcf4a8ba54fcd19c6051")
+    assert prompt_hash(prompt, DecodingParams()) == (
+        "ca3574e880ba2dd34152356aa1c28e313ff543a4ac4701bb511944aec6c18926")
+
+
 def test_scripted_provider_in_order_and_cycling():
     provider = ScriptedProvider(
         {"entries": [{"theorem": "t", "completions": ["one", "two", "three"]}]}

@@ -21,7 +21,6 @@ from coqharness.corpus import (
     Corpus,
     CorpusError,
     NoSourcesFound,
-    SchemaViolation,
     SourceFile,
     TheoremRecord,
     TooFewRecords,
@@ -35,6 +34,7 @@ from coqharness.corpus import (
     split_corpus,
 )
 from coqharness.sentences import LexicalError, Sentence, segment_sentences
+from coqharness.store import RowError
 
 from classify_per_call import extract_per_call
 
@@ -290,17 +290,17 @@ def test_schema_violation_line_number(toy_corpus, tmp_path):
     assert len(lines) == 3  # the header and one row per file
     lines[2] = lines[2][: len(lines[2]) // 2]  # truncate the second file's row
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(SchemaViolation) as err:
+    with pytest.raises(RowError) as err:
         load_corpus(path)
     assert err.value.line_number == 3
 
     path.write_text('{"format": "coqharness-corpus/3", "root": "x"}\n{"path": "only"}\n')
-    with pytest.raises(SchemaViolation) as err:
+    with pytest.raises(RowError) as err:
         load_corpus(path)
     assert err.value.line_number == 2 and "missing fields" in str(err.value)
 
     path.write_text('{"nope": true}\n')
-    with pytest.raises(SchemaViolation) as err:
+    with pytest.raises(RowError) as err:
         load_corpus(path)
     assert err.value.line_number == 1
 
@@ -312,10 +312,10 @@ def test_a_corpus_file_without_a_header_is_a_format_error(content, tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text(content, encoding="utf-8")
     for load in (load_corpus, lambda path: load_record(path, "f.v::t")):
-        with pytest.raises(SchemaViolation) as err:
+        with pytest.raises(RowError) as err:
             load(path)
-        assert str(err.value) == ("line 1: corpus format None, expected 'coqharness-corpus/3': "
-                                  "re-run ingest to rewrite it")
+        assert str(err.value) == (f"bad row {path}:1: corpus format None, expected "
+                                  "'coqharness-corpus/3': re-run ingest to rewrite it")
 
 
 # Ids that are prefixes of one another, non-ASCII, escaped in JSON, or equal
@@ -378,14 +378,14 @@ def test_load_record_reports_its_malformed_row_and_a_bad_header(toy_corpus, tmp_
     lines[2] = json.dumps(row, ensure_ascii=False) + "\n"
     path.write_text("".join(lines), encoding="utf-8")
     for load in (load_corpus, lambda path: load_record(path, target[0])):
-        with pytest.raises(SchemaViolation) as err:
+        with pytest.raises(RowError) as err:
             load(path)
         assert err.value.line_number == 3 and err.value.detail.startswith(
             "record 2: malformed record")
 
     path.write_text('{"format": "other"}\n' + "".join(lines[1:]), encoding="utf-8")
     for load in (load_corpus, lambda path: load_record(path, toy_corpus.records[0].id)):
-        with pytest.raises(SchemaViolation) as err:
+        with pytest.raises(RowError) as err:
             load(path)
         assert err.value.line_number == 1 and "corpus format 'other'" in err.value.detail
 
@@ -460,7 +460,7 @@ def test_file_and_record_rows_are_checked(rows, line_number, detail, both, tmp_p
             [record] = load(path).records
             assert (record.statement.text, record.proof_text) == ("Lemma t: True.", "Qed.")
             continue
-        with pytest.raises(SchemaViolation) as err:
+        with pytest.raises(RowError) as err:
             load(path)
         assert err.value.line_number == line_number and detail in err.value.detail
 

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from coqharness.cli import EXIT_OK, main
+from coqharness.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROVIDER, main
 from golden import CASES, GOLDEN, MANIFESTS, config_of, golden_files, run_case
 
 
@@ -59,3 +59,52 @@ def test_prove_prints_the_rows_eval_wrote_for_every_target_and_config(case, tmp_
             assert printed_rows(capsys.readouterr().out) == lines, (path.stem, theorem)
             pairs += 1
     assert pairs == {"fixtures": 4 * 5, "walk": 7 * 10}[case]
+
+
+def _eval_argv(work, out: str) -> list[str]:
+    return ["--config", str(config_of(work)), "eval", "--manifest", str(MANIFESTS["fixtures"]),
+            "--out", str(work / out)]
+
+
+def test_a_cut_transcript_row_is_recorded_again_and_a_replay_names_its_key(tmp_path, caplog):
+    """A kill or a full disk can leave a shard's last row cut short. A replay
+    misses only that row's key; a recording run records it again, writing
+    the uncut run's bytes."""
+    uncut = run_case("fixtures", tmp_path, workers=1)
+    shard = sorted((tmp_path / "cache").glob("*.jsonl"))[0]
+    data = shard.read_bytes()
+    n_rows = data.count(b"\n")
+    start = data.rfind(b"\n", 0, len(data) - 1) + 1
+    key = json.loads(data[start:])["prompt_hash"]
+    shard.write_bytes(data[: (start + len(data)) // 2])
+
+    caplog.clear()
+    assert main(_eval_argv(tmp_path, "replay") + ["--replay"]) == EXIT_PROVIDER
+    assert caplog.text.count("no cached transcript for ") == 1
+    assert f"no cached transcript for {key}" in caplog.text
+    assert caplog.text.count(f"{shard}:{n_rows}: ignored a final row with no newline") == 1
+
+    assert main(_eval_argv(tmp_path, "again")) == EXIT_OK
+    rows = shard.read_bytes().splitlines(keepends=True)
+    assert len(rows) == n_rows and all(row.endswith(b"\n") for row in rows)
+    assert [json.loads(row)["prompt_hash"] for row in rows].count(key) == 1
+    for name in golden_files(uncut):
+        assert (tmp_path / "again" / name).read_bytes() == (uncut / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("break_row", [
+    lambda row: row[: len(row) // 2] + b"\n",
+    lambda row: json.dumps({**json.loads(row), "completions": 7}).encode() + b"\n",
+], ids=["cut", "completions-not-a-list"])
+def test_a_malformed_transcript_row_exits_2_naming_it(break_row, tmp_path, caplog):
+    run_case("fixtures", tmp_path, workers=1)
+    shard = sorted((tmp_path / "cache").glob("*.jsonl"))[0]
+    rows = shard.read_bytes().splitlines(keepends=True)
+    key = json.loads(rows[0])["prompt_hash"]
+    rows[0] = break_row(rows[0])
+    assert key.encode() in rows[0]  # so a lookup of the key decodes the row
+    shard.write_bytes(b"".join(rows))
+    for replay in ([], ["--replay"]):
+        caplog.clear()
+        assert main(_eval_argv(tmp_path, "out") + replay) == EXIT_CONFIG
+        assert f"bad row {shard}:1: " in caplog.text and "Traceback" not in caplog.text

@@ -7,6 +7,7 @@ import importlib.util
 from pathlib import Path
 
 BENCH_TRACE = Path(__file__).resolve().parent.parent / "perfbench" / "bench_trace.py"
+SRC = Path(__file__).resolve().parent.parent / "src" / "coqharness"
 
 
 def test_every_bench_trace_target_resolves():
@@ -28,3 +29,11 @@ def test_every_bench_trace_target_resolves():
         if not found:
             missing.append(span)
     assert missing == []
+
+
+def test_sha256_is_called_in_one_place():
+    """`store.content_hash` is the one content hash, so every hash the
+    harness writes has one spelling."""
+    calls = {path.name: path.read_text(encoding="utf-8").count("hashlib.sha256")
+             for path in SRC.glob("*.py")}
+    assert {name: n for name, n in calls.items() if n} == {"store.py": 1}
