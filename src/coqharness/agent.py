@@ -2,7 +2,8 @@
 
 Four loop styles over one theorem:
 
-  one_shot     sample n candidate proofs from one prompt, machine-check each
+  one_shot     sample n candidate proofs from one prompt, machine-check each:
+               the ensemble with no variants
   interactive  converse with the prover: state feedback, QUERY tool calls,
                stepwise execution with rollback on errors
   repair       one-shot round 0, then feed each unique failing script its
@@ -45,7 +46,7 @@ from .prompting import (
 )
 from .proofstate import render_proof_state
 from .retriever import Index, retrieve
-from .sentences import LexicalError, opens_proof
+from .sentences import opens_proof
 
 log = logging.getLogger(__name__)
 
@@ -95,6 +96,8 @@ class RunConfig:
             raise ValueError("repair needs at least one round")
         if self.loop == "ensemble" and not self.strategies:
             raise ConfigMismatch("ensemble needs a non-empty strategy list")
+        if self.strategies and self.loop != "ensemble":
+            raise ConfigMismatch(f"strategies are for the ensemble loop, not {self.loop}")
         for strategy in self.strategies:
             if not known_strategy(strategy):
                 raise UnknownStrategy(f"unknown ensemble strategy {strategy!r}")
@@ -214,7 +217,6 @@ def _build_target_prompt(
         lemmas=lemmas,
         example_lemmas=example_lemmas,
         interactive=interactive,
-        max_prompt_chars=config.max_prompt_chars,
     )
     reference = target.proof_text
     if reference and any(reference in m.content for m in prompt.messages):
@@ -223,7 +225,7 @@ def _build_target_prompt(
 
 
 # ---------------------------------------------------------------------------
-# One-shot
+# Candidate checks
 # ---------------------------------------------------------------------------
 
 
@@ -262,30 +264,15 @@ def _check_candidates(
         )
         if parsed.kind == PROOF:
             # a duplicate script is served by the loan's check memo (driver.BorrowedSession)
-            try:
-                result = session.check_proof(target.statement, parsed.proof_script)
-            except LexicalError as exc:
-                record.completion_kind = MALFORMED
-                record.lexical_error = True
-                record.failing_step = (-1, "", str(exc))
-            else:
-                record.accepted = result.accepted
-                if not result.accepted:
-                    if result.failing_step is not None:
-                        idx, sentence = result.failing_step
-                        record.failing_step = (idx, sentence.text, result.message)
-                    else:
-                        record.failing_step = (-1, "", result.message)
+            result = session.check_proof(target.statement, parsed.proof_script)
+            record.accepted = result.accepted
+            if result.failing_step is not None:
+                idx, sentence = result.failing_step
+                record.failing_step = (idx, sentence.text, result.message)
+            elif not result.accepted:
+                record.failing_step = (-1, "", result.message)
         records.append(record)
     return records
-
-
-def prove_one_shot(
-    target: TheoremRecord, config: RunConfig, deps: AgentDeps, session: SessionHandle
-) -> list[AttemptRecord]:
-    """The baseline pipeline: one prompt, n samples, machine-check each."""
-    prompt = _build_target_prompt(target, config, deps)
-    return _check_candidates(prompt, target, config, deps, session, config.decoding.n)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +319,6 @@ def prove_interactive(
     kind = PROOF
     refusal_text = None
     last_failing: tuple[int, str, str] | None = None
-    step_counter = 0
     stall_streak = 0
 
     started = time.monotonic()
@@ -408,10 +394,9 @@ def prove_interactive(
             result = session.execute(sentence)
             if not result.ok:
                 error_message = result.message
-                last_failing = (step_counter, sentence.text, result.message)
+                last_failing = (len(executed), sentence.text, result.message)
                 break
             executed.append(sentence.text)
-            step_counter += 1
             if result.proof_complete:
                 accepted = True
                 break
@@ -508,8 +493,8 @@ def repair_loop(
 def run_ensemble(
     target: TheoremRecord, config: RunConfig, deps: AgentDeps, session: SessionHandle
 ) -> list[AttemptRecord]:
-    """One one-shot pass per diversity variant; n splits evenly with the
-    remainder going to the base prompt."""
+    """One pass per prompt: the base, then one per diversity variant, none
+    without strategies. n splits evenly, the remainder going to the base."""
     base = _build_target_prompt(target, config, deps)
     variants = diversify(base, list(config.strategies), deps.templates)
     groups = [base] + variants
@@ -532,7 +517,7 @@ def run_ensemble(
 
 
 DISPATCH = {
-    "one_shot": prove_one_shot,
+    "one_shot": run_ensemble,
     "interactive": lambda t, c, d, s: [prove_interactive(t, c, d, s)],
     "repair": repair_loop,
     "ensemble": run_ensemble,

@@ -61,7 +61,7 @@ def build_provider(config: configparser.ConfigParser, replay: bool, cache_dir: s
     if replay:
         if cache is None:
             raise CliError("--replay needs a cache_dir")
-        return client.CachingProvider(None, cache, replay_only=True)
+        return client.CachingProvider(None, cache)
 
     kind = _get(config, "provider", "kind", "scripted")
     if kind == "scripted":
@@ -283,7 +283,7 @@ def cmd_prove(args, config) -> int:
             {"tag": args.config_tag or args.mode, "mode": args.mode}, defaults
         )
     if args.interactive:
-        run_config = replace(run_config, loop="interactive")
+        run_config = replace(run_config, loop="interactive", strategies=())
     corpus_path = _corpus_file(args, config)
     # zs needs no record but its target; few-shot modes need the train split, +lem the lemmas.
     cps = corpus_mod.load_record(corpus_path, args.theorem) if run_config.mode == "zs" else None

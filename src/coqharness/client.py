@@ -116,7 +116,6 @@ class _ScriptEntry:
     config_tag: str | None = None
     variant_id: str | None = None
     last_message_contains: str | None = None
-    cursor: int = 0
 
     def matches(self, prompt: ChatPrompt) -> bool:
         if self.theorem is not None:
@@ -139,8 +138,8 @@ class ScriptedProvider(Provider):
 
     Selectors match on theorem id/name, config tag, variant id, and a
     substring of the final message; the first matching entry wins. Each
-    entry hands out its completions cyclically across calls, which lets a
-    single entry script a multi-turn dialogue.
+    entry hands out its completions cyclically across the calls for one
+    target, which lets a single entry script a multi-turn dialogue.
     """
 
     name = "scripted"
@@ -155,6 +154,8 @@ class ScriptedProvider(Provider):
             raise ScriptParseError("script must be an object with an 'entries' list")
         self.default = script.get("default") if default is None else default
         self.entries: list[_ScriptEntry] = []
+        self._cursors: dict[tuple[int, str], int] = {}  # (entry position, target id)
+        self._lock = threading.Lock()
         for raw in script["entries"]:
             try:
                 completions = list(raw["completions"])
@@ -173,13 +174,14 @@ class ScriptedProvider(Provider):
             )
 
     def complete(self, prompt: ChatPrompt, params: DecodingParams) -> list[str]:
-        for entry in self.entries:
+        for position, entry in enumerate(self.entries):
             if entry.matches(prompt):
-                out = []
-                for _ in range(params.n):
-                    out.append(entry.completions[entry.cursor % len(entry.completions)])
-                    entry.cursor += 1
-                return out
+                key = (position, prompt.target_id)
+                with self._lock:
+                    start = self._cursors.get(key, 0)
+                    self._cursors[key] = start + params.n
+                cycle = entry.completions
+                return [cycle[i % len(cycle)] for i in range(start, start + params.n)]
         if self.default is None:
             raise ProviderError(0, f"no scripted completion for prompt {prompt.target_id!r}")
         return [self.default] * params.n
@@ -350,15 +352,12 @@ class TranscriptCache:
 
 
 class CachingProvider(Provider):
-    """Wraps a provider with the transcript cache; replay mode never
-    touches the wrapped provider and fails on a miss."""
+    """Wraps a provider with the transcript cache. With no inner provider it
+    replays: a miss is a CacheMiss."""
 
-    def __init__(self, inner: Provider | None, cache: TranscriptCache, replay_only: bool = False):
-        if inner is None and not replay_only:
-            raise ValueError("a live inner provider is required outside replay mode")
+    def __init__(self, inner: Provider | None, cache: TranscriptCache):
         self.inner = inner
         self.cache = cache
-        self.replay_only = replay_only
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
@@ -370,11 +369,10 @@ class CachingProvider(Provider):
             with self._lock:
                 self.hits += 1
             return list(cached.completions)
-        if self.replay_only:
+        if self.inner is None:
             raise CacheMiss(f"no cached transcript for {key}")
         with self._lock:
             self.misses += 1
-        assert self.inner is not None
         completions = self.inner.complete(prompt, params)
         retries = getattr(self.inner, "last_retries", 0)
         usage = getattr(self.inner, "last_usage", (0, 0))

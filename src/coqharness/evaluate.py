@@ -434,8 +434,15 @@ def emit_report(
     return written
 
 
+def _attempt_row(row: dict) -> AttemptRecord:
+    record = attempt_from_json(row)
+    if record.category not in (None, *CATEGORIES):  # None: build_report classifies it
+        raise ValueError(f"unknown category {record.category!r}")
+    return record
+
+
 def load_attempts_dir(directory: str | Path) -> dict[str, list[AttemptRecord]]:
     return {
-        path.stem: [record for _, record in store.rows(path, path.read_bytes(), attempt_from_json)]
+        path.stem: [record for _, record in store.rows(path, path.read_bytes(), _attempt_row)]
         for path in sorted(Path(directory).glob("*.jsonl"))
     }

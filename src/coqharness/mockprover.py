@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
 
@@ -193,11 +193,13 @@ class MockSession(SessionHandle):
     # -- helpers --
 
     def _open_proof(self, statement: Sentence) -> None:
+        """Open the statement's entry, or an empty one. With no initial state
+        or goal, it shows the statement's goal, in a copy: sessions share it."""
         name = statement_name(statement) or "_unnamed"
-        entry = self._table.entry(name)
-        if entry is None:
+        entry = self._table.entry(name) or _TheoremEntry(name)
+        if entry.initial_state is None and not entry.goal:
             m = re.match(r"[^:]*:\s*(.*)\.\s*$", statement.text, re.DOTALL)
-            entry = _TheoremEntry(name, goal=_norm(m.group(1)) if m else "True")
+            entry = replace(entry, goal=_norm(m.group(1)) if m else "True")
         self._entry, self._steps = entry, []
 
     def _close_proof(self) -> None:
@@ -208,8 +210,7 @@ class MockSession(SessionHandle):
         assert entry is not None
         if entry.initial_state is not None:
             return entry.initial_state
-        goal = entry.goal or "True"
-        return ProofState((), (goal,), (1, 1))
+        return ProofState((), (entry.goal,), (1, 1))
 
     def _introduced_names(self) -> list[str]:
         names = []

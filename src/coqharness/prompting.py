@@ -156,24 +156,19 @@ def build_prompt(
     lemmas: list[tuple[str, str]] = (),
     example_lemmas: list[list[tuple[str, str]]] | None = None,
     interactive: bool = False,
-    max_prompt_chars: int | None = None,
 ) -> ChatPrompt:
     """Assemble the prompt for one theorem under one run configuration.
 
-    `config` needs .mode, .tag, .zero_shot and .with_lemmas (see
-    agent.RunConfig). Examples arrive
+    `config` needs .mode, .tag, .zero_shot, .with_lemmas and
+    .max_prompt_chars (see agent.RunConfig). Examples arrive
     least-similar first so over-budget prompts shed the farthest example;
     each example renders as a user/assistant turn pair. `example_lemmas`
     optionally carries, per example, the (name, statement) list shown with
     it in the +lemma formats.
     """
-    mode, zero_shot, with_lemmas = config.mode, config.zero_shot, config.with_lemmas
-    if zero_shot and examples:
-        raise ConfigMismatch(f"{mode} takes no few-shot examples")
+    zero_shot, with_lemmas = config.zero_shot, config.with_lemmas
     if not zero_shot and not examples:
-        raise ConfigMismatch(f"{mode} requires few-shot examples")
-    if lemmas and not with_lemmas:
-        raise ConfigMismatch(f"{mode} does not take preceding lemmas")
+        raise ConfigMismatch(f"{config.mode} requires few-shot examples")
 
     system_text = templates.render("system.base")
     if not zero_shot:
@@ -185,8 +180,6 @@ def build_prompt(
 
     examples = list(examples)
     example_lemmas = [list(x) for x in example_lemmas] if example_lemmas else [[] for _ in examples]
-    if len(example_lemmas) != len(examples):
-        raise ConfigMismatch("example_lemmas must parallel examples")
 
     def example_pair(record, record_lemmas) -> tuple[ChatMessage, ChatMessage]:
         if with_lemmas and record_lemmas:
@@ -208,7 +201,7 @@ def build_prompt(
     else:
         target_text = templates.render("user.target", statement=target.statement_text)
 
-    dropped = 0
+    dropped, max_prompt_chars = 0, config.max_prompt_chars
     while True:
         messages = [ChatMessage("system", system_text)]
         for record, record_lemmas in zip(examples, example_lemmas):
@@ -261,15 +254,9 @@ def diversify(prompt: ChatPrompt, strategies: list[str], templates: TemplateSet)
 
 
 def _example_pairs(prompt: ChatPrompt) -> list[tuple[ChatMessage, ChatMessage]]:
+    """build_prompt's (user, assistant) example pairs, between the system and target messages."""
     middle = prompt.messages[1:-1]
-    if len(middle) % 2 != 0:
-        raise PromptError("malformed few-shot prompt: unpaired example messages")
-    pairs = []
-    for i in range(0, len(middle), 2):
-        if middle[i].role != "user" or middle[i + 1].role != "assistant":
-            raise PromptError("malformed few-shot prompt: roles do not alternate")
-        pairs.append((middle[i], middle[i + 1]))
-    return pairs
+    return list(zip(middle[::2], middle[1::2]))
 
 
 # ---------------------------------------------------------------------------

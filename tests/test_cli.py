@@ -322,6 +322,14 @@ mock_table = {fixtures_dir}/mock_table.json
     )
     assert code == EXIT_OK
     assert capsys.readouterr().out.strip().endswith("ACCEPTED")
+    # an ensemble config's interactive loop leaves its strategies behind
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"configs": [
+        {"tag": "ens", "mode": "zs", "loop": "ensemble", "strategies": ["no-lemma-use"]}]}))
+    code = main(["--config", str(config), "prove", "--corpus", str(ingested), "--theorem",
+                 "weak.v::G_wmon", "--manifest", str(manifest), "--config-tag", "ens", "--interactive"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.strip().endswith("ACCEPTED")
 
 
 def test_eval_writes_reports_and_is_deterministic(
@@ -1050,6 +1058,9 @@ def test_report_classifies_uncategorized_rows_with_configured_patterns(tmp_path,
     ('{"theorem_id": "f.v::t"}', "missing"),
     ("{not json", "Expecting property name"),
     ("\udcff", "can't decode byte 0xff"),
+    ('{"theorem_id": "f.v::t", "config_tag": "zs", "variant_id": "base", "candidate_index": 1,'
+     ' "proof_script": "", "accepted": false, "failing_step": null, "turns": [],'
+     ' "completion_kind": "malformed", "category": "bogus"}', "unknown category 'bogus'"),
 ])
 def test_report_on_a_bad_attempt_row_exits_2_naming_it(tmp_path, caplog, bad, logged):
     attempts = tmp_path / "attempts"
@@ -1353,12 +1364,21 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
                             ('"wall_clock": 0', "wall_clock must be > 0"),
                             ('"max_queries": -1', "max_queries must be >= 0"),
                             ('"max_prompt_chars": 0', "max_prompt_chars must be > 0")]],
+    *[({"m.json": '{{"configs": [{{"tag": "w", "mode": "zs", "loop": "%s", '
+                  '"strategies": ["no-lemma-use"]}}]}}' % loop},
+       ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
+       f"bad manifest entry 'w': strategies are for the ensemble loop, not {loop}")
+      for loop in ("one_shot", "repair", "interactive")],
+    ({"c.ini": "[provider]\nscript_file = {fixtures}/provider_script.json\n"
+               "[prover]\nbackend = bogus\n"},
+     ["--config", "{tmp}/c.ini", *_PROVE], "unknown backend 'bogus'"),
     ({"c.jsonl": '{{"format": "coqharness-corpus/3", "root": "r"}}\n\n[1]\n'},
      ["--config", "{config}", "eval", "--corpus", "{tmp}/c.jsonl", "--manifest",
       "{fixtures}/manifest.json", "--out", "{tmp}/out"], "bad row {tmp}/c.jsonl:3: not a JSON object"),
 ], ids=["config-file", "script-file", "provider-script", "http", "provider-kind", "manifest-json",
         "manifest-configs", "manifest-list", "index-train", "config-tag", "report-attempts", "test-fraction",
         "by-file", "wall-clock-negative", "wall-clock-zero", "max-queries", "max-prompt-chars",
+        "strategies-one-shot", "strategies-repair", "strategies-interactive", "prover-backend",
         "corpus-row"])
 def test_a_config_error_exits_2_with_its_message(
     config_file, ingested, fixtures_dir, tmp_path, caplog, files, argv, logged

@@ -153,12 +153,10 @@ def test_replay_mode_hits_and_misses(tmp_path):
     cache = TranscriptCache(tmp_path)
     key = prompt_hash(make_prompt(), DecodingParams(n=1))
     cache.append(Transcript(key, ["cached!"], "test", 0.0))
-    replay = CachingProvider(None, cache, replay_only=True)
+    replay = CachingProvider(None, cache)
     assert replay.complete(make_prompt(), DecodingParams(n=1)) == ["cached!"]
     with pytest.raises(CacheMiss):
         replay.complete(make_prompt(text="never seen"), DecodingParams(n=1))
-    with pytest.raises(ValueError):
-        CachingProvider(None, cache, replay_only=False)
 
 
 def test_cache_survives_reserialization(tmp_path):

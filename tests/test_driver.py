@@ -297,6 +297,20 @@ def test_real_restart_after_timeout_mid_reply(stub_session, caplog):
     assert session._state_id == before + 1
 
 
+def test_a_rejected_real_prelude_line_names_its_index_and_leaves_no_prover(monkeypatch):
+    spawned = []
+    popen = driver.subprocess.Popen
+    monkeypatch.setattr(driver.subprocess, "Popen",
+                        lambda *args, **kwargs: spawned.append(popen(*args, **kwargs)) or spawned[-1])
+    config = SessionConfig(backend="real", prover_command=STUB_COMMAND,
+                           prelude=segment_sentences("Require A. Require nosuch. Require B."))
+    with pytest.raises(PreludeError) as err:
+        start_session(config)
+    assert err.value.step_index == 1
+    assert "The reference nosuch was not found" in err.value.message
+    assert len(spawned) == 1 and spawned[0].poll() is not None
+
+
 def test_real_error_that_moved_the_state_is_undone(stub_session):
     session = stub_session()
     before = session._state_id
@@ -590,6 +604,25 @@ def test_mock_proof_opener_without_a_matching_script_reports_the_synthesized_sta
     proof = mock_session.execute("Proof.")
     assert proof.ok and proof.message == ""
     assert mock_session.current_state() == opened == ProofState((), ("forall n, n = n",), (1, 1))
+
+
+def test_a_mock_entry_without_a_goal_shows_the_statements_goal():
+    """An entry with scripts alone shows its statement's goal, as a lemma
+    with no entry does, not `True`; the shared compiled entry keeps none."""
+    table = {"theorems": {"s": {"scripts": [["intros n.", "reflexivity.", "Qed."]]},
+                          "g": {"statement_goal": "the table's goal", "scripts": []}}}
+    config = SessionConfig(backend="mock", mock_table=table)
+    with closing(start_session(config)) as first, closing(start_session(config)) as second:
+        for session in (first, second):
+            assert session.execute("Lemma s : forall n : nat,\n  n = n.").ok
+            assert session.current_state() == ProofState((), ("forall n : nat, n = n",), (1, 1))
+        assert first._table.entry("s").goal is None
+        assert first.execute("intros n.").ok
+        assert first.current_state() == ProofState(((("n",), "_"),), ("forall n : nat, n = n",),
+                                                   (1, 1))
+        second.execute("Abort.")
+        assert second.execute("Lemma g : True.").ok
+        assert second.current_state().goals == ("the table's goal",)
 
 
 def test_mock_table_script_without_a_closer_gets_qed_appended():

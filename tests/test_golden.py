@@ -10,11 +10,13 @@ from a recorded eval's cache, prints exactly the attempt rows that eval wrote.
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
 from coqharness.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROVIDER, main
 from golden import CASES, GOLDEN, MANIFESTS, config_of, golden_files, run_case
+from walk_project import WALK_WRONG, build_walk_project
 
 
 @pytest.mark.parametrize("workers", [1, 4])
@@ -28,6 +30,41 @@ def test_eval_reproduces_golden_bytes(case, workers, tmp_path):
         assert golden_files(out) == names
         for name in names:
             assert (out / name).read_bytes() == (expected / name).read_bytes(), (name, replay)
+
+
+def test_a_script_entry_for_every_target_evals_alike_at_any_worker_count(tmp_path):
+    """An entry with no selector hands out its completions per target, so
+    threads that prove several files at once write the bytes one worker
+    writes, however often they switch."""
+    built = build_walk_project(tmp_path)
+    right = "Proof.\nintros x.\nreflexivity.\nQed."
+    script = {"entries": [{"completions": [WALK_WRONG, right, "(* I cannot generate it. *)"]}]}
+    manifest = {"configs": [{"tag": "zs", "mode": "zs", "decoding": {"n": 2}},
+                            {"tag": "inter", "mode": "zs", "loop": "interactive", "max_turns": 3}]}
+    (tmp_path / "s.json").write_text(json.dumps(script), encoding="utf-8")
+    (tmp_path / "m.json").write_text(json.dumps(manifest), encoding="utf-8")
+    config = tmp_path / "c.ini"
+    config.write_text(f"[provider]\nscript_file = {tmp_path}/s.json\n\n"
+                      f"[prover]\nbackend = mock\nmock_table = {built['mock_table']}\n")
+    assert main(["--config", str(config), "ingest", "--root", str(built["project"]), "--out",
+                 str(tmp_path / "c.jsonl"), "--split", "explicit", "--explicit-test",
+                 *[r.id for r in built["corpus"].test]]) == EXIT_OK
+
+    def outputs(run: str, workers: int) -> list[bytes]:
+        out = tmp_path / run
+        assert main(["--config", str(config), "eval", "--corpus", str(tmp_path / "c.jsonl"),
+                     "--manifest", str(tmp_path / "m.json"), "--out", str(out),
+                     "--workers", str(workers)]) == EXIT_OK
+        return [(out / name).read_bytes() for name in golden_files(out)]
+
+    expected = outputs("w1", 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for run in range(5):
+            assert outputs(f"w4-{run}", 4) == expected, run
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def printed_rows(out: str) -> list[str]:

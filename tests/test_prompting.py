@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coqharness.agent import RunConfig
 from coqharness.prompting import (
@@ -13,6 +15,7 @@ from coqharness.prompting import (
     UnknownStrategy,
     build_prompt,
     diversify,
+    PROOF,
     parse_completion,
 )
 from coqharness.sentences import segment_sentences
@@ -113,26 +116,15 @@ def test_lemma_prompt_contains_names_before_statement(toy_corpus, templates):
 
 def test_config_mismatch_cases(toy_corpus, templates):
     target = get(toy_corpus, "weak_refl")
-    example = get(toy_corpus, "comp_incl")
-    with pytest.raises(ConfigMismatch):
-        build_prompt(RunConfig(tag="zs", mode="zs"), target, examples=[example], templates=templates)
     with pytest.raises(ConfigMismatch):
         build_prompt(RunConfig(tag="fs-rand", mode="fs-rand"), target, templates=templates)
-    with pytest.raises(ConfigMismatch):
-        build_prompt(
-            RunConfig(tag="zs", mode="zs"), target, lemmas=[("a", "Lemma a: True.")],
-            templates=templates,
-        )
 
 
 def test_over_budget_drops_farthest_example(toy_corpus, templates):
     config = RunConfig(tag="fs-rand", mode="fs-rand", k_shots=3, max_prompt_chars=900)
     target = get(toy_corpus, "weak_refl")
     examples = [get(toy_corpus, n) for n in ("comp_incl", "comp_eeq", "union_incl")]
-    prompt = build_prompt(
-        config, target, examples=examples, templates=templates,
-        max_prompt_chars=config.max_prompt_chars,
-    )
+    prompt = build_prompt(config, target, examples=examples, templates=templates)
     assert prompt.dropped_examples >= 1
     kept = [m.content for m in prompt.messages if m.role == "assistant"]
     # the farthest (first-listed) examples go first
@@ -251,3 +243,22 @@ def test_parse_keeps_the_sentences_it_segmented():
     assert [s.text for s in closed.sentences] == ["Proof.", "exact I.", "Qed."]
     for not_a_proof in ("", REFUSAL_TEXT, "no sentence here"):
         assert parse_completion(not_a_proof).sentences == ()
+
+
+_REPLY_PIECES = st.sampled_from([
+    "Proof.", "intros x.", "auto.", "Qed.", "Admitted.", "Lemma t: True.", "Lemma u: é.",
+    "- ", "+", "*", "{", "}", "(* c. *)", "(*", "*)", '"s. t"', "```coq\n", "```", "x", ".",
+    " ", "\n", "é",
+])
+
+
+@given(st.lists(_REPLY_PIECES, max_size=30).map("".join))
+@settings(max_examples=500, deadline=None)
+def test_a_parsed_proof_segments_again_into_its_sentences(raw):
+    """What a prover check of a proof reply segments is what parse_completion
+    kept, plus an appended Qed.: so that check raises no LexicalError."""
+    parsed = parse_completion(raw, "Lemma t: True.")
+    if parsed.kind != PROOF:
+        return
+    texts = [s.text for s in parsed.sentences] + (["Qed."] if parsed.appended_qed else [])
+    assert [s.text for s in segment_sentences(parsed.proof_script)] == texts
