@@ -172,14 +172,18 @@ def load_manifest(path: str, defaults: client.DecodingParams) -> list[agent.RunC
     entries = raw.get("configs") if isinstance(raw, dict) else None
     if not entries:
         raise CliError("manifest has no configs")
-    run_configs = []
+    run_configs: dict[str, agent.RunConfig] = {}
     for entry in entries:
         try:
-            run_configs.append(run_config_from_dict(entry, defaults))
+            run_config = run_config_from_dict(entry, defaults)
+            tag = run_config.tag  # it names the attempts file attempts/<tag>.jsonl
+            if tag in run_configs or tag in ("", ".", "..") or "/" in tag or "\0" in tag:
+                raise ValueError("repeated tag" if tag in run_configs else "a tag must be a file name")
+            run_configs[tag] = run_config
         except (KeyError, ValueError, TypeError, PromptError) as exc:
             tag = entry.get("tag") if isinstance(entry, dict) else entry
             raise CliError(f"bad manifest entry {tag!r}: {exc}") from exc
-    return run_configs
+    return list(run_configs.values())
 
 
 def build_deps(

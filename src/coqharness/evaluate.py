@@ -13,6 +13,7 @@ import contextlib
 import csv
 import io
 import json
+import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -25,6 +26,8 @@ from .corpus import Corpus, UnknownId
 from .driver import FileWalk
 from .prompting import REFUSAL as REFUSAL_KIND
 from .sentences import is_closing, opens_proof
+
+log = logging.getLogger(__name__)
 
 CORRECT = "correct"
 REFUSAL = "refusal"
@@ -405,7 +408,7 @@ def emit_report(
     out_dir: str | Path,
     write_attempts: bool = True,
 ) -> list[Path]:
-    """Write report.{md,csv,json} plus attempts/<tag>.jsonl under out_dir."""
+    """Write report.{md,csv,json} plus attempts/<tag>.jsonl, none stale, under out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -425,6 +428,10 @@ def emit_report(
     if write_attempts and report.attempts:
         attempts_dir = out_dir / "attempts"
         attempts_dir.mkdir(exist_ok=True)
+        for path in sorted(attempts_dir.glob("*.jsonl")):
+            if path.stem not in report.attempts:
+                log.warning("removing %s: no config of this run is tagged %r", path, path.stem)
+                path.unlink()
         for tag, records in report.attempts.items():
             path = attempts_dir / f"{tag}.jsonl"
             with open(path, "w", encoding="utf-8") as fh:

@@ -2,8 +2,8 @@
 
 The behavior table maps theorem names to the exact tactic sequences that
 prove them, plus scripted query responses and error messages phrased like
-the real toplevel's, so classifier rules can be exercised with no Coq
-installed. File format (JSON)::
+the real toplevel's and printed as it prints them (``Error: ...``), so
+classifier rules can be exercised with no Coq installed. File format (JSON)::
 
     {
       "theorems": {
@@ -106,6 +106,11 @@ def _compile_error_rules(raw: list[dict]) -> tuple[_ErrorRule, ...]:
 
 def _first_error(rules: tuple[_ErrorRule, ...], text: str) -> str | None:
     return next((message for matches, message in rules if matches(text)), None)
+
+
+def _coq_error(message: str) -> str:
+    """A rejection's message as Coq prints it."""
+    return f"Error: {message}"
 
 
 def _parse_script(raw) -> _Script:
@@ -245,10 +250,10 @@ class MockSession(SessionHandle):
             current = set(state.hypothesis_names) if state else set()
             for name in (t for t in m.group(1).split() if _IDENT_RE.match(t)):
                 if name in current:
-                    return StepResult(ERROR, f"{name} is already used.")
+                    return StepResult(ERROR, _coq_error(f"{name} is already used."))
         rules = self._table.errors if entry is None else entry.errors + self._table.errors
         message = _first_error(rules, text)
-        return StepResult(ERROR, DEFAULT_TACTIC_FAILURE if message is None else message)
+        return StepResult(ERROR, _coq_error(DEFAULT_TACTIC_FAILURE if message is None else message))
 
     # -- SessionHandle contract --
 
@@ -262,12 +267,12 @@ class MockSession(SessionHandle):
                 self._open_proof(sentence)
                 return StepResult(OK)
             if is_closing(sentence):
-                return StepResult(ERROR, NO_FOCUSED_PROOF_MESSAGE)
+                return StepResult(ERROR, _coq_error(NO_FOCUSED_PROOF_MESSAGE))
             message = _first_error(self._table.errors, text)
-            return StepResult(OK) if message is None else StepResult(ERROR, message)
+            return StepResult(OK) if message is None else StepResult(ERROR, _coq_error(message))
 
         if is_statement(sentence):
-            return StepResult(ERROR, NESTED_PROOF_MESSAGE)
+            return StepResult(ERROR, _coq_error(NESTED_PROOF_MESSAGE))
         if opens_proof(text):
             return StepResult(OK)
 
@@ -282,7 +287,7 @@ class MockSession(SessionHandle):
             return StepResult(OK, NO_MORE_GOALS_MESSAGE if left == 1 else "")
 
         if is_closing(sentence, proving_only=True):
-            return StepResult(ERROR, INCOMPLETE_PROOF_MESSAGE)
+            return StepResult(ERROR, _coq_error(INCOMPLETE_PROOF_MESSAGE))
         if is_closing(sentence):
             # Admitted./Abort. close the proof without completing it.
             self._close_proof()
@@ -298,14 +303,14 @@ class MockSession(SessionHandle):
         for index, sentence in enumerate(sentences, first_index):
             if is_statement(sentence):
                 if opened is not None:
-                    raise PreludeError(index, NESTED_PROOF_MESSAGE)
+                    raise PreludeError(index, _coq_error(NESTED_PROOF_MESSAGE))
                 opened = index
             elif is_closing(sentence):
                 opened = None
             elif opened is None:
                 message = _first_error(self._table.errors, _norm(sentence.text))
                 if message is not None:
-                    raise PreludeError(index, message)
+                    raise PreludeError(index, _coq_error(message))
         if opened is not None:
             raise PreludeError(opened, "the replayed sentences end inside this statement's proof")
 
@@ -314,7 +319,7 @@ class MockSession(SessionHandle):
         argument = argument.strip()
         response = self._table.queries.get((command, argument))
         if response is None:
-            raise QueryRejected(self._table.query_default.format(arg=argument))
+            raise QueryRejected(_coq_error(self._table.query_default.format(arg=argument)))
         return response
 
     def current_state(self) -> ProofState | None:

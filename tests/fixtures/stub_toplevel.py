@@ -1,98 +1,79 @@
 #!/usr/bin/env python3
-"""A minimal emacs-prompt toplevel for the real backend's protocol tests.
+"""An emacs-prompt toplevel over the mock prover, for the real backend's tests.
 
-Every reply ends in ``<prompt>Coq < SID |NAME| SID < </prompt>``, NAME being
-the open proof's, if any. Commands, one per line: ``BackTo N.`` returns to
-state N, proof included, and fails for a state it never reached; ``Emit N
-S.`` writes N characters, then sleeps S seconds; ``Slip.`` fails but still
-advances the state id; ``Quit.`` exits; a line naming ``nosuch`` fails;
-``Show.`` shows the open proof's goal. A ``Lemma NAME : GOAL.`` opens a
-proof of GOAL; inside it ``intros X Y.`` adds hypotheses (a name already
-used fails), ``exact I.`` solves the goal, leaving ``No more goals.``, a
-closer (``Qed.``, ``Defined.``, ``Admitted.``, ``Abort.``) ends it, and any
-other sentence shows the goal. Outside a proof anything else is echoed.
-Every accepted command but ``Show.`` advances the state id. A ``Check``
-naming ``stall``, or a ``Show.`` of a goal naming it, is answered only after
-five seconds.
+    python stub_toplevel.py [TABLE]
+
+Each line read is one sentence for a `MockSession` over the mock table
+TABLE (a JSON file; none is the empty table), so the mock's proof rules and
+error messages are the stub's. A query (``Check``, ``Print``, ...) goes to
+its `query` and ``Show.`` shows its current state, or ``No more goals.``;
+neither moves the state id, which every accepted sentence advances. Every
+reply ends in ``<prompt>Coq < SID |NAME| SID < </prompt>``, NAME being the
+open proof's, if any.
+
+Fault commands: ``BackTo N.`` returns to state N and fails for a state it
+never reached; ``Emit N S.`` writes N characters, then sleeps S seconds;
+``Slip.`` fails but still advances the state id; ``Quit.`` exits. A reply
+to a query or a ``Show.`` that names ``stall`` comes only after five
+seconds, and a shown state that names ``garbled`` loses its underscores,
+so that it cannot be parsed.
 """
 
 import re
 import sys
 import time
+from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+
+from coqharness.driver import QUERY_COMMANDS, QueryRejected, SessionConfig  # noqa: E402
+from coqharness.mockprover import MockSession  # noqa: E402
+from coqharness.proofstate import render_proof_state  # noqa: E402
+
+session = MockSession(SessionConfig(mock_table=sys.argv[1] if len(sys.argv) > 1 else None))
 sid = 1
-proof = None  # (name, hypothesis names, goal) of the open proof
-proofs = {1: None}  # state id -> its open proof
-
-
-def show(proof) -> str:
-    _, names, goal = proof
-    if goal is None:
-        return "No more goals.\n"
-    return "".join(f"{name} : nat\n" for name in names) + "_" * 30 + f"(1/1)\n{goal}\n"
-
-
-def step(text: str):
-    """The reply to `text` and the proof it leaves open; None when it fails."""
-    if "nosuch" in text:
-        return "Error: The reference nosuch was not found in the current environment.\n", None
-    if text == "Slip.":
-        return "Error: slipped, yet the state moved.\n", proof
-    statement = re.fullmatch(r"(?:Lemma|Theorem)\s+([\w']+)\s*:\s*(.*)\.", text)
-    if proof is None:
-        if statement:
-            opened = (statement.group(1), (), statement.group(2))
-            return show(opened), opened
-        if re.fullmatch(r"(?:Qed|Defined|Admitted|Abort)\.", text):
-            return "Error: No focused proof (No proof-editing in progress).\n", None
-        return text + "\n", None
-    if statement:
-        return "Error: Nested proofs are not allowed.\n", None
-    if re.fullmatch(r"(?:Qed|Defined|Admitted|Abort)\.", text):
-        return f"{proof[0]} is defined\n", None
-    if text == "exact I.":
-        solved = (proof[0], proof[1], None)
-        return show(solved), solved
-    intros = re.fullmatch(r"intros?((?:\s+[\w']+)+)\.", text)
-    if intros:
-        names = proof[1]
-        for name in intros.group(1).split():
-            if name in names:
-                return f"Error: {name} is already used.\n", None
-            names += (name,)
-        proof_after = (proof[0], names, proof[2])
-        return show(proof_after), proof_after
-    return show(proof), proof
-
+states = {1: session._snapshot()}  # state id -> the session's snapshot there
 
 while True:
-    name = proof[0] if proof else ""
+    name = session._entry.name if session._entry else ""
     sys.stdout.write(f"<prompt>Coq < {sid} |{name}| {sid} < </prompt>")
     sys.stdout.flush()
     line = sys.stdin.readline()
     if not line or line.strip() == "Quit.":
         break
     text = line.strip()
+    command, _, argument = text.partition(" ")
     back = re.fullmatch(r"BackTo (\d+)\.", text)
     emit = re.fullmatch(r"Emit (\d+) ([\d.]+)\.", text)
-    stalls = "stall" in text if text.startswith("Check ") else (
-        text == "Show." and proof is not None and "stall" in (proof[2] or ""))
-    if stalls:
-        time.sleep(5)
-    if back and int(back.group(1)) not in proofs:
-        sys.stdout.write(f"Error: Invalid backtrack to state {back.group(1)}.\n")
-    elif back:
+    reply, moved = "", False
+    if back and int(back.group(1)) in states:
         sid = int(back.group(1))
-        proof = proofs[sid]
+        session._restore(states[sid])
+    elif back:
+        reply = f"Error: Invalid backtrack to state {back.group(1)}."
     elif emit:
         sys.stdout.write("x" * int(emit.group(1)) + "\n")
         sys.stdout.flush()
         time.sleep(float(emit.group(2)))
+    elif text == "Slip.":
+        reply, moved = "Error: slipped, yet the state moved.", True
+    elif command in QUERY_COMMANDS:
+        try:
+            reply = session.query(command, argument.removesuffix("."))
+        except QueryRejected as exc:
+            reply = exc.message
     elif text == "Show.":
-        sys.stdout.write(show(proof) if proof else "Error: No focused proof.\n")
+        state = session.current_state()
+        reply = render_proof_state(state) if state else "No more goals."
+        if "garbled" in reply:
+            reply = reply.replace("_", "")
     else:
-        reply, after = step(text)
-        sys.stdout.write(reply)
-        if not reply.startswith("Error") or text == "Slip.":
-            sid += 1
-            proof = proofs[sid] = after
+        result = session.execute(text)
+        reply, moved = result.message, result.ok
+    if "stall" in reply and (command in QUERY_COMMANDS or text == "Show."):
+        time.sleep(5)
+    if reply:
+        sys.stdout.write(reply + "\n")
+    if moved:
+        sid += 1
+        states[sid] = session._snapshot()

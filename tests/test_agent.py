@@ -305,8 +305,8 @@ def test_interactive_on_the_real_backend_feeds_back_the_shown_state(toy_deps, mo
     statement = "Lemma l : forall x y : nat, x = y."
     [record] = prove_alone(synthetic_record("l", statement), interactive_config(), deps)
     assert record.accepted and record.proof_script == "intros x. Qed."
-    goal = ("forall x y : nat, x = y",)
-    shown = [ProofState((), goal, (1, 1)), ProofState(((("x",), "nat"),), goal, (1, 1))]
+    shown = [ProofState((), ("forall x y : nat, x = y",), (1, 1)),
+             ProofState(((("x",), "nat"),), ("forall y : nat, x = y",), (1, 1))]
     assert [turn.prompt_delta for turn in record.turns] == [
         deps.templates.render("interactive.state", state=render_proof_state(state))
         for state in shown
@@ -316,15 +316,20 @@ def test_interactive_on_the_real_backend_feeds_back_the_shown_state(toy_deps, mo
 
 def test_interactive_on_the_real_backend_with_a_rejected_statement_is_malformed(toy_deps):
     """A statement the toplevel rejects ends the attempt before any model
-    call: one malformed record failing at step -1 with the toplevel's error."""
+    call: one malformed record failing at step -1 with the toplevel's error.
+    Here the toplevel rejects it as nested: its prelude leaves a proof open."""
     provider = scripted([], default=None)
     deps = replace(toy_deps(provider),
                    prover=SessionConfig(backend="real", prover_command=STUB_COMMAND))
-    statement = "Lemma nosuch : True."
-    [record] = prove_alone(synthetic_record("nosuch", statement), interactive_config(), deps)
+    text = "Lemma k : True. Proof. Lemma nested : True. Proof. admit. Admitted."
+    sentences = tuple(segment_sentences(text))
+    target = TheoremRecord(id="synthetic.v::nested", name="nested",
+                           source=SourceFile("synthetic.v", text, sentences),
+                           statement_index=2, proof_end=len(sentences), index_in_file=1)
+    [record] = prove_alone(target, interactive_config(), deps)
     assert (record.accepted, record.completion_kind, record.turns) == (False, "malformed", [])
     assert record.failing_step == (
-        -1, statement, "Error: The reference nosuch was not found in the current environment.")
+        -1, "Lemma nested : True.", "Error: Nested proofs are not supported.")
 
 
 def test_interactive_executes_the_sentences_it_segmented(toy_deps, monkeypatch):

@@ -456,6 +456,26 @@ def test_report_recompute_matches(config_file, ingested, manifest_path, tmp_path
     assert "zs" in histogram and "correct" in histogram["zs"]
 
 
+def test_a_rerun_into_an_output_directory_leaves_no_attempts_of_configs_it_did_not_run(
+    config_file, ingested, tmp_path, caplog
+):
+    """`report --attempts` reads every attempts file, so an eval first removes
+    each one that no config of its manifest is tagged, with one warning."""
+    out, manifest = tmp_path / "o", tmp_path / "m.json"
+    for tags in (("zs", "lem"), ("zs",)):
+        manifest.write_text(json.dumps({"configs": [{"tag": t, "mode": "zs"} for t in tags]}))
+        caplog.clear()
+        assert main(["--config", str(config_file), "eval", "--manifest", str(manifest),
+                     "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in (out / "attempts").iterdir()) == ["zs.jsonl"]
+    stale = out / "attempts" / "lem.jsonl"
+    assert caplog.text.count("removing ") == 1
+    assert f"removing {stale}: no config of this run is tagged 'lem'" in caplog.text
+    assert main(["report", "--attempts", str(out / "attempts"), "--out", str(tmp_path / "r")]) \
+        == EXIT_OK
+    assert list(json.loads((tmp_path / "r" / "report.json").read_text())["per_config"]) == ["zs"]
+
+
 def test_provider_failure_exit_3(ingested, tmp_path, fixtures_dir):
     script_path = tmp_path / "empty.json"
     script_path.write_text(json.dumps({"entries": []}))  # no default: misses raise
@@ -1375,11 +1395,20 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
     ({"c.jsonl": '{{"format": "coqharness-corpus/3", "root": "r"}}\n\n[1]\n'},
      ["--config", "{config}", "eval", "--corpus", "{tmp}/c.jsonl", "--manifest",
       "{fixtures}/manifest.json", "--out", "{tmp}/out"], "bad row {tmp}/c.jsonl:3: not a JSON object"),
+    *[({"m.json": '{{"configs": [{{"tag": "zs", "mode": "zs"}}, {{"tag": %s, "mode": "zs"}}]}}' % tag},
+       ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
+       f"bad manifest entry {shown}: a tag must be a file name")
+      for tag, shown in [('"../escaped"', "'../escaped'"), ('""', "''"), ('"."', "'.'"),
+                         ('".."', "'..'"), ('"a\\u0000b"', "'a\\x00b'")]],
+    *[({"m.json": '{{"configs": [{{"tag": "zs", "mode": "zs"}}, {{"tag": "zs", "mode": "fs-sim"}}]}}'},
+       ["--config", "{config}", *argv, "--manifest", "{tmp}/m.json"], "bad manifest entry 'zs': repeated tag")
+      for argv in (_EVAL, [*_PROVE, "--config-tag", "zs"])],
 ], ids=["config-file", "script-file", "provider-script", "http", "provider-kind", "manifest-json",
         "manifest-configs", "manifest-list", "index-train", "config-tag", "report-attempts", "test-fraction",
         "by-file", "wall-clock-negative", "wall-clock-zero", "max-queries", "max-prompt-chars",
         "strategies-one-shot", "strategies-repair", "strategies-interactive", "prover-backend",
-        "corpus-row"])
+        "corpus-row", "tag-escapes", "tag-empty", "tag-dot", "tag-dot-dot", "tag-nul",
+        "tag-repeated-eval", "tag-repeated-prove"])
 def test_a_config_error_exits_2_with_its_message(
     config_file, ingested, fixtures_dir, tmp_path, caplog, files, argv, logged
 ):

@@ -1,7 +1,8 @@
 """Mock-backed session contract: stepwise execution, rollback, queries,
 whole-proof checks. The same properties gate the real backend in the
 integration tier. The real backend's protocol code (prompt reading, undo,
-restart and replay) runs here against tests/fixtures/stub_toplevel.py."""
+restart and replay) runs here against tests/fixtures/stub_toplevel.py, a
+toplevel over the mock prover, given tests/fixtures/stub_table.json."""
 
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ from coqharness.mockprover import (
 )
 from coqharness.proofstate import ProofState, parse_proof_state
 from coqharness.sentences import LexicalError, segment_sentences
+from golden import stub_command
 
 
 def test_session_config_validation():
@@ -72,24 +74,24 @@ def test_unknown_theorem_rejects_tactics(mock_session):
     assert mock_session.execute("Lemma mystery: True.").ok
     result = mock_session.execute("auto.")
     assert result.outcome == ERROR
-    assert result.message == DEFAULT_TACTIC_FAILURE
+    assert result.message == f"Error: {DEFAULT_TACTIC_FAILURE}"
 
 
 def test_intro_name_collision(mock_session):
     mock_session.execute("Lemma G_evolve: forall (R0 : relation2 X Y) (n : nat), incl (comp (star B) (UExp G R0 n)) (UExp G R0 (S n)).")
     result = mock_session.execute("intro R.")
     assert result.outcome == ERROR
-    assert result.message == "R is already used."
+    assert result.message == "Error: R is already used."
     # rollback: the failed step left no trace; the accepted script still runs
     assert mock_session.execute("intro RR.").ok
 
 
 def test_premature_qed_and_stray_closer(mock_session):
-    assert mock_session.execute("Qed.").message == NO_FOCUSED_PROOF_MESSAGE
+    assert mock_session.execute("Qed.").message == f"Error: {NO_FOCUSED_PROOF_MESSAGE}"
     mock_session.execute("Lemma weak_refl: forall x, Weak T x x.")
     result = mock_session.execute("Qed.")
     assert result.outcome == ERROR
-    assert result.message == INCOMPLETE_PROOF_MESSAGE
+    assert result.message == f"Error: {INCOMPLETE_PROOF_MESSAGE}"
 
 
 def test_admitted_closes_without_completing(mock_session):
@@ -150,7 +152,7 @@ def test_check_proof_failing_step_index(mock_session):
     assert not result.accepted
     index, sentence = result.failing_step
     assert index == 1 and sentence.text == "exact O."
-    assert result.message == DEFAULT_TACTIC_FAILURE
+    assert result.message == f"Error: {DEFAULT_TACTIC_FAILURE}"
 
 
 def test_check_proof_incomplete_without_closer(mock_session):
@@ -261,8 +263,8 @@ def test_property_check_proof_is_side_effect_free(mock_table, script):
 # Real backend against the stub toplevel
 # ---------------------------------------------------------------------------
 
-STUB = Path(__file__).parent / "fixtures" / "stub_toplevel.py"
-STUB_COMMAND = f"{shlex.quote(sys.executable)} {shlex.quote(str(STUB))}"
+STUB_COMMAND = stub_command(Path(__file__).parent / "fixtures" / "stub_table.json")
+NAT = "nat\n     : Set"  # the stub table's answer to `Check nat`
 
 
 @pytest.fixture()
@@ -292,8 +294,9 @@ def test_real_restart_after_timeout_mid_reply(stub_session, caplog):
         "restarting the prover after a step timeout; replaying 2 sentences"
     ]
     # the killed prover's unread output never reaches the new one's replies
-    after = session.execute("Check after.")
-    assert after.ok and after.message == "Check after."
+    assert session.query("Check", "nat") == NAT
+    after = session.execute("Require C.")
+    assert after.ok and after.message == ""
     assert session._state_id == before + 1
 
 
@@ -317,7 +320,7 @@ def test_real_error_that_moved_the_state_is_undone(stub_session):
     slipped = session.execute("Slip.")
     assert slipped.outcome == ERROR and slipped.message.startswith("Error: slipped")
     assert session._state_id == before
-    assert session.query("Check", "nat") == "Check nat."
+    assert session.query("Check", "nat") == NAT
     assert session._state_id == before
 
 
@@ -331,8 +334,7 @@ def test_real_death_inside_check_proof_replays_history(stub_session, caplog):
         "restarting the prover after a prover exit; replaying 2 sentences"
     ]
     assert session._state_id == before
-    again = session.execute("Check again.")
-    assert again.ok and again.message == "Check again."
+    assert session.query("Check", "nat") == NAT
 
 
 def test_real_exit_before_a_write_is_a_dead_session(stub_session, monkeypatch):
@@ -421,8 +423,7 @@ def test_real_current_state_reads_none_without_goals_or_from_a_display_it_cannot
     stub_session,
 ):
     session = stub_session()
-    assert session.execute("Lemma l : forall x : nat, True.").ok
-    assert session.execute("intros 1x.").ok  # shown as the hypothesis line `1x : nat`
+    assert session.execute("Lemma g : garbled.").ok  # shown with no goal separator
     assert session.in_proof and session.current_state() is None
     assert session.execute("exact I.").ok
     assert session.in_proof and session.current_state() is None
@@ -443,18 +444,20 @@ def test_real_prover_without_an_initial_prompt_fails_to_spawn():
 
 def test_real_check_of_a_rejected_statement_fails_at_step_minus_1(stub_session):
     session = stub_session()
+    assert session.execute("Lemma k : True.").ok
     before = session._snapshot()
-    checked = session.check_proof("Lemma nosuch : True.", "Proof. exact I. Qed.")
+    checked = session.check_proof("Lemma m : forall a : nat, a = a.", "Proof. intros a. Qed.")
     assert not checked.accepted
-    assert (checked.failing_step[0], checked.failing_step[1].text) == (-1, "Lemma nosuch : True.")
-    assert checked.message.startswith("Error: The reference nosuch was not found")
+    assert (checked.failing_step[0], checked.failing_step[1].text) == \
+        (-1, "Lemma m : forall a : nat, a = a.")
+    assert checked.message == "Error: Nested proofs are not supported."
     assert session._snapshot() == before
 
 
 def test_real_large_reply_and_utf8(stub_session):
     session = stub_session()
     assert session.execute("Emit 131072 0.").message == "x" * 131072
-    assert session.execute("Check α → β.").message == "Check α → β."
+    assert session.query("Check", "α → β") == "α → β\n     : Type"
 
 
 def test_real_close_closes_both_pipes(stub_session):
@@ -465,7 +468,7 @@ def test_real_close_closes_both_pipes(stub_session):
 
 
 def test_real_session_walks_a_file_like_fresh_starts(walk_project):
-    config = SessionConfig(backend="real", prover_command=STUB_COMMAND)
+    config = SessionConfig(backend="real", prover_command=stub_command(walk_project["mock_table"]))
     for file in ("a.v", "b.v"):
         targets = [t for t in walk_project["corpus"].test if t.file == file]
         with closing(FileWalk(config)) as walk:
@@ -486,7 +489,7 @@ def test_real_current_state_after_a_failed_step(stub_session):
     assert session.execute("Lemma l : forall x y : nat, x = y.").ok
     assert session.current_state() == ProofState((), ("forall x y : nat, x = y",), (1, 1))
     assert session.execute("intros x.").ok
-    stepped = ProofState(((("x",), "nat"),), ("forall x y : nat, x = y",), (1, 1))
+    stepped = ProofState(((("x",), "nat"),), ("forall y : nat, x = y",), (1, 1))
     assert session.current_state() == stepped
     failed = session.execute("intros y x.")
     assert (failed.outcome, failed.message) == (ERROR, "Error: x is already used.")
@@ -499,7 +502,7 @@ def test_real_query_through_a_loan(stub_session):
     session = stub_session()
     before = session._snapshot()
     with closing(BorrowedSession(session, {})) as loan:
-        assert loan.query("Check", " nat ") == "Check nat."
+        assert loan.query("Check", " nat ") == NAT
         with pytest.raises(QueryRejected, match="The reference nosuch was not found"):
             loan.query("Search", "nosuch")
         with pytest.raises(QueryRejected, match="allow-list"):
@@ -565,7 +568,7 @@ def test_mock_prelude_trusts_the_proofs_it_opens():
         with pytest.raises(PreludeError) as nested:
             session.replay(segment_sentences("Lemma inner : True. Lemma nested : True."), 7)
         assert (nested.value.step_index, nested.value.message) == \
-            (8, "Nested proofs are not supported.")
+            (8, "Error: Nested proofs are not supported.")
         with pytest.raises(PreludeError) as unclosed:
             session.replay(segment_sentences("Lemma done : True. Qed. Lemma open : True. auto."))
         assert unclosed.value.step_index == 2
@@ -585,14 +588,14 @@ def test_mock_prelude_accepts_the_proof_of_a_command_it_does_not_open():
     with closing(start_session(config)) as session:
         assert session.current_state() is None
         for closer in ("Defined.", "Qed."):
-            assert session.execute(closer).message == NO_FOCUSED_PROOF_MESSAGE
+            assert session.execute(closer).message == f"Error: {NO_FOCUSED_PROOF_MESSAGE}"
 
 
 def test_mock_rejects_a_statement_inside_an_open_proof(mock_session):
     assert mock_session.execute("Lemma weak_refl: forall x, Weak T x x.").ok
     nested = mock_session.execute("Lemma inner: True.")
     assert nested.outcome == ERROR
-    assert nested.message == "Nested proofs are not supported."
+    assert nested.message == "Error: Nested proofs are not supported."
     assert mock_session.execute("intros x.").ok  # the open proof is unchanged
 
 
@@ -656,13 +659,13 @@ def test_mock_contains_rules_match_literally_and_compile_no_regex(monkeypatch):
              "errors": [{"contains": "a+b", "message": "table rule"},
                         {"regex": "^Require .*Missing", "message": "regex rule"}]}
     with closing(start_session(SessionConfig(backend="mock", mock_table=table))) as session:
-        assert session.execute("Require Import a+b.").message == "table rule"
+        assert session.execute("Require Import a+b.").message == "Error: table rule"
         assert session.execute("Require Import aab.").ok  # a `+` that means one or more
-        assert session.execute("Require Import Missing.").message == "regex rule"
+        assert session.execute("Require Import Missing.").message == "Error: regex rule"
         assert session.execute("Lemma t : True.").ok
-        assert session.execute('idtac "x.(*".').message == "entry rule"
-        assert session.execute('idtac "xa(*".').message == DEFAULT_TACTIC_FAILURE
-        assert session.execute("apply a+b.").message == "table rule"  # after the entry's rules
+        assert session.execute('idtac "x.(*".').message == "Error: entry rule"
+        assert session.execute('idtac "xa(*".').message == f"Error: {DEFAULT_TACTIC_FAILURE}"
+        assert session.execute("apply a+b.").message == "Error: table rule"  # after the entry's
     assert compiled == ["^Require .*Missing"]
     with pytest.raises(TypeError, match="a contains rule is not a string: 5"):
         mockprover.compile_behavior_table({"errors": [{"contains": 5, "message": "m"}]})

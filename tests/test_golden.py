@@ -1,10 +1,12 @@
 """Eval outputs are byte-identical to the committed golden files.
 
 The golden files under tests/fixtures/golden/ were written by golden.py.
-Each case is evaluated at workers 1 and 4, recorded into a fresh transcript
-cache and then replayed from it; every run must reproduce every report and
-attempt file byte for byte. `prove` of any (target, config) pair, replayed
-from a recorded eval's cache, prints exactly the attempt rows that eval wrote.
+Each case is evaluated on the mock backend and on the real one (driving the
+stub toplevel over the same mock table), at workers 1 and 4, recorded into a
+fresh transcript cache and then replayed from it; every run must reproduce
+every report and attempt file byte for byte. `prove` of a (target, config)
+pair, replayed from a recorded eval's cache, prints exactly the attempt rows
+that eval wrote.
 """
 
 from __future__ import annotations
@@ -15,18 +17,25 @@ import sys
 import pytest
 
 from coqharness.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROVIDER, main
-from golden import CASES, GOLDEN, MANIFESTS, config_of, golden_files, run_case
+from golden import BACKENDS, CASES, GOLDEN, MANIFESTS, config_of, golden_files, run_case
 from walk_project import WALK_WRONG, build_walk_project
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-@pytest.mark.parametrize("case", CASES)
-def test_eval_reproduces_golden_bytes(case, workers, tmp_path):
+def on_each_backend(*params: tuple) -> list:
+    """Each tuple of `params` on each backend; an id names the backend unless it is mock."""
+    return [pytest.param(*values, backend,
+                         id="-".join(map(str, values + ((backend,) if backend != "mock" else ()))))
+            for values in params for backend in BACKENDS]
+
+
+@pytest.mark.parametrize("case, workers, backend",
+                         on_each_backend(*[(case, w) for case in CASES for w in (1, 4)]))
+def test_eval_reproduces_golden_bytes(case, workers, backend, tmp_path):
     expected = GOLDEN / case
     names = golden_files(expected)
     assert len(names) > 3
     for replay in (False, True):
-        out = run_case(case, tmp_path, workers, replay=replay)
+        out = run_case(case, tmp_path, workers, replay=replay, backend=backend)
         assert golden_files(out) == names
         for name in names:
             assert (out / name).read_bytes() == (expected / name).read_bytes(), (name, replay)
@@ -79,23 +88,28 @@ def printed_rows(out: str) -> list[str]:
     return rows
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_prove_prints_the_rows_eval_wrote_for_every_target_and_config(case, tmp_path, capsys):
-    out = run_case(case, tmp_path, workers=1)
+@pytest.mark.parametrize("case, backend", on_each_backend(*[(case,) for case in CASES]))
+def test_prove_prints_the_rows_eval_wrote_for_every_target_and_config(
+    case, backend, tmp_path, capsys
+):
+    """On the real backend, which starts a prover per `prove`, only each
+    config's first target is proved."""
+    out = run_case(case, tmp_path, workers=1, backend=backend)
     capsys.readouterr()
     pairs = 0
     for path in sorted((out / "attempts").glob("*.jsonl")):
         by_target: dict[str, list[str]] = {}
         for line in path.read_text(encoding="utf-8").splitlines():
             by_target.setdefault(json.loads(line)["theorem_id"], []).append(line)
-        for theorem, lines in by_target.items():
-            code = main(["--config", str(config_of(tmp_path)), "prove", "--manifest",
+        for theorem, lines in list(by_target.items())[: None if backend == "mock" else 1]:
+            code = main(["--config", str(config_of(tmp_path, backend)), "prove", "--manifest",
                          str(MANIFESTS[case]), "--config-tag", path.stem, "--theorem", theorem,
                          "--replay"])
             assert code == EXIT_OK
             assert printed_rows(capsys.readouterr().out) == lines, (path.stem, theorem)
             pairs += 1
-    assert pairs == {"fixtures": 4 * 5, "walk": 7 * 10}[case]
+    targets = {"fixtures": 4, "walk": 7}[case] if backend == "mock" else 1
+    assert pairs == targets * {"fixtures": 5, "walk": 10}[case]
 
 
 def _eval_argv(work, out: str) -> list[str]:
