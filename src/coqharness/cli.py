@@ -11,17 +11,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
-import functools
 import json
 import logging
 import re
 import sys
-import types
-import typing
 from dataclasses import fields, replace
 from pathlib import Path
 
-from . import agent, client, corpus as corpus_mod, evaluate, retriever
+from . import agent, client, corpus as corpus_mod, evaluate, retriever, store
 from .driver import FileWalk, PreludeError, SessionConfig, SessionDead, SpawnFailure
 from .mockprover import compile_behavior_table
 from .prompting import PromptError, TemplateSet
@@ -127,19 +124,6 @@ def decoding_from(config: configparser.ConfigParser, section: str = "defaults") 
     )
 
 
-_type_hints = functools.cache(typing.get_type_hints)  # it evaluates every annotation per call
-
-
-def _of_type(value, hint) -> bool:
-    """Whether a manifest value's JSON type is a field's; a bool is no number."""
-    if isinstance(hint, types.UnionType):
-        return any(_of_type(value, arm) for arm in typing.get_args(hint))
-    if hint == tuple[str, ...]:
-        return isinstance(value, list) and all(isinstance(v, str) for v in value)
-    json_type = {float: (int, float), client.DecodingParams: dict}.get(hint, hint)
-    return not isinstance(value, bool) and isinstance(value, json_type)
-
-
 def run_config_from_dict(raw: dict, defaults: client.DecodingParams) -> agent.RunConfig:
     """The RunConfig of a manifest entry's own keys; RunConfig states each default."""
     values = dict(raw)
@@ -149,10 +133,8 @@ def run_config_from_dict(raw: dict, defaults: client.DecodingParams) -> agent.Ru
     if unknown:
         raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
     decoding = values.get("decoding", {})
-    for cls, given in ((agent.RunConfig, values), (client.DecodingParams, decoding)):
-        for f in fields(cls):
-            if f.name in given and not _of_type(given[f.name], _type_hints(cls)[f.name]):
-                raise TypeError(f"{f.name} must be {f.type}, not {given[f.name]!r}")
+    store.check_fields(agent.RunConfig, values)
+    store.check_fields(client.DecodingParams, decoding)
     if values.get("max_queries", 0) < 0:
         raise ValueError("max_queries must be >= 0")
     for key in ("wall_clock", "max_prompt_chars"):
@@ -320,26 +302,27 @@ def cmd_eval(args, config) -> int:
         config, cps, manifest, replay=args.replay, cache_dir=args.cache_dir, index_file=args.index
     )
     rules = evaluate.ClassifierRules.load(_get(config, "paths", "classifier_patterns"))
-    report = evaluate.run_eval(cps, manifest, deps, rules, workers=args.workers)
+    attempts = evaluate.run_eval(cps, manifest, deps, rules, workers=args.workers)
+    run = evaluate.run_info(cps, manifest)
     out_dir = args.out or _get(config, "paths", "output_dir", "out")
-    written = evaluate.emit_report(report, out_dir)
+    written = evaluate.emit_report(evaluate.build_report(attempts, rules, run), out_dir)
+    written += evaluate.emit_attempts(attempts, run, Path(out_dir) / "attempts")
     print(json.dumps({"out": str(out_dir), "files": [str(p) for p in written]}))
     return EXIT_OK
 
 
 def cmd_report(args, config) -> int:
-    attempts = evaluate.load_attempts_dir(args.attempts)
+    run = evaluate.load_run(args.attempts)
+    attempts = evaluate.load_attempts_dir(args.attempts, run)
     if not attempts:
         raise CliError(f"no attempt files under {args.attempts}")
     rules = evaluate.ClassifierRules.load(_get(config, "paths", "classifier_patterns"))
-    report = evaluate.build_report(attempts, rules)
+    report = evaluate.build_report(attempts, rules, run)
     if args.taxonomy_only:
-        histogram = {
-            tag: metrics.taxonomy for tag, metrics in report.per_config.items()
-        }
+        histogram = {tag: row["taxonomy"] for tag, row in report["per_config"].items()}
         print(json.dumps(histogram, indent=2, sort_keys=True))
         return EXIT_OK
-    written = evaluate.emit_report(report, args.out, write_attempts=False)
+    written = evaluate.emit_report(report, args.out)
     print(json.dumps({"out": str(args.out), "files": [str(p) for p in written]}))
     return EXIT_OK
 

@@ -333,8 +333,8 @@ class TranscriptCache:
         def transcript(row: dict) -> Transcript | None:
             if row.get("prompt_hash") != key:
                 return None
-            if not isinstance(row.get("completions"), list):
-                raise TypeError("its completions are not a list")
+            if not store.of_type(row.get("completions"), list[str]):
+                raise TypeError("its completions are not a list of strings")
             values = {f.name: row[f.name] for f in fields(Transcript) if f.name in row}
             values["token_usage"] = tuple(values.get("token_usage", (0, 0)))
             return Transcript(**values)

@@ -16,13 +16,13 @@ import json
 import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
 from . import store
 from .agent import AgentDeps, AttemptRecord, RunConfig, attempt_from_json, prove
-from .corpus import Corpus, UnknownId
+from .corpus import Corpus
 from .driver import FileWalk
 from .prompting import REFUSAL as REFUSAL_KIND
 from .sentences import is_closing, opens_proof
@@ -115,14 +115,6 @@ def classify_failure(attempt: AttemptRecord, rules: ClassifierRules) -> str:
     return OTHER
 
 
-def _reference_tactic_count(corpus: Corpus, theorem_id: str) -> int | None:
-    try:
-        record = corpus.by_id(theorem_id)
-    except UnknownId:
-        return None
-    return sum(not (opens_proof(s) or is_closing(s)) for s in record.proof)
-
-
 def annotate(records: list[AttemptRecord], corpus: Corpus, rules: ClassifierRules) -> None:
     """Set each record's category, and flag `missed_simple` on a failed one
     whose theorem's reference proof is at most two tactics. `eval` and
@@ -130,113 +122,34 @@ def annotate(records: list[AttemptRecord], corpus: Corpus, rules: ClassifierRule
     for record in records:
         record.category = classify_failure(record, rules)
         if not record.accepted:
-            reference = _reference_tactic_count(corpus, record.theorem_id)
-            record.missed_simple = reference is not None and reference <= 2
+            proof = corpus.by_id(record.theorem_id).proof
+            record.missed_simple = sum(not (opens_proof(s) or is_closing(s)) for s in proof) <= 2
 
 
 # ---------------------------------------------------------------------------
-# Report data
+# Running
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConfigMetrics:
-    n_attempts: int = 0
-    n_correct_proofs: int = 0  # distinct accepted scripts per theorem, summed
-    n_accepted_raw: int = 0  # accepted samples before dedup
-    n_proven_theorems: int = 0
-    taxonomy: dict[str, int] = field(default_factory=dict)
+def run_info(corpus: Corpus, manifest: list[RunConfig]) -> dict:
+    """What a report echoes of the run behind its attempts, kept as
+    attempts/run.json: the manifest and corpus hashes, and each config's
+    echo in manifest order."""
+    echo = {config.tag: asdict(config) for config in manifest}
+    return {
+        "manifest_hash": store.content_hash(list(echo.values())),
+        "corpus_hash": store.content_hash([
+            [r.id, r.statement.text, [s.text for s in r.proof], corpus.split_labels[r.id]]
+            for r in corpus.records
+        ]),
+        "config_echo": echo,
+    }
 
 
-@dataclass
-class EvalReport:
-    per_config: dict[str, ConfigMetrics]
-    proven: dict[str, list[str]]  # config tag -> sorted proven theorem ids
-    coincidence: dict[tuple[str, str], int]
-    manifest_hash: str = ""
-    corpus_hash: str = ""
-    config_echo: dict = field(default_factory=dict)
-    attempts: dict[str, list[AttemptRecord]] = field(default_factory=dict)
-
-    @property
-    def total_attempts(self) -> int:
-        return sum(m.n_attempts for m in self.per_config.values())
-
-    @property
-    def total_refusals(self) -> int:
-        return sum(m.taxonomy.get(REFUSAL, 0) for m in self.per_config.values())
-
-    @property
-    def refusal_share(self) -> float:
-        total = self.total_attempts
-        return 100.0 * self.total_refusals / total if total else 0.0
-
-
-def build_report(
-    attempts_by_config: dict[str, list[AttemptRecord]],
-    rules: ClassifierRules,
-    manifest_hash: str = "",
-    corpus_hash: str = "",
-    config_echo: dict | None = None,
-) -> EvalReport:
-    """Pure aggregation over attempt records; `rules` classify those with no category."""
-    per_config: dict[str, ConfigMetrics] = {}
-    proven: dict[str, list[str]] = {}
-    for tag, records in attempts_by_config.items():
-        metrics = ConfigMetrics(taxonomy={c: 0 for c in CATEGORIES})
-        accepted_scripts: dict[str, set[str]] = {}
-        proven_ids: set[str] = set()
-        for record in sorted(records, key=lambda r: (r.theorem_id, r.round, r.candidate_index)):
-            metrics.n_attempts += 1
-            category = record.category
-            if category is None:
-                category = classify_failure(record, rules)
-            metrics.taxonomy[category] = metrics.taxonomy.get(category, 0) + 1
-            if record.accepted:
-                metrics.n_accepted_raw += 1
-                accepted_scripts.setdefault(record.theorem_id, set()).add(record.proof_script)
-                proven_ids.add(record.theorem_id)
-        metrics.n_correct_proofs = sum(len(s) for s in accepted_scripts.values())
-        metrics.n_proven_theorems = len(proven_ids)
-        per_config[tag] = metrics
-        proven[tag] = sorted(proven_ids)
-
-    tags = list(attempts_by_config)
-    coincidence: dict[tuple[str, str], int] = {}
-    for a in tags:
-        for b in tags:
-            coincidence[(a, b)] = len(set(proven[a]) & set(proven[b]))
-
-    return EvalReport(
-        per_config=per_config,
-        proven=proven,
-        coincidence=coincidence,
-        manifest_hash=manifest_hash,
-        corpus_hash=corpus_hash,
-        config_echo=config_echo or {},
-        attempts=attempts_by_config,
-    )
-
-
-def corpus_hash(corpus: Corpus) -> str:
-    return store.content_hash([
-        [r.id, r.statement.text, [s.text for s in r.proof], corpus.split_labels[r.id]]
-        for r in corpus.records
-    ])
-
-
-def manifest_hash(manifest: list[RunConfig]) -> str:
-    return store.content_hash([asdict(config) for config in manifest])
-
-
-def run_eval(
-    corpus: Corpus,
-    manifest: list[RunConfig],
-    deps: AgentDeps,
-    rules: ClassifierRules,
-    workers: int = 1,
-) -> EvalReport:
-    """Run every manifest config over the corpus test split and aggregate.
+def run_eval(corpus: Corpus, manifest: list[RunConfig], deps: AgentDeps, rules: ClassifierRules,
+             workers: int = 1) -> dict[str, list[AttemptRecord]]:
+    """Run every manifest config over the corpus test split: per config tag,
+    in manifest order, its annotated records in test order.
 
     Per-attempt failures are data; every other exception is the harness's
     (a manifest or corpus problem, a prompt that cannot be built, a cache
@@ -247,11 +160,6 @@ def run_eval(
     target by a FileWalk; at each target every config borrows it in
     manifest order. `workers` threads share out the files.
     """
-    if not manifest:
-        raise EvalError("empty manifest")
-    tags = [config.tag for config in manifest]
-    if len(tags) != len(set(tags)):
-        raise EvalError("duplicate config tags in manifest")
     tests = corpus.test
     if not tests:
         raise EvalError("corpus has no test split")
@@ -262,37 +170,72 @@ def run_eval(
     groups = list(files.values())
 
     def prove_file(positions):
-        """Per target of the file, per config: that config's records."""
-        targets = [tests[p] for p in positions]
+        """Per test position of the file, per config: that config's records."""
         with contextlib.closing(FileWalk(deps.prover)) as walk:
-            return [[prove(target, config, deps, walk) for config in manifest]
-                    for target in targets]
+            return {p: [prove(tests[p], config, deps, walk) for config in manifest]
+                    for p in positions}
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_file = list(pool.map(prove_file, groups))
     else:
         per_file = [prove_file(positions) for positions in groups]
-    per_target: list[list[list[AttemptRecord]]] = [[] for _ in tests]
-    for positions, file_batches in zip(groups, per_file):
-        for position, batches in zip(positions, file_batches):
-            per_target[position] = batches
+    per_target = {p: batches for file_batches in per_file for p, batches in file_batches.items()}
 
-    # Records of each config keep test order.
     attempts_by_config: dict[str, list[AttemptRecord]] = {}
     for c, config in enumerate(manifest):
-        records = [record for batches in per_target for record in batches[c]]
+        records = [record for p in range(len(tests)) for record in per_target[p][c]]
         annotate(records, corpus, rules)
         attempts_by_config[config.tag] = records
+    return attempts_by_config
 
-    echo = {config.tag: asdict(config) for config in manifest}
-    return build_report(
-        attempts_by_config,
-        rules,
-        manifest_hash=manifest_hash(manifest),
-        corpus_hash=corpus_hash(corpus),
-        config_echo=echo,
-    )
+
+# ---------------------------------------------------------------------------
+# Report table
+# ---------------------------------------------------------------------------
+
+RUN_TYPES = {"manifest_hash": str, "corpus_hash": str, "config_echo": dict}
+
+
+def _refusal_share(per_config: dict[str, dict]) -> float:
+    attempts = sum(row["n_attempts"] for row in per_config.values())
+    refusals = sum(row["taxonomy"][REFUSAL] for row in per_config.values())
+    return 100.0 * refusals / attempts if attempts else 0.0
+
+
+def build_report(attempts_by_config: dict[str, list[AttemptRecord]], rules: ClassifierRules,
+                 run: dict | None = None) -> dict:
+    """The report table, report.json's object, which the md and csv render:
+    per config (in the order given) its counts and taxonomy, its proven
+    theorem ids, the pairwise overlaps, and `run`'s hashes and config echo,
+    empty with no `run`. A fold over the records, so their order changes no
+    count; `rules` classify those with no category."""
+    per_config: dict[str, dict] = {}
+    proven: dict[str, list[str]] = {}
+    for tag, records in attempts_by_config.items():
+        taxonomy = dict.fromkeys(CATEGORIES, 0)
+        accepted: set[tuple[str, str]] = set()  # (theorem id, script)
+        for record in records:
+            taxonomy[record.category or classify_failure(record, rules)] += 1
+            if record.accepted:
+                accepted.add((record.theorem_id, record.proof_script))
+        proven[tag] = sorted({theorem for theorem, _ in accepted})
+        per_config[tag] = {
+            "n_attempts": len(records),
+            "n_correct_proofs": len(accepted),  # distinct accepted scripts per theorem
+            "n_proven_theorems": len(proven[tag]),
+            "n_accepted_raw": sum(record.accepted for record in records),
+            "taxonomy": taxonomy,
+        }
+    return {
+        "per_config": per_config,
+        "proven": proven,
+        "coincidence": [[a, b, len(set(proven[a]) & set(proven[b]))]
+                        for a in sorted(proven) for b in sorted(proven)],
+        "refusal_share_percent": round(_refusal_share(per_config), 4),
+        **(run or {key: kind() for key, kind in RUN_TYPES.items()}),  # empty: "", "", {}
+        "notes": [TAXONOMY_NOTE, PROTOCOL_NOTE],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +243,21 @@ def run_eval(
 # ---------------------------------------------------------------------------
 
 
-def coincidence_matrix(report: EvalReport) -> str:
+def _overlaps(report: dict) -> dict[tuple[str, str], int]:
+    return {(a, b): count for a, b, count in report["coincidence"]}
+
+
+def coincidence_matrix(report: dict) -> str:
     """Lower-triangular text table of pairwise proven-theorem overlaps."""
-    tags = list(report.per_config)
+    tags = list(report["per_config"])
     if len(tags) < 2:
         raise TooFewConfigs("need at least 2 configs for a coincidence matrix")
+    overlaps = _overlaps(report)
     width = max(len(t) for t in tags) + 2
     lines = ["".ljust(width) + "".join(t.ljust(width) for t in tags)]
     for i, row_tag in enumerate(tags):
-        cells = []
-        for j, col_tag in enumerate(tags):
-            if j < i:
-                cells.append(str(report.coincidence[(row_tag, col_tag)]).ljust(width))
-            else:
-                cells.append("-".ljust(width))
-        lines.append(row_tag.ljust(width) + "".join(cells))
+        cells = [str(overlaps[(row_tag, col)]) if j < i else "-" for j, col in enumerate(tags)]
+        lines.append("".join(cell.ljust(width) for cell in [row_tag, *cells]))
     return "\n".join(lines)
 
 
@@ -326,22 +269,8 @@ _COUNT_LABELS = (
 )
 
 
-def config_rows(report: EvalReport) -> dict[str, dict]:
-    """Per config: the counts, then the taxonomy over CATEGORIES."""
-    return {
-        tag: {
-            "n_attempts": m.n_attempts,
-            "n_correct_proofs": m.n_correct_proofs,
-            "n_proven_theorems": m.n_proven_theorems,
-            "n_accepted_raw": m.n_accepted_raw,
-            "taxonomy": {c: m.taxonomy.get(c, 0) for c in CATEGORIES},
-        }
-        for tag, m in report.per_config.items()
-    }
-
-
-def render_markdown(report: EvalReport) -> str:
-    rows = config_rows(report)
+def render_markdown(report: dict) -> str:
+    rows = report["per_config"]
     tags = list(rows)
     out = ["# Proof synthesis results", ""]
     out += ["| | " + " | ".join(tags) + " |", "|---" * (len(tags) + 1) + "|"]
@@ -362,94 +291,107 @@ def render_markdown(report: EvalReport) -> str:
         out.append(
             f"| {category} | " + " | ".join(str(c) for c in counts) + f" | {sum(counts)} |"
         )
-    out += ["", f"Refusal share: {report.refusal_share:.1f}% of attempts", ""]
+    out += ["", f"Refusal share: {_refusal_share(rows):.1f}% of attempts", ""]
     if len(tags) >= 2:
         out += ["## Coinciding proven theorems", "", "```", coincidence_matrix(report), "```", ""]
-    out += ["---", f"note: {TAXONOMY_NOTE}", f"note: {PROTOCOL_NOTE}"]
+    out += ["---", *(f"note: {note}" for note in report["notes"])]
     return "\n".join(out) + "\n"
 
 
-def render_csv(report: EvalReport) -> str:
+def render_csv(report: dict) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(
         ["config", "n_attempts", "n_correct_proofs", "n_proven_theorems", "n_accepted_raw"]
         + [f"taxonomy_{c}" for c in CATEGORIES]
     )
-    for tag, row in config_rows(report).items():
-        taxonomy = row.pop("taxonomy")
-        writer.writerow([tag, *row.values(), *taxonomy.values()])
+    for tag, row in report["per_config"].items():
+        *counts, taxonomy = row.values()
+        writer.writerow([tag, *counts, *taxonomy.values()])
     writer.writerow([])
     writer.writerow(["coincidence_a", "coincidence_b", "count"])
-    tags = list(report.per_config)
+    tags = list(report["per_config"])
+    overlaps = _overlaps(report)
     for i, a in enumerate(tags):
         for b in tags[:i]:
-            writer.writerow([a, b, report.coincidence[(a, b)]])
+            writer.writerow([a, b, overlaps[(a, b)]])
     return buffer.getvalue()
 
 
-def report_to_json(report: EvalReport) -> dict:
-    return {
-        "per_config": config_rows(report),
-        "proven": report.proven,
-        "coincidence": [
-            [a, b, count] for (a, b), count in sorted(report.coincidence.items())
-        ],
-        "refusal_share_percent": round(report.refusal_share, 4),
-        "manifest_hash": report.manifest_hash,
-        "corpus_hash": report.corpus_hash,
-        "config_echo": report.config_echo,
-        "notes": [TAXONOMY_NOTE, PROTOCOL_NOTE],
-    }
+# ---------------------------------------------------------------------------
+# Files
+# ---------------------------------------------------------------------------
 
 
-def emit_report(
-    report: EvalReport,
-    out_dir: str | Path,
-    write_attempts: bool = True,
-) -> list[Path]:
-    """Write report.{md,csv,json} plus attempts/<tag>.jsonl, none stale, under out_dir."""
+def emit_report(report: dict, out_dir: str | Path) -> list[Path]:
+    """Write report.{md,csv,json} under out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    texts = {
+        "report.md": render_markdown(report),
+        "report.csv": render_csv(report),
+        "report.json": json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+    }
+    for name, text in texts.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    return [out_dir / name for name in texts]
+
+
+def emit_attempts(attempts_by_config: dict[str, list[AttemptRecord]], run: dict,
+                  directory: str | Path) -> list[Path]:
+    """Write <tag>.jsonl per config and run.json under `directory`, first
+    removing every other *.jsonl there, so that none is stale."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for path in sorted(directory.glob("*.jsonl")):
+        if path.stem not in attempts_by_config:
+            log.warning("removing %s: no config of this run is tagged %r", path, path.stem)
+            path.unlink()
     written: list[Path] = []
-    path = out_dir / "report.md"
-    path.write_text(render_markdown(report), encoding="utf-8")
-    written.append(path)
-    path = out_dir / "report.csv"
-    path.write_text(render_csv(report), encoding="utf-8")
-    written.append(path)
-    path = out_dir / "report.json"
-    path.write_text(
-        json.dumps(report_to_json(report), indent=2, sort_keys=True, ensure_ascii=False)
-        + "\n",
-        encoding="utf-8",
-    )
-    written.append(path)
-    if write_attempts and report.attempts:
-        attempts_dir = out_dir / "attempts"
-        attempts_dir.mkdir(exist_ok=True)
-        for path in sorted(attempts_dir.glob("*.jsonl")):
-            if path.stem not in report.attempts:
-                log.warning("removing %s: no config of this run is tagged %r", path, path.stem)
-                path.unlink()
-        for tag, records in report.attempts.items():
-            path = attempts_dir / f"{tag}.jsonl"
-            with open(path, "w", encoding="utf-8") as fh:
-                for record in records:
-                    fh.write(json.dumps(record, ensure_ascii=False, default=vars) + "\n")
-            written.append(path)
+    for tag, records in attempts_by_config.items():
+        written.append(directory / f"{tag}.jsonl")
+        with open(written[-1], "w", encoding="utf-8") as fh:
+            for record in records:
+                fh.write(json.dumps(record, ensure_ascii=False, default=vars) + "\n")
+    written.append(directory / "run.json")  # unsorted: config_echo keeps the manifest order
+    written[-1].write_text(json.dumps(run, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
     return written
 
 
+def load_run(directory: str | Path) -> dict | None:
+    """The run.json under an attempts directory, or None if it has none."""
+    path = Path(directory) / "run.json"
+    if not path.exists():
+        return None
+    try:
+        run = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise EvalError(f"bad run file {path}: {exc}") from None
+    if not isinstance(run, dict) or {k: type(v) for k, v in run.items()} != RUN_TYPES:
+        raise EvalError(f"bad run file {path}: not an object of {', '.join(RUN_TYPES)}")
+    return run
+
+
 def _attempt_row(row: dict) -> AttemptRecord:
+    store.check_fields(AttemptRecord, row)
     record = attempt_from_json(row)
     if record.category not in (None, *CATEGORIES):  # None: build_report classifies it
         raise ValueError(f"unknown category {record.category!r}")
     return record
 
 
-def load_attempts_dir(directory: str | Path) -> dict[str, list[AttemptRecord]]:
+def load_attempts_dir(directory: str | Path,
+                      run: dict | None = None) -> dict[str, list[AttemptRecord]]:
+    """Each config's records from <tag>.jsonl under `directory`: in the order
+    of `run`'s config echo, which names every file, or with no `run` in
+    file-name order."""
+    paths = {path.stem: path for path in sorted(Path(directory).glob("*.jsonl"))}
+    if run is not None:
+        if sorted(run["config_echo"]) != sorted(paths):
+            raise EvalError(f"{Path(directory) / 'run.json'}: configs {sorted(run['config_echo'])}"
+                            f" are not the attempt files {sorted(paths)}")
+        paths = {tag: paths[tag] for tag in run["config_echo"]}
     return {
-        path.stem: [record for _, record in store.rows(path, path.read_bytes(), _attempt_row)]
-        for path in sorted(Path(directory).glob("*.jsonl"))
+        tag: [record for _, record in store.rows(path, path.read_bytes(), _attempt_row)]
+        for tag, path in paths.items()
     }

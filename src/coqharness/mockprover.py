@@ -249,8 +249,9 @@ class MockSession(SessionHandle):
             state = self.current_state()
             current = set(state.hypothesis_names) if state else set()
             for name in (t for t in m.group(1).split() if _IDENT_RE.match(t)):
-                if name in current:
+                if name in current:  # shown, or named earlier in this intros
                     return StepResult(ERROR, _coq_error(f"{name} is already used."))
+                current.add(name)
         rules = self._table.errors if entry is None else entry.errors + self._table.errors
         message = _first_error(rules, text)
         return StepResult(ERROR, _coq_error(DEFAULT_TACTIC_FAILURE if message is None else message))

@@ -1,21 +1,26 @@
 """Content hashes and JSON Lines files, each read and appended here.
 
 `content_hash` is the one hash: SHA-256 over canonical JSON, spelled as the
-transcript keys always were. A row that cannot be read raises RowError,
-naming its path and line. In an appended file, a final row with no newline
-is an interrupted append: `read` leaves it out with a warning, and `append`
-cuts it off first, under an exclusive flock held through the write, so that
-processes sharing a file cannot cut each other's row.
+transcript keys always were. `check_fields` holds a row's or a manifest
+entry's values to the types of a dataclass's fields. A row that cannot be
+read raises RowError, naming its path and line. In an appended file, a
+final row with no newline is an interrupted append: `read` leaves it out
+with a warning, and `append` cuts it off first, under an exclusive flock
+held through the write, so that processes sharing a file cannot cut each
+other's row.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import fcntl
 import functools
 import hashlib
 import io
 import json
 import logging
+import types
+import typing
 from collections.abc import Callable, Iterator
 
 log = logging.getLogger(__name__)
@@ -61,6 +66,33 @@ def _decode(path, data: bytes, start: int, end: int, decode: Callable):
         return decode(json.loads(data[start:end]))
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise RowError(path, data.count(b"\n", 0, start) + 1, exc) from None
+
+
+_type_hints = functools.cache(typing.get_type_hints)  # it evaluates every annotation per call
+
+
+def of_type(value, hint) -> bool:
+    """Whether a JSON value has the type a field is annotated with: a bool is
+    no number, a list stands for a tuple, an object for a dataclass."""
+    if isinstance(hint, types.UnionType):
+        return any(of_type(value, arm) for arm in typing.get_args(hint))
+    origin, arms = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (list, tuple):  # list[T] and tuple[T, ...] hold any number of items
+        if isinstance(value, list) and (origin is list or arms[-1] is Ellipsis):
+            arms = arms[:1] * len(value)
+        return isinstance(value, list) and len(value) == len(arms) and all(map(of_type, value, arms))
+    if hint is bool or isinstance(value, bool):
+        return hint is bool and isinstance(value, bool)
+    json_type = (int, float) if hint is float else dict if dataclasses.is_dataclass(hint) else hint
+    return isinstance(value, json_type)
+
+
+def check_fields(cls, given: dict) -> None:
+    """Raise a TypeError naming the first field of dataclass `cls` whose
+    value in `given` is not of the field's type."""
+    for f in dataclasses.fields(cls):
+        if f.name in given and not of_type(given[f.name], _type_hints(cls)[f.name]):
+            raise TypeError(f"{f.name} must be {f.type}, not {given[f.name]!r}")
 
 
 def rows(path, data: bytes, decode: Callable, start: int = 0) -> Iterator[tuple[int, object]]:

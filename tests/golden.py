@@ -4,12 +4,14 @@
 
 rewrites tests/fixtures/golden/<case>/ from the current sources, as the mock
 backend writes them; it refuses to when the real backend, driving
-fixtures/stub_toplevel.py over the same mock table, writes other bytes. The
+fixtures/stub_toplevel.py over the same mock table, writes other bytes, or
+when `report` over the attempt files writes other report bytes. The
 cases are the bundled toy project under tests/fixtures/manifest.json and the
 generated walk project (walk_project.py) under golden/walk_manifest.json.
 `run_case` runs one case through the CLI (ingest, then eval on one backend,
 recorded or replayed from its transcript cache) and returns the eval's
-output directory.
+output directory; `report_case` runs `report` over that directory's
+attempts.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
 STUB = FIXTURES / "stub_toplevel.py"
 BACKENDS = ("mock", "real")
+REPORT_FILES = ("report.json", "report.md", "report.csv")
 MANIFESTS = {"fixtures": FIXTURES / "manifest.json", "walk": GOLDEN / "walk_manifest.json"}
 CASES = tuple(MANIFESTS)
 FIXTURE_TEST_IDS = (
@@ -38,9 +41,11 @@ FIXTURE_TEST_IDS = (
 
 
 def golden_files(directory: Path) -> list[str]:
-    """The report files and attempt files under an eval output directory."""
-    names = [n for n in ("report.json", "report.md", "report.csv") if (directory / n).exists()]
-    return names + [f"attempts/{p.name}" for p in sorted((directory / "attempts").glob("*.jsonl"))]
+    """The report files, attempt files and run file under an eval output directory."""
+    attempts = [p.name for p in sorted((directory / "attempts").glob("*.jsonl"))]
+    if (directory / "attempts" / "run.json").exists():
+        attempts.append("run.json")
+    return [n for n in REPORT_FILES if (directory / n).exists()] + [f"attempts/{n}" for n in attempts]
 
 
 def stub_command(table: str | Path) -> str:
@@ -93,6 +98,17 @@ def run_case(case: str, work: Path, workers: int, replay: bool = False,
     return out
 
 
+def report_case(work: Path, out: Path, backend: str = "mock") -> Path:
+    """Run `report` over the attempts of the eval output `out`; returns its
+    output directory."""
+    reported = out.with_name(f"{out.name}-report")
+    code = main(["--config", str(config_of(work, backend)), "report", "--attempts",
+                 str(out / "attempts"), "--out", str(reported)])
+    if code != 0:
+        raise RuntimeError(f"report over {out} exited {code}")
+    return reported
+
+
 def _outputs(out: Path) -> dict[str, bytes]:
     return {name: (out / name).read_bytes() for name in golden_files(out)}
 
@@ -106,6 +122,12 @@ def write_golden() -> None:
                             if mock.get(name) != real.get(name))
             if differ:
                 raise SystemExit(f"{case}: backend real writes other bytes: {', '.join(differ)}")
+            reported = report_case(Path(tmp), out)
+            differ = [name for name in REPORT_FILES
+                      if (reported / name).read_bytes() != mock[name]]
+            if differ:
+                raise SystemExit(f"{case}: report --attempts writes other bytes: "
+                                 f"{', '.join(differ)}")
             target = GOLDEN / case
             shutil.rmtree(target, ignore_errors=True)
             for name in golden_files(out):

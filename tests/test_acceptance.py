@@ -151,7 +151,7 @@ def test_criterion_3_scripted_end_to_end(toy_deps, manifest_path, tmp_path):
 
     def run(out_dir):
         deps = toy_deps()
-        report = run_eval(deps.corpus, manifest, deps, RULES)
+        report = build_report(run_eval(deps.corpus, manifest, deps, RULES), RULES)
         emit_report(report, out_dir)
         return report
 
@@ -160,13 +160,13 @@ def test_criterion_3_scripted_end_to_end(toy_deps, manifest_path, tmp_path):
     for tag, expected in EXPECTED_PER_CONFIG.items():
         assert payload["per_config"][tag] == expected, tag
     for tag, proven in EXPECTED_PROVEN.items():
-        assert set(report.proven[tag]) == proven, tag
+        assert set(report["proven"][tag]) == proven, tag
+    coincidence = {(a, b): count for a, b, count in report["coincidence"]}
     for (a, b), count in EXPECTED_COINCIDENCE.items():
-        assert report.coincidence[(a, b)] == count, (a, b)
-        assert report.coincidence[(b, a)] == count, (b, a)
-        bound = min(
-            report.per_config[a].n_proven_theorems, report.per_config[b].n_proven_theorems
-        )
+        assert coincidence[(a, b)] == count, (a, b)
+        assert coincidence[(b, a)] == count, (b, a)
+        bound = min(report["per_config"][a]["n_proven_theorems"],
+                    report["per_config"][b]["n_proven_theorems"])
         assert count <= bound
 
     run(tmp_path / "run2")
@@ -198,8 +198,9 @@ def test_criterion_4_taxonomy_fixtures():
     ] + [make_attempt("f.v::r1", "A", kind="refusal"),
          make_attempt("f.v::r2", "A", kind="refusal")]
     report = build_report({"A": attempts}, RULES)
-    assert report.total_attempts == 37 and report.total_refusals == 2
-    assert f"{report.refusal_share:.1f}" == "5.4"
+    row = report["per_config"]["A"]
+    assert row["n_attempts"] == 37 and row["taxonomy"]["refusal"] == 2
+    assert f"{report['refusal_share_percent']:.1f}" == "5.4"
     assert "Refusal share: 5.4% of attempts" in render_markdown(report)
     report_pass(4, "failure-taxonomy fixtures", started, 1.0)
 

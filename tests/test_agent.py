@@ -757,12 +757,12 @@ def test_run_eval_checks_each_distinct_pair_once(walk_project, monkeypatch, work
         LIFECYCLE_CONFIGS["interactive"], LIFECYCLE_CONFIGS["repair"],
         LIFECYCLE_CONFIGS["ensemble"],
     ]
-    report = run_eval(corpus, manifest, deps, ClassifierRules.load(), workers=workers)
+    attempts = run_eval(corpus, manifest, deps, ClassifierRules.load(), workers=workers)
     statements = {t.id: t.statement.text for t in corpus.test}
     pairs = {(statements[r.theorem_id], r.proof_script)
-             for records in report.attempts.values() for r in records
+             for records in attempts.values() for r in records
              if r.completion_kind == "proof" and r.config_tag != "inter"}
-    assert sum(len(r) for r in report.attempts.values()) > 2 * len(pairs)
+    assert sum(len(r) for r in attempts.values()) > 2 * len(pairs)
     assert sorted(checked) == sorted(pairs)  # each once, across configs
 
 

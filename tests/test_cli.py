@@ -467,13 +467,41 @@ def test_a_rerun_into_an_output_directory_leaves_no_attempts_of_configs_it_did_n
         caplog.clear()
         assert main(["--config", str(config_file), "eval", "--manifest", str(manifest),
                      "--out", str(out)]) == EXIT_OK
-    assert sorted(p.name for p in (out / "attempts").iterdir()) == ["zs.jsonl"]
+    assert sorted(p.name for p in (out / "attempts").iterdir()) == ["run.json", "zs.jsonl"]
     stale = out / "attempts" / "lem.jsonl"
     assert caplog.text.count("removing ") == 1
     assert f"removing {stale}: no config of this run is tagged 'lem'" in caplog.text
     assert main(["report", "--attempts", str(out / "attempts"), "--out", str(tmp_path / "r")]) \
         == EXIT_OK
     assert list(json.loads((tmp_path / "r" / "report.json").read_text())["per_config"]) == ["zs"]
+
+
+def _rewrite_run(attempts, **changes):
+    run = json.loads((attempts / "run.json").read_text())
+    (attempts / "run.json").write_text(json.dumps({**run, **changes}))
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda attempts: (attempts / "lem.jsonl").unlink(),
+    lambda attempts: (attempts / "extra.jsonl").write_bytes((attempts / "zs.jsonl").read_bytes()),
+    lambda attempts: (attempts / "run.json").write_text("[]"),
+    lambda attempts: (attempts / "run.json").write_text("{"),
+    lambda attempts: _rewrite_run(attempts, extra=1),
+    lambda attempts: _rewrite_run(attempts, corpus_hash=None),
+], ids=["config-without-file", "file-without-config", "not-an-object", "not-json", "extra-key",
+        "hash-not-a-string"])
+def test_report_on_attempts_its_run_file_does_not_describe_exits_2_naming_it(
+    spoil, config_file, ingested, tmp_path, caplog
+):
+    out, manifest = tmp_path / "o", tmp_path / "m.json"
+    manifest.write_text(json.dumps({"configs": [{"tag": t, "mode": "zs"} for t in ("zs", "lem")]}))
+    assert main(["--config", str(config_file), "eval", "--manifest", str(manifest),
+                 "--out", str(out)]) == EXIT_OK
+    spoil(out / "attempts")
+    caplog.clear()
+    assert main(["report", "--attempts", str(out / "attempts"), "--out", str(tmp_path / "r")]) \
+        == EXIT_CONFIG
+    assert str(out / "attempts" / "run.json") in caplog.text and "Traceback" not in caplog.text
 
 
 def test_provider_failure_exit_3(ingested, tmp_path, fixtures_dir):
@@ -1081,6 +1109,12 @@ def test_report_classifies_uncategorized_rows_with_configured_patterns(tmp_path,
     ('{"theorem_id": "f.v::t", "config_tag": "zs", "variant_id": "base", "candidate_index": 1,'
      ' "proof_script": "", "accepted": false, "failing_step": null, "turns": [],'
      ' "completion_kind": "malformed", "category": "bogus"}', "unknown category 'bogus'"),
+    ('{"accepted": "false"}', "accepted must be bool, not 'false'"),
+    ('{"candidate_index": "x"}', "candidate_index must be int, not 'x'"),
+    ('{"candidate_index": true}', "candidate_index must be int, not True"),
+    ('{"failing_step": [1, "auto."]}', "failing_step must be tuple[int, str, str] | None"),
+    ('{"failing_step": ["1", "auto.", "m"]}', "failing_step must be tuple[int, str, str] | None"),
+    ('{"refusal_text": 0}', "refusal_text must be str | None, not 0"),
 ])
 def test_report_on_a_bad_attempt_row_exits_2_naming_it(tmp_path, caplog, bad, logged):
     attempts = tmp_path / "attempts"

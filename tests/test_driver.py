@@ -86,6 +86,16 @@ def test_intro_name_collision(mock_session):
     assert mock_session.execute("intro RR.").ok
 
 
+def test_a_name_repeated_in_one_intros_is_already_used():
+    session = start_session(SessionConfig(backend="mock", mock_table={}))
+    with closing(session):
+        assert session.execute("Lemma m : forall a b : nat, a = b.").ok
+        result = session.execute("intros a a.")
+        assert (result.outcome, result.message) == (ERROR, "Error: a is already used.")
+        # the failed step introduced nothing, so no name of it is used now
+        assert session.execute("intros b a.").message == f"Error: {DEFAULT_TACTIC_FAILURE}"
+
+
 def test_premature_qed_and_stray_closer(mock_session):
     assert mock_session.execute("Qed.").message == f"Error: {NO_FOCUSED_PROOF_MESSAGE}"
     mock_session.execute("Lemma weak_refl: forall x, Weak T x x.")

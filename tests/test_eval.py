@@ -17,12 +17,14 @@ from coqharness.evaluate import (
     build_report,
     classify_failure,
     coincidence_matrix,
+    emit_attempts,
     emit_report,
     load_attempts_dir,
+    load_run,
     render_csv,
     render_markdown,
-    report_to_json,
     run_eval,
+    run_info,
 )
 
 RULES = ClassifierRules.load()
@@ -140,35 +142,33 @@ def two_config_attempts():
 
 def test_build_report_counts_and_dedup():
     report = build_report(two_config_attempts(), RULES)
-    metrics = report.per_config["A"]
-    assert metrics.n_attempts == 6
-    assert metrics.n_accepted_raw == 4
-    assert metrics.n_correct_proofs == 3  # t1 has 2 distinct scripts, t2 one
-    assert metrics.n_proven_theorems == 2
-    assert metrics.taxonomy["correct"] == 4
-    assert metrics.taxonomy["wrong_tactic"] == 1
-    assert metrics.taxonomy["refusal"] == 1
-    assert sum(metrics.taxonomy.values()) == metrics.n_attempts
-    assert report.proven["A"] == ["f.v::t1", "f.v::t2"]
-    assert report.coincidence[("A", "B")] == 1  # only t2 overlaps
-    assert report.coincidence[("A", "B")] == report.coincidence[("B", "A")]
-    assert report.coincidence[("A", "A")] == metrics.n_proven_theorems
+    metrics = report["per_config"]["A"]
+    assert metrics["n_attempts"] == 6
+    assert metrics["n_accepted_raw"] == 4
+    assert metrics["n_correct_proofs"] == 3  # t1 has 2 distinct scripts, t2 one
+    assert metrics["n_proven_theorems"] == 2
+    assert metrics["taxonomy"]["correct"] == 4
+    assert metrics["taxonomy"]["wrong_tactic"] == 1
+    assert metrics["taxonomy"]["refusal"] == 1
+    assert sum(metrics["taxonomy"].values()) == metrics["n_attempts"]
+    assert report["proven"]["A"] == ["f.v::t1", "f.v::t2"]
+    coincidence = {(a, b): count for a, b, count in report["coincidence"]}
+    assert coincidence[("A", "B")] == 1  # only t2 overlaps
+    assert coincidence[("A", "B")] == coincidence[("B", "A")]
+    assert coincidence[("A", "A")] == metrics["n_proven_theorems"]
 
 
 def test_report_invariant_under_reordering():
     attempts = two_config_attempts()
     reordered = {tag: list(reversed(records)) for tag, records in attempts.items()}
-    assert report_to_json(build_report(attempts, RULES)) == report_to_json(
-        build_report(reordered, RULES)
-    )
+    assert build_report(attempts, RULES) == build_report(reordered, RULES)
 
 
 def test_coincidence_bounds_and_rendering():
     report = build_report(two_config_attempts(), RULES)
-    for (a, b), count in report.coincidence.items():
-        assert count <= min(
-            report.per_config[a].n_proven_theorems, report.per_config[b].n_proven_theorems
-        )
+    for a, b, count in report["coincidence"]:
+        assert count <= min(report["per_config"][a]["n_proven_theorems"],
+                            report["per_config"][b]["n_proven_theorems"])
     rendered = coincidence_matrix(report)
     lines = rendered.splitlines()
     assert lines[0].split() == ["A", "B"]
@@ -184,7 +184,7 @@ def test_coincidence_disjoint_identical_and_shape():
         },
         RULES,
     )
-    assert disjoint.coincidence[("A", "B")] == 0
+    assert ["A", "B", 0] in disjoint["coincidence"]
 
     identical = build_report(
         {
@@ -196,7 +196,7 @@ def test_coincidence_disjoint_identical_and_shape():
         },
         RULES,
     )
-    assert identical.coincidence[("A", "B")] == 3
+    assert ["A", "B", 3] in identical["coincidence"]
 
     six = build_report(
         {
@@ -220,11 +220,7 @@ def test_coincidence_disjoint_identical_and_shape():
 
 def test_run_eval_validation(toy_corpus, toy_deps):
     deps = toy_deps()
-    with pytest.raises(EvalError):
-        run_eval(toy_corpus, [], deps, RULES)
     config = RunConfig(tag="zs", mode="zs", decoding=DecodingParams(n=1))
-    with pytest.raises(EvalError):
-        run_eval(toy_corpus, [config, config], deps, RULES)
 
     from coqharness.corpus import Corpus
 
@@ -255,19 +251,18 @@ def test_run_eval_propagates_a_harness_error(toy_deps, monkeypatch, workers):
 def test_run_eval_annotates_missed_simple(toy_deps):
     deps = toy_deps()
     config = RunConfig(tag="zs", mode="zs", decoding=DecodingParams(n=2), seed=11)
-    report = run_eval(deps.corpus, [config], deps, RULES)
-    records = report.attempts["zs"]
+    records = run_eval(deps.corpus, [config], deps, RULES)["zs"]
     trans = [r for r in records if r.theorem_id == "relations.v::trans_incl"]
     assert trans and all(not r.accepted for r in trans)
     assert all(r.missed_simple for r in trans)  # one-tactic reference proof
-    assert report.manifest_hash and report.corpus_hash
+    run = run_info(deps.corpus, [config])
+    assert run["manifest_hash"] and run["corpus_hash"]
 
     # weak_refl's reference proof is three tactics: failures stay unflagged
     sim = RunConfig(tag="fs-sim", mode="fs-sim", k_shots=2,
                     decoding=DecodingParams(n=2), seed=11)
-    sim_report = run_eval(deps.corpus, [sim], toy_deps(), RULES)
-    weak = [r for r in sim_report.attempts["fs-sim"]
-            if r.theorem_id == "weak.v::weak_refl"]
+    sim_records = run_eval(deps.corpus, [sim], toy_deps(), RULES)["fs-sim"]
+    weak = [r for r in sim_records if r.theorem_id == "weak.v::weak_refl"]
     assert weak and all(not r.accepted for r in weak)
     assert all(not r.missed_simple for r in weak)
 
@@ -278,7 +273,7 @@ def test_run_eval_parallel_matches_serial(toy_deps, manifest_path):
     manifest = load_manifest(str(manifest_path), DecodingParams())
     serial = run_eval(toy_deps().corpus, manifest, toy_deps(), RULES)
     parallel = run_eval(toy_deps().corpus, manifest, toy_deps(), RULES, workers=3)
-    assert report_to_json(serial) == report_to_json(parallel)
+    assert build_report(serial, RULES) == build_report(parallel, RULES)
 
 
 # -- emission -----------------------------------------------------------------
@@ -319,20 +314,23 @@ def test_refusal_share_five_point_four_percent(tmp_path):
                  make_attempt("f.v::r2", "A", kind="refusal")]
     assert len(attempts) == 37
     report = build_report({"A": attempts}, RULES)
-    assert f"{report.refusal_share:.1f}" == "5.4"
+    assert f"{report['refusal_share_percent']:.1f}" == "5.4"
     markdown = render_markdown(report)
     assert "Refusal share: 5.4% of attempts" in markdown
 
 
 def test_recompute_from_attempts_dir(tmp_path):
-    report = build_report(two_config_attempts(), RULES)
-    emit_report(report, tmp_path)
-    loaded = load_attempts_dir(tmp_path / "attempts")
-    recomputed = build_report(loaded, RULES)
-    original = report_to_json(report)
-    clone = report_to_json(recomputed)
+    attempts = two_config_attempts()
+    run = {"manifest_hash": "m", "corpus_hash": "c", "config_echo": {"B": {}, "A": {}}}
+    original = build_report(attempts, RULES, run)
+    emit_attempts(attempts, run, tmp_path / "attempts")
+    clone = build_report(load_attempts_dir(tmp_path / "attempts"), RULES)
     for field in ("per_config", "proven", "coincidence", "refusal_share_percent"):
         assert clone[field] == original[field]
+    stored = load_run(tmp_path / "attempts")
+    assert stored == run and list(stored["config_echo"]) == ["B", "A"]
+    clone = build_report(load_attempts_dir(tmp_path / "attempts", stored), RULES, stored)
+    assert clone == original and list(clone["per_config"]) == ["B", "A"]
 
 
 def test_csv_roundtrip_of_coincidence(tmp_path):

@@ -4,7 +4,8 @@ The golden files under tests/fixtures/golden/ were written by golden.py.
 Each case is evaluated on the mock backend and on the real one (driving the
 stub toplevel over the same mock table), at workers 1 and 4, recorded into a
 fresh transcript cache and then replayed from it; every run must reproduce
-every report and attempt file byte for byte. `prove` of a (target, config)
+every report, attempt and run file byte for byte, and `report` over each
+run's attempts every report file. `prove` of a (target, config)
 pair, replayed from a recorded eval's cache, prints exactly the attempt rows
 that eval wrote.
 """
@@ -17,7 +18,8 @@ import sys
 import pytest
 
 from coqharness.cli import EXIT_CONFIG, EXIT_OK, EXIT_PROVIDER, main
-from golden import BACKENDS, CASES, GOLDEN, MANIFESTS, config_of, golden_files, run_case
+from golden import (BACKENDS, CASES, GOLDEN, MANIFESTS, REPORT_FILES, config_of, golden_files,
+                    report_case, run_case)
 from walk_project import WALK_WRONG, build_walk_project
 
 
@@ -39,6 +41,10 @@ def test_eval_reproduces_golden_bytes(case, workers, backend, tmp_path):
         assert golden_files(out) == names
         for name in names:
             assert (out / name).read_bytes() == (expected / name).read_bytes(), (name, replay)
+        reported = report_case(tmp_path, out, backend)
+        for name in REPORT_FILES:
+            assert (reported / name).read_bytes() == (expected / name).read_bytes(), \
+                (name, replay, "report")
 
 
 def test_a_script_entry_for_every_target_evals_alike_at_any_worker_count(tmp_path):
@@ -146,7 +152,8 @@ def test_a_cut_transcript_row_is_recorded_again_and_a_replay_names_its_key(tmp_p
 @pytest.mark.parametrize("break_row", [
     lambda row: row[: len(row) // 2] + b"\n",
     lambda row: json.dumps({**json.loads(row), "completions": 7}).encode() + b"\n",
-], ids=["cut", "completions-not-a-list"])
+    lambda row: json.dumps({**json.loads(row), "completions": [7, 7]}).encode() + b"\n",
+], ids=["cut", "completions-not-a-list", "completions-not-strings"])
 def test_a_malformed_transcript_row_exits_2_naming_it(break_row, tmp_path, caplog):
     run_case("fixtures", tmp_path, workers=1)
     shard = sorted((tmp_path / "cache").glob("*.jsonl"))[0]
