@@ -24,7 +24,7 @@ import logging
 import random
 import re
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from .client import DecodingParams, Provider, complete
 from .corpus import TRAIN, Corpus, TheoremRecord, preceding_lemmas
@@ -147,17 +147,6 @@ class AttemptRecord:
     @property
     def error_message(self) -> str:
         return self.failing_step[2] if self.failing_step else ""
-
-
-def attempt_from_json(row: dict) -> AttemptRecord:
-    """Inverse of json.dumps(record, default=vars); unknown keys are ignored."""
-    values = {f.name: row[f.name] for f in fields(AttemptRecord) if f.name in row}
-    values["failing_step"] = tuple(row["failing_step"]) if row.get("failing_step") else None
-    values["turns"] = [
-        Turn(t["prompt_delta"], t["completion"], tuple(map(tuple, t.get("tool_calls", ()))))
-        for t in row.get("turns", ())
-    ]
-    return AttemptRecord(**values)
 
 
 @dataclass

@@ -15,7 +15,7 @@ import json
 import logging
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import agent, client, corpus as corpus_mod, evaluate, retriever, store
@@ -125,25 +125,19 @@ def decoding_from(config: configparser.ConfigParser, section: str = "defaults") 
 
 
 def run_config_from_dict(raw: dict, defaults: client.DecodingParams) -> agent.RunConfig:
-    """The RunConfig of a manifest entry's own keys; RunConfig states each default."""
+    """The RunConfig of a manifest entry's own keys over the ini's decoding defaults."""
     values = dict(raw)
     if values.pop("retrieval_mode", "lexical") != "lexical":  # the one mode there is
         raise ValueError(f"unknown retrieval mode {raw['retrieval_mode']!r}")
-    unknown = sorted(values.keys() - {f.name for f in fields(agent.RunConfig)})
-    if unknown:
-        raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
-    decoding = values.get("decoding", {})
-    store.check_fields(agent.RunConfig, values)
-    store.check_fields(client.DecodingParams, decoding)
-    if values.get("max_queries", 0) < 0:
+    if type(decoding := values.get("decoding", {})) is dict:
+        values["decoding"] = {**vars(defaults), **decoding}
+    config = store.decode(agent.RunConfig, values)
+    if config.max_queries < 0:
         raise ValueError("max_queries must be >= 0")
     for key in ("wall_clock", "max_prompt_chars"):
-        if values.get(key) is not None and values[key] <= 0:
+        if getattr(config, key) is not None and getattr(config, key) <= 0:
             raise ValueError(f"{key} must be > 0")
-    values["decoding"] = replace(defaults, **decoding)
-    if "strategies" in values:
-        values["strategies"] = tuple(values["strategies"])
-    return agent.RunConfig(**values)
+    return config
 
 
 def load_manifest(path: str, defaults: client.DecodingParams) -> list[agent.RunConfig]:

@@ -14,7 +14,7 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import store
@@ -158,20 +158,11 @@ class ScriptedProvider(Provider):
         self._lock = threading.Lock()
         for raw in script["entries"]:
             try:
-                completions = list(raw["completions"])
-            except (TypeError, KeyError) as exc:
-                raise ScriptParseError(f"bad entry {raw!r}") from exc
-            if not completions:
+                self.entries.append(store.decode(_ScriptEntry, raw))
+            except TypeError as exc:
+                raise ScriptParseError(f"bad entry {raw!r}: {exc}") from exc
+            if not self.entries[-1].completions:
                 raise ScriptParseError("entry with empty completions list")
-            self.entries.append(
-                _ScriptEntry(
-                    completions=completions,
-                    theorem=raw.get("theorem"),
-                    config_tag=raw.get("config_tag"),
-                    variant_id=raw.get("variant_id"),
-                    last_message_contains=raw.get("last_message_contains"),
-                )
-            )
 
     def complete(self, prompt: ChatPrompt, params: DecodingParams) -> list[str]:
         for position, entry in enumerate(self.entries):
@@ -329,22 +320,13 @@ class TranscriptCache:
     def lookup(self, key: str) -> Transcript | None:
         """First row of the key's shard whose prompt_hash is `key`, found by
         byte search (`store.find_row`)."""
-
-        def transcript(row: dict) -> Transcript | None:
-            if row.get("prompt_hash") != key:
-                return None
-            if not store.of_type(row.get("completions"), list[str]):
-                raise TypeError("its completions are not a list of strings")
-            values = {f.name: row[f.name] for f in fields(Transcript) if f.name in row}
-            values["token_usage"] = tuple(values.get("token_usage", (0, 0)))
-            return Transcript(**values)
-
         shard = self._shard(key)
         try:
             data = store.read(shard)
         except FileNotFoundError:
             return None
-        found = store.find_row(shard, data, key.encode(), transcript)
+        found = store.find_row(shard, data, key.encode(), lambda row: (
+            row.get("prompt_hash") == key and store.decode(Transcript, row)))
         return found and found[0]
 
     def append(self, transcript: Transcript) -> None:

@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import store
-from .agent import AgentDeps, AttemptRecord, RunConfig, attempt_from_json, prove
+from .agent import AgentDeps, AttemptRecord, RunConfig, prove
 from .corpus import Corpus
 from .driver import FileWalk
 from .prompting import REFUSAL as REFUSAL_KIND
@@ -131,19 +131,27 @@ def annotate(records: list[AttemptRecord], corpus: Corpus, rules: ClassifierRule
 # ---------------------------------------------------------------------------
 
 
-def run_info(corpus: Corpus, manifest: list[RunConfig]) -> dict:
+@dataclass
+class RunInfo:
     """What a report echoes of the run behind its attempts, kept as
     attempts/run.json: the manifest and corpus hashes, and each config's
     echo in manifest order."""
+
+    manifest_hash: str
+    corpus_hash: str
+    config_echo: dict
+
+
+def run_info(corpus: Corpus, manifest: list[RunConfig]) -> RunInfo:
     echo = {config.tag: asdict(config) for config in manifest}
-    return {
-        "manifest_hash": store.content_hash(list(echo.values())),
-        "corpus_hash": store.content_hash([
+    return RunInfo(
+        manifest_hash=store.content_hash(list(echo.values())),
+        corpus_hash=store.content_hash([
             [r.id, r.statement.text, [s.text for s in r.proof], corpus.split_labels[r.id]]
             for r in corpus.records
         ]),
-        "config_echo": echo,
-    }
+        config_echo=echo,
+    )
 
 
 def run_eval(corpus: Corpus, manifest: list[RunConfig], deps: AgentDeps, rules: ClassifierRules,
@@ -194,9 +202,6 @@ def run_eval(corpus: Corpus, manifest: list[RunConfig], deps: AgentDeps, rules: 
 # Report table
 # ---------------------------------------------------------------------------
 
-RUN_TYPES = {"manifest_hash": str, "corpus_hash": str, "config_echo": dict}
-
-
 def _refusal_share(per_config: dict[str, dict]) -> float:
     attempts = sum(row["n_attempts"] for row in per_config.values())
     refusals = sum(row["taxonomy"][REFUSAL] for row in per_config.values())
@@ -204,7 +209,7 @@ def _refusal_share(per_config: dict[str, dict]) -> float:
 
 
 def build_report(attempts_by_config: dict[str, list[AttemptRecord]], rules: ClassifierRules,
-                 run: dict | None = None) -> dict:
+                 run: RunInfo | None = None) -> dict:
     """The report table, report.json's object, which the md and csv render:
     per config (in the order given) its counts and taxonomy, its proven
     theorem ids, the pairwise overlaps, and `run`'s hashes and config echo,
@@ -233,7 +238,7 @@ def build_report(attempts_by_config: dict[str, list[AttemptRecord]], rules: Clas
         "coincidence": [[a, b, len(set(proven[a]) & set(proven[b]))]
                         for a in sorted(proven) for b in sorted(proven)],
         "refusal_share_percent": round(_refusal_share(per_config), 4),
-        **(run or {key: kind() for key, kind in RUN_TYPES.items()}),  # empty: "", "", {}
+        **vars(run or RunInfo("", "", {})),
         "notes": [TAXONOMY_NOTE, PROTOCOL_NOTE],
     }
 
@@ -337,7 +342,7 @@ def emit_report(report: dict, out_dir: str | Path) -> list[Path]:
     return [out_dir / name for name in texts]
 
 
-def emit_attempts(attempts_by_config: dict[str, list[AttemptRecord]], run: dict,
+def emit_attempts(attempts_by_config: dict[str, list[AttemptRecord]], run: RunInfo,
                   directory: str | Path) -> list[Path]:
     """Write <tag>.jsonl per config and run.json under `directory`, first
     removing every other *.jsonl there, so that none is stale."""
@@ -354,43 +359,39 @@ def emit_attempts(attempts_by_config: dict[str, list[AttemptRecord]], run: dict,
             for record in records:
                 fh.write(json.dumps(record, ensure_ascii=False, default=vars) + "\n")
     written.append(directory / "run.json")  # unsorted: config_echo keeps the manifest order
-    written[-1].write_text(json.dumps(run, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    written[-1].write_text(json.dumps(vars(run), indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
     return written
 
 
-def load_run(directory: str | Path) -> dict | None:
+def load_run(directory: str | Path) -> RunInfo | None:
     """The run.json under an attempts directory, or None if it has none."""
     path = Path(directory) / "run.json"
     if not path.exists():
         return None
     try:
-        run = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
+        return store.decode(RunInfo, json.loads(path.read_text(encoding="utf-8")))
+    except (ValueError, TypeError) as exc:
         raise EvalError(f"bad run file {path}: {exc}") from None
-    if not isinstance(run, dict) or {k: type(v) for k, v in run.items()} != RUN_TYPES:
-        raise EvalError(f"bad run file {path}: not an object of {', '.join(RUN_TYPES)}")
-    return run
 
 
-def _attempt_row(row: dict) -> AttemptRecord:
-    store.check_fields(AttemptRecord, row)
-    record = attempt_from_json(row)
+def _attempt_row(row) -> AttemptRecord:
+    record = store.decode(AttemptRecord, row)
     if record.category not in (None, *CATEGORIES):  # None: build_report classifies it
         raise ValueError(f"unknown category {record.category!r}")
     return record
 
 
 def load_attempts_dir(directory: str | Path,
-                      run: dict | None = None) -> dict[str, list[AttemptRecord]]:
+                      run: RunInfo | None = None) -> dict[str, list[AttemptRecord]]:
     """Each config's records from <tag>.jsonl under `directory`: in the order
     of `run`'s config echo, which names every file, or with no `run` in
     file-name order."""
     paths = {path.stem: path for path in sorted(Path(directory).glob("*.jsonl"))}
     if run is not None:
-        if sorted(run["config_echo"]) != sorted(paths):
-            raise EvalError(f"{Path(directory) / 'run.json'}: configs {sorted(run['config_echo'])}"
+        if sorted(run.config_echo) != sorted(paths):
+            raise EvalError(f"{Path(directory) / 'run.json'}: configs {sorted(run.config_echo)}"
                             f" are not the attempt files {sorted(paths)}")
-        paths = {tag: paths[tag] for tag in run["config_echo"]}
+        paths = {tag: paths[tag] for tag in run.config_echo}
     return {
         tag: [record for _, record in store.rows(path, path.read_bytes(), _attempt_row)]
         for tag, path in paths.items()

@@ -1,9 +1,10 @@
 """Content hashes and JSON Lines files, each read and appended here.
 
 `content_hash` is the one hash: SHA-256 over canonical JSON, spelled as the
-transcript keys always were. `check_fields` holds a row's or a manifest
-entry's values to the types of a dataclass's fields. A row that cannot be
-read raises RowError, naming its path and line. In an appended file, a
+transcript keys always were. `decode` is the one reader of a stored row or
+an input entry: it builds a dataclass from a JSON object, the inverse of
+`json.dumps(value, default=vars)`. A row that cannot be read raises
+RowError, naming its path and line. In an appended file, a
 final row with no newline is an interrupted append: `read` leaves it out
 with a warning, and `append` cuts it off first, under an exclusive flock
 held through the write, so that processes sharing a file cannot cut each
@@ -68,31 +69,62 @@ def _decode(path, data: bytes, start: int, end: int, decode: Callable):
         raise RowError(path, data.count(b"\n", 0, start) + 1, exc) from None
 
 
-_type_hints = functools.cache(typing.get_type_hints)  # it evaluates every annotation per call
+class _Mismatch(Exception):
+    """A JSON value not of the type that a reader reads."""
 
 
-def of_type(value, hint) -> bool:
-    """Whether a JSON value has the type a field is annotated with: a bool is
-    no number, a list stands for a tuple, an object for a dataclass."""
-    if isinstance(hint, types.UnionType):
-        return any(of_type(value, arm) for arm in typing.get_args(hint))
-    origin, arms = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (list, tuple):  # list[T] and tuple[T, ...] hold any number of items
-        if isinstance(value, list) and (origin is list or arms[-1] is Ellipsis):
-            arms = arms[:1] * len(value)
-        return isinstance(value, list) and len(value) == len(arms) and all(map(of_type, value, arms))
-    if hint is bool or isinstance(value, bool):
-        return hint is bool and isinstance(value, bool)
-    json_type = (int, float) if hint is float else dict if dataclasses.is_dataclass(hint) else hint
-    return isinstance(value, json_type)
+def _mismatch():
+    raise _Mismatch
 
 
-def check_fields(cls, given: dict) -> None:
-    """Raise a TypeError naming the first field of dataclass `cls` whose
-    value in `given` is not of the field's type."""
-    for f in dataclasses.fields(cls):
-        if f.name in given and not of_type(given[f.name], _type_hints(cls)[f.name]):
-            raise TypeError(f"{f.name} must be {f.type}, not {given[f.name]!r}")
+def _object(cls, fields, value):
+    if type(value) is not dict:
+        raise _Mismatch
+    if unknown := value.keys() - fields:
+        raise TypeError(f"unknown key {', '.join(map(repr, sorted(unknown)))}")
+    values = {}
+    for name, item in value.items():
+        try:
+            values[name] = fields[name][0](item)
+        except _Mismatch:
+            raise TypeError(f"{name} must be {fields[name][1]}, not {item!r}") from None
+    return cls(**values)
+
+
+@functools.cache  # one reader per type, built once: every script load decodes each entry
+def _reader(hint) -> Callable:
+    """A function from a JSON value of type `hint` to its Python value, raising
+    _Mismatch on any other: a list stands for a tuple, an object for a
+    dataclass and an int for a float; a bool is no number. json.loads gives
+    exact types, so an exact-type test suffices."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        fields = {f.name: (_reader(hints[f.name]), f.type) for f in dataclasses.fields(hint)}
+        return functools.partial(_object, hint, fields)
+    if origin is types.UnionType:  # X | None, the one union a row holds
+        read = _reader(args[0])
+        return lambda value: None if value is None else read(value)
+    if origin is list or args[-1:] == (...,):  # list[T] and tuple[T, ...]
+        item = _reader(args[0])
+        return lambda value: origin(map(item, value)) if type(value) is list else _mismatch()
+    if origin is tuple:
+        items = tuple(map(_reader, args))
+        return lambda value: (tuple(read(v) for read, v in zip(items, value))
+                              if type(value) is list and len(value) == len(items) else _mismatch())
+    kinds = {int, float} if hint is float else {hint}
+    return lambda value: value if type(value) in kinds else _mismatch()
+
+
+def decode(cls, row):
+    """The dataclass `cls` built from the JSON object `row`, recursing into
+    nested dataclasses, list[T], tuple[...] and X | None. An omitted field
+    takes its default; an unknown key, or a value of another type than its
+    field's, is a TypeError naming it."""
+    try:
+        return _reader(cls)(row)
+    except _Mismatch:
+        raise TypeError(f"not a JSON object: {row!r}") from None
 
 
 def rows(path, data: bytes, decode: Callable, start: int = 0) -> Iterator[tuple[int, object]]:

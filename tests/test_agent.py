@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import pytest
 
 from coqharness import agent, driver, mockprover, prompting
-from coqharness.agent import AgentDeps, RunConfig, attempt_from_json, prove
+from coqharness.agent import AgentDeps, RunConfig, prove
 from coqharness.client import DecodingParams, Provider, ProviderError, ScriptedProvider
 from coqharness.corpus import SourceFile, TheoremRecord
 from coqharness.driver import (
@@ -117,17 +117,6 @@ def test_run_config_invariants():
         RunConfig(tag="a", mode="zs", loop="ensemble")
     with pytest.raises(ValueError):
         RunConfig(tag="a", mode="zs", max_turns=0)
-
-
-def test_attempt_record_json_roundtrip(toy_deps):
-    deps = toy_deps()
-    config = RunConfig(tag="zs", mode="zs", decoding=DecodingParams(n=2), seed=11)
-    records = prove_alone(get(deps.corpus, "weak_refl"), config, deps)
-    for record in records:
-        line = json.dumps(record, default=vars)
-        clone = attempt_from_json(json.loads(line))
-        assert clone == record
-        assert json.dumps(clone, default=vars) == line
 
 
 # -- one-shot -----------------------------------------------------------------
@@ -498,6 +487,19 @@ def test_repair_all_rounds_fail_record_count(toy_deps):
     assert [r.round for r in records] == [0, 0, 1, 1, 2, 2, 3, 3]
 
 
+def test_repair_queues_a_repeated_failing_script_once(toy_deps):
+    provider = scripted([
+        {"theorem": "weak_refl", "last_message_contains": "failed with error",
+         "completions": ["Proof.\nidtac.\nQed."]},
+        {"theorem": "weak_refl", "completions": ["Proof.\neauto.\nQed."]},
+    ])
+    deps = toy_deps(provider)
+    records = prove_alone(get(deps.corpus, "weak_refl"), repair_config(rounds=2, n=3), deps)
+    # 3 identical round-0 scripts make one repair chain, not three
+    assert [r.round for r in records] == [0, 0, 0, 1, 2]
+    assert not any(r.accepted for r in records)
+
+
 # -- ensemble -----------------------------------------------------------------
 
 
@@ -530,6 +532,13 @@ def test_ensemble_budget_split(toy_deps):
     assert len(by_variant["simple-tactics-first"]) == 1
     assert len(by_variant["no-lemma-use"]) == 1
     assert len(records) == 5
+
+
+def test_ensemble_skips_a_variant_whose_share_of_n_is_zero(toy_deps):
+    deps = toy_deps(scripted([{"theorem": "trans_incl", "completions": ["Proof.\nauto.\nQed."]}]))
+    config = ensemble_config(["simple-tactics-first", "no-lemma-use"], n=1)
+    records = prove_alone(get(deps.corpus, "trans_incl"), config, deps)
+    assert [(r.variant_id, r.candidate_index) for r in records] == [("base", 0)]
 
 
 def test_ensemble_proves_what_base_misses(toy_deps):

@@ -812,6 +812,7 @@ def test_eval_embedded_retrieval_mode_exit_2(config_file, ingested, tmp_path, ca
 @pytest.mark.parametrize("entry, logged", [
     ({"max_turn": 3}, "unknown key 'max_turn'"),
     ({"n": 2, "retrieval": "lexical"}, "unknown key 'n', 'retrieval'"),
+    ({"decoding": {"temprature": 0.5}}, "unknown key 'temprature'"),
 ])
 def test_an_unknown_manifest_key_exits_2(config_file, ingested, tmp_path, caplog, entry, logged):
     """A misspelt key is not ignored: the config it names would run with a
@@ -1101,20 +1102,26 @@ def test_report_classifies_uncategorized_rows_with_configured_patterns(tmp_path,
     assert histogram["zs"]["wrong_tactic"] == 0
 
 
+_GOOD_ROW = ('{"theorem_id": "f.v::t", "config_tag": "zs", "variant_id": "base", "candidate_index": 1,'
+             ' "proof_script": "", "accepted": false, "failing_step": null, "turns": [],'
+             ' "completion_kind": "malformed"')
+
+
 @pytest.mark.parametrize("bad, logged", [
-    ("[1, 2]", "'list' object has no attribute 'get'"),
+    ("[1, 2]", "not a JSON object: [1, 2]"),
     ('{"theorem_id": "f.v::t"}', "missing"),
     ("{not json", "Expecting property name"),
     ("\udcff", "can't decode byte 0xff"),
-    ('{"theorem_id": "f.v::t", "config_tag": "zs", "variant_id": "base", "candidate_index": 1,'
-     ' "proof_script": "", "accepted": false, "failing_step": null, "turns": [],'
-     ' "completion_kind": "malformed", "category": "bogus"}', "unknown category 'bogus'"),
+    (_GOOD_ROW + ', "category": "bogus"}', "unknown category 'bogus'"),
     ('{"accepted": "false"}', "accepted must be bool, not 'false'"),
     ('{"candidate_index": "x"}', "candidate_index must be int, not 'x'"),
     ('{"candidate_index": true}', "candidate_index must be int, not True"),
     ('{"failing_step": [1, "auto."]}', "failing_step must be tuple[int, str, str] | None"),
     ('{"failing_step": ["1", "auto.", "m"]}', "failing_step must be tuple[int, str, str] | None"),
     ('{"refusal_text": 0}', "refusal_text must be str | None, not 0"),
+    (_GOOD_ROW.replace('"turns": []', '"turns": [{"prompt_delta": 1, "completion": ["x"]}]') + "}",
+     "prompt_delta must be str, not 1"),
+    (_GOOD_ROW + ', "x": 1, "acepted": true}', "unknown key 'acepted', 'x'"),
 ])
 def test_report_on_a_bad_attempt_row_exits_2_naming_it(tmp_path, caplog, bad, logged):
     attempts = tmp_path / "attempts"
@@ -1390,6 +1397,11 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
     ({"c.ini": "[provider]\nscript_file = {tmp}/s.json\n" + _PROVER, "s.json": "[]"},
      ["--config", "{tmp}/c.ini", *_PROVE],
      "bad provider script: script must be an object with an 'entries' list"),
+    ({"c.ini": "[provider]\nscript_file = {tmp}/s.json\n" + _PROVER,
+      "s.json": '{{"entries": [{{"theorem_id": "t", "completions": ["a"]}}]}}'},
+     ["--config", "{tmp}/c.ini", *_EVAL, "--manifest", "{fixtures}/manifest.json"],
+     "bad provider script: bad entry {{'theorem_id': 't', 'completions': ['a']}}: "
+     "unknown key 'theorem_id'"),
     ({"c.ini": "[provider]\nkind = http\nmodel_name = m\n" + _PROVER},
      ["--config", "{tmp}/c.ini", *_PROVE], "provider.base_url and provider.model_name are required"),
     ({"c.ini": "[provider]\nkind = pigeon\n" + _PROVER}, ["--config", "{tmp}/c.ini", *_PROVE],
@@ -1437,9 +1449,10 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
     *[({"m.json": '{{"configs": [{{"tag": "zs", "mode": "zs"}}, {{"tag": "zs", "mode": "fs-sim"}}]}}'},
        ["--config", "{config}", *argv, "--manifest", "{tmp}/m.json"], "bad manifest entry 'zs': repeated tag")
       for argv in (_EVAL, [*_PROVE, "--config-tag", "zs"])],
-], ids=["config-file", "script-file", "provider-script", "http", "provider-kind", "manifest-json",
-        "manifest-configs", "manifest-list", "index-train", "config-tag", "report-attempts", "test-fraction",
-        "by-file", "wall-clock-negative", "wall-clock-zero", "max-queries", "max-prompt-chars",
+], ids=["config-file", "script-file", "provider-script", "provider-script-entry", "http",
+        "provider-kind", "manifest-json", "manifest-configs", "manifest-list", "index-train",
+        "config-tag", "report-attempts", "test-fraction", "by-file", "wall-clock-negative",
+        "wall-clock-zero", "max-queries", "max-prompt-chars",
         "strategies-one-shot", "strategies-repair", "strategies-interactive", "prover-backend",
         "corpus-row", "tag-escapes", "tag-empty", "tag-dot", "tag-dot-dot", "tag-nul",
         "tag-repeated-eval", "tag-repeated-prove"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coqharness import client
+from coqharness.cli import run_config_from_dict
 from coqharness.client import (
     BudgetExceeded,
     CacheMiss,
@@ -135,6 +137,13 @@ def test_scripted_provider_parse_errors(tmp_path):
         ScriptedProvider(bad)
     with pytest.raises(ScriptParseError):
         ScriptedProvider({"entries": [{"theorem": "x", "completions": []}]})
+    # Read leniently, these would serve one character per call, match every prompt,
+    # and pass a non-string on as a completion.
+    for entry, named in [({"completions": "Proof."}, "completions must be list[str], not 'Proof.'"),
+                         ({"theorem_id": "t", "completions": ["a"]}, "unknown key 'theorem_id'"),
+                         ({"completions": [7]}, "completions must be list[str], not [7]")]:
+        with pytest.raises(ScriptParseError, match=re.escape(f"bad entry {entry!r}: {named}")):
+            ScriptedProvider({"entries": [entry]})
 
 
 def test_cache_miss_store_hit(tmp_path):
@@ -256,9 +265,11 @@ class FakeSession:
     def __init__(self, responses):
         self.responses = list(responses)
         self.calls = 0
+        self.payloads = []
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.calls += 1
+        self.payloads.append(json)
         return self.responses.pop(0)
 
 
@@ -280,6 +291,18 @@ def test_http_provider_retries_429_then_succeeds(monkeypatch):
     assert session.calls == 3
     assert provider.last_retries == 2
     assert provider.tokens_used == 12
+
+
+def test_a_manifest_decoding_seed_reaches_the_http_payload(monkeypatch):
+    monkeypatch.setattr("time.sleep", lambda s: None)
+    session = FakeSession([FakeResponse(200, _ok_payload(["done"]))] * 2)
+    provider = HttpChatProvider("http://fake", "model-x", rpm_limit=0, session=session)
+    for decoding in ({"n": 1, "seed": 7}, {"n": 1}):
+        config = run_config_from_dict({"tag": "t", "mode": "zs", "decoding": decoding},
+                                      DecodingParams())
+        provider.complete(make_prompt(), config.decoding)
+    assert session.payloads[0]["seed"] == 7
+    assert "seed" not in session.payloads[1]
 
 
 def test_recorded_transcript_keeps_the_tokens_its_call_paid(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from coqharness.evaluate import (
     CATEGORIES,
     ClassifierRules,
     EvalError,
+    RunInfo,
     TooFewConfigs,
     build_report,
     classify_failure,
@@ -256,7 +257,7 @@ def test_run_eval_annotates_missed_simple(toy_deps):
     assert trans and all(not r.accepted for r in trans)
     assert all(r.missed_simple for r in trans)  # one-tactic reference proof
     run = run_info(deps.corpus, [config])
-    assert run["manifest_hash"] and run["corpus_hash"]
+    assert run.manifest_hash and run.corpus_hash
 
     # weak_refl's reference proof is three tactics: failures stay unflagged
     sim = RunConfig(tag="fs-sim", mode="fs-sim", k_shots=2,
@@ -321,14 +322,14 @@ def test_refusal_share_five_point_four_percent(tmp_path):
 
 def test_recompute_from_attempts_dir(tmp_path):
     attempts = two_config_attempts()
-    run = {"manifest_hash": "m", "corpus_hash": "c", "config_echo": {"B": {}, "A": {}}}
+    run = RunInfo("m", "c", {"B": {}, "A": {}})
     original = build_report(attempts, RULES, run)
     emit_attempts(attempts, run, tmp_path / "attempts")
     clone = build_report(load_attempts_dir(tmp_path / "attempts"), RULES)
     for field in ("per_config", "proven", "coincidence", "refusal_share_percent"):
         assert clone[field] == original[field]
     stored = load_run(tmp_path / "attempts")
-    assert stored == run and list(stored["config_echo"]) == ["B", "A"]
+    assert stored == run and list(stored.config_echo) == ["B", "A"]
     clone = build_report(load_attempts_dir(tmp_path / "attempts", stored), RULES, stored)
     assert clone == original and list(clone["per_config"]) == ["B", "A"]
 

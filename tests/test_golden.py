@@ -153,7 +153,11 @@ def test_a_cut_transcript_row_is_recorded_again_and_a_replay_names_its_key(tmp_p
     lambda row: row[: len(row) // 2] + b"\n",
     lambda row: json.dumps({**json.loads(row), "completions": 7}).encode() + b"\n",
     lambda row: json.dumps({**json.loads(row), "completions": [7, 7]}).encode() + b"\n",
-], ids=["cut", "completions-not-a-list", "completions-not-strings"])
+    lambda row: json.dumps({**json.loads(row), "token_usage": "xy"}).encode() + b"\n",
+    lambda row: json.dumps({**json.loads(row), "timestamp": "now"}).encode() + b"\n",
+    lambda row: json.dumps({**json.loads(row), "tokens": [1, 2]}).encode() + b"\n",
+], ids=["cut", "completions-not-a-list", "completions-not-strings", "token-usage-a-string",
+        "timestamp-a-string", "unknown-key"])
 def test_a_malformed_transcript_row_exits_2_naming_it(break_row, tmp_path, caplog):
     run_case("fixtures", tmp_path, workers=1)
     shard = sorted((tmp_path / "cache").glob("*.jsonl"))[0]

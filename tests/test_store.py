@@ -1,11 +1,19 @@
-"""The JSON Lines store: interrupted appends and the append lock."""
+"""The JSON Lines store: interrupted appends, the append lock, and the one
+reader of stored rows."""
 
 from __future__ import annotations
 
 import fcntl
+import json
 import threading
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from coqharness import store
+from coqharness.agent import AttemptRecord, Turn
+from coqharness.client import Transcript, _ScriptEntry
+from coqharness.evaluate import RunInfo
 
 
 def test_an_append_cuts_off_an_interrupted_append_and_a_read_leaves_it_out(tmp_path, caplog):
@@ -31,3 +39,40 @@ def test_an_append_waits_for_another_writer_and_keeps_its_row(tmp_path):
         other.write(b"1}\n")
     writer.join()
     assert path.read_bytes() == b'{"k": 1}\n{"k": 2}\n'
+
+
+_text = st.text(max_size=8)
+_optional_text = st.none() | _text
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=8,
+)
+_turns = st.builds(Turn, _text, _text,
+                   st.lists(st.tuples(_text, _text, _text), max_size=2).map(tuple))
+_rows = st.one_of(
+    st.builds(
+        AttemptRecord, _text, _text, _text, st.integers(), _text, st.booleans(),
+        st.none() | st.tuples(st.integers(), _text, _text), st.lists(_turns, max_size=3), _text,
+        refusal_text=_optional_text, category=_optional_text, round=st.integers(),
+        budget_exhausted=st.booleans(), appended_qed=st.booleans(), lexical_error=st.booleans(),
+        dropped_examples=st.integers(), missed_simple=st.booleans(),
+    ),
+    st.builds(Transcript, _text, st.lists(_text, max_size=3), _text,
+              st.integers() | st.floats(allow_nan=False, allow_infinity=False),
+              st.tuples(st.integers(), st.integers()), st.integers()),
+    st.builds(RunInfo, _text, _text, st.dictionaries(_text, _json_values, max_size=3)),
+    st.builds(_ScriptEntry, st.lists(_text, min_size=1, max_size=3), _optional_text,
+              _optional_text, _optional_text, _optional_text),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows)
+def test_decode_inverts_json_dumps_for_every_row_type(row):
+    """Every stored row type and input entry reads back as the value written,
+    a Turn's tool calls and an int in a float field included."""
+    line = json.dumps(row, ensure_ascii=False, default=vars)
+    clone = store.decode(type(row), json.loads(line))
+    assert clone == row
+    assert json.dumps(clone, ensure_ascii=False, default=vars) == line
