@@ -188,8 +188,7 @@ def _select_examples(
 def _lemma_pairs(target_or_example: TheoremRecord, config: RunConfig, deps: AgentDeps):
     if not config.with_lemmas:
         return []
-    found = preceding_lemmas(deps.corpus, target_or_example.id, config.n_lemmas)
-    return [(name, statement.text) for name, statement, _ in found]
+    return preceding_lemmas(deps.corpus, target_or_example.id, config.n_lemmas)
 
 
 def _build_target_prompt(

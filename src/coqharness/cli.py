@@ -148,6 +148,8 @@ def load_manifest(path: str, defaults: client.DecodingParams) -> list[agent.RunC
     entries = raw.get("configs") if isinstance(raw, dict) else None
     if not entries:
         raise CliError("manifest has no configs")
+    if unknown := raw.keys() - {"configs"}:
+        raise CliError(f"bad manifest {path}: unknown key {', '.join(map(repr, sorted(unknown)))}")
     run_configs: dict[str, agent.RunConfig] = {}
     for entry in entries:
         try:

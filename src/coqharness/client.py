@@ -152,6 +152,8 @@ class ScriptedProvider(Provider):
                 raise ScriptParseError(str(exc)) from exc
         if not isinstance(script, dict) or "entries" not in script:
             raise ScriptParseError("script must be an object with an 'entries' list")
+        if unknown := script.keys() - {"entries", "default"}:
+            raise ScriptParseError(f"unknown key {', '.join(map(repr, sorted(unknown)))}")
         self.default = script.get("default") if default is None else default
         self.entries: list[_ScriptEntry] = []
         self._cursors: dict[tuple[int, str], int] = {}  # (entry position, target id)

@@ -357,16 +357,15 @@ def split_corpus(
     return replace(corpus, split_labels=labels)
 
 
-def preceding_lemmas(
-    corpus: Corpus, record_id: str, n: int
-) -> list[tuple[str, Sentence, tuple[Sentence, ...]]]:
-    """Up to n records from the same file before the target, nearest last."""
+def preceding_lemmas(corpus: Corpus, record_id: str, n: int) -> list[tuple[str, str]]:
+    """(name, statement text) of up to n records from the same file before
+    the target, nearest last."""
     target = corpus.by_id(record_id)
     if n <= 0:
         return []
     same_file = corpus._by_file[target.file]  # in index_in_file order
     end = bisect.bisect_left(same_file, target.index_in_file, key=_IN_FILE_ORDER)
-    return [(r.name, r.statement, r.proof) for r in same_file[max(0, end - n) : end]]
+    return [(r.name, r.statement_text) for r in same_file[max(0, end - n) : end]]
 
 
 # ---------------------------------------------------------------------------

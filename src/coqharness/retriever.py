@@ -1,12 +1,12 @@
 """Similarity search over theorem-proof pairs.
 
-Records and queries share one sparse feature space (hashed, TF-IDF weighted
-Coq-aware tokens); candidates are ranked by plain cosine over those vectors.
+Records and queries share one sparse feature space (TF-IDF weighted
+Coq-aware tokens, each keyed by the token itself); candidates are ranked by
+plain cosine over those vectors.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
 import json
@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import TheoremRecord
-
-DEFAULT_FEATURE_DIM = 4096
 
 _TOKEN_RE = re.compile(r"[a-z_][a-z0-9_']*|\d+|\S")
 
@@ -36,65 +34,20 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def hash_token(token: str, feature_dim: int) -> int:
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % feature_dim
+def _idf(documents: int, df: int) -> float:
+    return math.log((1 + documents) / (1 + df)) + 1.0
 
 
 @dataclass(frozen=True)
 class FeatureVector:
-    entries: dict[int, float]
+    entries: dict[str, float]  # token -> weight
     norm: float
 
     @staticmethod
-    def from_entries(entries: dict[int, float]) -> "FeatureVector":
+    def from_entries(entries: dict[str, float]) -> "FeatureVector":
         entries = {k: v for k, v in entries.items() if v != 0.0}
         norm = math.sqrt(math.fsum(v * v for v in entries.values()))
         return FeatureVector(entries, norm)
-
-
-@dataclass
-class Featurizer:
-    """Hashes tokens into a fixed-dimension TF-IDF weighted sparse space.
-    `df` and `n_docs` do not change once it is built."""
-
-    feature_dim: int = DEFAULT_FEATURE_DIM
-    df: dict[str, int] = field(default_factory=dict)
-    n_docs: int = 0
-    # token -> (bucket, idf), computed on a token's first use. Threads that
-    # featurize at once may each compute the same token's entry; both compute
-    # equal values from the same fields and either may be kept, so a vector
-    # never depends on which thread stored it.
-    _terms: dict[str, tuple[int, float]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    @staticmethod
-    def fit(documents: list[Counter[str]], feature_dim: int = DEFAULT_FEATURE_DIM) -> "Featurizer":
-        """Document frequencies over documents given as `Counter(tokenize(text))`."""
-        df: dict[str, int] = {}
-        for counts in documents:
-            for token in counts:
-                df[token] = df.get(token, 0) + 1
-        return Featurizer(feature_dim, df, len(documents))
-
-    def idf(self, token: str) -> float:
-        return math.log((1 + self.n_docs) / (1 + self.df.get(token, 0))) + 1.0
-
-    def vector(self, counts: Counter[str]) -> FeatureVector:
-        """The vector of a document given as `Counter(tokenize(text))`."""
-        terms = self._terms
-        entries: dict[int, float] = {}
-        for token, tf in counts.items():
-            term = terms.get(token)
-            if term is None:
-                term = terms[token] = (hash_token(token, self.feature_dim), self.idf(token))
-            bucket, idf = term
-            entries[bucket] = entries.get(bucket, 0.0) + tf * idf
-        return FeatureVector.from_entries(entries)
-
-    def featurize(self, text: str) -> FeatureVector:
-        return self.vector(Counter(tokenize(text)))
 
 
 def _sparse_cosine(a: FeatureVector, b: FeatureVector) -> float:
@@ -117,19 +70,18 @@ def similarity(a: FeatureVector, b: FeatureVector) -> float:
 PROOF_SPACE = "proof_text"
 STATEMENT_SPACE = "statement_text"
 
-_INDEX_FORMAT = "coqharness-index/2"
+_INDEX_FORMAT = "coqharness-index/3"
 
 
 @dataclass
 class Index:
     """The postings of a set of feature vectors, as stored in an index file.
-    Read-only once built: retrieve's memo derives from it."""
+    A token's document frequency is the length of its posting list and the
+    number of documents that of `norms`. Read-only once built: retrieve's
+    memo derives from it."""
 
     space: str
-    featurizer: Featurizer
-    # bucket, as the decimal string a JSON key holds -> [[id, weight]] over
-    # the vectors of nonzero norm
-    postings: dict[str, list[list]]
+    postings: dict[str, list[list]]  # token -> [[id, weight]] over the vectors of nonzero norm
     norms: dict[str, float]  # id -> its vector's norm, for every id indexed
     _ids: list[str] = field(init=False, repr=False, compare=False)
     # (query id, statement text, k) -> retrieve's ranking
@@ -142,14 +94,21 @@ class Index:
         self._ranked = {}
 
     @staticmethod
-    def from_vectors(space: str, featurizer: Featurizer, vectors: dict[str, FeatureVector]) -> "Index":
+    def from_vectors(space: str, vectors: dict[str, FeatureVector]) -> "Index":
         postings: dict[str, list[list]] = {}
         for rid, vector in vectors.items():
             if vector.norm == 0.0:  # scores 0 against every query
                 continue
-            for bucket, weight in vector.entries.items():
-                postings.setdefault(str(bucket), []).append([rid, weight])
-        return Index(space, featurizer, postings, {rid: v.norm for rid, v in vectors.items()})
+            for token, weight in vector.entries.items():
+                postings.setdefault(token, []).append([rid, weight])
+        return Index(space, postings, {rid: v.norm for rid, v in vectors.items()})
+
+    def idf(self, token: str) -> float:
+        return _idf(len(self.norms), len(self.postings.get(token, ())))
+
+    def featurize(self, text: str) -> FeatureVector:
+        counts = Counter(tokenize(text))
+        return FeatureVector.from_entries({t: tf * self.idf(t) for t, tf in counts.items()})
 
 
 def _record_text(record: TheoremRecord, space: str) -> str:
@@ -160,17 +119,15 @@ def _record_text(record: TheoremRecord, space: str) -> str:
     raise ValueError(f"unknown index space {space!r}")
 
 
-def build_index(
-    train: list[TheoremRecord],
-    space: str = PROOF_SPACE,
-    feature_dim: int = DEFAULT_FEATURE_DIM,
-) -> Index:
+def build_index(train: list[TheoremRecord], space: str = PROOF_SPACE) -> Index:
     if not train:
         raise EmptyTrainSet("cannot index an empty train set")
     counts = {r.id: Counter(tokenize(_record_text(r, space))) for r in train}
-    featurizer = Featurizer.fit(list(counts.values()), feature_dim)
-    vectors = {rid: featurizer.vector(tokens) for rid, tokens in counts.items()}
-    return Index.from_vectors(space, featurizer, vectors)
+    df = Counter(token for tokens in counts.values() for token in tokens)
+    idf = {token: _idf(len(counts), n) for token, n in df.items()}
+    vectors = {rid: FeatureVector.from_entries({t: tf * idf[t] for t, tf in tokens.items()})
+               for rid, tokens in counts.items()}
+    return Index.from_vectors(space, vectors)
 
 
 def retrieve(index: Index, query: TheoremRecord, k: int) -> list[tuple[str, float]]:
@@ -190,14 +147,14 @@ def retrieve(index: Index, query: TheoremRecord, k: int) -> list[tuple[str, floa
 
 
 def _rank(index: Index, query: TheoremRecord, k: int) -> list[tuple[str, float]]:
-    """Score only the ids that share a bucket with the query, then fill with
+    """Score only the ids that share a token with the query, then fill with
     zero scores in id order. Products commute and `math.fsum` is exact, so
-    summing the shared buckets' products equals `similarity`'s sum."""
-    query_vector = index.featurizer.featurize(query.statement_text)
+    summing the shared tokens' products equals `similarity`'s sum."""
+    query_vector = index.featurize(query.statement_text)
     products: dict[str, list[float]] = {}
     if query_vector.norm != 0.0:
-        for bucket, weight in query_vector.entries.items():
-            for rid, other in index.postings.get(str(bucket), ()):
+        for token, weight in query_vector.entries.items():
+            for rid, other in index.postings.get(token, ()):
                 products.setdefault(rid, []).append(weight * other)
     products.pop(query.id, None)
     scores = []
@@ -216,15 +173,8 @@ def _rank(index: Index, query: TheoremRecord, k: int) -> list[tuple[str, float]]
 
 
 def save_index(index: Index, path: str | Path) -> None:
-    payload = {
-        "format": _INDEX_FORMAT,
-        "space": index.space,
-        "feature_dim": index.featurizer.feature_dim,
-        "n_docs": index.featurizer.n_docs,
-        "df": index.featurizer.df,
-        "postings": index.postings,
-        "norms": index.norms,
-    }
+    payload = {"format": _INDEX_FORMAT, "space": index.space, "postings": index.postings,
+               "norms": index.norms}
     Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
 
 
@@ -237,14 +187,16 @@ def load_index(path: str | Path) -> Index:
         raise RetrieverError(
             f"index format {found!r}, expected {_INDEX_FORMAT!r}: re-run index to rewrite it"
         )
-    featurizer = Featurizer(payload["feature_dim"], payload["df"], payload["n_docs"])
-    postings, norms = payload["postings"], payload["norms"]
-    fields = (payload["space"], featurizer.feature_dim, featurizer.n_docs, featurizer.df,
-              postings, norms)
-    if tuple(map(type, fields)) != (str, int, int, dict, dict, dict):
+    if unknown := payload.keys() - {"format", "space", "postings", "norms"}:
+        raise RetrieverError(f"unknown key {', '.join(map(repr, sorted(unknown)))}")
+    space, postings, norms = payload["space"], payload["postings"], payload["norms"]
+    if (type(space), type(postings), type(norms)) != (str, dict, dict):
         raise RetrieverError("a field has the wrong type")
-    for pairs in postings.values():
+    for token, pairs in postings.items():
         for rid, weight in pairs:  # a ValueError unless a pair
-            if type(weight) is not float or not norms.get(rid, 0.0) > 0.0:
+            norm = norms.get(rid)
+            if type(weight) is not float or type(norm) is not float or not norm > 0.0:
                 raise RetrieverError(f"a posting of {rid!r} has no norm or no weight")
-    return Index(payload["space"], featurizer, postings, norms)
+        if len({rid for rid, _ in pairs}) < len(pairs):  # its length is the token's df
+            raise RetrieverError(f"the posting list of {token!r} names an id twice")
+    return Index(space, postings, norms)

@@ -73,7 +73,7 @@ def test_criterion_2_retriever_properties():
         make_record(f"r{i}", f"Lemma r{i}: prop{i} alpha{i}.", f"Proof. tac{i} beta{i}; auto. Qed.", index=i)
         for i in range(20)
     ]
-    index = build_index(records, feature_dim=2048)
+    index = build_index(records)
     probe = make_record("probe", records[7].proof_text, "Proof. x. Qed.")
     ranked = retrieve(index, probe, 5)
     assert ranked[0][0] == records[7].id

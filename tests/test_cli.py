@@ -1222,16 +1222,22 @@ def test_eval_workers_1_and_4_write_identical_bytes(walk_project, tmp_path):
 
 @pytest.mark.parametrize(
     "content, detail",
-    [('{"format": "nope"}', "index format 'nope', expected 'coqharness-index/2'"),
+    [('{"format": "nope"}', "index format 'nope', expected 'coqharness-index/3'"),
      ('{"format": "coqharness-index/1", "space": "proof_text", "vectors": {}}',
-      "index format 'coqharness-index/1', expected 'coqharness-index/2': re-run index"),
+      "index format 'coqharness-index/1', expected 'coqharness-index/3': re-run index"),
+     ('{"format": "coqharness-index/2", "space": "proof_text", "feature_dim": 4096, '
+      '"n_docs": 0, "df": {}, "postings": {}, "norms": {}}',
+      "index format 'coqharness-index/2', expected 'coqharness-index/3': re-run index"),
      ({"postings": None}, "'postings'"),
+     ({"df": {}}, "unknown key 'df'"),
      ({"norms": []}, "a field has the wrong type"),
-     ({"postings": {"7": [["weak.v::weak_refl"]]}}, "not enough values to unpack"),
+     ({"postings": {"auto": [["weak.v::weak_refl"]]}}, "not enough values to unpack"),
      ({"norms": {}}, "has no norm or no weight"),
-     ('{"format": "coqharness-index/2", "space"', "Expecting")],
-    ids=["wrong-format", "format-1", "no-postings", "wrong-type", "short-pair", "no-norms",
-         "truncated"],
+     ({"postings": {"auto": [["relations.v::comp_incl", 1.5]] * 2}},
+      "the posting list of 'auto' names an id twice"),
+     ('{"format": "coqharness-index/3", "space"', "Expecting")],
+    ids=["wrong-format", "format-1", "format-2", "no-postings", "unknown-key", "wrong-type",
+         "short-pair", "no-norms", "repeated-id", "truncated"],
 )
 def test_unreadable_index_file_exit_2(
     config_file, ingested, manifest_path, tmp_path, caplog, content, detail
@@ -1412,6 +1418,12 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
      "manifest has no configs"),
     ({"m.json": "[]"}, ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
      "manifest has no configs"),
+    ({"m.json": '{{"configs": [{{"tag": "zs", "mode": "zs"}}], "defaults": {{"n": 2}}}}'},
+     ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
+     "bad manifest {tmp}/m.json: unknown key 'defaults'"),
+    ({"c.ini": "[provider]\nscript_file = {tmp}/s.json\n" + _PROVER,
+      "s.json": '{{"entries": [], "defualt": "x"}}'}, ["--config", "{tmp}/c.ini", *_PROVE],
+     "bad provider script: unknown key 'defualt'"),
     ({}, ["--config", "{config}", "index", "--corpus", "{all_test}", "--out", "{tmp}/i.json"],
      "corpus has no train records; run ingest/split first"),
     ({}, ["--config", "{config}", *_PROVE, "--manifest", "{fixtures}/manifest.json",
@@ -1450,7 +1462,8 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
        ["--config", "{config}", *argv, "--manifest", "{tmp}/m.json"], "bad manifest entry 'zs': repeated tag")
       for argv in (_EVAL, [*_PROVE, "--config-tag", "zs"])],
 ], ids=["config-file", "script-file", "provider-script", "provider-script-entry", "http",
-        "provider-kind", "manifest-json", "manifest-configs", "manifest-list", "index-train",
+        "provider-kind", "manifest-json", "manifest-configs", "manifest-list", "manifest-key",
+        "script-key", "index-train",
         "config-tag", "report-attempts", "test-fraction", "by-file", "wall-clock-negative",
         "wall-clock-zero", "max-queries", "max-prompt-chars",
         "strategies-one-shot", "strategies-repair", "strategies-interactive", "prover-backend",

@@ -131,6 +131,8 @@ def test_scripted_provider_empty_script_means_default_everywhere():
 def test_scripted_provider_parse_errors(tmp_path):
     with pytest.raises(ScriptParseError):
         ScriptedProvider({"not-entries": []})
+    with pytest.raises(ScriptParseError, match="unknown key 'defualt'"):
+        ScriptedProvider({"entries": [], "defualt": "x"})
     bad = tmp_path / "script.json"
     bad.write_text("{broken json")
     with pytest.raises(ScriptParseError):

@@ -167,13 +167,13 @@ def test_split_too_few(tmp_path):
 def test_preceding_lemmas_window(toy_corpus):
     assert preceding_lemmas(toy_corpus, "relations.v::comp_incl", 6) == []
     got = preceding_lemmas(toy_corpus, "relations.v::union_incl", 2)
-    assert [name for name, _, _ in got] == ["comp_incl", "comp_eeq"]
+    assert [name for name, _ in got] == ["comp_incl", "comp_eeq"]
     assert preceding_lemmas(toy_corpus, "relations.v::union_incl", 0) == []
     with pytest.raises(UnknownId):
         preceding_lemmas(toy_corpus, "missing", 3)
     # never crosses files, ignores split labels, excludes the target
     got = preceding_lemmas(toy_corpus, "weak.v::G_wmon", 10)
-    assert [name for name, _, _ in got] == ["weak_refl"]
+    assert [name for name, _ in got] == ["weak_refl"]
 
 
 def _filtered_preceding_lemmas(corpus, record_id, n):
@@ -186,7 +186,7 @@ def _filtered_preceding_lemmas(corpus, record_id, n):
         if r.file == target.file and r.index_in_file < target.index_in_file
     ]
     same_file.sort(key=lambda r: r.index_in_file)
-    return [(r.name, r.statement, r.proof) for r in same_file[-n:]]
+    return [(r.name, r.statement_text) for r in same_file[-n:]]
 
 
 @pytest.mark.parametrize("project_name", ["walk", "fixtures", "long"])

@@ -3,8 +3,8 @@ index build, save and load, and lexical ranking."""
 
 from __future__ import annotations
 
+import json
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,11 +15,11 @@ from coqharness.retriever import (
     PROOF_SPACE,
     STATEMENT_SPACE,
     EmptyTrainSet,
-    Featurizer,
+    RetrieverError,
     FeatureVector,
     Index,
+    _record_text,
     build_index,
-    hash_token,
     load_index,
     retrieve,
     save_index,
@@ -29,7 +29,7 @@ from coqharness.retriever import (
 from coqharness.sentences import Sentence
 
 from oracles import oracle_cosine
-from two_pass_index import two_pass_build_index, two_pass_featurize
+from two_pass_index import two_pass_build_index, two_pass_featurize, two_pass_fit
 
 
 def make_record(name: str, statement: str, proof: str, file: str = "fix.v", index: int = 0):
@@ -45,12 +45,13 @@ def make_record(name: str, statement: str, proof: str, file: str = "fix.v", inde
     )
 
 
-def _counts(docs: list[str]) -> list[Counter]:
-    return [Counter(tokenize(doc)) for doc in docs]
+def index_of(proofs: list[str]) -> Index:
+    return build_index([make_record(f"d{i}", "Lemma s: True.", proof, index=i)
+                        for i, proof in enumerate(proofs)])
 
 
 def to_fv(dense: np.ndarray) -> FeatureVector:
-    return FeatureVector.from_entries({i: float(v) for i, v in enumerate(dense) if v != 0.0})
+    return FeatureVector.from_entries({f"t{i}": float(v) for i, v in enumerate(dense) if v != 0.0})
 
 
 # -- tokenization / featurization -------------------------------------------
@@ -64,24 +65,24 @@ def test_tokenize_coq_aware():
 
 
 def test_featurize_empty_is_zero():
-    featurizer = Featurizer.fit(_counts(["a b", "b c"]), feature_dim=64)
-    vector = featurizer.featurize("")
+    vector = index_of(["a b", "b c"]).featurize("")
     assert vector.entries == {} and vector.norm == 0.0
 
 
 def test_featurize_deterministic():
-    featurizer = Featurizer.fit(_counts(["intros x.", "auto."]), feature_dim=512)
-    assert featurizer.featurize("intros x. auto.") == featurizer.featurize("intros x. auto.")
+    index = index_of(["intros x.", "auto."])
+    assert index.featurize("intros x. auto.") == index.featurize("intros x. auto.")
 
 
 def test_featurize_matches_hand_tfidf():
     docs = ["intros x. auto.", "intros y. reflexivity.", "auto."]
-    featurizer = Featurizer.fit(_counts(docs), feature_dim=4096)
+    index = index_of(docs)
     # hand count: df(intros)=2, df(x)=1, df(".")=3, df(auto)=2
-    assert featurizer.df == {
+    assert {token: len(pairs) for token, pairs in index.postings.items()} == {
         "intros": 2, "x": 1, ".": 3, "auto": 2, "y": 1, "reflexivity": 1,
     }
-    vector = featurizer.featurize("intros x. auto.")
+    assert len(index.norms) == 3
+    vector = index.featurize("intros x. auto.")
 
     def idf(df):
         return math.log((1 + 3) / (1 + df)) + 1.0
@@ -92,18 +93,15 @@ def test_featurize_matches_hand_tfidf():
         ".": 2 * idf(3),
         "auto": 1 * idf(2),
     }
-    buckets = {token: hash_token(token, 4096) for token in expected}
-    assert len(set(buckets.values())) == len(buckets)  # no collisions at this dim
-    for token, weight in expected.items():
-        assert vector.entries[buckets[token]] == pytest.approx(weight, abs=1e-9)
+    assert vector.entries == pytest.approx(expected, abs=1e-9)
     assert vector.norm == pytest.approx(
         math.sqrt(sum(w * w for w in expected.values())), abs=1e-9
     )
 
 
 def test_featurevector_invariants():
-    vector = FeatureVector.from_entries({1: 2.0, 2: 0.0, 3: -1.0})
-    assert 2 not in vector.entries  # zero weights dropped
+    vector = FeatureVector.from_entries({"a": 2.0, "b": 0.0, "c": -1.0})
+    assert "b" not in vector.entries  # zero weights dropped
     assert vector.norm == pytest.approx(math.sqrt(5.0), abs=1e-12)
 
 
@@ -111,8 +109,8 @@ def test_featurevector_invariants():
 
 
 def test_similarity_identity_orthogonal_zero():
-    v = FeatureVector.from_entries({0: 1.0, 5: 2.0})
-    w = FeatureVector.from_entries({1: 3.0})
+    v = FeatureVector.from_entries({"a": 1.0, "f": 2.0})
+    w = FeatureVector.from_entries({"b": 3.0})
     zero = FeatureVector.from_entries({})
     assert similarity(v, v) == pytest.approx(1.0, abs=1e-12)
     assert similarity(v, w) == 0.0
@@ -120,8 +118,8 @@ def test_similarity_identity_orthogonal_zero():
 
 
 def test_similarity_matches_hand_cosine():
-    a = FeatureVector.from_entries({0: 1.0, 1: 2.0, 2: 3.0})
-    b = FeatureVector.from_entries({0: 4.0, 1: 0.5, 2: 1.0})
+    a = FeatureVector.from_entries({"a": 1.0, "b": 2.0, "c": 3.0})
+    b = FeatureVector.from_entries({"a": 4.0, "b": 0.5, "c": 1.0})
     dense_a, dense_b = [1.0, 2.0, 3.0], [4.0, 0.5, 1.0]
     assert similarity(a, b) == pytest.approx(oracle_cosine(dense_a, dense_b), abs=1e-12)
 
@@ -155,11 +153,10 @@ def five_record_fixture():
 
 def test_build_index_size_and_determinism():
     records = five_record_fixture()
-    index = build_index(records, feature_dim=1024)
-    rebuilt = build_index(records, feature_dim=1024)
+    index = build_index(records)
+    rebuilt = build_index(records)
     assert len(index.norms) == 5
     assert (index.postings, index.norms) == (rebuilt.postings, rebuilt.norms)
-    assert index.featurizer.df == rebuilt.featurizer.df
     single = build_index(records[:1])
     assert len(single.norms) == 1
     with pytest.raises(EmptyTrainSet):
@@ -167,8 +164,8 @@ def test_build_index_size_and_determinism():
 
 
 def test_df_table_matches_hand_count():
-    index = build_index(five_record_fixture(), feature_dim=1024)
-    df = index.featurizer.df
+    index = build_index(five_record_fixture())
+    df = {token: len(pairs) for token, pairs in index.postings.items()}
     # proofs only (default space); hand-counted document frequencies
     assert df["proof"] == 5 and df["."] == 5 and df["qed"] == 5
     assert df["intros"] == 2 and df["auto"] == 4
@@ -180,7 +177,7 @@ def test_df_table_matches_hand_count():
 
 def test_retrieve_k0_and_self_retrieval():
     records = five_record_fixture()
-    index = build_index(records, feature_dim=1024)
+    index = build_index(records)
     query = make_record("query", records[2].proof_text, "Proof. whatever. Qed.")
     assert retrieve(index, query, 0) == []
     ranked = retrieve(index, query, 3)
@@ -190,10 +187,10 @@ def test_retrieve_k0_and_self_retrieval():
 
 def test_retrieve_matches_bruteforce_and_excludes_query():
     records = five_record_fixture()
-    index = build_index(records, feature_dim=1024)
+    index = build_index(records)
     query = records[0]
     ranked = retrieve(index, query, 2)
-    query_vector = index.featurizer.featurize(query.statement_text)
+    query_vector = index.featurize(query.statement_text)
     brute = sorted(
         (
             (rid, similarity(query_vector, vec))
@@ -208,14 +205,14 @@ def test_retrieve_matches_bruteforce_and_excludes_query():
 
 def test_retrieve_ranking_invariant_under_uniform_scaling():
     records = five_record_fixture()
-    index = build_index(records, feature_dim=1024)
+    index = build_index(records)
     query = make_record("q", "p q auto", "x")
     base = [rid for rid, _ in retrieve(index, query, 5)]
     scaled = {
         rid: FeatureVector.from_entries({k: 7.5 * w for k, w in vec.entries.items()})
         for rid, vec in vectors_of(index, records).items()
     }
-    index = Index.from_vectors(index.space, index.featurizer, scaled)  # an Index is read-only
+    index = Index.from_vectors(index.space, scaled)  # an Index is read-only
     assert [rid for rid, _ in retrieve(index, query, 5)] == base
 
 
@@ -223,28 +220,28 @@ def test_retrieve_ranking_invariant_under_uniform_scaling():
 @pytest.mark.parametrize("space", [PROOF_SPACE, STATEMENT_SPACE])
 def test_index_file_equals_the_two_pass_build(project_name, space, walk_project, toy_corpus,
                                               long_project, tmp_path):
-    """The one-pass build writes the two-pass build's bytes, and its memo
-    featurizes every query as the two-pass featurizer does."""
+    """The one-pass build writes the two-pass build's bytes, and the index
+    it loads featurizes every query as the two-pass featurizer does."""
     corpus = {"walk": walk_project["corpus"], "fixtures": toy_corpus,
               "long": long_project["corpus"]}[project_name]
     save_index(build_index(corpus.train, space), tmp_path / "one.json")
     save_index(two_pass_build_index(corpus.train, space), tmp_path / "two.json")
     assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
-    featurizer = load_index(tmp_path / "one.json").featurizer
+    index = load_index(tmp_path / "one.json")
+    df, n_docs = two_pass_fit([_record_text(r, space) for r in corpus.train])
     for record in corpus.records:
-        for _ in range(2):  # computed, then from the memo
-            assert featurizer.featurize(record.statement_text) == \
-                two_pass_featurize(featurizer, record.statement_text)
+        assert index.featurize(record.statement_text) == \
+            two_pass_featurize(df, n_docs, record.statement_text)
 
 
 def test_index_roundtrip(tmp_path):
     records = five_record_fixture()
-    index = build_index(records, feature_dim=256)
+    index = build_index(records)
     path = tmp_path / "index.json"
     save_index(index, path)
+    assert list(json.loads(path.read_text())) == ["format", "space", "postings", "norms"]
     loaded = load_index(path)
     assert loaded.space == index.space
-    assert loaded.featurizer.df == index.featurizer.df
     assert (loaded.postings, loaded.norms) == (index.postings, index.norms)
     assert index.norms == {r.id: v.norm for r, v in zip(records, vectors_of(index, records).values())}
     query = make_record("q", "p q auto", "x")
@@ -253,13 +250,24 @@ def test_index_roundtrip(tmp_path):
     assert ranked == brute_force(index, vectors_of(index, records), query, 5)
 
 
+@pytest.mark.parametrize("norm", [True, 1, "1.5", 0.0])
+def test_load_index_refuses_a_norm_that_is_no_positive_float(norm, tmp_path):
+    path = tmp_path / "index.json"
+    save_index(index_of(["apply c.", "apply le."]), path)
+    payload = json.loads(path.read_text())
+    payload["norms"]["fix.v::d0"] = norm
+    path.write_text(json.dumps(payload))
+    with pytest.raises(RetrieverError, match="a posting of 'fix.v::d0' has no norm or no weight"):
+        load_index(path)
+
+
 def vectors_of(index: Index, records) -> dict[str, FeatureVector]:
     """The records' vectors in the index's space, computed afresh."""
-    return {r.id: index.featurizer.featurize(r.proof_text) for r in records}
+    return {r.id: index.featurize(r.proof_text) for r in records}
 
 
 def brute_force(index: Index, vectors: dict[str, FeatureVector], query, k: int) -> list[tuple[str, float]]:
-    query_vector = index.featurizer.featurize(query.statement_text)
+    query_vector = index.featurize(query.statement_text)
     scores = [(rid, similarity(query_vector, vector))
               for rid, vector in vectors.items() if rid != query.id]
     return sorted(scores, key=lambda item: (-item[1], item[0]))[:k]
@@ -273,27 +281,25 @@ _weights = st.floats(-4, 4, allow_nan=False).filter(lambda w: w != 0.0)
 @settings(max_examples=300, deadline=None)
 @given(
     docs=st.lists(_texts, min_size=1, max_size=9),
-    hand_made=st.lists(st.dictionaries(st.integers(0, 7), _weights, max_size=4), max_size=3),
+    hand_made=st.lists(st.dictionaries(st.sampled_from(_WORDS), _weights, max_size=4), max_size=3),
     query_text=_texts,
     query_at=st.integers(-1, 12),
     k=st.integers(1, 14),
-    feature_dim=st.sampled_from([4, 8, 64]),
     tied=st.booleans(),
 )
-def test_retrieve_equals_brute_force(docs, hand_made, query_text, query_at, k, feature_dim, tied):
+def test_retrieve_equals_brute_force(docs, hand_made, query_text, query_at, k, tied):
     """Postings scoring is bit-identical to scoring every vector, over ties
     (all documents alike), zero vectors, negative weights, the query's own
     id and k past the index size."""
     if tied:
         docs = [docs[0]] * len(docs)
-    featurizer = Featurizer.fit(_counts(docs), feature_dim)
+    df, n_docs = two_pass_fit(docs)
     vectors = {  # inserted out of id order
-        f"f.v::h{i}": FeatureVector.from_entries({b % feature_dim: w for b, w in entries.items()})
-        for i, entries in enumerate(hand_made)
+        f"f.v::h{i}": FeatureVector.from_entries(entries) for i, entries in enumerate(hand_made)
     }
     for i, doc in reversed(list(enumerate(docs))):
-        vectors[f"f.v::d{i}"] = featurizer.featurize(doc)
-    index = Index.from_vectors("proof_text", featurizer, vectors)
+        vectors[f"f.v::d{i}"] = two_pass_featurize(df, n_docs, doc)
+    index = Index.from_vectors("proof_text", vectors)
     ids = sorted(vectors)
     name = ids[query_at][len("f.v::"):] if 0 <= query_at < len(ids) else "q"
     query = make_record(name, query_text, "Qed.", file="f.v")
@@ -304,9 +310,18 @@ def test_retrieve_equals_brute_force(docs, hand_made, query_text, query_at, k, f
     assert retrieve(index, query, k) == expected  # from the memo
 
 
+def test_each_token_is_its_own_feature():
+    """Two tokens never share a weight: `c` and `le`, which a 4,096-bucket
+    blake2b hash puts in one bucket, score apart."""
+    index = index_of(["apply c.", "apply le.", "apply x."])
+    ranked = dict(retrieve(index, make_record("q", "c", "Qed."), 3))
+    assert ranked["fix.v::d0"] > 0.0
+    assert ranked["fix.v::d1"] == 0.0 == ranked["fix.v::d2"]
+
+
 def test_retrieve_memo_returns_copies_of_one_ranking():
     records = five_record_fixture()
-    index = build_index(records, feature_dim=1024)
+    index = build_index(records)
     query = make_record("q", "p q auto", "x")
     first = retrieve(index, query, 3)
     assert len(index._ranked) == 1

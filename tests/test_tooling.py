@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 BENCH_TRACE = Path(__file__).resolve().parent.parent / "perfbench" / "bench_trace.py"
@@ -37,3 +38,11 @@ def test_sha256_is_called_in_one_place():
     calls = {path.name: path.read_text(encoding="utf-8").count("hashlib.sha256")
              for path in SRC.glob("*.py")}
     assert {name: n for name, n in calls.items() if n} == {"store.py": 1}
+
+
+def test_only_store_imports_hashlib():
+    """Retrieval keys each token by itself, so no second hash has a use."""
+    importers = [path.name for path in sorted(SRC.glob("*.py"))
+                 if re.search(r"^\s*(import|from)\s+hashlib\b", path.read_text(encoding="utf-8"),
+                              re.MULTILINE)]
+    assert importers == ["store.py"]
