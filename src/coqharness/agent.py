@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 from .client import DecodingParams, Provider, complete
 from .corpus import TRAIN, Corpus, TheoremRecord, preceding_lemmas
-from .driver import FileWalk, QueryRejected, SessionConfig, SessionHandle
+from .driver import QUERY_COMMANDS, FileWalk, QueryRejected, SessionConfig, SessionHandle
 from .prompting import (
     EMPTY,
     MALFORMED,
@@ -54,13 +54,9 @@ MODES = ("zs", "fs-rand", "fs-sim", "zs+lem", "fs+lem")
 LOOPS = ("one_shot", "interactive", "repair", "ensemble")
 
 DEFAULT_K_SHOTS = 6
-DEFAULT_N_LEMMAS = 6
-DEFAULT_MAX_TURNS = 30
-DEFAULT_MAX_QUERIES = 10
-DEFAULT_REPAIR_ROUNDS = 2
 MAX_TACTICS_PER_TURN = 5
 
-_QUERY_LINE_RE = re.compile(r"^QUERY\s+(Print|Check|Search|About|Locate)\s+(.+?)\s*$", re.MULTILINE)
+_QUERY_LINE_RE = re.compile(rf"^QUERY\s+({'|'.join(QUERY_COMMANDS)})\s+(.+?)\s*$", re.MULTILINE)
 
 
 class AgentError(Exception):
@@ -73,13 +69,13 @@ class RunConfig:
     mode: str
     loop: str = "one_shot"
     k_shots: int | None = None
-    n_lemmas: int = DEFAULT_N_LEMMAS
+    n_lemmas: int = 6
     decoding: DecodingParams = field(default_factory=DecodingParams)
     seed: int = 0
-    repair_rounds: int = DEFAULT_REPAIR_ROUNDS
+    repair_rounds: int = 2
     strategies: tuple[str, ...] = ()
-    max_turns: int = DEFAULT_MAX_TURNS
-    max_queries: int = DEFAULT_MAX_QUERIES
+    max_turns: int = 30
+    max_queries: int = 10
     wall_clock: float | None = None  # seconds per theorem for looping agents
     max_prompt_chars: int | None = None
 
@@ -103,6 +99,11 @@ class RunConfig:
                 raise UnknownStrategy(f"unknown ensemble strategy {strategy!r}")
         if self.max_turns < 1:
             raise ValueError("max_turns must be >= 1")
+        if self.max_queries < 0:
+            raise ValueError("max_queries must be >= 0")
+        for key in ("wall_clock", "max_prompt_chars"):
+            if getattr(self, key) is not None and getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be > 0")
 
     @property
     def zero_shot(self) -> bool:

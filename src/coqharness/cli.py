@@ -15,7 +15,7 @@ import json
 import logging
 import re
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import agent, client, corpus as corpus_mod, evaluate, retriever, store
@@ -46,10 +46,14 @@ def load_config(path: str | None) -> configparser.ConfigParser:
 
 
 def _get(config: configparser.ConfigParser, section: str, key: str, fallback=None):
-    if config.has_option(section, key):
-        value = config.get(section, key)
-        return value if value != "" else fallback
-    return fallback
+    return config.get(section, key, fallback=None) or fallback  # a blank value is no value
+
+
+def _set_keys(config: configparser.ConfigParser, section: str, **kinds) -> dict:
+    """The keys of `section` among `kinds` that the ini sets, each read by its
+    kind: a key left out keeps the default of the type it is passed to."""
+    return {key: kind(value) for key, kind in kinds.items()
+            if (value := _get(config, section, key)) is not None}
 
 
 def build_provider(config: configparser.ConfigParser, replay: bool, cache_dir: str | None):
@@ -66,22 +70,16 @@ def build_provider(config: configparser.ConfigParser, replay: bool, cache_dir: s
         if not script_file:
             raise CliError("provider.script_file required for the scripted provider")
         try:
-            inner = client.ScriptedProvider(script_file, _get(config, "provider", "default"))
-        except client.ScriptParseError as exc:
+            inner = client.ScriptedProvider(script_file)
+        except (OSError, ValueError, TypeError) as exc:
             raise CliError(f"bad provider script: {exc}") from exc
     elif kind == "http":
         base_url = _get(config, "provider", "base_url")
         model_name = _get(config, "provider", "model_name")
         if not base_url or not model_name:
             raise CliError("provider.base_url and provider.model_name are required")
-        token_budget = _get(config, "provider", "token_budget")
-        inner = client.HttpChatProvider(
-            base_url,
-            model_name,
-            api_key_env=_get(config, "provider", "api_key_env", "COQHARNESS_API_KEY"),
-            rpm_limit=float(_get(config, "provider", "rpm_limit", "60")),
-            token_budget=int(token_budget) if token_budget else None,
-        )
+        inner = client.HttpChatProvider(base_url, model_name, **_set_keys(
+            config, "provider", api_key_env=str, rpm_limit=float, token_budget=int))
     else:
         raise CliError(f"unknown provider kind {kind!r}")
     if cache is not None:
@@ -89,39 +87,27 @@ def build_provider(config: configparser.ConfigParser, replay: bool, cache_dir: s
     return inner
 
 
-def build_session_config(
-    config: configparser.ConfigParser, whole_table: bool = True
-) -> SessionConfig:
+def build_session_config(config: configparser.ConfigParser, whole_table: bool = True) -> SessionConfig:
     """The prover settings. A mock table is read here, once per command; its
     theorem entries are compiled here too with `whole_table`, else on first use."""
-    backend = _get(config, "prover", "backend", "mock")
-    mock_table = _get(config, "prover", "mock_table")
-    if backend == "mock":
+    session = SessionConfig(**_set_keys(
+        config, "prover", backend=str, prover_command=str, timeout_per_step=float, workdir=str,
+        mock_table=str))
+    if session.backend == "mock":
         try:
-            mock_table = compile_behavior_table(mock_table)
+            table = compile_behavior_table(session.mock_table)
         except (OSError, ValueError, KeyError, TypeError, AttributeError, re.error) as exc:
-            raise CliError(f"bad mock table {mock_table}: {exc}") from exc
+            raise CliError(f"bad mock table {session.mock_table}: {exc}") from exc
         if whole_table:  # a malformed entry raises a ValueError naming the table: exit 2
-            for name in mock_table.raw_theorems:
-                mock_table.entry(name)
-    return SessionConfig(
-        backend=backend,
-        prover_command=_get(config, "prover", "prover_command", "coqtop -emacs -q"),
-        timeout_per_step=float(_get(config, "prover", "timeout_per_step", "20")),
-        workdir=_get(config, "prover", "workdir", "."),
-        mock_table=mock_table,
-    )
+            for name in table.raw_theorems:
+                table.entry(name)
+        session.mock_table = table
+    return session
 
 
-def decoding_from(config: configparser.ConfigParser, section: str = "defaults") -> client.DecodingParams:
-    return client.DecodingParams(
-        temperature=float(_get(config, section, "temperature", client.DEFAULT_TEMPERATURE)),
-        presence_penalty=float(
-            _get(config, section, "presence_penalty", client.DEFAULT_PRESENCE_PENALTY)
-        ),
-        n=int(_get(config, section, "n", client.DEFAULT_N)),
-        max_tokens=int(_get(config, section, "max_tokens", client.DEFAULT_MAX_TOKENS)),
-    )
+def decoding_from(config: configparser.ConfigParser) -> client.DecodingParams:
+    return client.DecodingParams(**_set_keys(
+        config, "defaults", temperature=float, presence_penalty=float, n=int, max_tokens=int))
 
 
 def run_config_from_dict(raw: dict, defaults: client.DecodingParams) -> agent.RunConfig:
@@ -131,36 +117,35 @@ def run_config_from_dict(raw: dict, defaults: client.DecodingParams) -> agent.Ru
         raise ValueError(f"unknown retrieval mode {raw['retrieval_mode']!r}")
     if type(decoding := values.get("decoding", {})) is dict:
         values["decoding"] = {**vars(defaults), **decoding}
-    config = store.decode(agent.RunConfig, values)
-    if config.max_queries < 0:
-        raise ValueError("max_queries must be >= 0")
-    for key in ("wall_clock", "max_prompt_chars"):
-        if getattr(config, key) is not None and getattr(config, key) <= 0:
-            raise ValueError(f"{key} must be > 0")
-    return config
+    return store.decode(agent.RunConfig, values)
+
+
+@dataclass
+class _Manifest:
+    configs: list[dict]  # each read by run_config_from_dict
+
+    def __post_init__(self):
+        if not self.configs:
+            raise ValueError("no configs")
 
 
 def load_manifest(path: str, defaults: client.DecodingParams) -> list[agent.RunConfig]:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        manifest = store.decode(_Manifest, json.loads(Path(path).read_text(encoding="utf-8")))
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read manifest {path}: {exc}") from exc
-    entries = raw.get("configs") if isinstance(raw, dict) else None
-    if not entries:
-        raise CliError("manifest has no configs")
-    if unknown := raw.keys() - {"configs"}:
-        raise CliError(f"bad manifest {path}: unknown key {', '.join(map(repr, sorted(unknown)))}")
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad manifest {path}: {exc}") from exc
     run_configs: dict[str, agent.RunConfig] = {}
-    for entry in entries:
+    for entry in manifest.configs:
         try:
             run_config = run_config_from_dict(entry, defaults)
             tag = run_config.tag  # it names the attempts file attempts/<tag>.jsonl
             if tag in run_configs or tag in ("", ".", "..") or "/" in tag or "\0" in tag:
                 raise ValueError("repeated tag" if tag in run_configs else "a tag must be a file name")
             run_configs[tag] = run_config
-        except (KeyError, ValueError, TypeError, PromptError) as exc:
-            tag = entry.get("tag") if isinstance(entry, dict) else entry
-            raise CliError(f"bad manifest entry {tag!r}: {exc}") from exc
+        except (ValueError, TypeError, PromptError) as exc:
+            raise CliError(f"bad manifest entry {entry.get('tag')!r}: {exc}") from exc
     return list(run_configs.values())
 
 
@@ -192,13 +177,8 @@ def build_deps(
             raise CliError(f"bad index file {index_path}: {exc}") from exc
     elif similarity:
         index = retriever.build_index(corpus.train)
-    return agent.AgentDeps(
-        corpus=corpus,
-        provider=provider,
-        prover=session_config,
-        index=index,
-        templates=templates,
-    )
+    return agent.AgentDeps(corpus=corpus, provider=provider, prover=session_config, index=index,
+                           templates=templates)
 
 
 def _corpus_file(args, config: configparser.ConfigParser) -> str:

@@ -22,12 +22,6 @@ from .prompting import ChatPrompt
 
 log = logging.getLogger(__name__)
 
-# §-style run defaults: T=1, presence_penalty=0.1, n=5 samples per prompt.
-DEFAULT_TEMPERATURE = 1.0
-DEFAULT_PRESENCE_PENALTY = 0.1
-DEFAULT_N = 5
-DEFAULT_MAX_TOKENS = 1024
-
 MAX_TRIES = 5
 
 
@@ -46,16 +40,12 @@ class CacheMiss(Exception):
     pass
 
 
-class ScriptParseError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
-class DecodingParams:
-    temperature: float = DEFAULT_TEMPERATURE
-    presence_penalty: float = DEFAULT_PRESENCE_PENALTY
-    n: int = DEFAULT_N
-    max_tokens: int = DEFAULT_MAX_TOKENS
+class DecodingParams:  # §-style run defaults: T=1, presence_penalty=0.1, n=5 samples per prompt
+    temperature: float = 1.0
+    presence_penalty: float = 0.1
+    n: int = 5
+    max_tokens: int = 1024
     seed: int | None = None
 
     def __post_init__(self):
@@ -117,20 +107,23 @@ class _ScriptEntry:
     variant_id: str | None = None
     last_message_contains: str | None = None
 
+    def __post_init__(self):
+        if not self.completions:
+            raise ValueError("empty completions list")
+
     def matches(self, prompt: ChatPrompt) -> bool:
-        if self.theorem is not None:
-            target = prompt.target_id
-            if self.theorem != target and not target.endswith(f"::{self.theorem}"):
-                return False
-        if self.config_tag is not None and self.config_tag != prompt.config_tag:
-            return False
-        if self.variant_id is not None and self.variant_id != prompt.variant_id:
-            return False
-        if self.last_message_contains is not None and (
-            self.last_message_contains not in prompt.messages[-1].content
-        ):
-            return False
-        return True
+        theorem, target = self.theorem, prompt.target_id
+        return ((theorem is None or target == theorem or target.endswith(f"::{theorem}"))
+                and self.config_tag in (None, prompt.config_tag)
+                and self.variant_id in (None, prompt.variant_id)
+                and (self.last_message_contains is None
+                     or self.last_message_contains in prompt.messages[-1].content))
+
+
+@dataclass
+class _ScriptFile:
+    entries: list[_ScriptEntry]
+    default: str | None = None  # the completion of a prompt that no entry matches
 
 
 class ScriptedProvider(Provider):
@@ -139,32 +132,20 @@ class ScriptedProvider(Provider):
     Selectors match on theorem id/name, config tag, variant id, and a
     substring of the final message; the first matching entry wins. Each
     entry hands out its completions cyclically across the calls for one
-    target, which lets a single entry script a multi-turn dialogue.
+    target, which lets a single entry script a multi-turn dialogue. A
+    prompt that no entry matches gets the script's `default`, if it has one.
     """
 
     name = "scripted"
 
-    def __init__(self, script: dict | str | Path, default: str | None = None):
+    def __init__(self, script: dict | str | Path):
+        """A script file or its JSON object; store.DecodeError if it is malformed."""
         if isinstance(script, (str, Path)):
-            try:
-                script = json.loads(Path(script).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ScriptParseError(str(exc)) from exc
-        if not isinstance(script, dict) or "entries" not in script:
-            raise ScriptParseError("script must be an object with an 'entries' list")
-        if unknown := script.keys() - {"entries", "default"}:
-            raise ScriptParseError(f"unknown key {', '.join(map(repr, sorted(unknown)))}")
-        self.default = script.get("default") if default is None else default
-        self.entries: list[_ScriptEntry] = []
+            script = json.loads(Path(script).read_text(encoding="utf-8"))
+        script = store.decode(_ScriptFile, script)
+        self.entries, self.default = script.entries, script.default
         self._cursors: dict[tuple[int, str], int] = {}  # (entry position, target id)
         self._lock = threading.Lock()
-        for raw in script["entries"]:
-            try:
-                self.entries.append(store.decode(_ScriptEntry, raw))
-            except TypeError as exc:
-                raise ScriptParseError(f"bad entry {raw!r}: {exc}") from exc
-            if not self.entries[-1].completions:
-                raise ScriptParseError("entry with empty completions list")
 
     def complete(self, prompt: ChatPrompt, params: DecodingParams) -> list[str]:
         for position, entry in enumerate(self.entries):
@@ -190,16 +171,9 @@ class HttpChatProvider(Provider):
 
     name = "http"
 
-    def __init__(
-        self,
-        base_url: str,
-        model_name: str,
-        api_key_env: str = "COQHARNESS_API_KEY",
-        rpm_limit: float = 60.0,
-        token_budget: int | None = None,
-        timeout: float = 120.0,
-        session=None,
-    ):
+    def __init__(self, base_url: str, model_name: str, api_key_env: str = "COQHARNESS_API_KEY",
+                 rpm_limit: float = 60.0, token_budget: int | None = None,
+                 timeout: float = 120.0, session=None):
         self.base_url = base_url.rstrip("/")
         self.model_name = model_name
         self.api_key = os.environ.get(api_key_env, "")
@@ -234,12 +208,9 @@ class HttpChatProvider(Provider):
                 time.sleep(wait)
             self._last_request = time.monotonic()
 
-    def _check_budgets(self) -> None:
+    def complete(self, prompt: ChatPrompt, params: DecodingParams) -> list[str]:
         if self.token_budget is not None and self.tokens_used >= self.token_budget:
             raise BudgetExceeded(f"token budget of {self.token_budget} reached")
-
-    def complete(self, prompt: ChatPrompt, params: DecodingParams) -> list[str]:
-        self._check_budgets()
         payload = {
             "model": self.model_name,
             "messages": [{"role": m.role, "content": m.content} for m in prompt.messages],
@@ -313,11 +284,11 @@ class TranscriptCache:
     """Append-only JSON Lines store (`store`) sharded by prompt-hash prefix."""
 
     def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        Path(directory).mkdir(parents=True, exist_ok=True)
+        self.directory = str(Path(directory))
 
-    def _shard(self, key: str) -> Path:
-        return self.directory / f"{key[:2]}.jsonl"
+    def _shard(self, key: str) -> str:
+        return f"{self.directory}/{key[:2]}.jsonl"
 
     def lookup(self, key: str) -> Transcript | None:
         """First row of the key's shard whose prompt_hash is `key`, found by

@@ -501,12 +501,12 @@ _NON_OBJECT_ROW = re.compile(rb"\n[ \t\r\f\v]*[^{\s]")
 
 
 def load_record(path: str | Path, record_id: str) -> Corpus | None:
-    """A Corpus of the record with id `record_id`, decoded from the first
-    file row that holds it, found by byte search for the JSON-quoted id. It
-    fails as load_corpus does on a bad header, a non-object row or a
-    malformed row that it decodes, and skips a row whose path an earlier row
-    has, as load_corpus drops it. None when no row holds the id, for
-    load_corpus to look the name up."""
+    """A Corpus of the record with id `record_id`, from the first file row
+    that has it: the rows holding the JSON-quoted id, found by byte search,
+    are decoded in turn. It fails as load_corpus does on a bad header, a
+    non-object row or a malformed row that it decodes, and skips a row whose
+    path an earlier row has, as load_corpus drops it. None when no row has
+    the id, for load_corpus to look the name up."""
     data, root, body = _read(path)
     stray = _NON_OBJECT_ROW.search(data)
     if stray is not None:
@@ -514,10 +514,8 @@ def load_record(path: str | Path, record_id: str) -> Corpus | None:
 
     def holds_id(row: dict):
         """The row's file and records when one of them has the id."""
-        entries = row.get("records")
-        return isinstance(entries, list) and any(
-            isinstance(entry, list) and entry[:1] == [record_id] for entry in entries
-        ) and _file_from_row(row)
+        file_row = _file_from_row(row)
+        return any(record.id == record_id for record, _ in file_row[1]) and file_row
 
     def path_before(path_: str, stop: int) -> bool:
         """Whether a file row before offset `stop` has `path_`."""

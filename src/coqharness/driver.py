@@ -40,7 +40,6 @@ ERROR = "error"
 
 QUERY_COMMANDS = ("Print", "Check", "Search", "About", "Locate")
 
-DEFAULT_TIMEOUT = 20.0
 TIMEOUT_MESSAGE = "TIMEOUT"
 
 
@@ -74,7 +73,7 @@ class SessionConfig:
     backend: str = "mock"
     prover_command: str = "coqtop -emacs -q"
     prelude: Sequence[Sentence] = ()
-    timeout_per_step: float = DEFAULT_TIMEOUT
+    timeout_per_step: float = 20.0
     workdir: str | Path = "."
     # mock backend: behavior table (dict), path to its JSON file, or the
     # BehaviorTable compiled from either

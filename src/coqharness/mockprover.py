@@ -23,13 +23,14 @@ classifier rules can be exercised with no Coq installed. File format (JSON)::
       "errors": [ ... ]     // matched against sentences outside proofs
     }
 
-Script steps are matched on whitespace-normalized text; a proof opener
-("Proof." or "Proof using ...") is a no-op and never part of the match. A
-script's last step must be a closing command (one is appended when
-missing). `compile_behavior_table` reads a table into a BehaviorTable that
-any number of sessions can share, so a command reads its table once; each
-theorem entry is compiled, its states parsed, when a session first executes
-its statement. `MockSession.replay` opens no entry: its proofs pass unchecked.
+A key not shown here is an error, at any level. Script steps are matched
+on whitespace-normalized text; a proof opener ("Proof." or "Proof using
+...") is a no-op and never part of the match. A script's last step must be
+a closing command (one is appended when missing). `compile_behavior_table`
+reads a table into a BehaviorTable that any number of sessions can share,
+so a command reads its table once; each theorem entry is compiled, its
+states parsed, when a session first executes its statement.
+`MockSession.replay` opens no entry: its proofs pass unchecked.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
 
+from . import store
 from .driver import (
     ERROR,
     OK,
@@ -97,6 +99,8 @@ def _contains(needle: str) -> Callable[[str], bool]:
 def _compile_error_rules(raw: list[dict]) -> tuple[_ErrorRule, ...]:
     """Each rule as a test and its message: a `contains` rule matches its
     text as a substring, a `regex` rule by a search of its pattern."""
+    for item in raw:
+        store.check_keys(item, ("contains", "regex", "message"))
     return tuple(
         (_contains(item["contains"]) if "contains" in item else re.compile(item["regex"]).search,
          item["message"])
@@ -115,6 +119,7 @@ def _coq_error(message: str) -> str:
 
 def _parse_script(raw) -> _Script:
     if isinstance(raw, dict):
+        store.check_keys(raw, ("steps", "states"))
         steps = [_norm(s) for s in raw["steps"]]
         states = list(raw.get("states") or [])
     else:
@@ -146,6 +151,7 @@ class BehaviorTable:
         if entry is None and name in self.raw_theorems:
             raw = self.raw_theorems[name]
             try:
+                store.check_keys(raw, ("statement_goal", "initial_state", "scripts", "errors"))
                 initial = raw.get("initial_state")
                 entry = _TheoremEntry(
                     name,
@@ -170,6 +176,7 @@ def compile_behavior_table(source: BehaviorTable | dict | str | Path | None) -> 
         with open(source, encoding="utf-8") as fh:
             source = json.load(fh)
     table = source or {}
+    store.check_keys(table, ("theorems", "queries", "query_default_error", "errors"))
     queries = {
         (command, argument): response
         for command, answers in table.get("queries", {}).items()

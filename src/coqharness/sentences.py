@@ -206,15 +206,3 @@ def segment_sentences(source: str) -> list[Sentence]:
 
     return sentences
 
-
-def rejoin(source: str, sentences: list[Sentence]) -> str:
-    """Reassemble `source` from sentences plus the skipped regions between them."""
-    raw = source.encode("utf-8")
-    parts: list[bytes] = []
-    pos = 0
-    for s in sentences:
-        parts.append(raw[pos : s.span[0]])
-        parts.append(s.text.encode("utf-8"))
-        pos = s.span[1]
-    parts.append(raw[pos:])
-    return b"".join(parts).decode("utf-8")

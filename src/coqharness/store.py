@@ -3,8 +3,9 @@
 `content_hash` is the one hash: SHA-256 over canonical JSON, spelled as the
 transcript keys always were. `decode` is the one reader of a stored row or
 an input entry: it builds a dataclass from a JSON object, the inverse of
-`json.dumps(value, default=vars)`. A row that cannot be read raises
-RowError, naming its path and line. In an appended file, a
+`json.dumps(value, default=vars)`, and a value that it cannot read raises
+DecodeError, naming where in the value the fault lies. A row that cannot
+be read raises RowError, naming its path and line. In an appended file, a
 final row with no newline is an interrupted append: `read` leaves it out
 with a warning, and `append` cuts it off first, under an exclusive flock
 held through the write, so that processes sharing a file cannot cut each
@@ -20,6 +21,7 @@ import hashlib
 import io
 import json
 import logging
+import os
 import types
 import typing
 from collections.abc import Callable, Iterator
@@ -48,9 +50,14 @@ def _warn_interrupted(path: str, line_number: int) -> None:
 
 def read(path) -> bytes:
     """An appended file's complete rows: its bytes up to its last newline."""
-    with open(path, "rb") as fh:
-        fcntl.flock(fh, fcntl.LOCK_SH)  # so that no append is halfway through
-        data = fh.read()
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_SH)  # so that no append is halfway through
+        data, size = b"", os.fstat(fd).st_size
+        while len(data) < size and (more := os.read(fd, size - len(data))):  # short reads
+            data += more
+    finally:
+        os.close(fd)
     end = data.rfind(b"\n") + 1
     if data[end:].strip():
         _warn_interrupted(str(path), data.count(b"\n") + 1)
@@ -69,6 +76,27 @@ def _decode(path, data: bytes, start: int, end: int, decode: Callable):
         raise RowError(path, data.count(b"\n", 0, start) + 1, exc) from None
 
 
+class DecodeError(TypeError):
+    """A JSON value that `decode` cannot read; `place` is where in it the
+    fault lies, as `entries[3].decoding`, or "" at its top."""
+
+    def __init__(self, detail, place: str = ""):
+        super().__init__(f"{place}: {detail}" if place else str(detail))
+        self.detail, self.place = detail, place
+
+
+def _within(step: str, exc: Exception) -> DecodeError:
+    """`exc`, raised inside the field or item `step` of a value, placed there."""
+    detail, place = (exc.detail, exc.place) if isinstance(exc, DecodeError) else (exc, "")
+    return DecodeError(detail, step + ("." if place[:1] not in ("", "[") else "") + place)
+
+
+def check_keys(value: dict, known) -> None:
+    """A DecodeError naming every key of the object `value` not in `known`."""
+    if unknown := value.keys() - known:
+        raise DecodeError(f"unknown key {', '.join(map(repr, sorted(unknown)))}")
+
+
 class _Mismatch(Exception):
     """A JSON value not of the type that a reader reads."""
 
@@ -80,15 +108,36 @@ def _mismatch():
 def _object(cls, fields, value):
     if type(value) is not dict:
         raise _Mismatch
-    if unknown := value.keys() - fields:
-        raise TypeError(f"unknown key {', '.join(map(repr, sorted(unknown)))}")
+    check_keys(value, fields)
     values = {}
     for name, item in value.items():
         try:
             values[name] = fields[name][0](item)
         except _Mismatch:
-            raise TypeError(f"{name} must be {fields[name][1]}, not {item!r}") from None
-    return cls(**values)
+            raise DecodeError(f"{name} must be {fields[name][1]}, not {item!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise _within(name, exc) from None
+    try:
+        return cls(**values)
+    except TypeError:  # a missing key, named here, not as an __init__ argument
+        if missing := [f.name for f in dataclasses.fields(cls) if f.name not in values
+                       and f.default is f.default_factory is dataclasses.MISSING]:
+            raise DecodeError(f"missing key {', '.join(map(repr, missing))}") from None
+        raise
+
+
+def _list(origin, item, value):
+    if type(value) is not list:
+        raise _Mismatch
+    try:
+        return origin(map(item, value))
+    except (TypeError, ValueError):  # read the items again, to find the one at fault
+        for position, element in enumerate(value):
+            try:
+                item(element)
+            except (TypeError, ValueError) as exc:
+                raise _within(f"[{position}]", exc) from None
+        raise
 
 
 @functools.cache  # one reader per type, built once: every script load decodes each entry
@@ -106,8 +155,7 @@ def _reader(hint) -> Callable:
         read = _reader(args[0])
         return lambda value: None if value is None else read(value)
     if origin is list or args[-1:] == (...,):  # list[T] and tuple[T, ...]
-        item = _reader(args[0])
-        return lambda value: origin(map(item, value)) if type(value) is list else _mismatch()
+        return functools.partial(_list, origin, _reader(args[0]))
     if origin is tuple:
         items = tuple(map(_reader, args))
         return lambda value: (tuple(read(v) for read, v in zip(items, value))
@@ -119,12 +167,13 @@ def _reader(hint) -> Callable:
 def decode(cls, row):
     """The dataclass `cls` built from the JSON object `row`, recursing into
     nested dataclasses, list[T], tuple[...] and X | None. An omitted field
-    takes its default; an unknown key, or a value of another type than its
-    field's, is a TypeError naming it."""
+    takes its default. An unknown or missing key, or a value of another type
+    than its field's, is a DecodeError naming it, and an error inside a
+    nested field or a list item names its place."""
     try:
         return _reader(cls)(row)
     except _Mismatch:
-        raise TypeError(f"not a JSON object: {row!r}") from None
+        raise DecodeError(f"not a JSON object: {row!r}") from None
 
 
 def rows(path, data: bytes, decode: Callable, start: int = 0) -> Iterator[tuple[int, object]]:

@@ -15,8 +15,9 @@ Fault commands: ``BackTo N.`` returns to state N and fails for a state it
 never reached; ``Emit N S.`` writes N characters, then sleeps S seconds;
 ``Slip.`` fails but still advances the state id; ``Quit.`` exits. A reply
 to a query or a ``Show.`` that names ``stall`` comes only after five
-seconds, and a shown state that names ``garbled`` loses its underscores,
-so that it cannot be parsed.
+seconds, a shown state that names ``garbled`` loses its underscores, so
+that it cannot be parsed, and a query's reply that names ``drift``
+advances the state id.
 """
 
 import re
@@ -62,6 +63,7 @@ while True:
             reply = session.query(command, argument.removesuffix("."))
         except QueryRejected as exc:
             reply = exc.message
+        moved = "drift" in reply
     elif text == "Show.":
         state = session.current_state()
         reply = render_proof_state(state) if state else "No more goals."

@@ -417,7 +417,7 @@ def test_interactive_wall_clock_budget(toy_deps):
     deps = toy_deps()
     config = RunConfig(
         tag="i", mode="zs", loop="interactive",
-        decoding=DecodingParams(n=1), max_turns=10, wall_clock=0.0,
+        decoding=DecodingParams(n=1), max_turns=10, wall_clock=1e-9,  # spent before turn 1
     )
     [record] = prove_alone(get(deps.corpus, "G_wmon"), config, deps)
     assert record.budget_exhausted
@@ -430,7 +430,7 @@ def test_repair_wall_clock_budget(toy_deps):
     )
     config = RunConfig(
         tag="rep", mode="zs", loop="repair", repair_rounds=3,
-        decoding=DecodingParams(n=1), wall_clock=0.0,
+        decoding=DecodingParams(n=1), wall_clock=1e-9,  # spent before round 1
     )
     records = prove_alone(get(deps.corpus, "weak_refl"), config, deps)
     assert len(records) == 1  # round 0 only; no repair rounds started
@@ -498,6 +498,23 @@ def test_repair_queues_a_repeated_failing_script_once(toy_deps):
     # 3 identical round-0 scripts make one repair chain, not three
     assert [r.round for r in records] == [0, 0, 0, 1, 2]
     assert not any(r.accepted for r in records)
+
+
+def test_repair_feedback_after_a_reply_that_is_no_proof(toy_deps):
+    """A repair round whose reply is not a proof leaves no prover error to
+    feed back, so the next round is told only that the proof was rejected."""
+    provider = scripted([
+        {"theorem": "weak_refl", "last_message_contains": "The proof was not accepted.",
+         "completions": [C3_PROOF]},
+        {"theorem": "weak_refl", "last_message_contains": "failed with error",
+         "completions": [REFUSAL_TEXT]},
+        {"theorem": "weak_refl", "completions": ["Proof.\neauto.\nQed."]},
+    ])
+    deps = toy_deps(provider)
+    records = prove_alone(get(deps.corpus, "weak_refl"), repair_config(rounds=2), deps)
+    assert [(r.round, r.completion_kind, r.accepted) for r in records] == [
+        (0, prompting.PROOF, False), (1, prompting.REFUSAL, False), (2, prompting.PROOF, True)]
+    assert "assistant.\n\nThe proof was not accepted.\n\n" in records[2].turns[0].prompt_delta
 
 
 # -- ensemble -----------------------------------------------------------------

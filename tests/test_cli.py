@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import configparser
 import http.server
+import inspect
 import json
 import os
 import subprocess
@@ -19,10 +21,11 @@ import coqharness
 from coqharness import client, corpus as corpus_mod, mockprover, retriever
 from coqharness.agent import RunConfig
 from coqharness.cli import (
-    EXIT_CONFIG, EXIT_OK, EXIT_PROVER, EXIT_PROVIDER, main, parse_args, run_config_from_dict,
+    EXIT_CONFIG, EXIT_OK, EXIT_PROVER, EXIT_PROVIDER, build_provider, build_session_config,
+    decoding_from, main, parse_args, run_config_from_dict,
 )
 from coqharness.corpus import load_corpus
-from coqharness.driver import SessionDead
+from coqharness.driver import SessionConfig, SessionDead
 from coqharness.prompting import TemplateSet
 from coqharness.proofstate import ProofState
 from coqharness.sentences import Sentence
@@ -591,6 +594,21 @@ mock_table = {fixtures_dir}/mock_table.json
     return config
 
 
+def test_an_ini_key_left_out_keeps_the_default_of_the_type_it_is_passed_to(monkeypatch):
+    config = configparser.ConfigParser()
+    assert decoding_from(config) == client.DecodingParams()
+    session, default = build_session_config(config), SessionConfig()
+    for key in ("backend", "prover_command", "timeout_per_step", "workdir"):
+        assert getattr(session, key) == getattr(default, key)
+    config.read_string("[provider]\nkind = http\nbase_url = http://127.0.0.1:9\nmodel_name = m\n")
+    parameters = inspect.signature(client.HttpChatProvider).parameters
+    monkeypatch.setenv(parameters["api_key_env"].default, "sk-default-env")
+    provider = build_provider(config, replay=False, cache_dir=None)
+    assert provider.rpm_limit == parameters["rpm_limit"].default
+    assert provider.api_key == "sk-default-env"
+    assert provider.token_budget is None
+
+
 def test_eval_through_the_http_provider_and_its_replay(
     ingested, manifest_path, fixtures_dir, tmp_path, monkeypatch, chat_stub
 ):
@@ -691,24 +709,39 @@ def test_only_the_invoked_subcommand_builds_its_arguments(monkeypatch):
     ])
 
 
-def test_a_malformed_scripted_state_exits_2(
-    config_file, ingested, manifest_path, mock_table, fixtures_dir, tmp_path, caplog
+_WEAK_REFL_STEPS = ["intros x.", "constructor.", "reflexivity.", "Qed."]
+
+
+@pytest.mark.parametrize("edit, logged", [
+    (lambda table, entry: entry.update(scripts=[{"steps": _WEAK_REFL_STEPS, "states": ["garbage"]}]),
+     "no goal separator line found"),
+    (lambda table, entry: table.update(query_default="x"), "unknown key 'query_default'"),
+    (lambda table, entry: [e.update(script=e.pop("scripts")) for e in table["theorems"].values()],
+     "unknown key 'script'"),  # read leniently, this table proves no theorem, as if the model failed
+    (lambda table, entry: entry.update(scripts=[{"steps": _WEAK_REFL_STEPS, "state": []}]),
+     "unknown key 'state'"),
+    (lambda table, entry: entry.update(errors=[{"contains": "x", "mesage": "m"}]),
+     "unknown key 'mesage'"),
+], ids=["state", "table-key", "entry-key", "script-key", "error-rule-key"])
+def test_a_malformed_mock_table_exits_2(
+    config_file, ingested, manifest_path, mock_table, fixtures_dir, tmp_path, caplog, edit, logged
 ):
+    """A bad state or an unknown key, at any level of the table, is named
+    by `prove` when it opens the entry and by `eval` before any theorem runs."""
     table = json.loads(json.dumps(mock_table))
-    table["theorems"]["weak_refl"]["scripts"] = [
-        {"steps": ["intros x.", "constructor.", "reflexivity.", "Qed."], "states": ["garbage"]}]
-    bad = tmp_path / "bad-state-table.json"
+    edit(table, table["theorems"]["weak_refl"])
+    bad = tmp_path / "bad-table.json"
     bad.write_text(json.dumps(table), encoding="utf-8")
-    config = tmp_path / "bad-state.ini"
+    config = tmp_path / "bad-table.ini"
     config.write_text(config_file.read_text().replace(str(fixtures_dir / "mock_table.json"), str(bad)))
     code = main(["--config", str(config), "prove", "--theorem", "weak.v::weak_refl"])
     assert code == EXIT_CONFIG
-    assert f"bad mock table {bad}: no goal separator line found" in caplog.text
+    assert f"bad mock table {bad}: {logged}" in caplog.text
     caplog.clear()
     out = tmp_path / "o"
     code = main(["--config", str(config), "eval", "--manifest", str(manifest_path), "--out", str(out)])
     assert code == EXIT_CONFIG  # every entry compiles before any theorem runs
-    assert f"bad mock table {bad}: no goal separator line found" in caplog.text
+    assert f"bad mock table {bad}: {logged}" in caplog.text
     assert "Traceback" not in caplog.text and not out.exists()
 
 
@@ -812,7 +845,7 @@ def test_eval_embedded_retrieval_mode_exit_2(config_file, ingested, tmp_path, ca
 @pytest.mark.parametrize("entry, logged", [
     ({"max_turn": 3}, "unknown key 'max_turn'"),
     ({"n": 2, "retrieval": "lexical"}, "unknown key 'n', 'retrieval'"),
-    ({"decoding": {"temprature": 0.5}}, "unknown key 'temprature'"),
+    ({"decoding": {"temprature": 0.5}}, "decoding: unknown key 'temprature'"),
 ])
 def test_an_unknown_manifest_key_exits_2(config_file, ingested, tmp_path, caplog, entry, logged):
     """A misspelt key is not ignored: the config it names would run with a
@@ -841,8 +874,8 @@ def test_an_unknown_manifest_key_exits_2(config_file, ingested, tmp_path, caplog
     ({"n_lemmas": "2"}, "'w': n_lemmas must be int, not '2'"),
     ({"seed": True}, "'w': seed must be int, not True"),
     ({"mode": "fs-rand", "k_shots": -2}, "'w': k_shots must be 0 in zero-shot modes, > 0 in others, not -2"),
-    ({"decoding": {"temperature": "hot"}}, "'w': temperature must be float, not 'hot'"),
-    ({"decoding": {"n": 2.0}}, "'w': n must be int, not 2.0"),
+    ({"decoding": {"temperature": "hot"}}, "'w': decoding: temperature must be float, not 'hot'"),
+    ({"decoding": {"n": 2.0}}, "'w': decoding: n must be int, not 2.0"),
     ({"decoding": [1]}, "'w': decoding must be DecodingParams, not [1]"),
     ({"loop": "ensemble", "strategies": "verbose-stepwise"},
      "'w': strategies must be tuple[str, ...], not 'verbose-stepwise'"),
@@ -1110,6 +1143,7 @@ _GOOD_ROW = ('{"theorem_id": "f.v::t", "config_tag": "zs", "variant_id": "base",
 @pytest.mark.parametrize("bad, logged", [
     ("[1, 2]", "not a JSON object: [1, 2]"),
     ('{"theorem_id": "f.v::t"}', "missing"),
+    (_GOOD_ROW.replace(' "turns": [],', '') + "}", "missing key 'turns'"),
     ("{not json", "Expecting property name"),
     ("\udcff", "can't decode byte 0xff"),
     (_GOOD_ROW + ', "category": "bogus"}', "unknown category 'bogus'"),
@@ -1121,6 +1155,9 @@ _GOOD_ROW = ('{"theorem_id": "f.v::t", "config_tag": "zs", "variant_id": "base",
     ('{"refusal_text": 0}', "refusal_text must be str | None, not 0"),
     (_GOOD_ROW.replace('"turns": []', '"turns": [{"prompt_delta": 1, "completion": ["x"]}]') + "}",
      "prompt_delta must be str, not 1"),
+    (_GOOD_ROW.replace('"turns": []', '"turns": [{"prompt_delta": "p", "completion": "c"}, '
+                                      '{"prompt_delta": "p", "completion": "c", "tool_call": []}]') + "}",
+     "turns[1]: unknown key 'tool_call'"),
     (_GOOD_ROW + ', "x": 1, "acepted": true}', "unknown key 'acepted', 'x'"),
 ])
 def test_report_on_a_bad_attempt_row_exits_2_naming_it(tmp_path, caplog, bad, logged):
@@ -1402,12 +1439,11 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
      "provider.script_file required for the scripted provider"),
     ({"c.ini": "[provider]\nscript_file = {tmp}/s.json\n" + _PROVER, "s.json": "[]"},
      ["--config", "{tmp}/c.ini", *_PROVE],
-     "bad provider script: script must be an object with an 'entries' list"),
+     "bad provider script: not a JSON object: []"),
     ({"c.ini": "[provider]\nscript_file = {tmp}/s.json\n" + _PROVER,
       "s.json": '{{"entries": [{{"theorem_id": "t", "completions": ["a"]}}]}}'},
      ["--config", "{tmp}/c.ini", *_EVAL, "--manifest", "{fixtures}/manifest.json"],
-     "bad provider script: bad entry {{'theorem_id': 't', 'completions': ['a']}}: "
-     "unknown key 'theorem_id'"),
+     "bad provider script: entries[0]: unknown key 'theorem_id'"),
     ({"c.ini": "[provider]\nkind = http\nmodel_name = m\n" + _PROVER},
      ["--config", "{tmp}/c.ini", *_PROVE], "provider.base_url and provider.model_name are required"),
     ({"c.ini": "[provider]\nkind = pigeon\n" + _PROVER}, ["--config", "{tmp}/c.ini", *_PROVE],
@@ -1415,9 +1451,14 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
     ({"m.json": "{{"}, ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
      "cannot read manifest {tmp}/m.json: "),
     ({"m.json": '{{"configs": []}}'}, ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
-     "manifest has no configs"),
+     "bad manifest {tmp}/m.json: no configs"),
     ({"m.json": "[]"}, ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
-     "manifest has no configs"),
+     "bad manifest {tmp}/m.json: not a JSON object: []"),
+    ({"m.json": "{{}}"}, ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
+     "bad manifest {tmp}/m.json: missing key 'configs'"),
+    ({"m.json": '{{"configs": [{{"tag": "zs", "mode": "zs"}}, 7]}}'},
+     ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
+     "bad manifest {tmp}/m.json: configs must be list[dict], not [{{'tag': 'zs', 'mode': 'zs'}}, 7]"),
     ({"m.json": '{{"configs": [{{"tag": "zs", "mode": "zs"}}], "defaults": {{"n": 2}}}}'},
      ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
      "bad manifest {tmp}/m.json: unknown key 'defaults'"),
@@ -1462,7 +1503,8 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
        ["--config", "{config}", *argv, "--manifest", "{tmp}/m.json"], "bad manifest entry 'zs': repeated tag")
       for argv in (_EVAL, [*_PROVE, "--config-tag", "zs"])],
 ], ids=["config-file", "script-file", "provider-script", "provider-script-entry", "http",
-        "provider-kind", "manifest-json", "manifest-configs", "manifest-list", "manifest-key",
+        "provider-kind", "manifest-json", "manifest-configs", "manifest-list", "manifest-empty",
+        "manifest-entry-not-object", "manifest-key",
         "script-key", "index-train",
         "config-tag", "report-attempts", "test-fraction", "by-file", "wall-clock-negative",
         "wall-clock-zero", "max-queries", "max-prompt-chars",

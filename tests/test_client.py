@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coqharness import client
+from coqharness import client, store
 from coqharness.cli import run_config_from_dict
 from coqharness.client import (
     BudgetExceeded,
@@ -26,7 +26,6 @@ from coqharness.client import (
     HttpChatProvider,
     ProviderError,
     ScriptedProvider,
-    ScriptParseError,
     Transcript,
     TranscriptCache,
     complete,
@@ -123,29 +122,31 @@ def test_a_theorem_selector_matches_the_target_id_only():
 
 
 def test_scripted_provider_empty_script_means_default_everywhere():
-    provider = ScriptedProvider({"entries": []}, default="(* refusing *)")
+    provider = ScriptedProvider({"entries": [], "default": "(* refusing *)"})
     out = provider.complete(make_prompt(), DecodingParams(n=3))
     assert out == ["(* refusing *)"] * 3
 
 
 def test_scripted_provider_parse_errors(tmp_path):
-    with pytest.raises(ScriptParseError):
+    with pytest.raises(store.DecodeError, match="unknown key 'not-entries'"):
         ScriptedProvider({"not-entries": []})
-    with pytest.raises(ScriptParseError, match="unknown key 'defualt'"):
+    with pytest.raises(store.DecodeError, match="missing key 'entries'"):
+        ScriptedProvider({"default": "x"})
+    with pytest.raises(store.DecodeError, match="unknown key 'defualt'"):
         ScriptedProvider({"entries": [], "defualt": "x"})
     bad = tmp_path / "script.json"
     bad.write_text("{broken json")
-    with pytest.raises(ScriptParseError):
+    with pytest.raises(json.JSONDecodeError):
         ScriptedProvider(bad)
-    with pytest.raises(ScriptParseError):
+    with pytest.raises(store.DecodeError, match=re.escape("entries[0]: empty completions list")):
         ScriptedProvider({"entries": [{"theorem": "x", "completions": []}]})
     # Read leniently, these would serve one character per call, match every prompt,
     # and pass a non-string on as a completion.
     for entry, named in [({"completions": "Proof."}, "completions must be list[str], not 'Proof.'"),
                          ({"theorem_id": "t", "completions": ["a"]}, "unknown key 'theorem_id'"),
                          ({"completions": [7]}, "completions must be list[str], not [7]")]:
-        with pytest.raises(ScriptParseError, match=re.escape(f"bad entry {entry!r}: {named}")):
-            ScriptedProvider({"entries": [entry]})
+        with pytest.raises(store.DecodeError, match=re.escape(f"entries[3]: {named}")):
+            ScriptedProvider({"entries": [{"completions": ["a"]}] * 3 + [entry]})
 
 
 def test_cache_miss_store_hit(tmp_path):
@@ -190,6 +191,19 @@ def test_cache_lookup_ignores_a_key_inside_another_row(tmp_path):
     cache.append(Transcript(key, ["mine"], "x", 2.0))
     assert cache.lookup(key).completions == ["mine"]
     assert cache.lookup(decoy).completions == [f"(* see {key} *)"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors on Linux")
+def test_cache_lookups_leave_no_file_descriptor_open(tmp_path):
+    cache = TranscriptCache(tmp_path)
+    key = prompt_hash(make_prompt(), DecodingParams())
+    cache.append(Transcript(key, ["mine"], "x", 1.0))
+    others = [key[:2] + "0" * 62, "zz" + key[2:]]  # a miss in the shard, and a missing shard
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(1000):
+        assert cache.lookup(key).completions == ["mine"]
+        assert cache.lookup(others[0]) is None and cache.lookup(others[1]) is None
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 _HEX = "0123456789abcdef"

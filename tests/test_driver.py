@@ -508,6 +508,17 @@ def test_real_current_state_after_a_failed_step(stub_session):
     assert session.current_state() is None
 
 
+def test_real_query_that_moved_the_state_is_undone(stub_session):
+    """A query is not a step: one whose reply moved the state id is undone."""
+    session = stub_session()
+    before = session._snapshot()
+    with pytest.raises(QueryRejected, match="The reference drift was not found"):
+        session.query("Check", "drift")  # the stub advances the state id
+    assert session._snapshot() == before
+    assert session.execute("Require C.").ok
+    assert session._state_id == before[0] + 1
+
+
 def test_real_query_through_a_loan(stub_session):
     session = stub_session()
     before = session._snapshot()

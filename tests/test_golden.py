@@ -149,16 +149,25 @@ def test_a_cut_transcript_row_is_recorded_again_and_a_replay_names_its_key(tmp_p
         assert (tmp_path / "again" / name).read_bytes() == (uncut / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("break_row", [
-    lambda row: row[: len(row) // 2] + b"\n",
-    lambda row: json.dumps({**json.loads(row), "completions": 7}).encode() + b"\n",
-    lambda row: json.dumps({**json.loads(row), "completions": [7, 7]}).encode() + b"\n",
-    lambda row: json.dumps({**json.loads(row), "token_usage": "xy"}).encode() + b"\n",
-    lambda row: json.dumps({**json.loads(row), "timestamp": "now"}).encode() + b"\n",
-    lambda row: json.dumps({**json.loads(row), "tokens": [1, 2]}).encode() + b"\n",
+def _edited(**edit):
+    """A transcript row's edit: `edit`'s keys set, those set to None removed."""
+    def apply(row: bytes) -> bytes:
+        fields = {**json.loads(row), **edit}
+        return json.dumps({k: v for k, v in fields.items() if v is not None}).encode() + b"\n"
+    return apply
+
+
+@pytest.mark.parametrize("break_row, logged", [
+    (lambda row: row[: len(row) // 2] + b"\n", "Unterminated string"),
+    (_edited(completions=7), "completions must be list[str], not 7"),
+    (_edited(completions=[7, 7]), "completions must be list[str], not [7, 7]"),
+    (_edited(token_usage="xy"), "token_usage must be tuple[int, int], not 'xy'"),
+    (_edited(timestamp="now"), "timestamp must be float, not 'now'"),
+    (_edited(tokens=[1, 2]), "unknown key 'tokens'"),
+    (_edited(completions=None), "missing key 'completions'"),
 ], ids=["cut", "completions-not-a-list", "completions-not-strings", "token-usage-a-string",
-        "timestamp-a-string", "unknown-key"])
-def test_a_malformed_transcript_row_exits_2_naming_it(break_row, tmp_path, caplog):
+        "timestamp-a-string", "unknown-key", "completions-missing"])
+def test_a_malformed_transcript_row_exits_2_naming_it(break_row, logged, tmp_path, caplog):
     run_case("fixtures", tmp_path, workers=1)
     shard = sorted((tmp_path / "cache").glob("*.jsonl"))[0]
     rows = shard.read_bytes().splitlines(keepends=True)
@@ -169,4 +178,4 @@ def test_a_malformed_transcript_row_exits_2_naming_it(break_row, tmp_path, caplo
     for replay in ([], ["--replay"]):
         caplog.clear()
         assert main(_eval_argv(tmp_path, "out") + replay) == EXIT_CONFIG
-        assert f"bad row {shard}:1: " in caplog.text and "Traceback" not in caplog.text
+        assert f"bad row {shard}:1: {logged}" in caplog.text and "Traceback" not in caplog.text

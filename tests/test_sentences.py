@@ -16,7 +16,6 @@ from coqharness.sentences import (
     is_closing,
     is_statement,
     opens_proof,
-    rejoin,
     segment_sentences,
     statement_name,
 )
@@ -125,6 +124,19 @@ def _gap_is_whitespace_and_comments(gap: str) -> bool:
         else:
             return False
     return True
+
+
+def rejoin(source: str, sentences: list[Sentence]) -> str:
+    """Reassemble `source` from sentences plus the skipped regions between them."""
+    raw = source.encode("utf-8")
+    parts: list[bytes] = []
+    pos = 0
+    for s in sentences:
+        parts.append(raw[pos : s.span[0]])
+        parts.append(s.text.encode("utf-8"))
+        pos = s.span[1]
+    parts.append(raw[pos:])
+    return b"".join(parts).decode("utf-8")
 
 
 def assert_segmentation_invariants(source: str, sentences: list[Sentence]) -> None:

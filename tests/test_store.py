@@ -5,14 +5,17 @@ from __future__ import annotations
 
 import fcntl
 import json
+import os
 import threading
+from dataclasses import dataclass
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coqharness import store
-from coqharness.agent import AttemptRecord, Turn
-from coqharness.client import Transcript, _ScriptEntry
+from coqharness.agent import AttemptRecord, RunConfig, Turn
+from coqharness.client import Transcript, _ScriptEntry, _ScriptFile
 from coqharness.evaluate import RunInfo
 
 
@@ -23,6 +26,14 @@ def test_an_append_cuts_off_an_interrupted_append_and_a_read_leaves_it_out(tmp_p
     assert f"{path}:2: ignored a final row with no newline" in caplog.text
     store.append(path, {"k": 3})
     assert path.read_bytes() == b'{"k": 1}\n{"k": 3}\n'
+
+
+def test_a_read_reads_on_after_a_short_read(tmp_path, monkeypatch):
+    path = tmp_path / "ab.jsonl"
+    path.write_bytes(b'{"k": 1}\n{"k": 2}\n')
+    read = os.read
+    monkeypatch.setattr(store.os, "read", lambda fd, n: read(fd, min(n, 3)))
+    assert store.read(path) == b'{"k": 1}\n{"k": 2}\n'
 
 
 def test_an_append_waits_for_another_writer_and_keeps_its_row(tmp_path):
@@ -76,3 +87,35 @@ def test_decode_inverts_json_dumps_for_every_row_type(row):
     clone = store.decode(type(row), json.loads(line))
     assert clone == row
     assert json.dumps(clone, ensure_ascii=False, default=vars) == line
+
+
+@dataclass
+class _Run:
+    config: RunConfig
+
+
+@dataclass
+class _Runs:
+    runs: list[_Run]
+
+
+_ENTRY = {"completions": ["a"]}
+
+
+@pytest.mark.parametrize("cls, value, message", [
+    (_ScriptFile, {"entries": [_ENTRY] * 3 + [{"theorem_id": "t", **_ENTRY}]},
+     "entries[3]: unknown key 'theorem_id'"),
+    (_ScriptFile, {"entries": [_ENTRY, {"completions": []}]}, "entries[1]: empty completions list"),
+    (_ScriptFile, {"default": "x"}, "missing key 'entries'"),
+    (Transcript, {"prompt_hash": "ab", "provider": "x", "timestamp": 1}, "missing key 'completions'"),
+    (RunConfig, {"tag": "t", "mode": "zs", "decoding": {"n": 0}}, "decoding: n must be >= 1"),
+    (_Runs, {"runs": [{"config": {"tag": "t", "mode": "zs"}}, {"config": {"tag": "u"}}]},
+     "runs[1].config: missing key 'mode'"),
+    (_Runs, {"runs": [{"config": {"tag": "t", "mode": "zs", "decoding": {"tempr": 1}}}]},
+     "runs[0].config.decoding: unknown key 'tempr'"),
+], ids=["list-item", "list-item-check", "missing", "missing-completions", "nested-field",
+        "item-field", "item-field-field"])
+def test_decode_names_a_missing_key_and_the_place_of_an_error(cls, value, message):
+    with pytest.raises(store.DecodeError) as err:
+        store.decode(cls, value)
+    assert str(err.value) == message
