@@ -36,12 +36,34 @@ class CliError(Exception):
         self.code = code
 
 
+# Every ini key, by section: load_config refuses any other, since a misspelt
+# key would otherwise run with its default unseen.
+INI_KEYS = {
+    "paths": {"corpus_root", "corpus_file", "index_file", "cache_dir", "template_file",
+              "classifier_patterns", "output_dir"},
+    "provider": {"kind", "script_file", "base_url", "model_name", "api_key_env", "rpm_limit",
+                 "token_budget"},
+    "prover": {"backend", "prover_command", "timeout_per_step", "workdir", "mock_table"},
+    "defaults": {"temperature", "presence_penalty", "n", "max_tokens"},
+}
+
+
 def load_config(path: str | None) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
     if path:
         if not Path(path).exists():
             raise CliError(f"config file not found: {path}")
-        parser.read(path, encoding="utf-8")
+        try:
+            parser.read(path, encoding="utf-8")
+        except configparser.Error as exc:
+            raise CliError(f"bad config {path}: {exc}") from exc
+    for section in (parser.default_section, *parser.sections()):
+        if section not in INI_KEYS and section != parser.default_section:
+            raise CliError(f"bad config {path}: unknown section [{section}]")
+        try:
+            store.check_keys(parser[section], INI_KEYS.get(section, ()))
+        except store.DecodeError as exc:
+            raise CliError(f"bad config {path}: {exc} in [{section}]") from exc
     return parser
 
 

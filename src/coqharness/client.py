@@ -291,15 +291,16 @@ class TranscriptCache:
         return f"{self.directory}/{key[:2]}.jsonl"
 
     def lookup(self, key: str) -> Transcript | None:
-        """First row of the key's shard whose prompt_hash is `key`, found by
-        byte search (`store.find_row`)."""
+        """Newest row of the key's shard whose prompt_hash is `key`, found by
+        byte search from the shard's end (`store.find_row`): a replay asks
+        for the rows its recording appended last."""
         shard = self._shard(key)
         try:
             data = store.read(shard)
         except FileNotFoundError:
             return None
         found = store.find_row(shard, data, key.encode(), lambda row: (
-            row.get("prompt_hash") == key and store.decode(Transcript, row)))
+            row.get("prompt_hash") == key and store.decode(Transcript, row)), last=True)
         return found and found[0]
 
     def append(self, transcript: Transcript) -> None:

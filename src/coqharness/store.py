@@ -37,9 +37,11 @@ class RowError(ValueError):
         self.path, self.line_number, self.detail = path, line_number, str(detail)
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
 def content_hash(value) -> str:
-    canonical = json.dumps(value, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_CANONICAL.encode(value).encode("utf-8")).hexdigest()
 
 
 @functools.cache  # once per file and line
@@ -188,18 +190,19 @@ def rows(path, data: bytes, decode: Callable, start: int = 0) -> Iterator[tuple[
 
 
 def find_row(path, data: bytes, needle: bytes, decode: Callable, start: int = 0,
-             stop: int | None = None) -> tuple[object, int, int] | None:
+             stop: int | None = None, last: bool = False) -> tuple[object, int, int] | None:
     """The first true decode(row) of a row of `data[start:stop]`, the bytes
-    of the file at `path`, with the row's start and end offsets. Only rows
-    holding `needle` are decoded, so a needle quoted where `decode` does not
-    look is skipped."""
-    at = data.find(needle, start, stop)
+    of the file at `path`, with the row's start and end offsets; with
+    `last`, the last such row, searched from the end. Only rows holding
+    `needle` are decoded, so a needle quoted where `decode` does not look
+    is skipped."""
+    at = data.rfind(needle, start, stop) if last else data.find(needle, start, stop)
     while at != -1:
-        start, end = data.rfind(b"\n", 0, at) + 1, _row_end(data, at)
-        value = _decode(path, data, start, end, decode)
+        row_start, end = data.rfind(b"\n", 0, at) + 1, _row_end(data, at)
+        value = _decode(path, data, row_start, end, decode)
         if value:
-            return value, start, end
-        at = data.find(needle, end, stop)
+            return value, row_start, end
+        at = data.rfind(needle, start, row_start) if last else data.find(needle, end, stop)
     return None
 
 

@@ -123,16 +123,17 @@ def oracle_cosine(u, v) -> float:
 
 
 def oracle_cache_lookup(shard: Path, key: str) -> dict | None:
-    """First row of a transcript-cache shard whose prompt_hash is `key`,
+    """Newest row of a transcript-cache shard whose prompt_hash is `key`,
     found by decoding the shard as text and testing each line. A final line
     with no newline is an interrupted append, never a row."""
     if not shard.exists():
         return None
+    newest = None
     with open(shard, encoding="utf-8") as fh:
         for line in fh:
             if key not in line or not line.endswith("\n"):  # not this key's row; skip parsing it
                 continue
             row = json.loads(line)
             if row["prompt_hash"] == key:
-                return row
-    return None
+                newest = row
+    return newest

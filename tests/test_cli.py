@@ -1502,6 +1502,16 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
     *[({"m.json": '{{"configs": [{{"tag": "zs", "mode": "zs"}}, {{"tag": "zs", "mode": "fs-sim"}}]}}'},
        ["--config", "{config}", *argv, "--manifest", "{tmp}/m.json"], "bad manifest entry 'zs': repeated tag")
       for argv in (_EVAL, [*_PROVE, "--config-tag", "zs"])],
+    *[({"c.ini": "[provider]\nscript_file = {fixtures}/provider_script.json\n" + ini + _PROVER + tail},
+       ["--config", "{tmp}/c.ini", *_PROVE], "bad config {tmp}/c.ini: " + logged)
+      for ini, tail, logged in [
+          ("", "timeout_per_stp = 5\n", "unknown key 'timeout_per_stp' in [prover]"),
+          ("", "[defaults]\ntemprature = 0.2\nn = 1\n", "unknown key 'temprature' in [defaults]"),
+          ("default = x\n", "", "unknown key 'default' in [provider]"),
+          ("", "[provers]\nbackend = mock\n", "unknown section [provers]"),
+          ("", "[DEFAULT]\nroot = /tmp\n", "unknown key 'root' in [DEFAULT]"),
+          ("", "backend = real\n", "While reading from '{tmp}/c.ini' [line  7]: "
+                                    "option 'backend' in section 'prover' already exists")]],
 ], ids=["config-file", "script-file", "provider-script", "provider-script-entry", "http",
         "provider-kind", "manifest-json", "manifest-configs", "manifest-list", "manifest-empty",
         "manifest-entry-not-object", "manifest-key",
@@ -1510,7 +1520,8 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
         "wall-clock-zero", "max-queries", "max-prompt-chars",
         "strategies-one-shot", "strategies-repair", "strategies-interactive", "prover-backend",
         "corpus-row", "tag-escapes", "tag-empty", "tag-dot", "tag-dot-dot", "tag-nul",
-        "tag-repeated-eval", "tag-repeated-prove"])
+        "tag-repeated-eval", "tag-repeated-prove", "ini-key", "ini-defaults-key",
+        "ini-removed-key", "ini-section", "ini-default-section", "ini-repeated-key"])
 def test_a_config_error_exits_2_with_its_message(
     config_file, ingested, fixtures_dir, tmp_path, caplog, files, argv, logged
 ):

@@ -193,6 +193,39 @@ def test_cache_lookup_ignores_a_key_inside_another_row(tmp_path):
     assert cache.lookup(decoy).completions == [f"(* see {key} *)"]
 
 
+def test_a_key_stored_twice_replays_its_newer_row(tmp_path):
+    """Two recorders racing on one key can both append it; a replay serves
+    the row appended last."""
+    cache = TranscriptCache(tmp_path)
+    params = DecodingParams(n=1)
+    key = prompt_hash(make_prompt(), params)
+    cache.append(Transcript(key, ["older"], "x", 1.0))
+    cache.append(Transcript(key[:2] + "0" * 62, ["other"], "x", 2.0))
+    cache.append(Transcript(key, ["newer"], "x", 3.0))
+    assert CachingProvider(None, cache).complete(make_prompt(), params) == ["newer"]
+    assert cache.lookup(key).timestamp == 3.0
+
+
+def test_looking_up_a_shards_last_row_decodes_one_row(tmp_path, monkeypatch):
+    """A replayed call's row is near its shard's end, so a lookup decodes
+    from the end: the 50 earlier rows that quote the key are never read."""
+    cache = TranscriptCache(tmp_path)
+    key = prompt_hash(make_prompt(), DecodingParams())
+    for i in range(50):
+        cache.append(Transcript(f"{key[:2]}{i:062x}", [f"(* see {key} *)"], "x", float(i)))
+    cache.append(Transcript(key, ["mine"], "x", 50.0))
+    decoded = []
+    real_decode = store._decode
+
+    def counting(path, data, start, end, decode):
+        decoded.append(data[start:end])
+        return real_decode(path, data, start, end, decode)
+
+    monkeypatch.setattr(store, "_decode", counting)
+    assert cache.lookup(key).completions == ["mine"]
+    assert len(decoded) == 1 and json.loads(decoded[0])["prompt_hash"] == key
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors on Linux")
 def test_cache_lookups_leave_no_file_descriptor_open(tmp_path):
     cache = TranscriptCache(tmp_path)

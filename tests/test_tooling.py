@@ -46,3 +46,20 @@ def test_only_store_imports_hashlib():
                  if re.search(r"^\s*(import|from)\s+hashlib\b", path.read_text(encoding="utf-8"),
                               re.MULTILINE)]
     assert importers == ["store.py"]
+
+
+def test_the_readme_names_every_ini_key():
+    """The README's INI example lists every key `load_config` accepts, in
+    its section, set or commented out, and no other: a key missing there
+    is one a user cannot find, and one the table lacks exits 2."""
+    from coqharness.cli import INI_KEYS
+
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^```ini\n(.*?)^```", readme, re.MULTILINE | re.DOTALL).group(1)
+    named: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if header := re.fullmatch(r"\[(\w+)\]", line):
+            section = named.setdefault(header.group(1), set())
+        elif key := re.fullmatch(r";? ?(\w+) = .*", line):
+            section.add(key.group(1))
+    assert named == INI_KEYS
