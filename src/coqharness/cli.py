@@ -55,13 +55,13 @@ def load_config(path: str | None) -> configparser.ConfigParser:
             raise CliError(f"config file not found: {path}")
         try:
             parser.read(path, encoding="utf-8")
+            for section in (parser.default_section, *parser.sections()):
+                if section not in INI_KEYS and section != parser.default_section:
+                    raise CliError(f"bad config {path}: unknown section [{section}]")
+                # items() reads each value, so a stray '%' fails here, not in a command
+                store.check_keys(dict(parser.items(section)), INI_KEYS.get(section, ()))
         except configparser.Error as exc:
             raise CliError(f"bad config {path}: {exc}") from exc
-    for section in (parser.default_section, *parser.sections()):
-        if section not in INI_KEYS and section != parser.default_section:
-            raise CliError(f"bad config {path}: unknown section [{section}]")
-        try:
-            store.check_keys(parser[section], INI_KEYS.get(section, ()))
         except store.DecodeError as exc:
             raise CliError(f"bad config {path}: {exc} in [{section}]") from exc
     return parser

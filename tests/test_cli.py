@@ -1511,7 +1511,8 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
           ("", "[provers]\nbackend = mock\n", "unknown section [provers]"),
           ("", "[DEFAULT]\nroot = /tmp\n", "unknown key 'root' in [DEFAULT]"),
           ("", "backend = real\n", "While reading from '{tmp}/c.ini' [line  7]: "
-                                    "option 'backend' in section 'prover' already exists")]],
+                                    "option 'backend' in section 'prover' already exists"),
+          ("", "workdir = /tmp/100%\n", "'%' must be followed by '%' or '(', found: '%'")]],
 ], ids=["config-file", "script-file", "provider-script", "provider-script-entry", "http",
         "provider-kind", "manifest-json", "manifest-configs", "manifest-list", "manifest-empty",
         "manifest-entry-not-object", "manifest-key",
@@ -1521,7 +1522,8 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
         "strategies-one-shot", "strategies-repair", "strategies-interactive", "prover-backend",
         "corpus-row", "tag-escapes", "tag-empty", "tag-dot", "tag-dot-dot", "tag-nul",
         "tag-repeated-eval", "tag-repeated-prove", "ini-key", "ini-defaults-key",
-        "ini-removed-key", "ini-section", "ini-default-section", "ini-repeated-key"])
+        "ini-removed-key", "ini-section", "ini-default-section", "ini-repeated-key",
+        "ini-percent"])
 def test_a_config_error_exits_2_with_its_message(
     config_file, ingested, fixtures_dir, tmp_path, caplog, files, argv, logged
 ):
