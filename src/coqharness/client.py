@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -53,8 +54,10 @@ class DecodingParams:  # §-style run defaults: T=1, presence_penalty=0.1, n=5 s
             raise ValueError("n must be >= 1")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, not {self.temperature}")
+        if not math.isfinite(self.presence_penalty):
+            raise ValueError(f"presence_penalty must be finite, not {self.presence_penalty}")
 
 
 @dataclass
@@ -173,7 +176,7 @@ class HttpChatProvider(Provider):
 
     def __init__(self, base_url: str, model_name: str, api_key_env: str = "COQHARNESS_API_KEY",
                  rpm_limit: float = 60.0, token_budget: int | None = None,
-                 timeout: float = 120.0, session=None):
+                 timeout: float = 120.0):
         self.base_url = base_url.rstrip("/")
         self.model_name = model_name
         self.api_key = os.environ.get(api_key_env, "")
@@ -184,11 +187,6 @@ class HttpChatProvider(Provider):
         self._lock = threading.Lock()
         self._local = threading.local()
         self._last_request = 0.0
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self._session = session
 
     @property
     def last_retries(self) -> int:  # of this thread's last successful call
@@ -209,6 +207,9 @@ class HttpChatProvider(Provider):
             self._last_request = time.monotonic()
 
     def complete(self, prompt: ChatPrompt, params: DecodingParams) -> list[str]:
+        import http.client  # here, not at the top: with ssl they load ~3 MB no other command uses
+        import urllib.error
+        import urllib.request
         if self.token_budget is not None and self.tokens_used >= self.token_budget:
             raise BudgetExceeded(f"token budget of {self.token_budget} reached")
         payload = {
@@ -226,19 +227,19 @@ class HttpChatProvider(Provider):
             headers["Authorization"] = f"Bearer {self.api_key}"
 
         backoff = 1.0
-        last_status, last_body = 0, ""
         for attempt in range(MAX_TRIES):
             self._throttle()
+            # A request per try, as urllib keeps redirects on it; one connection per call.
+            request = urllib.request.Request(f"{self.base_url}/chat/completions",
+                                             json.dumps(payload).encode(), headers)
             try:
-                response = self._session.post(
-                    f"{self.base_url}/chat/completions",
-                    json=payload,
-                    headers=headers,
-                    timeout=self.timeout,
-                )
-                status = response.status_code
-                body = response.text
-            except Exception as exc:  # connection-level failure: retryable
+                try:
+                    response = urllib.request.urlopen(request, timeout=self.timeout)
+                except urllib.error.HTTPError as exc:  # a status outside 2xx, 307 and 308 too
+                    response = exc
+                with response:
+                    status, body = response.status, response.read().decode(errors="replace")
+            except (OSError, http.client.HTTPException) as exc:  # a connection failure
                 status, body = -1, repr(exc)
             if status == 200:
                 completions, paid = _read_reply(body)
@@ -249,13 +250,12 @@ class HttpChatProvider(Provider):
                     if self.token_budget is not None and self.tokens_used > self.token_budget:
                         log.warning("token budget exceeded after call; aborting run")
                 return completions
-            last_status, last_body = status, body
-            if status not in (-1, 408, 409, 429) and not 500 <= status < 600:
-                break  # non-retryable client error
+            if attempt + 1 == MAX_TRIES or not (status in (-1, 408, 409, 429) or 500 <= status < 600):
+                break  # the last try, or a status that a retry cannot mend
             log.warning("provider returned %s; retry %d/%d", status, attempt + 1, MAX_TRIES)
             time.sleep(backoff)
             backoff *= 2
-        raise ProviderError(last_status, last_body)
+        raise ProviderError(status, body)
 
 
 def _read_reply(body: str) -> tuple[list[str], tuple[int, int]]:

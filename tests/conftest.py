@@ -9,6 +9,7 @@ from coqharness.client import ScriptedProvider
 from coqharness.driver import SessionConfig, start_session
 from coqharness.prompting import TemplateSet
 from coqharness.retriever import build_index
+from chat_stub import serve_chat_stub
 from walk_project import build_walk_project
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -76,6 +77,22 @@ def manifest_path() -> Path:
 @pytest.fixture()
 def walk_project(tmp_path) -> dict:
     return build_walk_project(tmp_path / "walk")
+
+
+@pytest.fixture()
+def no_proxy(monkeypatch):
+    """A request to 127.0.0.1 consults no proxy."""
+    for name in ("http_proxy", "https_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+
+
+@pytest.fixture()
+def chat_stub(no_proxy):
+    """A loopback chat-completions endpoint (`chat_stub.py`)."""
+    with serve_chat_stub() as server:
+        yield server
 
 
 LONG_FILES, LONG_LEMMAS = 3, 200

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import http.server
 import inspect
 import json
 import os
 import subprocess
 import sys
-import threading
+import urllib.request
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -29,6 +28,8 @@ from coqharness.driver import SessionConfig, SessionDead
 from coqharness.prompting import TemplateSet
 from coqharness.proofstate import ProofState
 from coqharness.sentences import Sentence
+
+from chat_stub import http_config as _http_config
 
 
 @pytest.fixture()
@@ -531,69 +532,6 @@ mock_table = {fixtures_dir}/mock_table.json
     assert code == EXIT_PROVIDER
 
 
-class _ChatStub(http.server.BaseHTTPRequestHandler):
-    """Answers every request with `server.reply(request)`, recording each
-    request's path, Authorization header and JSON body."""
-
-    def do_POST(self):
-        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        self.server.requests.append((self.path, self.headers.get("Authorization"), request))
-        body = self.server.reply(request).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-def _fixed_completions(request) -> str:
-    choices = [{"message": {"content": "Proof.\nauto.\nQed."}}] * request["n"]
-    return json.dumps({"choices": choices, "usage": {"prompt_tokens": 3, "completion_tokens": 4}})
-
-
-@pytest.fixture()
-def chat_stub(monkeypatch):
-    """A loopback chat-completions endpoint; no proxy is consulted."""
-    for name in ("http_proxy", "https_proxy", "all_proxy"):
-        monkeypatch.delenv(name, raising=False)
-        monkeypatch.delenv(name.upper(), raising=False)
-    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ChatStub)
-    server.requests, server.reply = [], _fixed_completions
-    thread = threading.Thread(target=server.serve_forever)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    thread.join()
-
-
-def _http_config(tmp_path, fixtures_dir, server, monkeypatch) -> Path:
-    monkeypatch.setenv("COQHARNESS_STUB_KEY", "sk-stub")
-    config = tmp_path / "http.ini"
-    config.write_text(
-        f"""
-[paths]
-cache_dir = {tmp_path}/cache
-
-[provider]
-kind = http
-base_url = http://127.0.0.1:{server.server_address[1]}/v1
-model_name = stub-model
-api_key_env = COQHARNESS_STUB_KEY
-rpm_limit = 0
-
-[prover]
-backend = mock
-mock_table = {fixtures_dir}/mock_table.json
-"""
-    )
-    return config
-
-
 def test_an_ini_key_left_out_keeps_the_default_of_the_type_it_is_passed_to(monkeypatch):
     config = configparser.ConfigParser()
     assert decoding_from(config) == client.DecodingParams()
@@ -656,6 +594,24 @@ def test_a_null_http_completion_is_an_empty_attempt(
     out = capsys.readouterr().out
     assert '"completion_kind": "empty"' in out and '"completion_kind": "proof"' not in out
     assert out.rstrip().endswith("REJECTED")
+
+
+def test_a_fault_on_the_http_request_path_is_raised_not_retried(
+    ingested, fixtures_dir, tmp_path, monkeypatch, chat_stub
+):
+    """A bug in the harness's own request code is neither a provider failure
+    (exit 3) nor retried: it surfaces as itself."""
+    def broken(*args, **kwargs):
+        raise TypeError("a harness bug")
+
+    slept = []
+    monkeypatch.setattr("time.sleep", slept.append)
+    monkeypatch.setattr(urllib.request, "urlopen", broken)
+    config = _http_config(tmp_path, fixtures_dir, chat_stub, monkeypatch)
+    with pytest.raises(TypeError, match="a harness bug"):
+        main(["--config", str(config), "prove", "--corpus", str(ingested),
+              "--theorem", "weak.v::weak_refl"])
+    assert slept == [] and chat_stub.requests == []
 
 
 def test_help_on_every_subcommand(capsys):
@@ -1513,6 +1469,14 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
           ("", "backend = real\n", "While reading from '{tmp}/c.ini' [line  7]: "
                                     "option 'backend' in section 'prover' already exists"),
           ("", "workdir = /tmp/100%\n", "'%' must be followed by '%' or '(', found: '%'")]],
+    *[({"c.ini": "[provider]\nscript_file = {fixtures}/provider_script.json\n" + _PROVER + ini},
+       ["--config", "{tmp}/c.ini", *_EVAL, "--manifest", "{fixtures}/manifest.json"], logged)
+      for ini, logged in [
+          ("[defaults]\ntemperature = nan\n", "temperature must be finite and >= 0, not nan"),
+          ("[defaults]\npresence_penalty = inf\n", "presence_penalty must be finite, not inf")]],
+    ({"m.json": '{{"configs": [{{"tag": "w", "mode": "zs", "decoding": {{"temperature": NaN}}}}]}}'},
+     ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
+     "bad manifest entry 'w': decoding: temperature must be finite and >= 0, not nan"),
 ], ids=["config-file", "script-file", "provider-script", "provider-script-entry", "http",
         "provider-kind", "manifest-json", "manifest-configs", "manifest-list", "manifest-empty",
         "manifest-entry-not-object", "manifest-key",
@@ -1523,7 +1487,8 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
         "corpus-row", "tag-escapes", "tag-empty", "tag-dot", "tag-dot-dot", "tag-nul",
         "tag-repeated-eval", "tag-repeated-prove", "ini-key", "ini-defaults-key",
         "ini-removed-key", "ini-section", "ini-default-section", "ini-repeated-key",
-        "ini-percent"])
+        "ini-percent", "ini-temperature-nan", "ini-presence-penalty-inf",
+        "manifest-temperature-nan"])
 def test_a_config_error_exits_2_with_its_message(
     config_file, ingested, fixtures_dir, tmp_path, caplog, files, argv, logged
 ):

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import re
+import socket
 import sys
 import tempfile
 import threading
+import urllib.request
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -59,6 +62,11 @@ def test_decoding_validation():
         DecodingParams(max_tokens=0)
     with pytest.raises(ValueError):
         DecodingParams(temperature=-0.1)
+    for value in (math.nan, math.inf, -math.inf):  # not JSON, so no request or row could hold it
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            DecodingParams(temperature=value)
+        with pytest.raises(ValueError, match="presence_penalty must be finite"):
+            DecodingParams(presence_penalty=value)
 
 
 def test_prompt_hash_stability_and_sensitivity():
@@ -304,61 +312,52 @@ def test_cache_lookup_reads_rows_around_invalid_utf8(tmp_path):
     assert cache.lookup("ab" + "4" * 62) is None
 
 
-class FakeResponse:
-    def __init__(self, status_code: int, payload=None):
-        self.status_code = status_code
-        self.text = json.dumps(payload or {})
-
-
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.calls = 0
-        self.payloads = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls += 1
-        self.payloads.append(json)
-        return self.responses.pop(0)
-
-
-def _ok_payload(contents, usage=(5, 7)):
-    return {
+def _ok(contents, usage=(5, 7)) -> str:
+    return json.dumps({
         "choices": [{"message": {"content": c}} for c in contents],
         "usage": {"prompt_tokens": usage[0], "completion_tokens": usage[1]},
-    }
+    })
 
 
-def test_http_provider_retries_429_then_succeeds(monkeypatch):
+def _scripted(stub, replies) -> None:
+    """The stub answers its requests with `replies`, one each, in order."""
+    replies = iter(replies)
+    stub.reply = lambda request: next(replies)
+
+
+def _provider(stub, rpm_limit=0, **settings) -> HttpChatProvider:
+    return HttpChatProvider(f"http://127.0.0.1:{stub.server_address[1]}/v1", "model-x",
+                            rpm_limit=rpm_limit, **settings)
+
+
+def test_http_provider_retries_429_then_succeeds(monkeypatch, chat_stub):
     monkeypatch.setattr("time.sleep", lambda s: None)
-    session = FakeSession(
-        [FakeResponse(429), FakeResponse(429), FakeResponse(200, _ok_payload(["done"]))]
-    )
-    provider = HttpChatProvider("http://fake", "model-x", rpm_limit=0, session=session)
+    _scripted(chat_stub, [(429, "{}"), (429, "{}"), _ok(["done"])])
+    provider = _provider(chat_stub)
     out = provider.complete(make_prompt(), DecodingParams(n=1))
     assert out == ["done"]
-    assert session.calls == 3
+    assert len(chat_stub.requests) == 3
     assert provider.last_retries == 2
     assert provider.tokens_used == 12
 
 
-def test_a_manifest_decoding_seed_reaches_the_http_payload(monkeypatch):
+def test_a_manifest_decoding_seed_reaches_the_http_payload(monkeypatch, chat_stub):
     monkeypatch.setattr("time.sleep", lambda s: None)
-    session = FakeSession([FakeResponse(200, _ok_payload(["done"]))] * 2)
-    provider = HttpChatProvider("http://fake", "model-x", rpm_limit=0, session=session)
+    _scripted(chat_stub, [_ok(["done"])] * 2)
+    provider = _provider(chat_stub)
     for decoding in ({"n": 1, "seed": 7}, {"n": 1}):
         config = run_config_from_dict({"tag": "t", "mode": "zs", "decoding": decoding},
                                       DecodingParams())
         provider.complete(make_prompt(), config.decoding)
-    assert session.payloads[0]["seed"] == 7
-    assert "seed" not in session.payloads[1]
+    payloads = [request for _, _, request in chat_stub.requests]
+    assert payloads[0]["seed"] == 7
+    assert "seed" not in payloads[1]
 
 
-def test_recorded_transcript_keeps_the_tokens_its_call_paid(tmp_path, monkeypatch):
+def test_recorded_transcript_keeps_the_tokens_its_call_paid(tmp_path, monkeypatch, chat_stub):
     monkeypatch.setattr("time.sleep", lambda s: None)
-    session = FakeSession([FakeResponse(200, _ok_payload(["done"], usage=(5, 7))),
-                           FakeResponse(200, _ok_payload(["other"], usage=(11, 13)))])
-    provider = HttpChatProvider("http://fake", "model-x", rpm_limit=0, session=session)
+    _scripted(chat_stub, [_ok(["done"], usage=(5, 7)), _ok(["other"], usage=(11, 13))])
+    provider = _provider(chat_stub)
     caching = CachingProvider(provider, TranscriptCache(tmp_path))
     params = DecodingParams(n=1)
     assert caching.complete(make_prompt(), params) == ["done"]
@@ -390,31 +389,102 @@ def test_recorded_transcript_keeps_the_tokens_its_call_paid(tmp_path, monkeypatc
     ).token_usage == (0, 0)
 
 
-def test_http_provider_gives_up_after_max_tries(monkeypatch):
+def test_http_provider_gives_up_after_max_tries(monkeypatch, chat_stub):
     monkeypatch.setattr("time.sleep", lambda s: None)
-    session = FakeSession([FakeResponse(500)] * 5)
-    provider = HttpChatProvider("http://fake", "model-x", rpm_limit=0, session=session)
+    _scripted(chat_stub, [(500, "{}")] * 5)
+    provider = _provider(chat_stub)
     with pytest.raises(ProviderError) as err:
         provider.complete(make_prompt(), DecodingParams(n=1))
     assert err.value.status == 500
-    assert session.calls == 5
+    assert len(chat_stub.requests) == 5
 
 
-def test_http_provider_nonretryable_is_immediate(monkeypatch):
+def test_http_provider_retries_a_refused_connection_as_minus_1(monkeypatch, no_proxy):
+    slept = []
+    monkeypatch.setattr("time.sleep", slept.append)
+    with socket.socket() as unlistened:  # bound, so no other test takes the port; never listening
+        unlistened.bind(("127.0.0.1", 0))
+        provider = HttpChatProvider(f"http://127.0.0.1:{unlistened.getsockname()[1]}/v1",
+                                    "model-x", rpm_limit=0)
+        with pytest.raises(ProviderError) as err:
+            provider.complete(make_prompt(), DecodingParams(n=1))
+    assert err.value.status == -1 and "Connection refused" in err.value.body
+    assert slept == [1.0, 2.0, 4.0, 8.0]  # no wait after the last try
+
+
+def test_http_provider_retries_a_reply_slower_than_its_timeout(monkeypatch, caplog, chat_stub):
     monkeypatch.setattr("time.sleep", lambda s: None)
-    session = FakeSession([FakeResponse(401)])
-    provider = HttpChatProvider("http://fake", "model-x", rpm_limit=0, session=session)
-    with pytest.raises(ProviderError):
+    release = threading.Event()  # not time.sleep, which this test patches
+
+    def reply(request):
+        if len(chat_stub.requests) == 1:  # answered only after the provider gave up on it
+            release.wait(timeout=30)
+        return _ok(["in time"])
+
+    chat_stub.reply = reply
+    provider = _provider(chat_stub, timeout=1.0)
+    try:
+        assert provider.complete(make_prompt(), DecodingParams(n=1)) == ["in time"]
+    finally:
+        release.set()
+    assert len(chat_stub.requests) == 2 and provider.last_retries == 1
+    assert "provider returned -1; retry 1/5" in caplog.text
+
+
+def test_http_provider_does_not_follow_a_redirect_of_its_post(monkeypatch, chat_stub):
+    monkeypatch.setattr("time.sleep", lambda s: None)
+    chat_stub.reply = lambda request: (307, "moved", {"Location": "/v2/chat/completions"})
+    provider = _provider(chat_stub)
+    with pytest.raises(ProviderError) as err:
         provider.complete(make_prompt(), DecodingParams(n=1))
-    assert session.calls == 1
+    assert (err.value.status, err.value.body) == (307, "moved")
+    assert [path for path, _, _ in chat_stub.requests] == ["/v1/chat/completions"]
 
 
-def test_http_provider_budgets(monkeypatch):
+def test_each_try_of_the_http_provider_is_a_new_request(monkeypatch, chat_stub):
+    """urllib follows a 302 of a POST as a GET, which the stub answers 501,
+    and keeps the redirects it followed on the request: a request reused
+    across tries would end as urllib's redirect-loop error on the fifth."""
     monkeypatch.setattr("time.sleep", lambda s: None)
-    session = FakeSession([FakeResponse(200, _ok_payload(["x"], usage=(600, 600)))])
-    provider = HttpChatProvider(
-        "http://fake", "model-x", rpm_limit=0, token_budget=1000, session=session
-    )
+    chat_stub.reply = lambda request: (302, "moved", {"Location": "/v2/chat/completions"})
+    provider = _provider(chat_stub)
+    with pytest.raises(ProviderError) as err:
+        provider.complete(make_prompt(), DecodingParams(n=1))
+    assert err.value.status == 501
+    assert len(chat_stub.requests) == 5
+
+
+def test_a_fault_on_the_request_path_is_raised_after_one_call(monkeypatch):
+    """Only a connection failure or a retried status is retried: a bug in
+    the harness's own request code surfaces as itself, not as a ProviderError."""
+    calls, slept = [], []
+
+    def broken(*args, **kwargs):
+        calls.append(args)
+        raise TypeError("a harness bug")
+
+    monkeypatch.setattr(urllib.request, "urlopen", broken)
+    monkeypatch.setattr("time.sleep", slept.append)
+    provider = HttpChatProvider("http://127.0.0.1:9/v1", "model-x", rpm_limit=0)
+    with pytest.raises(TypeError, match="a harness bug"):
+        provider.complete(make_prompt(), DecodingParams(n=1))
+    assert len(calls) == 1 and slept == []
+
+
+def test_http_provider_nonretryable_is_immediate(monkeypatch, chat_stub):
+    monkeypatch.setattr("time.sleep", lambda s: None)
+    _scripted(chat_stub, [(401, "{}")])
+    provider = _provider(chat_stub)
+    with pytest.raises(ProviderError) as err:
+        provider.complete(make_prompt(), DecodingParams(n=1))
+    assert err.value.status == 401
+    assert len(chat_stub.requests) == 1
+
+
+def test_http_provider_budgets(monkeypatch, chat_stub):
+    monkeypatch.setattr("time.sleep", lambda s: None)
+    _scripted(chat_stub, [_ok(["x"], usage=(600, 600))])
+    provider = _provider(chat_stub, token_budget=1000)
     provider.complete(make_prompt(), DecodingParams(n=1))
     with pytest.raises(BudgetExceeded):
         provider.complete(make_prompt(), DecodingParams(n=1))
@@ -432,42 +502,37 @@ def test_http_provider_budgets(monkeypatch):
         '{"choices": [{"message": {"content": "x"}}], "usage": []}',
     ],
 )
-def test_http_provider_malformed_200_reply_is_a_provider_error(body):
-    reply = FakeResponse(200)
-    reply.text = body
-    session = FakeSession([reply])
-    provider = HttpChatProvider("http://fake", "model-x", rpm_limit=0, session=session)
+def test_http_provider_malformed_200_reply_is_a_provider_error(chat_stub, body):
+    _scripted(chat_stub, [body])
+    provider = _provider(chat_stub)
     with pytest.raises(ProviderError) as err:
         complete(make_prompt(), DecodingParams(n=1), provider)
     assert err.value.status == 200 and body in err.value.body
-    assert session.calls == 1
+    assert len(chat_stub.requests) == 1
     assert provider.tokens_used == 0
 
 
-def test_http_provider_null_content_is_an_empty_completion():
-    session = FakeSession([FakeResponse(200, _ok_payload(["x", None]))])
-    provider = HttpChatProvider("http://fake", "model-x", rpm_limit=0, session=session)
+def test_http_provider_null_content_is_an_empty_completion(chat_stub):
+    _scripted(chat_stub, [_ok(["x", None])])
+    provider = _provider(chat_stub)
     assert complete(make_prompt(), DecodingParams(n=2), provider) == ["x", ""]
 
 
 @pytest.mark.parametrize("rpm_limit, posted_at", [(120, [100.0, 100.5]), (0, [100.0, 100.1])])
-def test_http_provider_throttles_to_its_rpm_limit(monkeypatch, rpm_limit, posted_at):
-    now, slept = [100.0], []
+def test_http_provider_throttles_to_its_rpm_limit(monkeypatch, chat_stub, rpm_limit, posted_at):
+    now, slept, posts = [100.0], [], []
 
     def sleep(seconds):
         slept.append(seconds)
         now[0] += seconds
 
+    def reply(request):
+        posts.append(now[0])  # the fake clock when the request arrives
+        return _ok(["x"])
+
     monkeypatch.setattr(client, "time", SimpleNamespace(monotonic=lambda: now[0], sleep=sleep))
-
-    class ClockedSession(FakeSession):
-        def post(self, url, json=None, headers=None, timeout=None):
-            posts.append(now[0])
-            return super().post(url, json, headers, timeout)
-
-    posts = []
-    session = ClockedSession([FakeResponse(200, _ok_payload(["x"]))] * 2)
-    provider = HttpChatProvider("http://fake", "model-x", rpm_limit=rpm_limit, session=session)
+    chat_stub.reply = reply
+    provider = _provider(chat_stub, rpm_limit=rpm_limit)
     provider.complete(make_prompt(), DecodingParams(n=1))
     now[0] += 0.1  # the caller's own work between two calls
     provider.complete(make_prompt(), DecodingParams(n=1))
@@ -489,27 +554,26 @@ def test_complete_checks_count():
         complete(make_prompt(), DecodingParams(n=2), Short())
 
 
-class RetryScriptedSession:
-    """Fails each prompt with 503 a scripted number of times, then answers it;
-    the usage it reports is the prompt's length in prompt tokens plus one."""
-
-    def __init__(self, retries: dict[str, int]):
-        self.remaining = dict(retries)
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        key = json["messages"][-1]["content"]
-        if self.remaining[key] > 0:
-            self.remaining[key] -= 1
-            return FakeResponse(503)
-        return FakeResponse(200, _ok_payload([key], usage=(len(key), 1)))
-
-
-def test_http_provider_under_threads_counts_tokens_and_caches_own_retries(tmp_path, monkeypatch):
+def test_http_provider_under_threads_counts_tokens_and_caches_own_retries(
+    tmp_path, monkeypatch, chat_stub
+):
     monkeypatch.setattr("time.sleep", lambda s: None)
     texts = [f"Prove Lemma t{i}: True." for i in range(240)]
     retries = {text: i % 3 for i, text in enumerate(texts)}
-    provider = HttpChatProvider("http://fake", "model-x", rpm_limit=0,
-                                session=RetryScriptedSession(retries))
+    remaining, lock = dict(retries), threading.Lock()
+
+    def reply(request):
+        """503 for each prompt its scripted number of times, then its answer,
+        with the prompt's length in prompt tokens plus one as its usage."""
+        key = request["messages"][-1]["content"]
+        with lock:
+            remaining[key] -= 1
+            if remaining[key] >= 0:
+                return 503, "{}"
+        return _ok([key], usage=(len(key), 1))
+
+    chat_stub.reply = reply
+    provider = _provider(chat_stub)
     caching = CachingProvider(provider, TranscriptCache(tmp_path))
     params = DecodingParams(n=1)
     n_threads = 4 * (os.cpu_count() or 1)

@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+from chat_stub import http_config
+from conftest import TEST_IDS
 
 BENCH_TRACE = Path(__file__).resolve().parent.parent / "perfbench" / "bench_trace.py"
 SRC = Path(__file__).resolve().parent.parent / "src" / "coqharness"
@@ -63,3 +70,42 @@ def test_the_readme_names_every_ini_key():
         elif key := re.fullmatch(r";? ?(\w+) = .*", line):
             section.add(key.group(1))
     assert named == INI_KEYS
+
+
+_WITHOUT_DEPENDENCIES = """
+import importlib, json, sys
+sys.modules["requests"] = sys.modules["numpy"] = None  # an import of either raises ImportError
+modules, runs = json.loads(sys.argv[1])
+for name in modules:
+    importlib.import_module(name)
+from coqharness.cli import main
+for argv in runs:
+    assert main(argv) == 0, argv
+"""
+
+
+def test_the_harness_needs_neither_requests_nor_numpy(
+    tmp_path, fixtures_dir, monkeypatch, chat_stub
+):
+    """`pyproject.toml` names no dependency but the dev tools: where `requests`
+    and `numpy` cannot be imported, every `src/` module imports, and an eval
+    through the HTTP provider and its replay write byte-identical reports."""
+    config = http_config(tmp_path, fixtures_dir, chat_stub, monkeypatch)
+    corpus = tmp_path / "corpus.jsonl"
+    ingest = ["--config", str(config), "ingest", "--root", str(fixtures_dir / "project"),
+              "--out", str(corpus), "--split", "explicit", "--explicit-test", *TEST_IDS]
+    eval_argv = ["--config", str(config), "eval", "--corpus", str(corpus),
+                 "--manifest", str(fixtures_dir / "manifest.json"), "--out"]
+    runs = [ingest, [*eval_argv, str(tmp_path / "live")],
+            [*eval_argv, str(tmp_path / "replayed"), "--replay"]]
+    modules = [f"coqharness.{path.stem}".removesuffix(".__init__")
+               for path in sorted(SRC.glob("*.py"))]
+    path = os.pathsep.join([str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_DEPENDENCIES, json.dumps([modules, runs])],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert len(chat_stub.requests) == 5 * 4  # recorded once, replayed from the cache
+    for name in ("report.json", "report.md", "report.csv"):
+        live = (tmp_path / "live" / name).read_bytes()
+        assert live == (tmp_path / "replayed" / name).read_bytes(), name
