@@ -100,6 +100,8 @@ def build_provider(config: configparser.ConfigParser, replay: bool, cache_dir: s
         model_name = _get(config, "provider", "model_name")
         if not base_url or not model_name:
             raise CliError("provider.base_url and provider.model_name are required")
+        if not base_url.lower().startswith(("http://", "https://")):  # else urllib fails mid-run
+            raise CliError(f"provider.base_url must be an http:// or https:// URL, not {base_url!r}")
         inner = client.HttpChatProvider(base_url, model_name, **_set_keys(
             config, "provider", api_key_env=str, rpm_limit=float, token_budget=int))
     else:

@@ -225,17 +225,21 @@ class HttpChatProvider(Provider):
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        request = urllib.request.Request(f"{self.base_url}/chat/completions",
+                                         json.dumps(payload).encode(), headers)
 
+        class NoRedirect(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, *args):  # a 3xx is an HTTPError: the key stays here
+                return None
+
+        opener = urllib.request.build_opener(NoRedirect)  # proxies from *_proxy; a connection per call
         backoff = 1.0
         for attempt in range(MAX_TRIES):
             self._throttle()
-            # A request per try, as urllib keeps redirects on it; one connection per call.
-            request = urllib.request.Request(f"{self.base_url}/chat/completions",
-                                             json.dumps(payload).encode(), headers)
             try:
                 try:
-                    response = urllib.request.urlopen(request, timeout=self.timeout)
-                except urllib.error.HTTPError as exc:  # a status outside 2xx, 307 and 308 too
+                    response = opener.open(request, timeout=self.timeout)
+                except urllib.error.HTTPError as exc:  # a status outside 2xx, a 3xx too
                     response = exc
                 with response:
                     status, body = response.status, response.read().decode(errors="replace")

@@ -5,7 +5,9 @@
 answers each POST with `server.reply(request)`, where `request` is the
 POST's JSON body. A reply is a status-200 body, or a `(status, body)` pair,
 or a `(status, body, headers)` triple. Each request's path, Authorization
-header and JSON body are recorded, in order of arrival, in `server.requests`.
+header and JSON body are recorded, in order of arrival, in `server.requests`;
+a GET, which only a followed redirect would send, is recorded with the body
+None and answered 405.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ class _ChatStub(http.server.BaseHTTPRequestHandler):
             self.wfile.write(body)
         except ConnectionError:
             pass  # the client stopped waiting, as a provider past its timeout does
+
+    def do_GET(self):
+        self.server.requests.append((self.path, self.headers.get("Authorization"), None))
+        self.send_error(405)
 
     def log_message(self, *args):
         pass

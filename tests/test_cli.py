@@ -606,7 +606,7 @@ def test_a_fault_on_the_http_request_path_is_raised_not_retried(
 
     slept = []
     monkeypatch.setattr("time.sleep", slept.append)
-    monkeypatch.setattr(urllib.request, "urlopen", broken)
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", broken)
     config = _http_config(tmp_path, fixtures_dir, chat_stub, monkeypatch)
     with pytest.raises(TypeError, match="a harness bug"):
         main(["--config", str(config), "prove", "--corpus", str(ingested),
@@ -1474,6 +1474,10 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
       for ini, logged in [
           ("[defaults]\ntemperature = nan\n", "temperature must be finite and >= 0, not nan"),
           ("[defaults]\npresence_penalty = inf\n", "presence_penalty must be finite, not inf")]],
+    *[({"c.ini": "[provider]\nkind = http\nmodel_name = m\nbase_url = %s\n" % url + _PROVER},
+       ["--config", "{tmp}/c.ini", *_EVAL, "--manifest", "{fixtures}/manifest.json"],
+       f"provider.base_url must be an http:// or https:// URL, not '{url}'")
+      for url in ("api.example.com/v1", "file:///tmp/v1")],
     ({"m.json": '{{"configs": [{{"tag": "w", "mode": "zs", "decoding": {{"temperature": NaN}}}}]}}'},
      ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
      "bad manifest entry 'w': decoding: temperature must be finite and >= 0, not nan"),
@@ -1487,7 +1491,8 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
         "corpus-row", "tag-escapes", "tag-empty", "tag-dot", "tag-dot-dot", "tag-nul",
         "tag-repeated-eval", "tag-repeated-prove", "ini-key", "ini-defaults-key",
         "ini-removed-key", "ini-section", "ini-default-section", "ini-repeated-key",
-        "ini-percent", "ini-temperature-nan", "ini-presence-penalty-inf",
+        "ini-percent", "ini-temperature-nan", "ini-presence-penalty-inf", "ini-base-url-scheme",
+        "ini-base-url-file",
         "manifest-temperature-nan"])
 def test_a_config_error_exits_2_with_its_message(
     config_file, ingested, fixtures_dir, tmp_path, caplog, files, argv, logged

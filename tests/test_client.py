@@ -36,6 +36,7 @@ from coqharness.client import (
 )
 from coqharness.prompting import ChatMessage, ChatPrompt
 
+from chat_stub import serve_chat_stub
 from oracles import oracle_cache_lookup
 
 
@@ -431,27 +432,22 @@ def test_http_provider_retries_a_reply_slower_than_its_timeout(monkeypatch, capl
     assert "provider returned -1; retry 1/5" in caplog.text
 
 
-def test_http_provider_does_not_follow_a_redirect_of_its_post(monkeypatch, chat_stub):
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_http_provider_does_not_follow_a_redirect(monkeypatch, chat_stub, status):
+    """A redirect ends the call at once as a provider error with its status,
+    and its target, here another host, gets no request and so no API key."""
     monkeypatch.setattr("time.sleep", lambda s: None)
-    chat_stub.reply = lambda request: (307, "moved", {"Location": "/v2/chat/completions"})
-    provider = _provider(chat_stub)
-    with pytest.raises(ProviderError) as err:
-        provider.complete(make_prompt(), DecodingParams(n=1))
-    assert (err.value.status, err.value.body) == (307, "moved")
-    assert [path for path, _, _ in chat_stub.requests] == ["/v1/chat/completions"]
-
-
-def test_each_try_of_the_http_provider_is_a_new_request(monkeypatch, chat_stub):
-    """urllib follows a 302 of a POST as a GET, which the stub answers 501,
-    and keeps the redirects it followed on the request: a request reused
-    across tries would end as urllib's redirect-loop error on the fifth."""
-    monkeypatch.setattr("time.sleep", lambda s: None)
-    chat_stub.reply = lambda request: (302, "moved", {"Location": "/v2/chat/completions"})
-    provider = _provider(chat_stub)
-    with pytest.raises(ProviderError) as err:
-        provider.complete(make_prompt(), DecodingParams(n=1))
-    assert err.value.status == 501
-    assert len(chat_stub.requests) == 5
+    monkeypatch.setenv("COQHARNESS_API_KEY", "sk-secret")
+    with serve_chat_stub() as elsewhere:
+        target = f"http://127.0.0.1:{elsewhere.server_address[1]}/v1/chat/completions"
+        chat_stub.reply = lambda request: (status, "moved", {"Location": target})
+        provider = _provider(chat_stub)
+        with pytest.raises(ProviderError) as err:
+            provider.complete(make_prompt(), DecodingParams(n=1))
+    assert (err.value.status, err.value.body) == (status, "moved")
+    assert [(path, key) for path, key, _ in chat_stub.requests] == [
+        ("/v1/chat/completions", "Bearer sk-secret")]
+    assert elsewhere.requests == []
 
 
 def test_a_fault_on_the_request_path_is_raised_after_one_call(monkeypatch):
@@ -463,7 +459,7 @@ def test_a_fault_on_the_request_path_is_raised_after_one_call(monkeypatch):
         calls.append(args)
         raise TypeError("a harness bug")
 
-    monkeypatch.setattr(urllib.request, "urlopen", broken)
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", broken)
     monkeypatch.setattr("time.sleep", slept.append)
     provider = HttpChatProvider("http://127.0.0.1:9/v1", "model-x", rpm_limit=0)
     with pytest.raises(TypeError, match="a harness bug"):
