@@ -36,9 +36,8 @@ from .prompting import (
     REFUSAL,
     ChatMessage,
     ChatPrompt,
-    ConfigMismatch,
+    PromptError,
     TemplateSet,
-    UnknownStrategy,
     build_prompt,
     diversify,
     known_strategy,
@@ -91,12 +90,12 @@ class RunConfig:
         if self.loop == "repair" and self.repair_rounds < 1:
             raise ValueError("repair needs at least one round")
         if self.loop == "ensemble" and not self.strategies:
-            raise ConfigMismatch("ensemble needs a non-empty strategy list")
+            raise PromptError("ensemble needs a non-empty strategy list")
         if self.strategies and self.loop != "ensemble":
-            raise ConfigMismatch(f"strategies are for the ensemble loop, not {self.loop}")
+            raise PromptError(f"strategies are for the ensemble loop, not {self.loop}")
         for strategy in self.strategies:
             if not known_strategy(strategy):
-                raise UnknownStrategy(f"unknown ensemble strategy {strategy!r}")
+                raise PromptError(f"unknown ensemble strategy {strategy!r}")
         if self.max_turns < 1:
             raise ValueError("max_turns must be >= 1")
         if self.max_queries < 0:

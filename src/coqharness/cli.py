@@ -13,7 +13,6 @@ import configparser
 import contextlib
 import json
 import logging
-import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -31,9 +30,7 @@ EXIT_PROVIDER = 3
 EXIT_PROVER = 4
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_CONFIG):
-        super().__init__(message)
-        self.code = code
+    """A command's input is wrong: exit 2 with this message."""
 
 
 # Every ini key, by section: load_config refuses any other, since a misspelt
@@ -51,15 +48,18 @@ INI_KEYS = {
 def load_config(path: str | None) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
     if path:
-        if not Path(path).exists():
-            raise CliError(f"config file not found: {path}")
         try:
-            parser.read(path, encoding="utf-8")
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
             for section in (parser.default_section, *parser.sections()):
                 if section not in INI_KEYS and section != parser.default_section:
                     raise CliError(f"bad config {path}: unknown section [{section}]")
                 # items() reads each value, so a stray '%' fails here, not in a command
                 store.check_keys(dict(parser.items(section)), INI_KEYS.get(section, ()))
+        except FileNotFoundError:
+            raise CliError(f"config file not found: {path}") from None
+        except OSError as exc:
+            raise CliError(f"cannot read config {path}: {exc.strerror or exc}") from exc
         except configparser.Error as exc:
             raise CliError(f"bad config {path}: {exc}") from exc
         except store.DecodeError as exc:
@@ -113,16 +113,14 @@ def build_provider(config: configparser.ConfigParser, replay: bool, cache_dir: s
 
 def build_session_config(config: configparser.ConfigParser, whole_table: bool = True) -> SessionConfig:
     """The prover settings. A mock table is read here, once per command; its
-    theorem entries are compiled here too with `whole_table`, else on first use."""
+    theorem entries are compiled here too with `whole_table`, else on first use.
+    A table or an entry that is malformed raises a ValueError naming the table: exit 2."""
     session = SessionConfig(**_set_keys(
         config, "prover", backend=str, prover_command=str, timeout_per_step=float, workdir=str,
         mock_table=str))
     if session.backend == "mock":
-        try:
-            table = compile_behavior_table(session.mock_table)
-        except (OSError, ValueError, KeyError, TypeError, AttributeError, re.error) as exc:
-            raise CliError(f"bad mock table {session.mock_table}: {exc}") from exc
-        if whole_table:  # a malformed entry raises a ValueError naming the table: exit 2
+        table = compile_behavior_table(session.mock_table)
+        if whole_table:
             for name in table.raw_theorems:
                 table.entry(name)
         session.mock_table = table
@@ -279,7 +277,10 @@ def cmd_prove(args, config) -> int:
         target = cps.by_id(args.theorem)
     except corpus_mod.UnknownId:
         matches = [r for r in cps.records if r.name == args.theorem]
-        if len(matches) != 1:
+        if len(matches) > 1:
+            ids = ", ".join(r.id for r in matches)
+            raise CliError(f"theorem name {args.theorem!r} is ambiguous: {ids}")
+        if not matches:
             raise CliError(f"unknown theorem id {args.theorem!r}")
         target = matches[0]
     deps = build_deps(config, cps, [run_config], args.replay, args.cache_dir, whole_table=False)
@@ -435,10 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         return _COMMANDS[args.command][2](args, config)
-    except CliError as exc:
-        log.error("%s", exc)
-        return exc.code
-    except (corpus_mod.CorpusError, evaluate.EvalError, agent.AgentError, PromptError,
+    except (CliError, corpus_mod.CorpusError, evaluate.EvalError, agent.AgentError, PromptError,
             ValueError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_CONFIG

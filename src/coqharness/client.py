@@ -180,6 +180,8 @@ class HttpChatProvider(Provider):
         self.base_url = base_url.rstrip("/")
         self.model_name = model_name
         self.api_key = os.environ.get(api_key_env, "")
+        if math.isnan(rpm_limit):  # else the throttle never waits
+            raise ValueError("rpm_limit must be a number, not nan")
         self.rpm_limit = rpm_limit
         self.token_budget = token_budget
         self.timeout = timeout

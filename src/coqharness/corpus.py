@@ -40,14 +40,6 @@ class CorpusError(Exception):
     pass
 
 
-class NoSourcesFound(CorpusError):
-    pass
-
-
-class TooFewRecords(CorpusError):
-    pass
-
-
 class UnknownId(CorpusError):
     pass
 
@@ -279,7 +271,7 @@ def ingest_project(
         if not any(p.relative_to(root).match(glob) for glob in exclude_globs)
     ]
     if not files:
-        raise NoSourcesFound(f"no .v files under {root}")
+        raise CorpusError(f"no .v files under {root}")
 
     records: list[TheoremRecord] = []
     warnings: list[str] = []
@@ -316,7 +308,7 @@ def split_corpus(
         raise ValueError("test_fraction must lie in (0, 1)")
     eligible = [r for r in corpus.records if corpus.split_labels[r.id] != EXCLUDED]
     if len(eligible) < 2:
-        raise TooFewRecords(f"{len(eligible)} eligible records; need at least 2")
+        raise CorpusError(f"{len(eligible)} eligible records; need at least 2")
 
     labels = dict(corpus.split_labels)
     if policy == "explicit":
@@ -339,7 +331,7 @@ def split_corpus(
         for record in eligible:
             by_file.setdefault(record.file, []).append(record)
         if len(by_file) < 2:
-            raise TooFewRecords("by_file split needs at least 2 files with eligible records")
+            raise CorpusError("by_file split needs at least 2 files with eligible records")
         files = sorted(by_file)
         rng.shuffle(files)
         test_ids: set[str] = set()
@@ -351,7 +343,7 @@ def split_corpus(
         raise ValueError(f"unknown split policy {policy!r}")
 
     if not test_ids or len(test_ids) == len(eligible):
-        raise TooFewRecords("split left one side empty")
+        raise CorpusError("split left one side empty")
     for record in eligible:
         labels[record.id] = TEST if record.id in test_ids else TRAIN
     return replace(corpus, split_labels=labels)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import codecs
 import io
 import logging
+import math
 import os
 import re
 import select
@@ -43,26 +44,22 @@ QUERY_COMMANDS = ("Print", "Check", "Search", "About", "Locate")
 TIMEOUT_MESSAGE = "TIMEOUT"
 
 
-class ProverError(Exception):
+class SpawnFailure(Exception):
     pass
 
 
-class SpawnFailure(ProverError):
+class SessionDead(Exception):
     pass
 
 
-class SessionDead(ProverError):
-    pass
-
-
-class PreludeError(ProverError):
+class PreludeError(Exception):
     def __init__(self, step_index: int, message: str):
         super().__init__(f"prelude step {step_index} rejected: {message}")
         self.step_index = step_index
         self.message = message
 
 
-class QueryRejected(ProverError):
+class QueryRejected(Exception):
     def __init__(self, message: str):
         super().__init__(message)
         self.message = message
@@ -80,8 +77,8 @@ class SessionConfig:
     mock_table: dict | str | Path | BehaviorTable | None = None
 
     def __post_init__(self):
-        if self.timeout_per_step <= 0:
-            raise ValueError("timeout_per_step must be positive")
+        if not 0 < self.timeout_per_step < math.inf:
+            raise ValueError(f"timeout_per_step must be finite and > 0, not {self.timeout_per_step}")
         if self.backend == "real" and not self.prover_command.strip():
             raise ValueError("prover_command required for the real backend")
 

@@ -63,10 +63,6 @@ class EvalError(Exception):
     pass
 
 
-class TooFewConfigs(EvalError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Classifier
 # ---------------------------------------------------------------------------
@@ -255,8 +251,6 @@ def _overlaps(report: dict) -> dict[tuple[str, str], int]:
 def coincidence_matrix(report: dict) -> str:
     """Lower-triangular text table of pairwise proven-theorem overlaps."""
     tags = list(report["per_config"])
-    if len(tags) < 2:
-        raise TooFewConfigs("need at least 2 configs for a coincidence matrix")
     overlaps = _overlaps(report)
     width = max(len(t) for t in tags) + 2
     lines = ["".ljust(width) + "".join(t.ljust(width) for t in tags)]

@@ -54,7 +54,9 @@ from .driver import (
     _coerce_sentence,
 )
 from .proofstate import MalformedState, ProofState, parse_proof_state
-from .sentences import Sentence, is_closing, is_statement, opens_proof, statement_name
+from .sentences import (
+    IDENT, Sentence, is_closing, is_statement, normalize_space, opens_proof, statement_name,
+)
 
 INCOMPLETE_PROOF_MESSAGE = "Attempt to save an incomplete proof."
 NO_FOCUSED_PROOF_MESSAGE = "No focused proof (No proof-editing in progress)."
@@ -64,11 +66,7 @@ DEFAULT_TACTIC_FAILURE = "No applicable tactic."
 DEFAULT_QUERY_ERROR = "The reference {arg} was not found in the current environment."
 
 _INTRO_RE = re.compile(r"^intros?\b(.*)\.$")
-_IDENT_RE = re.compile(r"^[^\W\d][\w']*$")
-
-
-def _norm(text: str) -> str:
-    return " ".join(text.split())
+_IDENT_RE = re.compile(rf"^{IDENT}$")
 
 
 # A rule's test of a sentence's text, and the message it fails with.
@@ -120,10 +118,10 @@ def _coq_error(message: str) -> str:
 def _parse_script(raw) -> _Script:
     if isinstance(raw, dict):
         store.check_keys(raw, ("steps", "states"))
-        steps = [_norm(s) for s in raw["steps"]]
+        steps = [normalize_space(s) for s in raw["steps"]]
         states = list(raw.get("states") or [])
     else:
-        steps = [_norm(s) for s in raw]
+        steps = [normalize_space(s) for s in raw]
         states = []
     steps = [s for s in steps if not opens_proof(s)]
     if not steps or not is_closing(steps[-1]):
@@ -167,28 +165,32 @@ class BehaviorTable:
 
 
 def compile_behavior_table(source: BehaviorTable | dict | str | Path | None) -> BehaviorTable:
-    """Read a table given as a dict or a JSON file path; None is the empty table."""
+    """Read a table given as a dict or a JSON file path; None is the empty
+    table. A ValueError names the table if it cannot be read or parsed."""
     if isinstance(source, BehaviorTable):
         return source
     path = "<dict>"
-    if isinstance(source, (str, Path)):
-        path = str(source)
-        with open(source, encoding="utf-8") as fh:
-            source = json.load(fh)
-    table = source or {}
-    store.check_keys(table, ("theorems", "queries", "query_default_error", "errors"))
-    queries = {
-        (command, argument): response
-        for command, answers in table.get("queries", {}).items()
-        for argument, response in answers.items()
-    }
-    return BehaviorTable(
-        path,
-        MappingProxyType(dict(table.get("theorems", {}))),
-        MappingProxyType(queries),
-        table.get("query_default_error", DEFAULT_QUERY_ERROR),
-        _compile_error_rules(table.get("errors", [])),
-    )
+    try:
+        if isinstance(source, (str, Path)):
+            path = str(source)
+            with open(source, encoding="utf-8") as fh:
+                source = json.load(fh)
+        table = source or {}
+        store.check_keys(table, ("theorems", "queries", "query_default_error", "errors"))
+        queries = {
+            (command, argument): response
+            for command, answers in table.get("queries", {}).items()
+            for argument, response in answers.items()
+        }
+        return BehaviorTable(
+            path,
+            MappingProxyType(dict(table.get("theorems", {}))),
+            MappingProxyType(queries),
+            table.get("query_default_error", DEFAULT_QUERY_ERROR),
+            _compile_error_rules(table.get("errors", [])),
+        )
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, re.error) as exc:
+        raise ValueError(f"bad mock table {path}: {exc}") from exc
 
 
 class MockSession(SessionHandle):
@@ -211,7 +213,7 @@ class MockSession(SessionHandle):
         entry = self._table.entry(name) or _TheoremEntry(name)
         if entry.initial_state is None and not entry.goal:
             m = re.match(r"[^:]*:\s*(.*)\.\s*$", statement.text, re.DOTALL)
-            entry = replace(entry, goal=_norm(m.group(1)) if m else "True")
+            entry = replace(entry, goal=normalize_space(m.group(1)) if m else "True")
         self._entry, self._steps = entry, []
 
     def _close_proof(self) -> None:
@@ -268,7 +270,7 @@ class MockSession(SessionHandle):
     def execute(self, sentence: Sentence | str) -> StepResult:
         """One step. It builds no proof state: current_state() reads that."""
         sentence = _coerce_sentence(sentence)
-        text = _norm(sentence.text)
+        text = normalize_space(sentence.text)
 
         if self._entry is None:
             if is_statement(sentence):
@@ -316,7 +318,7 @@ class MockSession(SessionHandle):
             elif is_closing(sentence):
                 opened = None
             elif opened is None:
-                message = _first_error(self._table.errors, _norm(sentence.text))
+                message = _first_error(self._table.errors, normalize_space(sentence.text))
                 if message is not None:
                     raise PreludeError(index, _coq_error(message))
         if opened is not None:

@@ -15,7 +15,8 @@ from importlib import resources
 from pathlib import Path
 
 from .sentences import (
-    LexicalError, Sentence, _skip_comment, is_closing, is_statement, segment_sentences,
+    LexicalError, Sentence, _skip_comment, is_closing, is_statement, normalize_space,
+    segment_sentences,
 )
 
 ROLES = ("system", "user", "assistant")
@@ -35,14 +36,6 @@ _PLACEHOLDER_RE = re.compile(r"\{(statement|lemmas|examples|state|error)\}")
 
 
 class PromptError(Exception):
-    pass
-
-
-class ConfigMismatch(PromptError):
-    pass
-
-
-class UnknownStrategy(PromptError):
     pass
 
 
@@ -167,8 +160,9 @@ def build_prompt(
     it in the +lemma formats.
     """
     zero_shot, with_lemmas = config.zero_shot, config.with_lemmas
+    target_id = getattr(target, "id", "")
     if not zero_shot and not examples:
-        raise ConfigMismatch(f"{config.mode} requires few-shot examples")
+        raise PromptError(f"{target_id}, config {config.tag!r}: {config.mode} requires few-shot examples")
 
     system_text = templates.render("system.base")
     if not zero_shot:
@@ -217,7 +211,7 @@ def build_prompt(
     return ChatPrompt(
         tuple(messages),
         config_tag=config.tag,
-        target_id=getattr(target, "id", ""),
+        target_id=target_id,
         dropped_examples=dropped,
     )
 
@@ -243,8 +237,6 @@ def diversify(prompt: ChatPrompt, strategies: list[str], templates: TemplateSet)
             messages = (prompt.messages[0], *flat, prompt.messages[-1])
             variants.append(replace(prompt, messages=messages, variant_id=strategy))
             continue
-        if not known_strategy(strategy):
-            raise UnknownStrategy(strategy)
         addendum = templates.render(f"variant.{strategy}")
         system = ChatMessage("system", prompt.messages[0].content + "\n\n" + addendum)
         variants.append(
@@ -314,9 +306,7 @@ def parse_completion(raw: str, target_statement: str | None = None) -> ParsedCom
 
     if is_statement(sentences[0]):
         if target_statement is not None:
-            restated = " ".join(sentences[0].text.split())
-            wanted = " ".join(target_statement.split())
-            if restated != wanted:
+            if normalize_space(sentences[0].text) != normalize_space(target_statement):
                 return ParsedCompletion(MALFORMED, raw)
         start = sentences[0].span[1]
         text = text.encode("utf-8")[start:].decode("utf-8").strip()

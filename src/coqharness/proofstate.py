@@ -22,6 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .sentences import IDENT, normalize_space
+
 
 class MalformedState(Exception):
     def __init__(self, detail: str):
@@ -33,8 +35,7 @@ _SEPARATOR = re.compile(r"^\s*_{4,}\s*\((\d+)\s*/\s*(\d+)\)\s*$")
 _EQ_SEPARATOR = re.compile(r"^\s*={4,}\s*$")
 _GOAL_COUNT = re.compile(r"^\s*(\d+)\s+(?:sub)?goals?\b")
 _TRAILING_GOAL = re.compile(r"^\s*goal\s+(\d+)\s+is\s*:\s*$", re.IGNORECASE)
-_IDENT = r"[^\W\d][\w']*"
-_HYP_LINE = re.compile(r"^(%s(?:\s*,\s*%s)*)\s*:(?!=)\s*(.*)$" % (_IDENT, _IDENT))
+_HYP_LINE = re.compile(r"^(%s(?:\s*,\s*%s)*)\s*:(?!=)\s*(.*)$" % (IDENT, IDENT))
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,6 @@ class ProofState:
             raise MalformedState("duplicate hypothesis names")
         if any(not group for group, _ in self.hypotheses):
             raise MalformedState("empty hypothesis name group")
-
-
-def _normalize(text: str) -> str:
-    return " ".join(text.split())
 
 
 def _block_indent(hyp_lines: list[str]) -> int:
@@ -108,10 +105,10 @@ def parse_proof_state(raw: str) -> ProofState:
         indent = len(line) - len(line.lstrip())
         if hypotheses and (m is None or indent > base_indent):
             names, type_text = hypotheses[-1]
-            hypotheses[-1] = (names, _normalize(type_text + " " + line.strip()))
+            hypotheses[-1] = (names, normalize_space(type_text + " " + line.strip()))
         elif m:
             names = tuple(n.strip() for n in m.group(1).split(","))
-            hypotheses.append((names, _normalize(m.group(2))))
+            hypotheses.append((names, normalize_space(m.group(2))))
         else:
             raise MalformedState(f"unparseable hypothesis line: {line!r}")
 
@@ -122,11 +119,11 @@ def parse_proof_state(raw: str) -> ProofState:
         text_lines: list[str] = []
         for line in lines[line_no + 1 : end]:
             if _TRAILING_GOAL.match(line):
-                goals.append(_normalize("\n".join(text_lines)))
+                goals.append(normalize_space("\n".join(text_lines)))
                 text_lines = []
                 continue
             text_lines.append(line)
-        goals.append(_normalize("\n".join(text_lines)))
+        goals.append(normalize_space("\n".join(text_lines)))
     goals = [g for g in goals if g]
     if not goals:
         raise MalformedState("no goal text after separator")

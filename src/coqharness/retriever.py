@@ -25,10 +25,6 @@ class RetrieverError(Exception):
     pass
 
 
-class EmptyTrainSet(RetrieverError):
-    pass
-
-
 def tokenize(text: str) -> list[str]:
     """Lowercased Coq-aware tokens: identifiers whole, punctuation single."""
     return _TOKEN_RE.findall(text.lower())
@@ -120,8 +116,6 @@ def _record_text(record: TheoremRecord, space: str) -> str:
 
 
 def build_index(train: list[TheoremRecord], space: str = PROOF_SPACE) -> Index:
-    if not train:
-        raise EmptyTrainSet("cannot index an empty train set")
     counts = {r.id: Counter(tokenize(_record_text(r, space))) for r in train}
     df = Counter(token for tokens in counts.values() for token in tokens)
     idf = {token: _idf(len(counts), n) for token, n in df.items()}

@@ -28,23 +28,6 @@ class LexicalError(Exception):
         self.offset = offset
 
 
-class UnterminatedComment(LexicalError):
-    def __init__(self, offset: int):
-        super().__init__("unterminated comment", offset)
-
-
-class UnterminatedString(LexicalError):
-    def __init__(self, offset: int):
-        super().__init__("unterminated string literal", offset)
-
-
-class UnterminatedSentence(LexicalError):
-    """Input ended inside a sentence that never reached its terminator."""
-
-    def __init__(self, offset: int):
-        super().__init__("unterminated sentence", offset)
-
-
 @dataclass(frozen=True)
 class Sentence:
     """One vernacular command, terminator included."""
@@ -60,12 +43,20 @@ PROVING_CLOSERS = ("Qed", "Defined")
 NON_PROVING_CLOSERS = ("Admitted", "Abort")
 
 
+# A Coq identifier: a letter or underscore, then letters, digits, _ and '.
+IDENT = r"[^\W\d][\w']*"
+
 # A sentence's leading word and, when an identifier follows it, that
 # identifier: the name a statement binds.
-_LEADING_WORD = re.compile(r"\s*([A-Za-z]+)\b(?:\s+([^\W\d][\w']*))?")
+_LEADING_WORD = re.compile(rf"\s*([A-Za-z]+)\b(?:\s+({IDENT}))?")
 
 
 _NO_WORD = (None, None)
+
+
+def normalize_space(text: str) -> str:
+    """`text` with each run of whitespace one space, and none at either end."""
+    return " ".join(text.split())
 
 
 def leading_word(sentence: Sentence | str) -> tuple[str | None, str | None]:
@@ -91,7 +82,7 @@ def is_closing(sentence: Sentence | str, proving_only: bool = False) -> bool:
 
 def opens_proof(sentence: Sentence | str) -> bool:
     """Whether the sentence is `Proof.` or `Proof using …`, whitespace normalised."""
-    text = " ".join((sentence.text if isinstance(sentence, Sentence) else sentence).split())
+    text = normalize_space(sentence.text if isinstance(sentence, Sentence) else sentence)
     return text == "Proof." or text.startswith("Proof using")
 
 
@@ -121,7 +112,7 @@ def _skip_string(source: str, i: int) -> int:
     while True:
         j = source.find('"', j)
         if j == -1:
-            raise _Unterminated("string", i)
+            raise _Unterminated("string literal", i)
         if not source.startswith('"', j + 1):
             return j + 1
         j += 2
@@ -146,9 +137,9 @@ class _Unterminated(Exception):
 def segment_sentences(source: str) -> list[Sentence]:
     """Split `source` into the maximal list of vernacular sentences.
 
-    Raises UnterminatedComment / UnterminatedString / UnterminatedSentence
-    (with the byte offset of the offending construct) when the input ends
-    inside one.
+    Raises LexicalError("unterminated comment", "unterminated string
+    literal" or "unterminated sentence", with the byte offset of the
+    offending construct) when the input ends inside one.
     """
     offsets = _byte_offsets(source)
     sentences: list[Sentence] = []
@@ -197,12 +188,7 @@ def segment_sentences(source: str) -> list[Sentence]:
                 else:
                     i += 1
     except _Unterminated as exc:
-        byte = offsets[exc.char_offset]
-        if exc.kind == "comment":
-            raise UnterminatedComment(byte) from None
-        if exc.kind == "string":
-            raise UnterminatedString(byte) from None
-        raise UnterminatedSentence(byte) from None
+        raise LexicalError(f"unterminated {exc.kind}", offsets[exc.char_offset]) from None
 
     return sentences
 

@@ -1,6 +1,6 @@
 """The per-character segmenter that `coqharness.sentences.segment_sentences`
 replaced, kept as a reference for the parity tests. It returns the same
-Sentence objects and raises the same LexicalError subclasses at the same
+Sentence objects and raises LexicalError with the same messages at the same
 byte offsets.
 """
 
@@ -8,12 +8,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from coqharness.sentences import (
-    Sentence,
-    UnterminatedComment,
-    UnterminatedSentence,
-    UnterminatedString,
-)
+from coqharness.sentences import LexicalError, Sentence
 
 
 def _byte_offsets(source: str) -> Sequence[int]:
@@ -40,7 +35,7 @@ def _skip_string(source: str, i: int) -> int:
                 continue
             return i + 1
         i += 1
-    raise _Unterminated("string", start)
+    raise _Unterminated("string literal", start)
 
 
 def _skip_comment(source: str, i: int) -> int:
@@ -71,9 +66,9 @@ class _Unterminated(Exception):
 def loop_segment(source: str) -> list[Sentence]:
     """Split `source` into the maximal list of vernacular sentences.
 
-    Raises UnterminatedComment / UnterminatedString / UnterminatedSentence
-    (with the byte offset of the offending construct) when the input ends
-    inside one.
+    Raises LexicalError("unterminated comment", "unterminated string
+    literal" or "unterminated sentence", with the byte offset of the
+    offending construct) when the input ends inside one.
     """
     offsets = _byte_offsets(source)
     sentences: list[Sentence] = []
@@ -123,11 +118,6 @@ def loop_segment(source: str) -> list[Sentence]:
             else:
                 raise _Unterminated("sentence", start)
     except _Unterminated as exc:
-        byte = offsets[exc.char_offset]
-        if exc.kind == "comment":
-            raise UnterminatedComment(byte) from None
-        if exc.kind == "string":
-            raise UnterminatedString(byte) from None
-        raise UnterminatedSentence(byte) from None
+        raise LexicalError(f"unterminated {exc.kind}", offsets[exc.char_offset]) from None
 
     return sentences

@@ -22,7 +22,7 @@ from coqharness.driver import (
     start_session,
 )
 from coqharness.evaluate import ClassifierRules, run_eval
-from coqharness.prompting import ConfigMismatch, TemplateSet
+from coqharness.prompting import PromptError, TemplateSet
 from coqharness.proofstate import ProofState, render_proof_state
 from coqharness.retriever import build_index
 from coqharness.sentences import segment_sentences
@@ -113,7 +113,7 @@ def test_run_config_invariants():
         RunConfig(tag="a", mode="nope")
     with pytest.raises(ValueError):
         RunConfig(tag="a", mode="zs", loop="repair", repair_rounds=0)
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(PromptError, match="ensemble needs a non-empty strategy list"):
         RunConfig(tag="a", mode="zs", loop="ensemble")
     with pytest.raises(ValueError):
         RunConfig(tag="a", mode="zs", max_turns=0)
@@ -582,10 +582,10 @@ def test_ensemble_proves_what_base_misses(toy_deps):
 
 
 def test_ensemble_empty_strategies_rejected():
-    with pytest.raises(ConfigMismatch, match="non-empty strategy list"):
+    with pytest.raises(PromptError, match="non-empty strategy list"):
         RunConfig(tag="ens", mode="zs", loop="ensemble", strategies=())
     one_shot = RunConfig(tag="ens", mode="zs", strategies=())
-    with pytest.raises(ConfigMismatch, match="non-empty strategy list"):
+    with pytest.raises(PromptError, match="non-empty strategy list"):
         replace(one_shot, loop="ensemble")  # replace re-runs the check
 
 

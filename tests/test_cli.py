@@ -171,6 +171,18 @@ def test_prove_unknown_id_nonzero(config_file, ingested, caplog):
     assert "no_such_theorem" in caplog.text
 
 
+def test_prove_a_name_that_two_files_use_exit_2(tmp_path, caplog):
+    """A name that two records share picks neither: the message lists their ids."""
+    project = tmp_path / "project"
+    project.mkdir()
+    for name in ("a.v", "b.v"):
+        (project / name).write_text("Lemma same : True.\nProof. exact I. Qed.\n", encoding="utf-8")
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["ingest", "--root", str(project), "--out", str(corpus)]) == EXIT_OK
+    assert main(["prove", "--corpus", str(corpus), "--theorem", "same"]) == EXIT_CONFIG
+    assert "theorem name 'same' is ambiguous: a.v::same, b.v::same" in caplog.text
+
+
 FIXTURE_IDS = (
     "relations.v::comp_incl", "relations.v::comp_eeq", "relations.v::union_incl",
     "relations.v::union2_evolve_left", "relations.v::union2_evolve_right",
@@ -927,6 +939,7 @@ def test_prove_with_a_stale_index_and_no_examples_exit_2(
                  "--config-tag", tag])
     assert code == EXIT_CONFIG
     assert f"{tag} requires few-shot examples" in caplog.text
+    assert f"weak.v::G_wmon, config '{tag}': {tag} requires few-shot examples" in caplog.text
 
 
 @pytest.mark.parametrize("workers", [1, 4])
@@ -940,6 +953,7 @@ def test_eval_with_a_stale_index_and_no_examples_exit_2(
                  "--workers", str(workers)])
     assert code == EXIT_CONFIG
     assert "fs-sim requires few-shot examples" in caplog.text
+    assert "weak.v::G_wmon, config 'fs-sim': fs-sim requires few-shot examples" in caplog.text
     assert not (out / "report.json").exists()
 
 
@@ -1391,6 +1405,8 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
 @pytest.mark.parametrize("files, argv, logged", [
     ({}, ["--config", "{tmp}/missing.ini", "index", "--out", "{tmp}/i.json"],
      "config file not found: {tmp}/missing.ini"),
+    ({"d/c.ini": "[paths]\n"}, ["--config", "{tmp}/d", "index", "--out", "{tmp}/i.json"],
+     "cannot read config {tmp}/d: Is a directory"),
     ({"c.ini": "[provider]\nkind = scripted\n" + _PROVER}, ["--config", "{tmp}/c.ini", *_PROVE],
      "provider.script_file required for the scripted provider"),
     ({"c.ini": "[provider]\nscript_file = {tmp}/s.json\n" + _PROVER, "s.json": "[]"},
@@ -1473,15 +1489,21 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
        ["--config", "{tmp}/c.ini", *_EVAL, "--manifest", "{fixtures}/manifest.json"], logged)
       for ini, logged in [
           ("[defaults]\ntemperature = nan\n", "temperature must be finite and >= 0, not nan"),
-          ("[defaults]\npresence_penalty = inf\n", "presence_penalty must be finite, not inf")]],
+          ("[defaults]\npresence_penalty = inf\n", "presence_penalty must be finite, not inf"),
+          ("timeout_per_step = inf\n", "timeout_per_step must be finite and > 0, not inf"),
+          ("timeout_per_step = nan\n", "timeout_per_step must be finite and > 0, not nan")]],
     *[({"c.ini": "[provider]\nkind = http\nmodel_name = m\nbase_url = %s\n" % url + _PROVER},
        ["--config", "{tmp}/c.ini", *_EVAL, "--manifest", "{fixtures}/manifest.json"],
        f"provider.base_url must be an http:// or https:// URL, not '{url}'")
       for url in ("api.example.com/v1", "file:///tmp/v1")],
+    ({"c.ini": "[provider]\nkind = http\nmodel_name = m\nbase_url = http://127.0.0.1:9/v1\n"
+               "rpm_limit = nan\n" + _PROVER},
+     ["--config", "{tmp}/c.ini", *_EVAL, "--manifest", "{fixtures}/manifest.json"],
+     "rpm_limit must be a number, not nan"),
     ({"m.json": '{{"configs": [{{"tag": "w", "mode": "zs", "decoding": {{"temperature": NaN}}}}]}}'},
      ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
      "bad manifest entry 'w': decoding: temperature must be finite and >= 0, not nan"),
-], ids=["config-file", "script-file", "provider-script", "provider-script-entry", "http",
+], ids=["config-file", "config-directory", "script-file", "provider-script", "provider-script-entry", "http",
         "provider-kind", "manifest-json", "manifest-configs", "manifest-list", "manifest-empty",
         "manifest-entry-not-object", "manifest-key",
         "script-key", "index-train",
@@ -1491,8 +1513,8 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
         "corpus-row", "tag-escapes", "tag-empty", "tag-dot", "tag-dot-dot", "tag-nul",
         "tag-repeated-eval", "tag-repeated-prove", "ini-key", "ini-defaults-key",
         "ini-removed-key", "ini-section", "ini-default-section", "ini-repeated-key",
-        "ini-percent", "ini-temperature-nan", "ini-presence-penalty-inf", "ini-base-url-scheme",
-        "ini-base-url-file",
+        "ini-percent", "ini-temperature-nan", "ini-presence-penalty-inf", "ini-timeout-inf",
+        "ini-timeout-nan", "ini-base-url-scheme", "ini-base-url-file", "ini-rpm-nan",
         "manifest-temperature-nan"])
 def test_a_config_error_exits_2_with_its_message(
     config_file, ingested, fixtures_dir, tmp_path, caplog, files, argv, logged

@@ -20,10 +20,8 @@ from coqharness.corpus import (
     TRAIN,
     Corpus,
     CorpusError,
-    NoSourcesFound,
     SourceFile,
     TheoremRecord,
-    TooFewRecords,
     UnknownId,
     _extract_records,
     ingest_project,
@@ -92,7 +90,7 @@ def test_statement_and_proof_tile_source(toy_corpus, fixtures_dir):
 
 
 def test_empty_directory(tmp_path):
-    with pytest.raises(NoSourcesFound):
+    with pytest.raises(CorpusError, match="no .v files under"):
         ingest_project(tmp_path)
 
 
@@ -160,7 +158,7 @@ def test_split_by_file(toy_corpus):
 def test_split_too_few(tmp_path):
     (tmp_path / "one.v").write_text("Lemma only: True. Proof. exact I. Qed.\n")
     corpus = ingest_project(tmp_path)
-    with pytest.raises(TooFewRecords):
+    with pytest.raises(CorpusError, match="1 eligible records; need at least 2"):
         split_corpus(corpus, test_fraction=0.5)
 
 

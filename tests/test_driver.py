@@ -688,7 +688,7 @@ def test_mock_contains_rules_match_literally_and_compile_no_regex(monkeypatch):
         assert session.execute('idtac "xa(*".').message == f"Error: {DEFAULT_TACTIC_FAILURE}"
         assert session.execute("apply a+b.").message == "Error: table rule"  # after the entry's
     assert compiled == ["^Require .*Missing"]
-    with pytest.raises(TypeError, match="a contains rule is not a string: 5"):
+    with pytest.raises(ValueError, match="bad mock table <dict>: a contains rule is not a string: 5"):
         mockprover.compile_behavior_table({"errors": [{"contains": 5, "message": "m"}]})
 
 

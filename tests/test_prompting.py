@@ -10,9 +10,8 @@ from coqharness.agent import RunConfig
 from coqharness.prompting import (
     ChatMessage,
     ChatPrompt,
-    ConfigMismatch,
+    PromptError,
     TemplateSet,
-    UnknownStrategy,
     build_prompt,
     diversify,
     PROOF,
@@ -116,7 +115,7 @@ def test_lemma_prompt_contains_names_before_statement(toy_corpus, templates):
 
 def test_config_mismatch_cases(toy_corpus, templates):
     target = get(toy_corpus, "weak_refl")
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(PromptError, match="fs-rand requires few-shot examples"):
         build_prompt(RunConfig(tag="fs-rand", mode="fs-rand"), target, templates=templates)
 
 
@@ -164,7 +163,7 @@ def test_diversify_variants(toy_corpus, templates):
     ]
     assert orders[0] != orders[1]
 
-    with pytest.raises(UnknownStrategy):
+    with pytest.raises(PromptError, match=r"missing template section \[variant\.make-it-better\]"):
         diversify(base, ["make-it-better"], templates)
 
 

@@ -14,7 +14,6 @@ from coqharness.corpus import SourceFile, TheoremRecord
 from coqharness.retriever import (
     PROOF_SPACE,
     STATEMENT_SPACE,
-    EmptyTrainSet,
     RetrieverError,
     FeatureVector,
     Index,
@@ -159,8 +158,6 @@ def test_build_index_size_and_determinism():
     assert (index.postings, index.norms) == (rebuilt.postings, rebuilt.norms)
     single = build_index(records[:1])
     assert len(single.norms) == 1
-    with pytest.raises(EmptyTrainSet):
-        build_index([])
 
 
 def test_df_table_matches_hand_count():

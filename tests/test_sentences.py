@@ -9,9 +9,6 @@ from hypothesis import strategies as st
 from coqharness.sentences import (
     LexicalError,
     Sentence,
-    UnterminatedComment,
-    UnterminatedSentence,
-    UnterminatedString,
     _byte_offsets,
     is_closing,
     is_statement,
@@ -186,16 +183,16 @@ def test_bullets_are_own_sentences():
 
 
 @pytest.mark.parametrize(
-    "source,exc,offset",
+    "source,message,offset",
     [
-        ("auto. (* unterminated", UnterminatedComment, 6),
-        ('Definition s := "open.', UnterminatedString, 16),
-        ("intros x", UnterminatedSentence, 0),
-        ("auto. trailing", UnterminatedSentence, 6),
+        ("auto. (* unterminated", "unterminated comment", 6),
+        ('Definition s := "open.', "unterminated string literal", 16),
+        ("intros x", "unterminated sentence", 0),
+        ("auto. trailing", "unterminated sentence", 6),
     ],
 )
-def test_lexical_errors_with_offsets(source, exc, offset):
-    with pytest.raises(exc) as err:
+def test_lexical_errors_with_offsets(source, message, offset):
+    with pytest.raises(LexicalError, match=rf"^{message} \(byte offset {offset}\)$") as err:
         segment_sentences(source)
     assert err.value.offset == offset
 
@@ -281,21 +278,21 @@ _PIECES = st.sampled_from([
 
 
 def _outcome(segment, source):
-    """The sentences as (text, span) pairs, or the error's type and byte offset."""
+    """The sentences as (text, span) pairs, or the error's message and byte offset."""
     try:
         return [(s.text, s.span) for s in segment(source)]
     except LexicalError as exc:
-        return type(exc), exc.offset
+        return str(exc), exc.offset
 
 
 def _oracle_outcome(source):
     """oracle_segment's answer in _outcome's terms."""
-    kinds = {"comment": UnterminatedComment, "string": UnterminatedString,
-             "sentence": UnterminatedSentence}
+    kinds = {"comment": "comment", "string": "string literal", "sentence": "sentence"}
     try:
         return [(text, (a, b)) for text, a, b in oracle_segment(source)]
     except OracleLexicalError as err:
-        return kinds[err.kind], len(source[: err.char_offset].encode("utf-8"))
+        offset = len(source[: err.char_offset].encode("utf-8"))
+        return f"unterminated {kinds[err.kind]} (byte offset {offset})", offset
 
 
 @given(st.lists(_PIECES, max_size=40).map("".join))
