@@ -55,7 +55,8 @@ LOOPS = ("one_shot", "interactive", "repair", "ensemble")
 DEFAULT_K_SHOTS = 6
 MAX_TACTICS_PER_TURN = 5
 
-_QUERY_LINE_RE = re.compile(rf"^QUERY\s+({'|'.join(QUERY_COMMANDS)})\s+(.+?)\s*$", re.MULTILINE)
+# the argument less one trailing period: the session adds the terminator itself
+_QUERY_LINE_RE = re.compile(rf"^QUERY\s+({'|'.join(QUERY_COMMANDS)})\s+(.+?)\s*\.?\s*$", re.MULTILINE)
 
 
 class AgentError(Exception):
@@ -149,6 +150,13 @@ class AttemptRecord:
         return self.failing_step[2] if self.failing_step else ""
 
 
+def _attempt(target: TheoremRecord, config: RunConfig, prompt: ChatPrompt, **fields) -> AttemptRecord:
+    """The row of one attempt at `target` under `config` from `prompt`: the
+    one place rows are built, so the fields those three decide are never missed."""
+    return AttemptRecord(theorem_id=target.id, config_tag=config.tag, variant_id=prompt.variant_id,
+                         dropped_examples=prompt.dropped_examples, **fields)
+
+
 @dataclass
 class AgentDeps:
     corpus: Corpus
@@ -233,33 +241,21 @@ def _check_candidates(
     records: list[AttemptRecord] = []
     for i, raw in enumerate(completions):
         parsed = parse_completion(raw, target.statement_text)
-        turn = Turn(prompt.messages[-1].content, raw)
-        record = AttemptRecord(
-            theorem_id=target.id,
-            config_tag=config.tag,
-            variant_id=prompt.variant_id,
-            candidate_index=first_index + i,
-            proof_script=parsed.proof_script or "",
-            accepted=False,
-            failing_step=None,
-            turns=[turn],
-            completion_kind=parsed.kind,
-            refusal_text=parsed.refusal_text,
-            round=round_no,
-            appended_qed=parsed.appended_qed,
-            lexical_error=parsed.lexical,
-            dropped_examples=prompt.dropped_examples,
-        )
+        accepted, failing_step = False, None
         if parsed.kind == PROOF:
             # a duplicate script is served by the loan's check memo (driver.BorrowedSession)
             result = session.check_proof(target.statement, parsed.proof_script)
-            record.accepted = result.accepted
-            if result.failing_step is not None:
-                idx, sentence = result.failing_step
-                record.failing_step = (idx, sentence.text, result.message)
-            elif not result.accepted:
-                record.failing_step = (-1, "", result.message)
-        records.append(record)
+            accepted = result.accepted
+            if not accepted:  # a proof that ends still open has no failing sentence
+                index, sentence = result.failing_step or (-1, None)
+                failing_step = (index, sentence.text if sentence else "", result.message)
+        records.append(_attempt(
+            target, config, prompt, candidate_index=first_index + i,
+            proof_script=parsed.proof_script or "", accepted=accepted, failing_step=failing_step,
+            turns=[Turn(prompt.messages[-1].content, raw)], completion_kind=parsed.kind,
+            refusal_text=parsed.refusal_text, round=round_no,
+            appended_qed=parsed.appended_qed, lexical_error=parsed.lexical,
+        ))
     return records
 
 
@@ -312,12 +308,9 @@ def prove_interactive(
     started = time.monotonic()
     opening = session.execute(target.statement)
     if not opening.ok:
-        return AttemptRecord(
-            theorem_id=target.id, config_tag=config.tag, variant_id=prompt.variant_id,
-            candidate_index=0, proof_script="", accepted=False,
-            failing_step=(-1, target.statement.text, opening.message),
-            turns=[], completion_kind=MALFORMED,
-        )
+        return _attempt(target, config, prompt, candidate_index=0, proof_script="", accepted=False,
+                        failing_step=(-1, target.statement.text, opening.message),
+                        turns=[], completion_kind=MALFORMED)
     history = list(prompt.messages)
 
     def feedback(error: str | None = None) -> str:
@@ -341,75 +334,52 @@ def prove_interactive(
         completion = complete(conversation, decoding, deps.provider)[0]
         history.append(ChatMessage("assistant", completion or "(empty completion)"))
         kind_tag, payload, extra = _parse_turn_reply(completion, target.statement.text)
-
-        if kind_tag == "query":
-            command, argument = payload, extra
-            if queries_used >= config.max_queries:
-                budget_exhausted = True
-                turns.append(Turn(delta, completion))
-                break
+        calls, next_delta = (), None  # no next delta ends the loop
+        if kind_tag == "query" and queries_used < config.max_queries:
             try:
-                output = session.query(command, argument)
+                output = session.query(payload, extra)
             except QueryRejected as exc:  # the model's failure: fed back in-band
                 output = exc.message
             queries_used += 1
-            turns.append(Turn(delta, completion, ((command, argument, output),)))
-            delta = templates.render("interactive.query_result", state=output)
-            stall_streak = 0
-            continue
-
-        if kind_tag == "refusal":
-            kind = REFUSAL
-            refusal_text = payload
-            turns.append(Turn(delta, completion))
-            break
-
-        if kind_tag == "noise":
-            turns.append(Turn(delta, completion))
-            stall_streak += 1
-            if stall_streak >= 2:
-                break
-            delta = templates.render(
+            calls = ((payload, extra, output),)
+            next_delta = templates.render("interactive.query_result", state=output)
+        elif kind_tag == "query":
+            budget_exhausted = True
+        elif kind_tag == "refusal":
+            kind, refusal_text = REFUSAL, payload
+        elif kind_tag == "noise":
+            next_delta = templates.render(
                 "interactive.error",
                 error="Reply with tactic sentences or a QUERY line.",
             )
-            continue
-
-        stall_streak = 0
-        turns.append(Turn(delta, completion))
-        error_message = None
-        for sentence in payload[:MAX_TACTICS_PER_TURN]:
-            result = session.execute(sentence)
-            if not result.ok:
-                error_message = result.message
-                last_failing = (len(executed), sentence.text, result.message)
-                break
-            executed.append(sentence.text)
-            if result.proof_complete:
-                accepted = True
-                break
-        if accepted:
+        else:
+            error_message = None
+            for sentence in payload[:MAX_TACTICS_PER_TURN]:
+                result = session.execute(sentence)
+                if not result.ok:
+                    error_message = result.message
+                    last_failing = (len(executed), sentence.text, result.message)
+                    break
+                executed.append(sentence.text)
+                if result.proof_complete:
+                    accepted = True
+                    break
+            if not accepted:
+                next_delta = feedback(error_message)
+        turns.append(Turn(delta, completion, calls))
+        stall_streak = stall_streak + 1 if kind_tag == "noise" else 0
+        if next_delta is None or stall_streak >= 2:
             break
-        delta = feedback(error_message)
+        delta = next_delta
     else:
         budget_exhausted = True
 
     if kind == PROOF and not accepted and stall_streak >= 2:
         kind = MALFORMED  # stalled: no tactics, no queries
-    return AttemptRecord(
-        theorem_id=target.id,
-        config_tag=config.tag,
-        variant_id=prompt.variant_id,
-        candidate_index=0,
-        proof_script=" ".join(executed),
-        accepted=accepted,
-        failing_step=None if accepted else last_failing,
-        turns=turns,
-        completion_kind=kind,
-        refusal_text=refusal_text,
-        budget_exhausted=budget_exhausted,
-        dropped_examples=prompt.dropped_examples,
-    )
+    return _attempt(target, config, prompt, candidate_index=0, proof_script=" ".join(executed),
+                    accepted=accepted, failing_step=None if accepted else last_failing,
+                    turns=turns, completion_kind=kind, refusal_text=refusal_text,
+                    budget_exhausted=budget_exhausted)
 
 
 # ---------------------------------------------------------------------------
@@ -436,38 +406,28 @@ def repair_loop(
     if any(r.accepted for r in records):
         return records
 
-    # One repair chain per unique failing proof script from round 0.
-    chains: list[dict] = []
-    seen: set[str] = set()
+    # One [conversation, latest] repair chain per distinct failing script from round 0.
+    chains: dict[str, list] = {}
     for record in records:
-        if record.completion_kind != PROOF or record.accepted:
-            continue
-        if record.proof_script in seen:
-            continue
-        seen.add(record.proof_script)
-        chains.append({"conversation": prompt, "latest": record})
+        if record.completion_kind == PROOF:
+            chains.setdefault(record.proof_script, [prompt, record])
 
-    candidate_index = len(records)
     for round_no in range(1, config.repair_rounds + 1):
-        if not chains:
-            break
         if config.wall_clock is not None and time.monotonic() - started >= config.wall_clock:
             break
-        for chain in chains:
-            latest: AttemptRecord = chain["latest"]
+        for chain in chains.values():
+            conversation, latest = chain
             feedback = deps.templates.render("repair.feedback", error=_repair_feedback(latest))
-            conversation = chain["conversation"].appended(
+            conversation = conversation.appended(
                 ChatMessage("assistant", latest.proof_script or latest.turns[-1].completion),
                 ChatMessage("user", feedback),
             )
-            chain["conversation"] = conversation
-            repaired = _check_candidates(
+            [repaired] = _check_candidates(
                 conversation, target, config, deps, session, 1,
-                first_index=candidate_index, round_no=round_no,
-            )[0]
-            candidate_index += 1
+                first_index=len(records), round_no=round_no,
+            )
             records.append(repaired)
-            chain["latest"] = repaired
+            chain[:] = conversation, repaired
             if repaired.accepted:
                 return records
     return records
@@ -484,23 +444,16 @@ def run_ensemble(
     """One pass per prompt: the base, then one per diversity variant, none
     without strategies. n splits evenly, the remainder going to the base."""
     base = _build_target_prompt(target, config, deps)
-    variants = diversify(base, list(config.strategies), deps.templates)
-    groups = [base] + variants
-    per = config.decoding.n // len(groups)
-    remainder = config.decoding.n - per * len(groups)
+    groups = [base, *diversify(base, list(config.strategies), deps.templates)]
+    per, remainder = divmod(config.decoding.n, len(groups))
 
     records: list[AttemptRecord] = []
-    index = 0
     for position, variant_prompt in enumerate(groups):
         budget = per + (remainder if position == 0 else 0)
-        if budget == 0:
-            continue
-        records.extend(
-            _check_candidates(
-                variant_prompt, target, config, deps, session, budget, first_index=index
-            )
-        )
-        index += budget
+        if budget:
+            records.extend(_check_candidates(
+                variant_prompt, target, config, deps, session, budget, first_index=len(records)
+            ))
     return records
 
 

@@ -60,7 +60,7 @@ def load_config(path: str | None) -> configparser.ConfigParser:
             raise CliError(f"config file not found: {path}") from None
         except OSError as exc:
             raise CliError(f"cannot read config {path}: {exc.strerror or exc}") from exc
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise CliError(f"bad config {path}: {exc}") from exc
         except store.DecodeError as exc:
             raise CliError(f"bad config {path}: {exc} in [{section}]") from exc

@@ -55,7 +55,8 @@ from .driver import (
 )
 from .proofstate import MalformedState, ProofState, parse_proof_state
 from .sentences import (
-    IDENT, Sentence, is_closing, is_statement, normalize_space, opens_proof, statement_name,
+    IDENT, Sentence, _skip_comment, _skip_string, is_closing, is_statement, normalize_space,
+    opens_proof, statement_name,
 )
 
 INCOMPLETE_PROOF_MESSAGE = "Attempt to save an incomplete proof."
@@ -67,6 +68,7 @@ DEFAULT_QUERY_ERROR = "The reference {arg} was not found in the current environm
 
 _INTRO_RE = re.compile(r"^intros?\b(.*)\.$")
 _IDENT_RE = re.compile(rf"^{IDENT}$")
+_GOAL_MARK = re.compile(r'\(\*|"|[(\[{)\]}:]')
 
 
 # A rule's test of a sentence's text, and the message it fails with.
@@ -108,6 +110,23 @@ def _compile_error_rules(raw: list[dict]) -> tuple[_ErrorRule, ...]:
 
 def _first_error(rules: tuple[_ErrorRule, ...], text: str) -> str | None:
     return next((message for matches, message in rules if matches(text)), None)
+
+
+def _statement_goal(text: str) -> str:
+    """The goal a statement writes: what follows its first colon outside
+    brackets, comments and strings, less its period; "True" with no colon."""
+    depth, i = 0, 0
+    while mark := _GOAL_MARK.search(text, i):
+        token, i = mark.group(), mark.end()
+        if token == "(*":
+            i = _skip_comment(text, mark.start())
+        elif token == '"':
+            i = _skip_string(text, mark.start())
+        elif token != ":":
+            depth += 1 if token in "([{" else -1
+        elif depth == 0:
+            return normalize_space(text[i:].rstrip().removesuffix("."))
+    return "True"
 
 
 def _coq_error(message: str) -> str:
@@ -212,8 +231,7 @@ class MockSession(SessionHandle):
         name = statement_name(statement) or "_unnamed"
         entry = self._table.entry(name) or _TheoremEntry(name)
         if entry.initial_state is None and not entry.goal:
-            m = re.match(r"[^:]*:\s*(.*)\.\s*$", statement.text, re.DOTALL)
-            entry = replace(entry, goal=normalize_space(m.group(1)) if m else "True")
+            entry = replace(entry, goal=_statement_goal(statement.text))
         self._entry, self._steps = entry, []
 
     def _close_proof(self) -> None:

@@ -121,7 +121,10 @@ class TemplateSet:
                 encoding="utf-8"
             )
         else:
-            text = Path(path).read_text(encoding="utf-8")
+            try:
+                text = Path(path).read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise PromptError(f"bad template file {path}: {exc}") from None
         return TemplateSet.parse(text)
 
     def render(self, section: str, **values: object) -> str:
@@ -172,41 +175,27 @@ def build_prompt(
     if interactive:
         system_text += "\n\n" + templates.render("system.interactive_suffix")
 
-    examples = list(examples)
-    example_lemmas = [list(x) for x in example_lemmas] if example_lemmas else [[] for _ in examples]
-
-    def example_pair(record, record_lemmas) -> tuple[ChatMessage, ChatMessage]:
+    def user(section: str, record, record_lemmas) -> ChatMessage:
+        """The record's user message from `section`, or from `section`_with_lemmas to show lemmas."""
         if with_lemmas and record_lemmas:
-            content = templates.render(
-                "user.example_with_lemmas",
+            return ChatMessage("user", templates.render(
+                f"{section}_with_lemmas",
                 statement=record.statement_text,
                 lemmas=_render_lemmas(record_lemmas),
-            )
-        else:
-            content = templates.render("user.example", statement=record.statement_text)
-        return ChatMessage("user", content), ChatMessage("assistant", record.proof_text)
+            ))
+        return ChatMessage("user", templates.render(section, statement=record.statement_text))
 
-    if with_lemmas and lemmas:
-        target_text = templates.render(
-            "user.target_with_lemmas",
-            statement=target.statement_text,
-            lemmas=_render_lemmas(list(lemmas)),
-        )
-    else:
-        target_text = templates.render("user.target", statement=target.statement_text)
-
+    target_message = user("user.target", target, lemmas)
+    pairs = [(user("user.example", record, record_lemmas), ChatMessage("assistant", record.proof_text))
+             for record, record_lemmas in zip(examples, example_lemmas or [()] * len(examples))]
+    total = len(system_text) + len(target_message.content)
+    total += sum(len(example.content) + len(proof.content) for example, proof in pairs)
     dropped, max_prompt_chars = 0, config.max_prompt_chars
-    while True:
-        messages = [ChatMessage("system", system_text)]
-        for record, record_lemmas in zip(examples, example_lemmas):
-            messages.extend(example_pair(record, record_lemmas))
-        messages.append(ChatMessage("user", target_text))
-        total = sum(len(m.content) for m in messages)
-        if max_prompt_chars is None or total <= max_prompt_chars or not examples:
-            break
-        examples.pop(0)
-        example_lemmas.pop(0)
+    while max_prompt_chars is not None and total > max_prompt_chars and pairs:
+        example, proof = pairs.pop(0)
+        total -= len(example.content) + len(proof.content)
         dropped += 1
+    messages = [ChatMessage("system", system_text), *(m for pair in pairs for m in pair), target_message]
 
     return ChatPrompt(
         tuple(messages),

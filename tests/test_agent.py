@@ -253,6 +253,13 @@ def test_interactive_query_then_proof(toy_deps):
     assert record.proof_script.endswith("Qed.")
 
 
+def test_an_interactive_query_ending_in_a_period_gets_the_tables_answer(toy_deps):
+    """The session adds the query's terminator, so the argument drops one."""
+    deps = toy_deps(scripted([{"theorem": "G_wmon", "completions": ["QUERY Check nat.", ""]}]))
+    [record] = prove_alone(get(deps.corpus, "G_wmon"), interactive_config(), deps)
+    assert record.turns[0].tool_calls == (("Check", "nat", "nat\n     : Set"),)
+
+
 def test_interactive_name_collision_recovery(toy_deps):
     deps = toy_deps(
         scripted(
@@ -319,6 +326,26 @@ def test_interactive_on_the_real_backend_with_a_rejected_statement_is_malformed(
     assert (record.accepted, record.completion_kind, record.turns) == (False, "malformed", [])
     assert record.failing_step == (
         -1, "Lemma nested : True.", "Error: Nested proofs are not supported.")
+
+
+def test_an_interactive_row_for_a_rejected_statement_counts_its_dropped_examples(toy_deps):
+    """The row of a statement the toplevel rejects carries its prompt's
+    dropped_examples, as every other row does."""
+    deps = replace(toy_deps(scripted([], default=None)),
+                   prover=SessionConfig(backend="real", prover_command=STUB_COMMAND))
+    text = "Lemma k : True. Proof. Lemma nested : True. Proof. admit. Admitted."
+    sentences = tuple(segment_sentences(text))
+    target = TheoremRecord(id="synthetic.v::nested", name="nested",
+                           source=SourceFile("synthetic.v", text, sentences),
+                           statement_index=2, proof_end=len(sentences), index_in_file=1)
+    config = RunConfig(tag="fs-inter", mode="fs-rand", loop="interactive", k_shots=2,
+                       decoding=DecodingParams(n=1))
+    whole = agent._build_target_prompt(target, config, deps, interactive=True)
+    config = replace(config, max_prompt_chars=sum(len(m.content) for m in whole.messages) - 1)
+    assert agent._build_target_prompt(target, config, deps, interactive=True).dropped_examples == 1
+    [record] = prove_alone(target, config, deps)
+    assert (record.completion_kind, record.failing_step[0]) == ("malformed", -1)
+    assert record.dropped_examples == 1
 
 
 def test_interactive_executes_the_sentences_it_segmented(toy_deps, monkeypatch):

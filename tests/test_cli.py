@@ -1407,6 +1407,13 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
      "config file not found: {tmp}/missing.ini"),
     ({"d/c.ini": "[paths]\n"}, ["--config", "{tmp}/d", "index", "--out", "{tmp}/i.json"],
      "cannot read config {tmp}/d: Is a directory"),
+    # the writer below writes the lone surrogate "\udcff" as the byte 0xff
+    ({"c.ini": "[paths]\ncorpus_file = \udcff\n"},
+     ["--config", "{tmp}/c.ini", "index", "--out", "{tmp}/i.json"],
+     "bad config {tmp}/c.ini: 'utf-8' codec can't decode byte 0xff"),
+    ({"c.ini": "[provider]\nscript_file = {fixtures}/provider_script.json\n"
+               "[paths]\ntemplate_file = {tmp}/t.txt\n" + _PROVER, "t.txt": "[system.base]\n\udcff\n"},
+     ["--config", "{tmp}/c.ini", *_PROVE], "bad template file {tmp}/t.txt: 'utf-8' codec can't decode byte 0xff"),
     ({"c.ini": "[provider]\nkind = scripted\n" + _PROVER}, ["--config", "{tmp}/c.ini", *_PROVE],
      "provider.script_file required for the scripted provider"),
     ({"c.ini": "[provider]\nscript_file = {tmp}/s.json\n" + _PROVER, "s.json": "[]"},
@@ -1503,7 +1510,8 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
     ({"m.json": '{{"configs": [{{"tag": "w", "mode": "zs", "decoding": {{"temperature": NaN}}}}]}}'},
      ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
      "bad manifest entry 'w': decoding: temperature must be finite and >= 0, not nan"),
-], ids=["config-file", "config-directory", "script-file", "provider-script", "provider-script-entry", "http",
+], ids=["config-file", "config-directory", "config-not-utf-8", "template-not-utf-8",
+        "script-file", "provider-script", "provider-script-entry", "http",
         "provider-kind", "manifest-json", "manifest-configs", "manifest-list", "manifest-empty",
         "manifest-entry-not-object", "manifest-key",
         "script-key", "index-train",
@@ -1524,7 +1532,7 @@ def test_a_config_error_exits_2_with_its_message(
         places["all_test"] = _ingest_with_test_ids(config_file, fixtures_dir, tmp_path, FIXTURE_IDS)
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / name).write_text(text.format(**places))
+        (tmp_path / name).write_bytes(text.format(**places).encode("utf-8", "surrogateescape"))
     assert main([arg.format(**places) for arg in argv]) == EXIT_CONFIG
     assert logged.format(**places) in caplog.text
 

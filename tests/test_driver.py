@@ -649,6 +649,17 @@ def test_a_mock_entry_without_a_goal_shows_the_statements_goal():
         assert second.current_state().goals == ("the table's goal",)
 
 
+@pytest.mark.parametrize("statement, goal", [
+    ("Lemma plus_n_O' (n : nat) : n + 0 = n.", "n + 0 = n"),
+    ("Lemma id_eq {A : Type} (a : A) : a = a.", "a = a"),
+    ("Lemma b_refl (* note: any b *) [b : bool] : b = b.", "b = b"),
+])
+def test_a_mock_statement_goal_follows_the_colon_outside_binders_and_comments(statement, goal):
+    with closing(start_session(SessionConfig(backend="mock", mock_table={}))) as session:
+        assert session.execute(statement).ok
+        assert session.current_state() == ProofState((), (goal,), (1, 1))
+
+
 def test_mock_table_script_without_a_closer_gets_qed_appended():
     table = {"theorems": {"t": {"scripts": [["exact I."]]}}}
     assert mockprover._parse_script(["exact I."]).steps == ("exact I.", "Qed.")

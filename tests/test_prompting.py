@@ -130,6 +130,21 @@ def test_over_budget_drops_farthest_example(toy_corpus, templates):
     assert get(toy_corpus, "union_incl").proof_text in "\n".join(kept)
 
 
+def test_the_budget_trimmer_renders_each_message_once(toy_corpus, templates, monkeypatch):
+    """Dropping examples to fit max_prompt_chars renders no message again."""
+    rendered = []
+    render = TemplateSet.render
+    monkeypatch.setattr(TemplateSet, "render",
+                        lambda self, section, **values: rendered.append(section)
+                        or render(self, section, **values))
+    config = RunConfig(tag="fs-rand", mode="fs-rand", k_shots=3, max_prompt_chars=1)
+    examples = [get(toy_corpus, n) for n in ("comp_incl", "comp_eeq", "union_incl")]
+    prompt = build_prompt(config, get(toy_corpus, "weak_refl"), examples=examples, templates=templates)
+    assert prompt.dropped_examples == 3
+    assert [m.role for m in prompt.messages] == ["system", "user"]
+    assert (rendered.count("user.example"), rendered.count("user.target")) == (3, 1)
+
+
 def test_diversify_variants(toy_corpus, templates):
     config = RunConfig(tag="fs-rand", mode="fs-rand", k_shots=3)
     target = get(toy_corpus, "weak_refl")

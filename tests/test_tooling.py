@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -45,6 +46,17 @@ def test_sha256_is_called_in_one_place():
     calls = {path.name: path.read_text(encoding="utf-8").count("hashlib.sha256")
              for path in SRC.glob("*.py")}
     assert {name: n for name, n in calls.items() if n} == {"store.py": 1}
+
+
+def test_attempt_rows_are_built_in_one_place():
+    """`agent._attempt` builds every attempt row, so the fields that the
+    theorem, the config and the prompt decide have one place to be filled."""
+    from coqharness import agent
+
+    calls = {path.name: path.read_text(encoding="utf-8").count("AttemptRecord(")
+             for path in SRC.glob("*.py")}
+    assert {name: n for name, n in calls.items() if n} == {"agent.py": 1}
+    assert "AttemptRecord(" in inspect.getsource(agent._attempt)
 
 
 def test_only_store_imports_hashlib():
