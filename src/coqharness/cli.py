@@ -33,15 +33,17 @@ class CliError(Exception):
     """A command's input is wrong: exit 2 with this message."""
 
 
-# Every ini key, by section: load_config refuses any other, since a misspelt
-# key would otherwise run with its default unseen.
+# Every ini key, by section, with the type its value is read as: load_config
+# refuses any other key, since a misspelt one would otherwise run with its
+# default unseen, and any value its type cannot read.
 INI_KEYS = {
-    "paths": {"corpus_root", "corpus_file", "index_file", "cache_dir", "template_file",
-              "classifier_patterns", "output_dir"},
-    "provider": {"kind", "script_file", "base_url", "model_name", "api_key_env", "rpm_limit",
-                 "token_budget"},
-    "prover": {"backend", "prover_command", "timeout_per_step", "workdir", "mock_table"},
-    "defaults": {"temperature", "presence_penalty", "n", "max_tokens"},
+    "paths": dict.fromkeys(("corpus_root", "corpus_file", "index_file", "cache_dir",
+                            "template_file", "classifier_patterns", "output_dir"), str),
+    "provider": {"kind": str, "script_file": str, "base_url": str, "model_name": str,
+                 "api_key_env": str, "rpm_limit": float, "token_budget": int},
+    "prover": {"backend": str, "prover_command": str, "timeout_per_step": float, "workdir": str,
+               "mock_table": str},
+    "defaults": {"temperature": float, "presence_penalty": float, "n": int, "max_tokens": int},
 }
 
 
@@ -56,11 +58,13 @@ def load_config(path: str | None) -> configparser.ConfigParser:
                     raise CliError(f"bad config {path}: unknown section [{section}]")
                 # items() reads each value, so a stray '%' fails here, not in a command
                 store.check_keys(dict(parser.items(section)), INI_KEYS.get(section, ()))
+            for section in INI_KEYS:
+                _set_keys(parser, section)  # so a value its type cannot read fails here
         except FileNotFoundError:
             raise CliError(f"config file not found: {path}") from None
         except OSError as exc:
             raise CliError(f"cannot read config {path}: {exc.strerror or exc}") from exc
-        except (configparser.Error, UnicodeDecodeError) as exc:
+        except (configparser.Error, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
             raise CliError(f"bad config {path}: {exc}") from exc
         except store.DecodeError as exc:
             raise CliError(f"bad config {path}: {exc} in [{section}]") from exc
@@ -71,11 +75,18 @@ def _get(config: configparser.ConfigParser, section: str, key: str, fallback=Non
     return config.get(section, key, fallback=None) or fallback  # a blank value is no value
 
 
-def _set_keys(config: configparser.ConfigParser, section: str, **kinds) -> dict:
-    """The keys of `section` among `kinds` that the ini sets, each read by its
-    kind: a key left out keeps the default of the type it is passed to."""
-    return {key: kind(value) for key, kind in kinds.items()
-            if (value := _get(config, section, key)) is not None}
+def _set_keys(config: configparser.ConfigParser, section: str, *keys: str) -> dict:
+    """The keys of `section` that the ini sets, of `keys` if any are named,
+    each read by its type in INI_KEYS: a key left out keeps the default of
+    the type it is passed to. A ValueError names the key a value fails."""
+    values = {}
+    for key in keys or INI_KEYS[section]:
+        if (value := _get(config, section, key)) is not None:
+            try:
+                values[key] = INI_KEYS[section][key](value)
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key}: {exc}") from exc
+    return values
 
 
 def build_provider(config: configparser.ConfigParser, replay: bool, cache_dir: str | None):
@@ -94,7 +105,7 @@ def build_provider(config: configparser.ConfigParser, replay: bool, cache_dir: s
         try:
             inner = client.ScriptedProvider(script_file)
         except (OSError, ValueError, TypeError) as exc:
-            raise CliError(f"bad provider script: {exc}") from exc
+            raise CliError(f"bad provider script {script_file}: {exc}") from exc
     elif kind == "http":
         base_url = _get(config, "provider", "base_url")
         model_name = _get(config, "provider", "model_name")
@@ -103,7 +114,7 @@ def build_provider(config: configparser.ConfigParser, replay: bool, cache_dir: s
         if not base_url.lower().startswith(("http://", "https://")):  # else urllib fails mid-run
             raise CliError(f"provider.base_url must be an http:// or https:// URL, not {base_url!r}")
         inner = client.HttpChatProvider(base_url, model_name, **_set_keys(
-            config, "provider", api_key_env=str, rpm_limit=float, token_budget=int))
+            config, "provider", "api_key_env", "rpm_limit", "token_budget"))
     else:
         raise CliError(f"unknown provider kind {kind!r}")
     if cache is not None:
@@ -111,25 +122,18 @@ def build_provider(config: configparser.ConfigParser, replay: bool, cache_dir: s
     return inner
 
 
-def build_session_config(config: configparser.ConfigParser, whole_table: bool = True) -> SessionConfig:
-    """The prover settings. A mock table is read here, once per command; its
-    theorem entries are compiled here too with `whole_table`, else on first use.
-    A table or an entry that is malformed raises a ValueError naming the table: exit 2."""
-    session = SessionConfig(**_set_keys(
-        config, "prover", backend=str, prover_command=str, timeout_per_step=float, workdir=str,
-        mock_table=str))
+def build_session_config(config: configparser.ConfigParser) -> SessionConfig:
+    """The prover settings. A mock table is read here, once per command; each
+    theorem entry is compiled when a session first opens it. A table or an
+    entry that is malformed raises a ValueError naming the table: exit 2."""
+    session = SessionConfig(**_set_keys(config, "prover"))
     if session.backend == "mock":
-        table = compile_behavior_table(session.mock_table)
-        if whole_table:
-            for name in table.raw_theorems:
-                table.entry(name)
-        session.mock_table = table
+        session.mock_table = compile_behavior_table(session.mock_table)
     return session
 
 
 def decoding_from(config: configparser.ConfigParser) -> client.DecodingParams:
-    return client.DecodingParams(**_set_keys(
-        config, "defaults", temperature=float, presence_penalty=float, n=int, max_tokens=int))
+    return client.DecodingParams(**_set_keys(config, "defaults"))
 
 
 def run_config_from_dict(raw: dict, defaults: client.DecodingParams) -> agent.RunConfig:
@@ -178,13 +182,12 @@ def build_deps(
     replay: bool = False,
     cache_dir: str | None = None,
     index_file: str | None = None,
-    whole_table: bool = True,
 ) -> agent.AgentDeps:
     few_shot = [c.tag for c in run_configs if not c.zero_shot]
     if few_shot and not corpus.train:
         raise CliError(f"corpus has no train records for few-shot configs: {', '.join(few_shot)}")
     provider = build_provider(config, replay, cache_dir)
-    session_config = build_session_config(config, whole_table)
+    session_config = build_session_config(config)
     templates = TemplateSet.load(_get(config, "paths", "template_file"))
     index = None
     index_path = index_file or _get(config, "paths", "index_file")
@@ -283,7 +286,7 @@ def cmd_prove(args, config) -> int:
         if not matches:
             raise CliError(f"unknown theorem id {args.theorem!r}")
         target = matches[0]
-    deps = build_deps(config, cps, [run_config], args.replay, args.cache_dir, whole_table=False)
+    deps = build_deps(config, cps, [run_config], args.replay, args.cache_dir)
     rules = evaluate.ClassifierRules.load(_get(config, "paths", "classifier_patterns"))
     with contextlib.closing(FileWalk(deps.prover)) as walk:
         records = agent.prove(target, run_config, deps, walk)

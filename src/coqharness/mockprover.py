@@ -90,9 +90,14 @@ class _TheoremEntry:
     errors: tuple[_ErrorRule, ...] = ()
 
 
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{what} is not a string: {value!r}")
+    return value
+
+
 def _contains(needle: str) -> Callable[[str], bool]:
-    if not isinstance(needle, str):
-        raise TypeError(f"a contains rule is not a string: {needle!r}")
+    needle = _string(needle, "a contains rule")
     return lambda text: needle in text
 
 
@@ -103,7 +108,7 @@ def _compile_error_rules(raw: list[dict]) -> tuple[_ErrorRule, ...]:
         store.check_keys(item, ("contains", "regex", "message"))
     return tuple(
         (_contains(item["contains"]) if "contains" in item else re.compile(item["regex"]).search,
-         item["message"])
+         _string(item["message"], "an error rule's message"))
         for item in raw
     )
 
@@ -127,6 +132,12 @@ def _statement_goal(text: str) -> str:
         elif depth == 0:
             return normalize_space(text[i:].rstrip().removesuffix("."))
     return "True"
+
+
+def _introduced(step: str) -> list[str]:
+    """The names an `intros` step binds; none for any other step."""
+    m = _INTRO_RE.match(step)
+    return [t for t in m.group(1).split() if _IDENT_RE.match(t)] if m else []
 
 
 def _coq_error(message: str) -> str:
@@ -170,9 +181,10 @@ class BehaviorTable:
             try:
                 store.check_keys(raw, ("statement_goal", "initial_state", "scripts", "errors"))
                 initial = raw.get("initial_state")
+                goal = raw.get("statement_goal")
                 entry = _TheoremEntry(
                     name,
-                    goal=raw.get("statement_goal"),
+                    goal=None if goal is None else _string(goal, "statement_goal"),
                     initial_state=parse_proof_state(initial) if initial else None,
                     scripts=tuple(_parse_script(s) for s in raw.get("scripts", [])),
                     errors=_compile_error_rules(raw.get("errors", [])),
@@ -197,7 +209,7 @@ def compile_behavior_table(source: BehaviorTable | dict | str | Path | None) -> 
         table = source or {}
         store.check_keys(table, ("theorems", "queries", "query_default_error", "errors"))
         queries = {
-            (command, argument): response
+            (command, argument): _string(response, f"the answer to {command} {argument}")
             for command, answers in table.get("queries", {}).items()
             for argument, response in answers.items()
         }
@@ -205,7 +217,7 @@ def compile_behavior_table(source: BehaviorTable | dict | str | Path | None) -> 
             path,
             MappingProxyType(dict(table.get("theorems", {}))),
             MappingProxyType(queries),
-            table.get("query_default_error", DEFAULT_QUERY_ERROR),
+            _string(table.get("query_default_error", DEFAULT_QUERY_ERROR), "query_default_error"),
             _compile_error_rules(table.get("errors", [])),
         )
     except (OSError, ValueError, KeyError, TypeError, AttributeError, re.error) as exc:
@@ -234,29 +246,12 @@ class MockSession(SessionHandle):
             entry = replace(entry, goal=_statement_goal(statement.text))
         self._entry, self._steps = entry, []
 
-    def _close_proof(self) -> None:
-        self._entry, self._steps = None, []
-
-    def _initial_state(self) -> ProofState:
-        entry = self._entry
-        assert entry is not None
-        if entry.initial_state is not None:
-            return entry.initial_state
-        return ProofState((), (entry.goal,), (1, 1))
-
-    def _introduced_names(self) -> list[str]:
-        names = []
-        for step in self._steps:
-            m = _INTRO_RE.match(step)
-            if m:
-                names += [t for t in m.group(1).split() if _IDENT_RE.match(t)]
-        return names
-
     def _synthesized_state(self) -> ProofState:
-        base = self._initial_state()
+        """The open entry's first state, plus a hypothesis `_` per new name an `intros` bound."""
+        base = self._entry.initial_state or ProofState((), (self._entry.goal,), (1, 1))
         known = set(base.hypothesis_names)
         extra = []
-        for name in self._introduced_names():
+        for name in (n for step in self._steps for n in _introduced(step)):
             if name not in known:
                 known.add(name)
                 extra.append(((name,), "_"))
@@ -270,17 +265,15 @@ class MockSession(SessionHandle):
         return next((s for s in entry.scripts if s.steps[: len(prefix)] == prefix), None)
 
     def _fail(self, text: str) -> StepResult:
-        entry = self._entry
-        m = _INTRO_RE.match(text)
-        if m:
+        names = _introduced(text)
+        if names:
             state = self.current_state()
             current = set(state.hypothesis_names) if state else set()
-            for name in (t for t in m.group(1).split() if _IDENT_RE.match(t)):
+            for name in names:
                 if name in current:  # shown, or named earlier in this intros
                     return StepResult(ERROR, _coq_error(f"{name} is already used."))
                 current.add(name)
-        rules = self._table.errors if entry is None else entry.errors + self._table.errors
-        message = _first_error(rules, text)
+        message = _first_error(self._entry.errors + self._table.errors, text)
         return StepResult(ERROR, _coq_error(DEFAULT_TACTIC_FAILURE if message is None else message))
 
     # -- SessionHandle contract --
@@ -309,7 +302,7 @@ class MockSession(SessionHandle):
         if script is not None:
             left = len(script.steps) - len(candidate)
             if left == 0:
-                self._close_proof()
+                self._entry, self._steps = None, []
                 return StepResult(OK, proof_complete=is_closing(text, proving_only=True))
             self._steps = candidate
             return StepResult(OK, NO_MORE_GOALS_MESSAGE if left == 1 else "")
@@ -318,7 +311,7 @@ class MockSession(SessionHandle):
             return StepResult(ERROR, _coq_error(INCOMPLETE_PROOF_MESSAGE))
         if is_closing(sentence):
             # Admitted./Abort. close the proof without completing it.
-            self._close_proof()
+            self._entry, self._steps = None, []
             return StepResult(OK)
         return self._fail(text)
 

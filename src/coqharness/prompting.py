@@ -31,7 +31,7 @@ REFUSAL_PATTERNS = (
 
 STRATEGIES = ("simple-tactics-first", "no-lemma-use", "verbose-stepwise", "example-reorder")
 
-_REORDER_RE = re.compile(r"^example-reorder[:(](\d+)\)?$")
+_REORDER_RE = re.compile(r"^example-reorder(?::(\d+)|\((\d+)\))\Z")
 _PLACEHOLDER_RE = re.compile(r"\{(statement|lemmas|examples|state|error)\}")
 
 
@@ -220,7 +220,7 @@ def diversify(prompt: ChatPrompt, strategies: list[str], templates: TemplateSet)
         reorder = _REORDER_RE.match(strategy)
         if reorder:
             pairs = _example_pairs(prompt)
-            rng = random.Random(int(reorder.group(1)))
+            rng = random.Random(int(reorder.group(1) or reorder.group(2)))
             rng.shuffle(pairs)
             flat = [m for pair in pairs for m in pair]
             messages = (prompt.messages[0], *flat, prompt.messages[-1])

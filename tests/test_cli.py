@@ -20,8 +20,9 @@ import coqharness
 from coqharness import client, corpus as corpus_mod, mockprover, retriever
 from coqharness.agent import RunConfig
 from coqharness.cli import (
-    EXIT_CONFIG, EXIT_OK, EXIT_PROVER, EXIT_PROVIDER, build_provider, build_session_config,
-    decoding_from, main, parse_args, run_config_from_dict,
+    EXIT_CONFIG, EXIT_OK, EXIT_PROVER, EXIT_PROVIDER, build_deps, build_provider,
+    build_session_config, decoding_from, load_config, load_manifest, main, parse_args,
+    run_config_from_dict,
 )
 from coqharness.corpus import load_corpus
 from coqharness.driver import SessionConfig, SessionDead
@@ -690,12 +691,20 @@ _WEAK_REFL_STEPS = ["intros x.", "constructor.", "reflexivity.", "Qed."]
      "unknown key 'state'"),
     (lambda table, entry: entry.update(errors=[{"contains": "x", "mesage": "m"}]),
      "unknown key 'mesage'"),
-], ids=["state", "table-key", "entry-key", "script-key", "error-rule-key"])
+    (lambda table, entry: table.update(query_default_error=5), "query_default_error is not a string: 5"),
+    (lambda table, entry: table["queries"]["Check"].update(nat=7),
+     "the answer to Check nat is not a string: 7"),
+    (lambda table, entry: entry.update(statement_goal=7), "statement_goal is not a string: 7"),
+    (lambda table, entry: entry.update(errors=[{"contains": "x", "message": 5}]),
+     "an error rule's message is not a string: 5"),
+], ids=["state", "table-key", "entry-key", "script-key", "error-rule-key", "query-default-error",
+        "query-answer", "statement-goal", "error-rule-message"])
 def test_a_malformed_mock_table_exits_2(
     config_file, ingested, manifest_path, mock_table, fixtures_dir, tmp_path, caplog, edit, logged
 ):
-    """A bad state or an unknown key, at any level of the table, is named
-    by `prove` when it opens the entry and by `eval` before any theorem runs."""
+    """A bad state, an unknown key or a value of the wrong type, at any level
+    of the table, is named by `prove` and by `eval` when a session opens the
+    entry, and before any theorem runs when it is the table's own."""
     table = json.loads(json.dumps(mock_table))
     edit(table, table["theorems"]["weak_refl"])
     bad = tmp_path / "bad-table.json"
@@ -708,7 +717,7 @@ def test_a_malformed_mock_table_exits_2(
     caplog.clear()
     out = tmp_path / "o"
     code = main(["--config", str(config), "eval", "--manifest", str(manifest_path), "--out", str(out)])
-    assert code == EXIT_CONFIG  # every entry compiles before any theorem runs
+    assert code == EXIT_CONFIG  # weak_refl is a test target, so eval opens its entry
     assert f"bad mock table {bad}: {logged}" in caplog.text
     assert "Traceback" not in caplog.text and not out.exists()
 
@@ -776,7 +785,8 @@ def _manifest(tmp_path, configs) -> Path:
     "strategies, logged",
     [(["verbose-stepwise", bad], repr(bad))
      for bad in ("zs", "example-reorder", "example-reorder:x", "simple-tactics-first ")]
-    + [([], "non-empty strategy list")],
+    + [([], "non-empty strategy list")]
+    + [(["verbose-stepwise", bad], repr(bad)) for bad in ("example-reorder:3)", "example-reorder(3")],
 )
 def test_eval_unknown_ensemble_strategy_exit_2(
     config_file, ingested, tmp_path, caplog, strategies, logged
@@ -1299,6 +1309,35 @@ def test_eval_malformed_mock_table_entry_exit_2(
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+def test_eval_compiles_only_the_entries_its_sessions_open(
+    walk_project, manifest_path, tmp_path, workers
+):
+    """a2 is a lemma of the prelude, whose entry no session opens: with its
+    initial state broken, eval writes the bytes the sound table gives."""
+    broken = json.loads(json.dumps(walk_project["table"]))
+    broken["theorems"]["a2"]["initial_state"] = "n : nat\nforall x : nat, x + 2 = x + 2"
+    outs = [tmp_path / "sound", tmp_path / "broken"]
+    for table, out in zip((walk_project["table"], broken), outs):
+        config = _walk_config(walk_project, table)
+        code = main(["--config", str(config), "eval", "--manifest", str(manifest_path),
+                     "--out", str(out), "--workers", str(workers)])
+        assert code == EXIT_OK
+    names = sorted(str(p.relative_to(outs[0])) for p in outs[0].rglob("*") if p.is_file())
+    assert "report.json" in names and any(name.startswith("attempts") for name in names)
+    assert names == sorted(str(p.relative_to(outs[1])) for p in outs[1].rglob("*") if p.is_file())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_build_deps_for_an_eval_compiles_no_mock_table_entry(config_file, ingested, manifest_path):
+    config = load_config(str(config_file))
+    manifest = load_manifest(str(manifest_path), decoding_from(config))
+    deps = build_deps(config, load_corpus(ingested), manifest)
+    assert deps.prover.mock_table.raw_theorems
+    assert deps.prover.mock_table._compiled == {}
+
+
 @pytest.mark.parametrize(
     "theorem, expected",
     [("a.v::a3", EXIT_CONFIG),   # the broken entry is the target
@@ -1418,11 +1457,11 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
      "provider.script_file required for the scripted provider"),
     ({"c.ini": "[provider]\nscript_file = {tmp}/s.json\n" + _PROVER, "s.json": "[]"},
      ["--config", "{tmp}/c.ini", *_PROVE],
-     "bad provider script: not a JSON object: []"),
+     "bad provider script {tmp}/s.json: not a JSON object: []"),
     ({"c.ini": "[provider]\nscript_file = {tmp}/s.json\n" + _PROVER,
       "s.json": '{{"entries": [{{"theorem_id": "t", "completions": ["a"]}}]}}'},
      ["--config", "{tmp}/c.ini", *_EVAL, "--manifest", "{fixtures}/manifest.json"],
-     "bad provider script: entries[0]: unknown key 'theorem_id'"),
+     "bad provider script {tmp}/s.json: entries[0]: unknown key 'theorem_id'"),
     ({"c.ini": "[provider]\nkind = http\nmodel_name = m\n" + _PROVER},
      ["--config", "{tmp}/c.ini", *_PROVE], "provider.base_url and provider.model_name are required"),
     ({"c.ini": "[provider]\nkind = pigeon\n" + _PROVER}, ["--config", "{tmp}/c.ini", *_PROVE],
@@ -1443,7 +1482,7 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
      "bad manifest {tmp}/m.json: unknown key 'defaults'"),
     ({"c.ini": "[provider]\nscript_file = {tmp}/s.json\n" + _PROVER,
       "s.json": '{{"entries": [], "defualt": "x"}}'}, ["--config", "{tmp}/c.ini", *_PROVE],
-     "bad provider script: unknown key 'defualt'"),
+     "bad provider script {tmp}/s.json: unknown key 'defualt'"),
     ({}, ["--config", "{config}", "index", "--corpus", "{all_test}", "--out", "{tmp}/i.json"],
      "corpus has no train records; run ingest/split first"),
     ({}, ["--config", "{config}", *_PROVE, "--manifest", "{fixtures}/manifest.json",
@@ -1491,7 +1530,10 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
           ("", "[DEFAULT]\nroot = /tmp\n", "unknown key 'root' in [DEFAULT]"),
           ("", "backend = real\n", "While reading from '{tmp}/c.ini' [line  7]: "
                                     "option 'backend' in section 'prover' already exists"),
-          ("", "workdir = /tmp/100%\n", "'%' must be followed by '%' or '(', found: '%'")]],
+          ("", "workdir = /tmp/100%\n", "'%' must be followed by '%' or '(', found: '%'"),
+          ("", "timeout_per_step = soon\n",
+           "[prover] timeout_per_step: could not convert string to float: 'soon'"),
+          ("", "[defaults]\nn = two\n", "[defaults] n: invalid literal for int() with base 10: 'two'")]],
     *[({"c.ini": "[provider]\nscript_file = {fixtures}/provider_script.json\n" + _PROVER + ini},
        ["--config", "{tmp}/c.ini", *_EVAL, "--manifest", "{fixtures}/manifest.json"], logged)
       for ini, logged in [
@@ -1510,6 +1552,12 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
     ({"m.json": '{{"configs": [{{"tag": "w", "mode": "zs", "decoding": {{"temperature": NaN}}}}]}}'},
      ["--config", "{config}", *_EVAL, "--manifest", "{tmp}/m.json"],
      "bad manifest entry 'w': decoding: temperature must be finite and >= 0, not nan"),
+    ({"c.ini": "[provider]\nscript_file = {tmp}/s.json\n" + _PROVER, "s.json": "\udcff"},
+     ["--config", "{tmp}/c.ini", *_PROVE],
+     "bad provider script {tmp}/s.json: 'utf-8' codec can't decode byte 0xff"),
+    ({"c.ini": "[provider]\nscript_file = {tmp}/missing.json\n" + _PROVER},
+     ["--config", "{tmp}/c.ini", *_PROVE],
+     "bad provider script {tmp}/missing.json: [Errno 2] No such file or directory"),
 ], ids=["config-file", "config-directory", "config-not-utf-8", "template-not-utf-8",
         "script-file", "provider-script", "provider-script-entry", "http",
         "provider-kind", "manifest-json", "manifest-configs", "manifest-list", "manifest-empty",
@@ -1521,9 +1569,9 @@ _EVAL = ["eval", "--corpus", "{corpus}", "--out", "{tmp}/out"]
         "corpus-row", "tag-escapes", "tag-empty", "tag-dot", "tag-dot-dot", "tag-nul",
         "tag-repeated-eval", "tag-repeated-prove", "ini-key", "ini-defaults-key",
         "ini-removed-key", "ini-section", "ini-default-section", "ini-repeated-key",
-        "ini-percent", "ini-temperature-nan", "ini-presence-penalty-inf", "ini-timeout-inf",
+        "ini-percent", "ini-timeout-word", "ini-n-word", "ini-temperature-nan", "ini-presence-penalty-inf", "ini-timeout-inf",
         "ini-timeout-nan", "ini-base-url-scheme", "ini-base-url-file", "ini-rpm-nan",
-        "manifest-temperature-nan"])
+        "manifest-temperature-nan", "provider-script-not-utf-8", "provider-script-missing"])
 def test_a_config_error_exits_2_with_its_message(
     config_file, ingested, fixtures_dir, tmp_path, caplog, files, argv, logged
 ):

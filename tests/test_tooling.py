@@ -81,7 +81,7 @@ def test_the_readme_names_every_ini_key():
             section = named.setdefault(header.group(1), set())
         elif key := re.fullmatch(r";? ?(\w+) = .*", line):
             section.add(key.group(1))
-    assert named == INI_KEYS
+    assert named == {section: set(keys) for section, keys in INI_KEYS.items()}
 
 
 _WITHOUT_DEPENDENCIES = """
